@@ -35,6 +35,7 @@ import hashlib
 import hmac
 import os
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -243,6 +244,41 @@ def _cache_put(key, value: bool) -> None:
     _VERIFY_CACHE.move_to_end(key)
     if len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
         _VERIFY_CACHE.popitem(last=False)
+
+
+#: True inside :func:`independent_verification`.
+_INDEPENDENT = False
+
+
+@contextmanager
+def independent_verification():
+    """Scope in which every verdict is computed afresh, one equation each.
+
+    For oracles that re-check what the pipeline verified (the simulation's
+    invariant catalogue): a verdict read back from the pipeline's memo, or
+    settled by the batch equation under test, confirms nothing.  On entry
+    the verdict memo is emptied — nothing written outside the scope can
+    answer inside it — and memoization is switched on, so each distinct
+    ``(key, message, signature)`` costs exactly one single-signature
+    verification however many readers ask; :func:`verify_batch` settles
+    item by item.  On exit the enable flag is restored and the memo is
+    emptied again: a run's verdicts die with the run.  Window tables and
+    other layers' registered caches are substrate, not verdicts, and are
+    left alone.  Re-entrant — a nested scope shares the enclosing memo.
+    """
+    global _CACHE_ENABLED, _INDEPENDENT
+    if _INDEPENDENT:
+        yield
+        return
+    was_enabled = _CACHE_ENABLED
+    _VERIFY_CACHE.clear()
+    _CACHE_ENABLED = _INDEPENDENT = True
+    try:
+        yield
+    finally:
+        _INDEPENDENT = False
+        _CACHE_ENABLED = was_enabled
+        _VERIFY_CACHE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +626,12 @@ def verify_batch(
     (grouped by public key, greedy-LPT placed) with the subgroup
     pre-check preserved per shard; the merged verdicts are identical to
     the serial reference for any worker count.
+
+    Inside :func:`independent_verification` no batch equation is formed:
+    every item is settled by :meth:`PublicKey.verify`.
     """
+    if _INDEPENDENT:
+        return [key.verify(message, signature) for key, message, signature in items]
     results, decoded, challenges, cache_keys, pending = _screen(items)
     if pending and not _try_sharded(items, seed, results, cache_keys, pending):
         _settle_serial(pending, decoded, challenges, results, cache_keys, seed)

@@ -373,21 +373,11 @@ def _execute(
         "executor": config.executor,
         "workload": config.workload,
         # Contention accounting: how many committed-as-invalid transactions
-        # were read/write races (vs policy or signature failures), and how
-        # much admission/retry work the clients spent getting there.
-        "mvcc_aborts": sum(
-            1
-            for validated in reference.ledger.blockchain.all_blocks()
-            for flag in validated.flags
-            if flag in (
-                ValidationCode.MVCC_READ_CONFLICT,
-                ValidationCode.PHANTOM_READ_CONFLICT,
-            )
-        ),
-        # Scope split of those aborts (within == rescuable by intra-block
-        # reordering, cross == addressable only by early abort), plus the
-        # conflict-aware orderer's own accounting (zeros when reorder is
-        # off).
+        # were read/write races (vs policy or signature failures), their
+        # scope split (within == rescuable by intra-block reordering,
+        # cross == addressable only by early abort), the conflict-aware
+        # orderer's own accounting (zeros when reorder is off), and below
+        # how much admission/retry work the clients spent getting there.
         **_conflict_scope_stats(reference),
         **_reorder_stats(sim.network.orderer),
         # Snapshot checkpointing observability (zeros when the feature is
@@ -440,7 +430,11 @@ def _conflict_scope_stats(reference) -> dict:
                 within += 1
             else:
                 cross += 1
-    return {"mvcc_within_block": within, "mvcc_cross_block": cross}
+    return {
+        "mvcc_aborts": within + cross,
+        "mvcc_within_block": within,
+        "mvcc_cross_block": cross,
+    }
 
 
 def _reorder_stats(orderer) -> dict:

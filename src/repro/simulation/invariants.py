@@ -61,14 +61,20 @@ The catalogue (names are the ``invariant`` field of each violation):
   plaintext exactly — recovery can neither lose committed plaintext at a
   member nor materialize plaintext a peer never legitimately held, so
   PDC privacy survives crashes (non-members recover hashes only).
+
+``reference-validation``, ``vscc-memo``, ``endorsement-plan``,
+``snapshot-equivalence`` and ``reorder-soundness`` all read one
+:class:`ChainReplay` of the source peer's (full, archived + live) chain.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.common import crypto
 from repro.common.hashing import hash_value
 from repro.common.serialization import canonical_bytes
 from repro.ledger.version import Version
@@ -186,29 +192,9 @@ class RecoveryMonitor:
                     snapshot[(chaincode_id, collection.name, key)] = entry.value
         return snapshot
 
-    def _state_dicts(self, peer: "PeerNode") -> tuple[dict, dict]:
-        """The peer's committed public state and private hash store."""
-        public = {}
-        for ns in sorted(self._channel.chaincodes):
-            for key, entry in peer.ledger.world_state.items(ns):
-                public[(ns, key)] = (entry.value, entry.version)
-        private = {}
-        for chaincode_id, definition in sorted(self._channel.chaincodes.items()):
-            for collection in definition.collections:
-                for key_hash in peer.ledger.private_hashes.key_hashes(
-                    chaincode_id, collection.name
-                ):
-                    entry = peer.ledger.private_hashes.get(
-                        chaincode_id, collection.name, key_hash
-                    )
-                    private[(chaincode_id, collection.name, key_hash)] = (
-                        entry.value_hash, entry.version
-                    )
-        return public, private
-
     def _on_crash(self, peer: "PeerNode") -> None:
         self._snapshots[peer.name] = (
-            peer.ledger.height, self._plaintext(peer), self._state_dicts(peer)
+            peer.ledger.height, self._plaintext(peer), _committed_state(self._channel, peer)
         )
 
     def _on_restart(self, peer: "PeerNode") -> None:
@@ -242,7 +228,7 @@ class RecoveryMonitor:
             # A snapshot-bootstrapped peer never held the pruned prefix, so
             # there is nothing to replay from genesis — recovery must still
             # reproduce the crash-time state byte-for-byte.
-            if self._state_dicts(peer) != crash_state:
+            if _committed_state(self._channel, peer) != crash_state:
                 self.violations.append(Violation(
                     "durability",
                     "recovered state diverges from crash-time state on a "
@@ -476,6 +462,83 @@ class ReferenceValidator:
 
 
 # ---------------------------------------------------------------------------
+# The shared chain replay
+# ---------------------------------------------------------------------------
+
+class ChainReplay:
+    """One walk over the source peer's chain that every replay-based check reads.
+
+    Per block, in order: each reorder record due before it is judged in
+    *arrival order* against the pre-block model (``arrival_flags``; a
+    record that emitted no block waits for the next one that did, i.e. is
+    judged at the state after its predecessor); the one
+    :class:`ReferenceValidator` advances (``expected``, finally ``state``);
+    one fresh production validator — shared memo and batched pre-pass
+    pinned off — re-validates against a fresh ledger advanced with the
+    *committed* flags, so one divergence cannot cascade (``production``);
+    and the keys VALID transactions put under a key-level policy are
+    collected (``governed``).
+
+    The walk runs inside :func:`crypto.independent_verification`: the two
+    validators stay separate oracles, each applying its own rules to its
+    own state, over signature verdicts computed once, by the
+    single-signature equation, from nothing the pipeline left behind.
+    Checks share the walk, never a verdict.
+    """
+
+    def __init__(self, sim: "SimNetwork") -> None:
+        from repro.ledger.ledger import PeerLedger
+        from repro.peer.committer import Committer
+        from repro.peer.validator import Validator
+
+        channel = sim.network.channel
+        self.source = source = sim.all_peers()[0]
+        self.blocks = list(source.ledger.blockchain.all_blocks())
+        self.expected: dict = {}       # block number -> reference flags
+        self.production: dict = {}     # block number -> memo-free production flags
+        self.governed: set = set()     # (namespace, key) under a key-level policy
+        self.arrival_flags: dict = {}  # reorder record index -> arrival-order flags
+        pipeline = getattr(sim.network.orderer, "reorderer", None)
+        self.records = list(pipeline.records) if pipeline is not None else []
+        due: dict = {}  # block number -> [(record index, arrival batch)] judged before it
+        waiting: list = []
+        for index, record in enumerate(self.records):
+            if record.aborted:
+                waiting.append((index, record.arrival))
+            if record.block_number is not None:
+                due[record.block_number], waiting = waiting, []
+
+        reference = ReferenceValidator(channel, sim.network.features)
+        self.state = reference.state
+        validator = Validator(
+            channel=channel, features=source.features,
+            use_shared_memo=False, use_batch=False,
+        )
+        committer = Committer(channel=channel, local_msp_id=source.msp_id)
+        ledger = PeerLedger()
+
+        def judge(batches) -> None:
+            for index, arrival in batches:
+                self.arrival_flags[index] = reference.peek_flags(arrival)
+
+        with crypto.independent_verification():
+            for validated in self.blocks:
+                block, number = validated.block, validated.number
+                judge(due.pop(number, ()))
+                self.expected[number] = reference.expected_flags(block)
+                self.production[number] = validator.validate_block(block, ledger)
+                committer.commit_block(block, list(validated.flags), ledger)
+                for tx in validated.valid_transactions():
+                    for ns in tx.payload.results.namespaces:
+                        for meta in ns.metadata_writes:
+                            if meta.name == "VALIDATION_PARAMETER":
+                                self.governed.add((ns.namespace, meta.key))
+            # Records past the source's tip (or after the last block).
+            for batches in (*due.values(), waiting):
+                judge(batches)
+
+
+# ---------------------------------------------------------------------------
 # Quiescence checkers
 # ---------------------------------------------------------------------------
 
@@ -518,22 +581,15 @@ def check_block_agreement(sim: "SimNetwork") -> list:
     return violations
 
 
-def check_reference_validation(sim: "SimNetwork") -> list:
-    """Re-validate the committed history and compare flags and final state."""
+def check_reference_validation(
+    sim: "SimNetwork", replay: Optional[ChainReplay] = None
+) -> list:
+    """Compare every peer's flags and final state with the reference replay."""
+    replay = replay or ChainReplay(sim)
     violations = []
-    peers = sim.all_peers()
-    if not peers:
-        return violations
-    reference = ReferenceValidator(sim.network.channel, sim.network.features)
-    chain_peer = peers[0]
-    expected_by_number = {}
-    for validated in chain_peer.ledger.blockchain.all_blocks():
-        expected = reference.expected_flags(validated.block)
-        expected_by_number[validated.number] = expected
-
-    for peer in peers:
+    for peer in sim.all_peers():
         for validated in peer.ledger.blockchain.all_blocks():
-            expected = expected_by_number.get(validated.number)
+            expected = replay.expected.get(validated.number)
             if expected is None:
                 continue  # height mismatch already reported by block-agreement
             for tx, got, want in zip(validated.block.transactions, validated.flags, expected):
@@ -544,18 +600,32 @@ def check_reference_validation(sim: "SimNetwork") -> list:
                         f"reference says {want.value}",
                         peer=peer.name, tx_id=tx.tx_id,
                     ))
-
-    violations.extend(_check_state_matches_model(sim, reference))
-    return violations
-
-
-def _check_state_matches_model(sim: "SimNetwork", reference: ReferenceValidator) -> list:
-    violations = []
     for peer in sim.all_peers():
         violations.extend(
-            peer_state_violations(sim.network.channel, peer, reference.state)
+            peer_state_violations(sim.network.channel, peer, replay.state)
         )
     return violations
+
+
+def _committed_state(channel: "ChannelConfig", peer: "PeerNode") -> tuple[dict, dict]:
+    """The peer's committed public state and private hash store."""
+    public = {}
+    for ns in sorted(channel.chaincodes):
+        for key, entry in peer.ledger.world_state.items(ns):
+            public[(ns, key)] = (entry.value, entry.version)
+    private = {}
+    for chaincode_id, definition in sorted(channel.chaincodes.items()):
+        for collection in definition.collections:
+            for key_hash in peer.ledger.private_hashes.key_hashes(
+                chaincode_id, collection.name
+            ):
+                entry = peer.ledger.private_hashes.get(
+                    chaincode_id, collection.name, key_hash
+                )
+                private[(chaincode_id, collection.name, key_hash)] = (
+                    entry.value_hash, entry.version
+                )
+    return public, private
 
 
 def peer_state_violations(
@@ -570,10 +640,7 @@ def peer_state_violations(
     ``durability`` check at peer-restart instants.
     """
     violations = []
-    actual = {}
-    for ns in sorted(channel.chaincodes):
-        for key, entry in peer.ledger.world_state.items(ns):
-            actual[(ns, key)] = (entry.value, entry.version)
+    actual, actual_private = _committed_state(channel, peer)
     if actual != model.public:
         extra = sorted(set(actual) - set(model.public))
         missing = sorted(set(model.public) - set(actual))
@@ -586,18 +653,6 @@ def peer_state_violations(
             f"missing={missing[:3]}, differing={differing[:3]})",
             peer=peer.name,
         ))
-    actual_private = {}
-    for chaincode_id, definition in sorted(channel.chaincodes.items()):
-        for collection in definition.collections:
-            for key_hash in peer.ledger.private_hashes.key_hashes(
-                chaincode_id, collection.name
-            ):
-                entry = peer.ledger.private_hashes.get(
-                    chaincode_id, collection.name, key_hash
-                )
-                actual_private[(chaincode_id, collection.name, key_hash)] = (
-                    entry.value_hash, entry.version
-                )
     if actual_private != model.private:
         violations.append(Violation(
             invariant,
@@ -740,67 +795,36 @@ def check_gossip_convergence(sim: "SimNetwork", outcomes: list) -> list:
     return violations
 
 
-def check_vscc_memo_agreement(sim: "SimNetwork") -> list:
+def check_vscc_memo_agreement(
+    sim: "SimNetwork", replay: Optional[ChainReplay] = None
+) -> list:
     """The shared VSCC memo never changes a validation flag.
 
     The fast path lets the 2nd..Nth peer reuse the flag vector the first
     peer computed for an identical block (``validator.py``'s shared
-    memo).  This check replays the committed chain through a *fresh*
-    validator with the memo disabled, the batched signature pre-pass
-    pinned off, and the process-wide verification cache cleared and
-    suspended for the replay's duration — so every signature check and
-    policy evaluation actually runs individually, rather than being
-    answered by the very batch/cache entries the check is meant to
-    independently confirm — and demands the flags match what the peers
-    committed.  Any divergence means the memo, the batched pre-pass, or
-    the verification cache changed an outcome.
+    memo).  The flags :class:`ChainReplay`'s memo-free, batch-free
+    production validator computed from independently verified signatures
+    must match what the peers committed; any divergence means the memo,
+    the batched pre-pass, or the verification cache changed an outcome.
     """
-    from repro.common import crypto
-    from repro.ledger.ledger import PeerLedger
-    from repro.peer.committer import Committer
-    from repro.peer.validator import Validator
-
+    replay = replay or ChainReplay(sim)
     violations = []
-    peers = sim.all_peers()
-    if not peers:
-        return violations
-    source = peers[0]
-    channel = sim.network.channel
-    fresh_ledger = PeerLedger()
-    fresh_validator = Validator(
-        channel=channel,
-        features=source.features,
-        use_shared_memo=False,
-        use_batch=False,
-    )
-    committer = Committer(channel=channel, local_msp_id=source.msp_id)
-    cache_was_enabled = crypto.verify_cache_enabled()
-    crypto.clear_caches()
-    crypto.set_verify_cache(False)
-    try:
-        for validated in source.ledger.blockchain.all_blocks():
-            fresh_flags = fresh_validator.validate_block(validated.block, fresh_ledger)
-            committed = list(validated.flags)
-            if fresh_flags != committed:
-                for tx, got, want in zip(
-                    validated.block.transactions, committed, fresh_flags
-                ):
-                    if got is not want:
-                        violations.append(Violation(
-                            "vscc-memo",
-                            f"block {validated.number}: committed flag {got.value} "
-                            f"but memo-free re-validation says {want.value}",
-                            peer=source.name, tx_id=tx.tx_id,
-                        ))
-            # Advance the fresh ledger with the *committed* flags so one
-            # divergence does not cascade into spurious MVCC mismatches.
-            committer.commit_block(validated.block, committed, fresh_ledger)
-    finally:
-        crypto.set_verify_cache(cache_was_enabled)
+    for validated in replay.blocks:
+        fresh = replay.production[validated.number]
+        for tx, got, want in zip(validated.block.transactions, validated.flags, fresh):
+            if got is not want:
+                violations.append(Violation(
+                    "vscc-memo",
+                    f"block {validated.number}: committed flag {got.value} "
+                    f"but memo-free re-validation says {want.value}",
+                    peer=replay.source.name, tx_id=tx.tx_id,
+                ))
     return violations
 
 
-def check_endorsement_plan(sim: "SimNetwork", outcomes: list) -> list:
+def check_endorsement_plan(
+    sim: "SimNetwork", outcomes: list, replay: Optional[ChainReplay] = None
+) -> list:
     """Early-quorum soundness of plan-based endorsement collection.
 
     The plan path stops collecting endorsements as soon as the responses
@@ -817,33 +841,19 @@ def check_endorsement_plan(sim: "SimNetwork", outcomes: list) -> list:
     """
     from repro.policy.planner import applied_policies_satisfied
 
+    replay = replay or ChainReplay(sim)
     violations = []
-    peers = sim.all_peers()
-    if not peers:
-        return violations
-    source = peers[0]
     channel = sim.network.channel
     features = sim.network.features
-    governed: set = set()  # (namespace, key) under a key-level policy
-    for validated in source.ledger.blockchain.all_blocks():
-        for tx, flag in zip(validated.block.transactions, validated.flags):
-            if flag is not ValidationCode.VALID:
-                continue
-            for ns in tx.payload.results.namespaces:
-                for meta in ns.metadata_writes:
-                    if meta.name == "VALIDATION_PARAMETER":
-                        governed.add((ns.namespace, meta.key))
     full_pool = [p.certificate for p in sim.network.default_endorsers()]
-    for validated in source.ledger.blockchain.all_blocks():
-        for tx, flag in zip(validated.block.transactions, validated.flags):
-            if flag is not ValidationCode.VALID:
-                continue
-            touched = {
-                (ns.namespace, write.key)
+    for validated in replay.blocks:
+        for tx in validated.valid_transactions():
+            if any(
+                (ns.namespace, write.key) in replay.governed
                 for ns in tx.payload.results.namespaces
-                for write in list(ns.writes) + list(ns.metadata_writes)
-            }
-            if touched & governed:
+                for writes in (ns.writes, ns.metadata_writes)
+                for write in writes
+            ):
                 continue
             certs = [e.endorser for e in tx.endorsements]
             if not applied_policies_satisfied(
@@ -854,7 +864,7 @@ def check_endorsement_plan(sim: "SimNetwork", outcomes: list) -> list:
                     f"block {validated.number}: VALID transaction's endorsement "
                     "set does not satisfy the applied policies per the "
                     "spec-level oracle",
-                    peer=source.name, tx_id=tx.tx_id,
+                    peer=replay.source.name, tx_id=tx.tx_id,
                 ))
                 continue
             if not applied_policies_satisfied(
@@ -865,7 +875,7 @@ def check_endorsement_plan(sim: "SimNetwork", outcomes: list) -> list:
                     f"block {validated.number}: widening the endorsement set to "
                     "the full pool flipped the policy verdict (non-monotone "
                     "evaluation)",
-                    peer=source.name, tx_id=tx.tx_id,
+                    peer=replay.source.name, tx_id=tx.tx_id,
                 ))
     return violations
 
@@ -951,7 +961,9 @@ def state_digest(sim: "SimNetwork") -> str:
     return digest.hexdigest()
 
 
-def check_snapshot_equivalence(sim: "SimNetwork") -> list:
+def check_snapshot_equivalence(
+    sim: "SimNetwork", replay: Optional[ChainReplay] = None
+) -> list:
     """A snapshot-bootstrapped peer is equivalent to replay-from-genesis.
 
     Only meaningful when the run sealed at least one snapshot.  A fresh
@@ -976,19 +988,13 @@ def check_snapshot_equivalence(sim: "SimNetwork") -> list:
     state digest and the other quiescence checks are unaffected.
     """
     violations = []
-    config = sim.config
-    if not config.snapshot_every:
+    if not sim.config.snapshot_every:
         return violations
-    peers = sim.all_peers()
-    if not peers:
-        return violations
-    if not any(p.latest_sealed_snapshot() is not None for p in peers):
+    if not any(p.latest_sealed_snapshot() is not None for p in sim.all_peers()):
         return violations  # run too short to seal a checkpoint: nothing to test
-    source = peers[0]
-    if not source.ledger.blockchain.full_history_available:
-        return violations  # pragma: no cover - peers archive, never drop
+    replay = replay or ChainReplay(sim)
 
-    probe = sim.network.join_peer(source.msp_id, name="probe0")
+    probe = sim.network.join_peer(replay.source.msp_id, name="probe0")
     for _ in range(10):
         if sim.network.reconcile_private_data() == 0:
             break
@@ -1011,8 +1017,7 @@ def check_snapshot_equivalence(sim: "SimNetwork") -> list:
 
     channel = sim.network.channel
     flags_by_number = {
-        validated.number: tuple(validated.flags)
-        for validated in source.ledger.blockchain.all_blocks()
+        validated.number: tuple(validated.flags) for validated in replay.blocks
     }
     for validated in probe.ledger.blockchain.blocks():
         number = validated.number
@@ -1030,11 +1035,8 @@ def check_snapshot_equivalence(sim: "SimNetwork") -> list:
                 peer=probe.name,
             ))
 
-    reference = ReferenceValidator(channel, sim.network.features)
-    for validated in source.ledger.blockchain.all_blocks():
-        reference.expected_flags(validated.block)
     violations.extend(peer_state_violations(
-        channel, probe, reference.state, invariant="snapshot-equivalence"
+        channel, probe, replay.state, invariant="snapshot-equivalence"
     ))
 
     height = probe.ledger.height
@@ -1078,11 +1080,14 @@ def check_snapshot_equivalence(sim: "SimNetwork") -> list:
     return violations
 
 
-def check_reorder_soundness(sim: "SimNetwork") -> list:
+def check_reorder_soundness(
+    sim: "SimNetwork", replay: Optional[ChainReplay] = None
+) -> list:
     """Audit the conflict-aware orderer's batch records (reorder runs only).
 
-    Three guarantees, checked per processed batch with an independent
-    :class:`ReferenceValidator` replaying the emitted chain alongside:
+    Two guarantees, checked per processed batch against the arrival-order
+    verdicts :class:`ChainReplay`'s reference model gave at each pre-block
+    state:
 
     * **No loss or duplication** — the emitted sequence is exactly a
       permutation of the batch's non-aborted arrivals, and matches the
@@ -1091,23 +1096,16 @@ def check_reorder_soundness(sim: "SimNetwork") -> list:
       in *arrival order* against the pre-block model state, fails with an
       MVCC/phantom flag: the client was told nothing it would not have
       learned from the un-reordered block.
-    * **Model advance** — the reference model consumes each emitted block,
-      so later batches are judged against exactly the committed state
-      their peers saw.
     """
     from collections import Counter
 
-    orderer = sim.network.orderer
-    pipeline = getattr(orderer, "reorderer", None)
-    if pipeline is None or not pipeline.records:
-        return []
+    replay = replay or ChainReplay(sim)
     violations = []
     mvcc_flags = (
         ValidationCode.MVCC_READ_CONFLICT,
         ValidationCode.PHANTOM_READ_CONFLICT,
     )
-    reference = ReferenceValidator(sim.network.channel, sim.network.features)
-    for index, record in enumerate(pipeline.records):
+    for index, record in enumerate(replay.records):
         arrival_ids = [tx.tx_id for tx in record.arrival]
         aborted_ids = [env.tx_id for env, _reason, _blk in record.aborted]
         emitted_ids = [tx.tx_id for tx in record.emitted]
@@ -1119,11 +1117,11 @@ def check_reorder_soundness(sim: "SimNetwork") -> list:
                 f"{len(aborted_ids)} aborted, {len(emitted_ids)} emitted)",
             ))
         if record.aborted:
-            # Re-validate the ORIGINAL arrival-order batch against the
+            # The ORIGINAL arrival-order batch re-validated against the
             # pre-block model: each aborted tx must have been doomed there.
-            flags = reference.peek_flags(record.arrival)
             flag_by_id = {
-                tx.tx_id: flag for tx, flag in zip(record.arrival, flags)
+                tx.tx_id: flag
+                for tx, flag in zip(record.arrival, replay.arrival_flags[index])
             }
             for tx_id in aborted_ids:
                 flag = flag_by_id.get(tx_id)
@@ -1136,29 +1134,33 @@ def check_reorder_soundness(sim: "SimNetwork") -> list:
                         tx_id=tx_id,
                     ))
         if record.block_number is not None:
-            block = orderer.block_at(record.block_number)
+            block = sim.network.orderer.block_at(record.block_number)
             if [tx.tx_id for tx in block.transactions] != emitted_ids:
                 violations.append(Violation(
                     "reorder-soundness",
                     f"batch {index}: delivered block {record.block_number} "
                     "does not match the pipeline's emitted sequence",
                 ))
-            reference.expected_flags(block)
     return violations
 
 
 def run_quiescence_checks(sim: "SimNetwork", outcomes: list) -> list:
     """Run the full catalogue; returns all violations, worst first."""
-    violations = []
-    violations.extend(check_hash_chains(sim))
-    violations.extend(check_block_agreement(sim))
-    violations.extend(check_reference_validation(sim))
-    violations.extend(check_vscc_memo_agreement(sim))
-    violations.extend(check_endorsement_plan(sim, outcomes))
-    violations.extend(check_policy_expectations(sim, outcomes))
-    violations.extend(check_pdc_privacy(sim, outcomes))
-    violations.extend(check_gossip_convergence(sim, outcomes))
-    violations.extend(check_liveness_accounting(sim, outcomes))
-    violations.extend(check_snapshot_equivalence(sim))
-    violations.extend(check_reorder_soundness(sim))
+    # A finished run's network is cyclic garbage; reclaim *earlier* runs
+    # before the checks build a second ledger, or a sweep's peak memory
+    # grows with how many runs fit between gen-2 collections.
+    gc.collect()
+    with crypto.independent_verification():
+        replay = ChainReplay(sim)
+        violations = check_hash_chains(sim)
+        violations.extend(check_block_agreement(sim))
+        violations.extend(check_reference_validation(sim, replay))
+        violations.extend(check_vscc_memo_agreement(sim, replay))
+        violations.extend(check_endorsement_plan(sim, outcomes, replay))
+        violations.extend(check_policy_expectations(sim, outcomes))
+        violations.extend(check_pdc_privacy(sim, outcomes))
+        violations.extend(check_gossip_convergence(sim, outcomes))
+        violations.extend(check_liveness_accounting(sim, outcomes))
+        violations.extend(check_snapshot_equivalence(sim, replay))
+        violations.extend(check_reorder_soundness(sim, replay))
     return violations

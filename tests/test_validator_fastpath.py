@@ -131,10 +131,12 @@ class TestSharedVsccMemo:
         assert report.ok, report.summary()
 
     def test_memo_agreement_checker_performs_real_verifications(self):
-        # The checker's replay must not be answered by the batch/cache
-        # entries it is supposed to independently confirm: every
-        # signature check runs individually, and the process-wide cache
-        # toggle is restored afterwards.
+        # Called standalone the checker enters its own verification scope:
+        # nothing the pipeline left in the verdict memo answers it, each
+        # distinct signature on the chain is verified exactly once by the
+        # single-signature equation (no batch), any memo hit is on an
+        # entry the scope itself wrote, and the scope leaves the cache
+        # toggle and the per-key window tables as it found them.
         class _Sim:
             def __init__(self, net):
                 self.network = net.network
@@ -144,13 +146,29 @@ class TestSharedVsccMemo:
                 return [self._net.peer_of(i) for i in (1, 2, 3)]
 
         net = _network()
-        _submit(net, "real-verify-key")
+        for i in range(crypto._KEY_TABLES.build_after):  # make the endorser keys hot
+            _submit(net, f"real-verify-key-{i}")
+        triples = set()
+        for validated in net.peer_of(1).ledger.blockchain.all_blocks():
+            for tx in validated.block.transactions:
+                triples.add((tx.creator.public_key.y, tx.signed_bytes(), tx.signature))
+                for e in tx.endorsements:
+                    triples.add((e.endorser.public_key.y, tx.payload.bytes(), e.signature))
+        tables = crypto._KEY_TABLES.table_count()
+        assert tables > 0
+        for key in list(crypto._VERIFY_CACHE):
+            crypto._VERIFY_CACHE[key] = False  # a poisoned pipeline memo
         PERF.reset()
         assert check_vscc_memo_agreement(_Sim(net)) == []
-        assert PERF.verify_individual > 0
-        assert PERF.verify_cache_hits == 0
-        assert PERF.batch_calls == 0
+        assert PERF.verify_individual == len(triples)
+        assert PERF.batch_calls == 0 and PERF.verify_batched == 0
+        # Reference and production validator ask for the same triples:
+        # every hit is the second reader of a verdict the scope computed.
+        assert PERF.verify_cache_hits <= PERF.verify_individual
+        assert PERF.table_builds == 0
+        assert crypto._KEY_TABLES.table_count() == tables
         assert crypto.verify_cache_enabled()
+        assert not crypto._VERIFY_CACHE
 
 
 class TestCertificateMemo:
