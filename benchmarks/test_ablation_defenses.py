@@ -27,7 +27,9 @@ CONFIGS = [
 
 @pytest.fixture(scope="module")
 def per_feature_results():
-    runs = max(10, bench_runs() // 3)
+    # The paper's 100 runs per cell: validation is ~0.2 ms of memo hits, so
+    # over fewer runs one scheduler hiccup moves a mean past the 1.3x gate.
+    runs = max(100, bench_runs())
     return {
         label: measure_tx_latency(features, "read", runs=runs, framework_label=label)
         for label, features in CONFIGS

@@ -143,10 +143,8 @@ def _run_leg(leg: str, rounds: int) -> dict:
         "committed_tx_per_sim_s": round(committed / sim_s, 4),
         "executor_tasks": PERF.executor_tasks,
         "executor_remote_tasks": PERF.executor_remote_tasks,
-        "verify_batched": PERF.verify_batched,
         "verify_individual": PERF.verify_individual,
-        "batch_calls": PERF.batch_calls,
-        "batch_bisections": PERF.batch_bisections,
+        "verify_cache_hits": PERF.verify_cache_hits,
     }
     return row, _chain_shape(net)
 
@@ -183,7 +181,7 @@ def test_executor_ablation(results_dir):
     # byte-identical chain and performs the same verification work.
     assert shapes[0] == shapes[1] == shapes[2], "legs committed different chains"
     verify_totals = {
-        (row["verify_batched"], row["verify_individual"]) for row in rows
+        (row["verify_individual"], row["verify_cache_hits"]) for row in rows
     }
     assert len(verify_totals) == 1, f"verification totals diverged: {verify_totals}"
 

@@ -388,11 +388,9 @@ class Gateway:
         client additionally recomputes ``hash(payload)`` and checks it is
         what the endorser actually signed (Fig. 4, step 6).
 
-        Signatures are checked through :func:`crypto.verify_batch`: an
-        all-honest response set settles in one batched equation, and a
-        batch with a forgery bisects down to the individual culprit — the
-        first bad endorsement (in response order) is reported, exactly as
-        the per-response loop did.
+        Signatures are checked through :func:`crypto.verify_batch`, which
+        leaves every verdict in the shared memo for the validators; the
+        first bad endorsement (in response order) is reported.
         """
         reference = responses[0].payload.bytes()
         for response in responses:
@@ -414,8 +412,7 @@ class Gateway:
                     r.endorsement.signature,
                 )
                 for r in responses
-            ],
-            seed=proposal.proposal_hash(),
+            ]
         )
         for response, ok in zip(responses, verdicts):
             if not ok:

@@ -4,28 +4,36 @@ Hyperledger Fabric signs with ECDSA over X.509 identities.  The protocol
 logic reproduced here only needs a *publicly verifiable* signature scheme:
 endorsers sign proposal responses, clients sign envelopes, and validators
 verify both before evaluating endorsement policies.  We implement Schnorr
-signatures over the RFC 3526 1536-bit MODP group using nothing but the
-standard library, with deterministic (RFC 6979-style) nonces so every run
-of the simulator is reproducible.
+signatures in a DSA-style group — the order-``q`` subgroup ``G_q`` of
+``Z_p*`` for a 1536-bit prime ``p = c*q + 1`` and a **256-bit prime**
+``q`` — using nothing but the standard library, with deterministic
+(RFC 6979-style) nonces so every run of the simulator is reproducible.
+``tests/test_crypto_group.py`` re-derives ``p``, ``q`` and ``g`` from
+their seed tags.
 
-A signature is the pair ``(s, r)`` with ``r = g**k`` and ``s = k + x*e``
-where ``e = H(r, y, message)`` — the classic commitment-carrying Schnorr
-form.  Verification checks ``g**s == r * y**e``.  Carrying ``r`` (rather
-than the challenge ``e``) is what makes **batch verification** possible:
-all endorsements of a block are checked in a single randomized linear
-combination, ``g**sum(c_i*s_i) == prod(r_i**c_i) * prod(y**sum(c_i*e_i))``,
-with the 128-bit coefficients ``c_i`` drawn from a deterministic stream
-bound to the batch content (so runs stay reproducible while a forger
-cannot predict its coefficient).  Commitments are required to lie in the
-order-q subgroup (a Jacobi-symbol pre-check, no modexp needed), so the
-linear combination ranges over a prime-order group and the standard
-small-exponent soundness bound applies.  A failing batch falls back to
-bisection so an individual forgery is still pinpointed and rejected.
+A signature is the pair ``(s, r)`` with ``r = g**k mod p`` and
+``s = (k + x*e) mod q`` where ``e = H(r, y, message) mod q``.  Private
+keys and nonces are 512-bit digests reduced mod ``q``; the reduction of
+``s`` is what hides them (an unreduced ``k + x*e`` hands out ``x`` as
+``s // e``).  Verification accepts iff ``0 <= s < q``, ``0 < r < p``, the
+public key is a non-identity element of ``G_q`` (``y**q == 1``, checked
+once per distinct key) and ``g**s == r * y**e (mod p)``.  With ``g`` and
+``y`` in ``G_q`` the equation itself forces ``r = g**s * y**-e`` into
+``G_q``, so there is no per-signature membership test.
+
+Every exponent is at most 256 bits, so both exponentiations are
+fixed-base table look-ups (:mod:`repro.common.multiexp`): 32
+multiplications for ``g**s``, 64 for ``y**e``.  At that price a
+randomized batch equation has nothing left to save — its per-item floor
+(a membership test on every commitment plus the coefficient
+multiplications) is no lower — so :func:`verify_batch` settles each
+signature by the single equation; what it adds is the verdict memo, the
+grouping by key and the sharding across the execution backend
+(docs/architecture.md §9 has the measurements).
 
 The substitution is documented in DESIGN.md: the attacks and defenses in
 the paper do not depend on the curve, only on unforgeability and public
-verifiability — both of which Schnorr over a safe-prime group provides,
-in either single or batched verification.
+verifiability — both of which Schnorr in a prime-order subgroup provides.
 """
 
 from __future__ import annotations
@@ -39,28 +47,25 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.common.multiexp import FixedBaseTable, WindowTableLRU, multiexp
+from repro.common.multiexp import FixedBaseTable, WindowTableLRU
 from repro.common.tracing import PERF
 
-# RFC 3526, group 5 (1536-bit MODP).  p is a safe prime: p = 2q + 1.
-_P_HEX = (
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA237327FFFFFFFFFFFFFFFF"
+# The group: p = c*q + 1 with p a 1536-bit and q a 256-bit prime, both
+# found by hashing counter-suffixed seed tags (the recipe lives in
+# tests/test_crypto_group.py, which re-derives these literals).
+P = int(
+    "a169a281adef9b98f8d8e8957987ab9d978a2eda81ad311970cff13231267520"
+    "868c2436b9575891abdc75b026ba0cdd3021cbc30d8db548a61950ecfe8b8b4b"
+    "8f3ad39f5c39f607e4992b9f2bb1ac2df999b20cf36689733b768342e021cbf7"
+    "6e4d16d588e4a925e0bd1e836172a74dafc62379e638425fc057da9aa93e1c6f"
+    "45e64078f926392db1b18db4f74613bcf5ff591ad293c6b55e48c6a3d2bd4280"
+    "62063f84c3bc768775e77397ce8a0083d5cae67e8536609b029f6a4f08ab14a7",
+    16,
 )
-P = int(_P_HEX, 16)
-Q = (P - 1) // 2
-# 4 = 2**2 is a quadratic residue mod p, hence generates the order-q subgroup.
-G = 4
-
-#: Bit width of the randomized batch-verification coefficients.  A batch
-#: that verifies can hide a forgery only with probability ~2**-128 per
-#: unpredictable coefficient — and a failing batch bisects down to
-#: individual verification anyway.
-BATCH_COEFF_BITS = 128
+Q = 0x8f24b1c876b8b5962a8bd5df467c802bae08a61644d93b33eba24418e0397c81
+# 2 ** ((p - 1) / q): not 1, and q is prime, so it generates all of G_q.
+G = pow(2, (P - 1) // Q, P)
+_WIDTH = (P.bit_length() + 7) // 8  # bytes per group element on the wire
 
 
 class SignatureError(Exception):
@@ -72,36 +77,9 @@ def _hash_to_int(*parts: bytes) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0 — O(len²) bit ops, no modexp."""
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _in_subgroup(r: int) -> bool:
-    """Membership in the order-q subgroup of Z_p* (p = 2q+1 safe prime).
-
-    The subgroup of order q is exactly the quadratic residues, so a
-    Jacobi symbol of +1 decides membership without a 1536-bit modexp.
-    Verification requires it of every commitment ``r``: honest signers
-    produce ``r = g**k`` (a residue by construction), while rejecting
-    the order-2 component up front is what keeps the *batch* equation
-    sound — in a prime-order group a randomized linear combination can
-    only hide a forgery with probability ~2**-128, whereas elements
-    with an order-2 part could cancel in pairs regardless of the
-    coefficients.
-    """
-    return _jacobi(r, P) == 1
+def _exponent(digest: bytes) -> int:
+    """A 512-bit digest reduced into ``[1, q)`` (bias below 2**-256)."""
+    return int.from_bytes(digest, "big") % Q or 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +94,7 @@ _CACHE_ENABLED = os.environ.get("REPRO_VERIFY_CACHE", "1") != "0"
 
 
 def set_fast_path(enabled: bool) -> None:
-    """Toggle the windowed/multi-exp kernels (bench ablation hook)."""
+    """Toggle the fixed-base window kernels (bench ablation hook)."""
     global _FAST_PATH
     _FAST_PATH = bool(enabled)
 
@@ -139,8 +117,15 @@ def verify_cache_enabled() -> bool:
 
 _G_TABLE: Optional[FixedBaseTable] = None
 
+#: The generator serves every signature and every verification of the
+#: process, so its table takes the wide window: 32 rows of 255 entries,
+#: 32 multiplications per ``g**e``, built once (about as long as nine
+#: key tables).
+_G_WINDOW = 8
+
 #: Per-public-key window tables behind a real LRU (built only once a key
-#: has verified enough signatures to amortize the precomputation).
+#: has verified enough signatures to amortize the precomputation; a
+#: 64-row table has paid for itself after about five uses).
 _KEY_TABLES = WindowTableLRU(maxsize=96, build_after=6)
 
 
@@ -148,7 +133,7 @@ def _g_table() -> FixedBaseTable:
     """The generator's fixed-base table, built lazily once per process."""
     global _G_TABLE
     if _G_TABLE is None:
-        _G_TABLE = FixedBaseTable(G, P, Q.bit_length())
+        _G_TABLE = FixedBaseTable(G, P, Q.bit_length(), window=_G_WINDOW)
     return _G_TABLE
 
 
@@ -190,6 +175,7 @@ def clear_caches() -> None:
     """
     _VERIFY_CACHE.clear()
     _KEY_TABLES.clear()
+    _key_valid.cache_clear()
     for clearer in _CACHE_CLEARERS:
         clearer()
 
@@ -211,14 +197,14 @@ def clear_verify_cache() -> None:
 # ---------------------------------------------------------------------------
 
 # Every peer re-verifies the same (creator, endorser) signatures during
-# block validation, so a network of N peers repeats each 1536-bit
-# verification N times.  Signatures are deterministic, so caching by
+# block validation, so a network of N peers repeats each verification
+# N times.  Signatures are deterministic, so caching by
 # (key, message digest, signature) is sound.  The cache is a bounded
 # LRU — a full cache evicts the least recently used entry instead of
 # clearing wholesale — keyed by the SHA-256 digest of the message, not
 # the message bytes: 50k multi-KB endorsement payloads would otherwise
 # stay pinned by the cache, and the rehash on a hit costs nothing next
-# to even one windowed 1536-bit modexp.
+# to even one windowed modexp.
 _VERIFY_CACHE: OrderedDict = OrderedDict()
 _VERIFY_CACHE_MAX = 50_000
 
@@ -255,16 +241,15 @@ def independent_verification():
     """Scope in which every verdict is computed afresh, one equation each.
 
     For oracles that re-check what the pipeline verified (the simulation's
-    invariant catalogue): a verdict read back from the pipeline's memo, or
-    settled by the batch equation under test, confirms nothing.  On entry
-    the verdict memo is emptied — nothing written outside the scope can
-    answer inside it — and memoization is switched on, so each distinct
-    ``(key, message, signature)`` costs exactly one single-signature
-    verification however many readers ask; :func:`verify_batch` settles
-    item by item.  On exit the enable flag is restored and the memo is
-    emptied again: a run's verdicts die with the run.  Window tables and
-    other layers' registered caches are substrate, not verdicts, and are
-    left alone.  Re-entrant — a nested scope shares the enclosing memo.
+    invariant catalogue): a verdict read back from the pipeline's memo
+    confirms nothing.  On entry the verdict memo is emptied — nothing
+    written outside the scope can answer inside it — and memoization is
+    switched on, so each distinct ``(key, message, signature)`` costs
+    exactly one verification however many readers ask.  On exit the
+    enable flag is restored and the memo is emptied again: a run's
+    verdicts die with the run.  Window tables, validated keys and other
+    layers' registered caches are substrate, not verdicts, and are left
+    alone.  Re-entrant — a nested scope shares the enclosing memo.
     """
     global _CACHE_ENABLED, _INDEPENDENT
     if _INDEPENDENT:
@@ -285,6 +270,21 @@ def independent_verification():
 # Keys and signatures
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4096)
+def _key_valid(y: int) -> bool:
+    """Is ``y`` a non-identity element of ``G_q``?  One modexp per key.
+
+    Everything verification concludes rests on it: for ``y`` outside
+    ``G_q`` the equation no longer confines ``r``, and ``y = 1`` accepts
+    ``(s, g**s)`` for any message.  ``q`` divides ``p - 1`` exactly once,
+    so ``y**q == 1`` means ``y`` is a power of ``g``.
+    """
+    if not 1 < y < P:
+        return False
+    PERF.modexp_full += 1
+    return pow(y, Q, P) == 1
+
+
 @dataclass(frozen=True)
 class PublicKey:
     """Schnorr public key ``y = g^x mod p``."""
@@ -292,7 +292,7 @@ class PublicKey:
     y: int
 
     def to_bytes(self) -> bytes:
-        return self.y.to_bytes((P.bit_length() + 7) // 8, "big")
+        return _int_bytes(self.y)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
@@ -318,22 +318,21 @@ class PublicKey:
             s, r = _decode_signature(signature)
         except SignatureError:
             return False
-        if not (0 <= s < Q and 0 < r < P and _in_subgroup(r)):
+        if not (0 <= s < Q and 0 < r < P and _key_valid(self.y)):
             return False
         e = _hash_to_int(_int_bytes(r), self.to_bytes(), message) % Q
         return _g_pow(s) == r * _y_pow(self.y, e) % P
 
 
 def _int_bytes(value: int) -> bytes:
-    return value.to_bytes((P.bit_length() + 7) // 8, "big")
+    return value.to_bytes(_WIDTH, "big")
 
 
 def _decode_signature(signature: bytes) -> tuple[int, int]:
-    width = (P.bit_length() + 7) // 8
-    if len(signature) != 2 * width:
-        raise SignatureError(f"signature must be {2 * width} bytes, got {len(signature)}")
-    s = int.from_bytes(signature[:width], "big")
-    r = int.from_bytes(signature[width:], "big")
+    if len(signature) != 2 * _WIDTH:
+        raise SignatureError(f"signature must be {2 * _WIDTH} bytes, got {len(signature)}")
+    s = int.from_bytes(signature[:_WIDTH], "big")
+    r = int.from_bytes(signature[_WIDTH:], "big")
     return s, r
 
 
@@ -350,22 +349,19 @@ class PrivateKey:
         The CA derives each identity's key from its enrollment id so that a
         simulator run is fully reproducible.
         """
-        x = _hash_to_int(b"repro-keygen", seed) % Q
-        return cls(x or 1)
+        return cls(_exponent(hashlib.sha512(b"repro-keygen||" + seed).digest()))
 
     def public_key(self) -> PublicKey:
         return _derive_public_key(self.x)
 
     def sign(self, message: bytes) -> bytes:
         """Produce a deterministic Schnorr signature over ``message``."""
-        k_seed = hmac.new(_int_bytes(self.x), message, hashlib.sha256).digest()
-        k = int.from_bytes(k_seed, "big") % Q
-        k = k or 1
+        k = _exponent(hmac.new(_int_bytes(self.x), message, hashlib.sha512).digest())
         r = _g_pow(k)
         e = _hash_to_int(_int_bytes(r), self.public_key().to_bytes(), message) % Q
+        # Reduced mod q: the unreduced sum would leak x as s // e.
         s = (k + self.x * e) % Q
-        width = (P.bit_length() + 7) // 8
-        return s.to_bytes(width, "big") + r.to_bytes(width, "big")
+        return _int_bytes(s) + _int_bytes(r)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -382,260 +378,112 @@ def generate_keypair(seed: bytes) -> tuple[PrivateKey, PublicKey]:
 
 
 # ---------------------------------------------------------------------------
-# Batch verification
+# Verifying many signatures in one call
 # ---------------------------------------------------------------------------
 
-def _batch_coefficients(decoded: dict, indices: Sequence[int], seed: bytes) -> dict:
-    """Deterministic 128-bit coefficients bound to the batch transcript.
-
-    The stream is seeded with a digest over every (key, message digest,
-    signature) in the batch, Fiat–Shamir style: a forger fixing its
-    signature before the batch is assembled cannot predict the
-    coefficient multiplying it, yet two runs over the same block derive
-    identical coefficients, keeping the simulator reproducible.
-    """
-    transcript = hashlib.sha256(b"repro-batch-transcript" + seed)
-    for i in indices:
-        y_bytes, msg_digest, signature, _s, _r = decoded[i]
-        transcript.update(y_bytes)
-        transcript.update(msg_digest)
-        transcript.update(signature)
-    root = transcript.digest()
-    coefficients = {}
-    for n, i in enumerate(indices):
-        stream = hashlib.sha256(root + n.to_bytes(8, "big")).digest()
-        c = int.from_bytes(stream[: BATCH_COEFF_BITS // 8], "big")
-        # Any non-zero c < 2**128 < q is invertible in the order-q
-        # subgroup (the pre-checks reject commitments outside it), so
-        # the only coefficient to avoid is 0, which would drop its
-        # signature from the combined equation entirely.
-        coefficients[i] = c or 1
-    return coefficients
-
-
-def _batch_holds(decoded: dict, challenges: dict, indices: Sequence[int], seed: bytes) -> bool:
-    """Evaluate one randomized-linear-combination batch equation."""
-    PERF.batch_calls += 1
-    coefficients = _batch_coefficients(decoded, indices, seed)
-    s_combined = 0
-    r_pairs = []
-    e_by_key: dict[int, int] = {}
-    for i in indices:
-        _y_bytes, _digest, _sig, s, r = decoded[i]
-        c = coefficients[i]
-        s_combined = (s_combined + c * s) % Q
-        r_pairs.append((r, c))
-        y = challenges[i][0]
-        e_by_key[y] = (e_by_key.get(y, 0) + c * challenges[i][1]) % Q
-    lhs = _g_pow(s_combined)
-    if _FAST_PATH:
-        rhs = multiexp(r_pairs, P)
-    else:
-        rhs = 1
-        for r, c in r_pairs:
-            PERF.modexp_full += 1
-            rhs = rhs * pow(r, c, P) % P
-    for y, e_sum in e_by_key.items():
-        rhs = rhs * _y_pow(y, e_sum) % P
-    return lhs == rhs
-
-
-def _screen(
-    items: Sequence[tuple[PublicKey, bytes, bytes]],
-) -> tuple[list, dict, dict, dict, list]:
-    """Cache lookups + structural pre-checks before any batch equation.
-
-    Returns ``(results, decoded, challenges, cache_keys, pending)``:
-    items answered from the cache or rejected structurally are settled in
-    ``results``; everything else is decoded and queued in ``pending``.
-    """
-    results: list[Optional[bool]] = [None] * len(items)
-    decoded: dict = {}     # index -> (y_bytes, msg_digest, signature, s, r)
-    challenges: dict = {}  # index -> (y, e)
-    cache_keys: dict = {}  # index -> verify-cache key
-    pending: list[int] = []
-    for i, (public_key, message, signature) in enumerate(items):
-        msg_digest = hashlib.sha256(message).digest()
-        key = (public_key.y, msg_digest, signature)
-        cache_keys[i] = key
-        cached = _cache_get(key)
-        if cached is not None:
-            results[i] = cached
-            continue
-        try:
-            s, r = _decode_signature(signature)
-        except SignatureError:
-            results[i] = False
-            _cache_put(key, False)
-            continue
-        # The subgroup pre-check is what makes batching sound: every
-        # surviving commitment lives in the prime-order-q subgroup, so
-        # no order-2 components can cancel across a batch.
-        if not (0 <= s < Q and 0 < r < P and _in_subgroup(r)):
-            results[i] = False
-            _cache_put(key, False)
-            continue
-        y_bytes = public_key.to_bytes()
-        e = _hash_to_int(_int_bytes(r), y_bytes, message) % Q
-        decoded[i] = (y_bytes, msg_digest, signature, s, r)
-        challenges[i] = (public_key.y, e)
-        pending.append(i)
-    return results, decoded, challenges, cache_keys, pending
-
-
-def _settle_serial(
-    pending: list, decoded: dict, challenges: dict,
-    results: list, cache_keys: dict, seed: bytes,
-) -> None:
-    """Settle pending indices by batch equation + bisection, in-process."""
-
-    def settle(indices: list[int]) -> None:
-        if len(indices) == 1:
-            # Bisection leaf: decide the signature by the exact
-            # individual equation, not a randomized one, so the result
-            # is identical to what PublicKey.verify would return.
-            i = indices[0]
-            _y_bytes, _digest, _sig, s, r = decoded[i]
-            y, e = challenges[i]
-            PERF.verify_individual += 1
-            result = _g_pow(s) == r * _y_pow(y, e) % P
-            results[i] = result
-            _cache_put(cache_keys[i], result)
-            return
-        if _batch_holds(decoded, challenges, indices, seed):
-            _settle_valid(indices)
-            return
-        PERF.batch_bisections += 1
-        mid = len(indices) // 2
-        settle(indices[:mid])
-        settle(indices[mid:])
-
-    def _settle_valid(indices: list[int]) -> None:
-        PERF.verify_batched += len(indices)
-        for i in indices:
-            results[i] = True
-            _cache_put(cache_keys[i], True)
-
-    settle(pending)
-
-
-def _verify_batch_serial(
-    items: Sequence[tuple[PublicKey, bytes, bytes]], seed: bytes = b""
-) -> list[bool]:
-    """The single-process reference path (also the worker-shard body)."""
-    results, decoded, challenges, cache_keys, pending = _screen(items)
-    if pending:
-        _settle_serial(pending, decoded, challenges, results, cache_keys, seed)
-    return [bool(flag) for flag in results]
-
-
-#: Below this many cache-missing items a batch is settled in-process:
-#: the per-shard fixed costs (transcript hash, generator modexp,
-#: multi-exp base cost) would outweigh any split.
+#: Below this many memo-missing items a call is settled in-process: the
+#: dispatch would cost more than the split saves.
 _SHARD_MIN_ITEMS = 8
 
 
-def _verify_chunk_task(payload: tuple) -> tuple[list[bool], dict]:
+def _verify_chunk_task(triples: list) -> tuple[list[bool], dict]:
     """Worker body: verify one shard of raw ``(y, message, signature)`` triples.
 
-    Runs the complete reference pipeline — decode, subgroup pre-check,
-    challenge derivation, batch equation, bisection — on its shard alone,
-    so soundness never depends on another shard's contents.  Returns the
-    per-item booleans plus the PERF-counter delta the shard produced
-    (merged by the parent only when the shard ran in another process).
-    Module-level and picklable-payload by construction: the process
-    backend dispatches this exact function.
+    Returns the per-item verdicts plus the PERF-counter delta the shard
+    produced (merged by the parent only when the shard ran in another
+    process).  Module-level and picklable-payload by construction: the
+    process backend dispatches this exact function.
     """
-    triples, seed = payload
     before = PERF.snapshot()
-    items = [(PublicKey(y), message, signature) for y, message, signature in triples]
-    flags = _verify_batch_serial(items, seed)
+    flags = [
+        PublicKey(y)._verify_uncached(message, signature)
+        for y, message, signature in triples
+    ]
     return flags, PERF.delta_since(before)
 
 
-def _try_sharded(
+def _verify_sharded(
     items: Sequence[tuple[PublicKey, bytes, bytes]],
-    seed: bytes,
-    results: list,
-    cache_keys: dict,
-    pending: list,
-) -> bool:
-    """Shard the pending set across the execution backend's workers.
+) -> Optional[list[bool]]:
+    """One verdict per item, computed across the backend's workers.
 
-    Items are grouped by public key first — the batch equation aggregates
-    challenge sums per distinct key, so splitting one key's signatures
-    across shards would repeat its ``y``-exponentiation in every shard —
+    Items are grouped by public key first — a worker that sees all of a
+    key's signatures validates the key and builds its window table once —
     then the groups are placed by the deterministic LPT plan shared with
-    the cost model.  Returns False (caller settles serially) when the
-    backend has one worker, the pending set is too small, or the plan
-    degenerates to a single shard.  Per-shard verdicts are byte-identical
-    to the serial reference regardless of the shard count: a valid shard
-    settles all-True exactly like a valid batch, and an invalid one
-    bisects down to the exact individual equation.
+    the cost model.  Returns None (caller verifies in-process) when there
+    are too few items, the backend has one worker, or the plan
+    degenerates to a single shard.
     """
-    if len(pending) < _SHARD_MIN_ITEMS:
-        return False
+    if len(items) < _SHARD_MIN_ITEMS:
+        return None
     # Function-level import: repro.runtime pulls in the client/gateway
     # stack, which imports this module.
     from repro.runtime.executor import current_backend, plan_shards
 
     backend = current_backend()
     if not backend.parallel:
-        return False
+        return None
     groups: dict[int, list[int]] = {}
-    for i in pending:
-        groups.setdefault(items[i][0].y, []).append(i)
+    for i, (public_key, _message, _signature) in enumerate(items):
+        groups.setdefault(public_key.y, []).append(i)
     group_lists = list(groups.values())  # insertion order: deterministic
     plan = plan_shards([len(g) for g in group_lists], backend.workers)
     if len(plan) <= 1:
-        return False
+        return None
     shards = [
         [i for g in shard_bins for i in group_lists[g]] for shard_bins in plan
     ]
-    payloads = [
-        ([(items[i][0].y, items[i][1], items[i][2]) for i in shard], seed)
-        for shard in shards
-    ]
-    outputs = backend.map(_verify_chunk_task, payloads)
+    outputs = backend.map(
+        _verify_chunk_task,
+        [[(items[i][0].y, items[i][1], items[i][2]) for i in shard] for shard in shards],
+    )
+    verdicts: list = [None] * len(items)
     for shard, (flags, delta) in zip(shards, outputs):
         for i, flag in zip(shard, flags):
-            results[i] = flag
-            _cache_put(cache_keys[i], flag)
+            verdicts[i] = flag
         if backend.remote:
             # Inline shards already incremented the shared PERF instance;
             # only cross-process work needs folding back in.
             PERF.merge(delta)
-    return True
+    return verdicts
 
 
 def verify_batch(
     items: Sequence[tuple[PublicKey, bytes, bytes]], seed: bytes = b""
 ) -> list[bool]:
-    """Verify many ``(public_key, message, signature)`` triples at once.
+    """Verify many ``(public_key, message, signature)`` triples in one call.
 
-    Returns one boolean per item, and always agrees with calling
-    :meth:`PublicKey.verify` item by item: an all-valid batch is settled
-    by a single multi-exponentiation; a failing batch is bisected until
-    every forged signature is isolated by an individual verification.
-    Results (including per-item results from bisection) land in the
-    shared verification cache, so subsequent individual ``verify`` calls
-    on the same triples are O(1) lookups.
+    Returns one boolean per item, the one :meth:`PublicKey.verify` would
+    return: items the verdict memo knows are answered from it, every
+    other item is decided by the same single equation, and its verdict
+    is written to the memo, so later ``verify`` calls on the same
+    triples are O(1) look-ups.  There is no combined equation (see the
+    module docstring); ``seed`` fed its coefficients and is ignored.
 
     When the active :mod:`execution backend <repro.runtime.executor>` has
-    more than one worker, a large enough batch is sharded across workers
-    (grouped by public key, greedy-LPT placed) with the subgroup
-    pre-check preserved per shard; the merged verdicts are identical to
-    the serial reference for any worker count.
-
-    Inside :func:`independent_verification` no batch equation is formed:
-    every item is settled by :meth:`PublicKey.verify`.
+    more than one worker, a large enough set of memo misses is sharded
+    across workers (grouped by public key, greedy-LPT placed); verdicts
+    are identical for any worker count.
     """
-    if _INDEPENDENT:
-        return [key.verify(message, signature) for key, message, signature in items]
-    results, decoded, challenges, cache_keys, pending = _screen(items)
-    if pending and not _try_sharded(items, seed, results, cache_keys, pending):
-        _settle_serial(pending, decoded, challenges, results, cache_keys, seed)
-    return [bool(flag) for flag in results]
+    results: list = [None] * len(items)
+    missing: list[tuple[int, tuple]] = []  # (index, memo key) the memo cannot answer
+    for i, (public_key, message, signature) in enumerate(items):
+        key = _cache_key(public_key.y, message, signature)
+        results[i] = _cache_get(key)
+        if results[i] is None:
+            missing.append((i, key))
+    if missing:
+        todo = [items[i] for i, _key in missing]
+        verdicts = _verify_sharded(todo)
+        if verdicts is None:
+            verdicts = [
+                public_key._verify_uncached(message, signature)
+                for public_key, message, signature in todo
+            ]
+        for (i, key), verdict in zip(missing, verdicts):
+            results[i] = verdict
+            _cache_put(key, verdict)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Modular-exponentiation kernels behind the validation fast path.
 
-Three techniques, all stdlib-only, all deterministic:
+Two techniques, both stdlib-only, both deterministic:
 
 * :class:`FixedBaseTable` — fixed-base windowed precomputation.  The
   exponent is split into base-``2**w`` digits and every ``base**(d *
@@ -13,11 +13,6 @@ Three techniques, all stdlib-only, all deterministic:
   only earns its table after ``build_after`` uses; until then the cache
   counts uses and answers with plain ``pow()``.  Bounded by ``maxsize``
   with least-recently-used eviction.
-* :func:`multiexp` — Straus/Shamir simultaneous multi-exponentiation:
-  ``prod(base_i ** exp_i) mod m`` for many bases at once, sharing the
-  squaring chain across all of them.  This is what makes the batched
-  Schnorr check cheap: the per-signature work shrinks to a handful of
-  multiplications by small (128-bit) coefficients.
 
 Every kernel feeds :data:`repro.common.tracing.PERF` so benchmarks and
 ``Tracer.summary(perf=True)`` can report exact modexp counts.
@@ -30,13 +25,11 @@ from collections import OrderedDict
 from repro.common.tracing import PERF
 
 #: Window width (bits per digit) for the fixed-base tables.  Width 4
-#: keeps the build cost low (15 multiplications per digit row) while
-#: already replacing ~1536 squarings + ~300 multiplications of a plain
-#: ``pow()`` with ~384 table multiplications.
+#: keeps the build cost low (15 multiplications per digit row — a table
+#: for 256-bit exponents costs under four plain ``pow()`` calls and has
+#: paid for itself after about five uses) while replacing their ~256
+#: squarings + ~50 multiplications with 64 table multiplications.
 DEFAULT_WINDOW = 4
-
-#: Window width for Straus interleaving (small exponents, small tables).
-STRAUS_WINDOW = 4
 
 
 class FixedBaseTable:
@@ -141,37 +134,3 @@ class WindowTableLRU:
     def _evict(self) -> None:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-
-def multiexp(pairs, modulus: int, window: int = STRAUS_WINDOW) -> int:
-    """``prod(base ** exp for base, exp in pairs) % modulus`` via Straus.
-
-    All bases walk one shared squaring chain; each contributes one table
-    multiplication per non-zero digit of its exponent.  Intended for the
-    batch verifier's 128-bit random coefficients, where the shared chain
-    is 128 squarings total instead of 128 per signature.
-    """
-    pairs = [(base % modulus, exp) for base, exp in pairs if exp > 0]
-    if not pairs:
-        return 1 % modulus
-    PERF.multiexp_calls += 1
-    mask = (1 << window) - 1
-    tables = []
-    for base, exp in pairs:
-        row = [1] * (1 << window)
-        row[1] = base
-        for d in range(2, 1 << window):
-            row[d] = row[d - 1] * base % modulus
-        tables.append((row, exp))
-    max_bits = max(exp.bit_length() for _, exp in pairs)
-    digits = -(-max_bits // window)
-    acc = 1
-    for i in range(digits - 1, -1, -1):
-        if acc != 1:
-            acc = pow(acc, 1 << window, modulus)
-        shift = i * window
-        for row, exp in tables:
-            digit = (exp >> shift) & mask
-            if digit:
-                acc = acc * row[digit] % modulus
-    return acc

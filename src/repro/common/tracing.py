@@ -7,7 +7,7 @@ validation, commit — in the same order as the paper's sequence diagram.
 Useful for debugging, teaching, and asserting pipeline behaviour in tests.
 
 The module also hosts the process-wide :data:`PERF` counters fed by the
-validation fast path (crypto kernel, batch verifier, shared VSCC memo,
+validation fast path (crypto kernel, verdict memo, shared VSCC memo,
 per-phase wall clocks).  They are plain counters — reading or resetting
 them never influences simulation behaviour, so determinism is preserved.
 """
@@ -22,9 +22,8 @@ from typing import Any, Optional
 #: ``reset``/``snapshot``/``delta_since``/``merge`` all iterate this one
 #: tuple so adding a counter cannot silently miss a bookkeeping path.
 _COUNTER_FIELDS = (
-    "verify_individual", "verify_batched", "verify_cache_hits",
-    "batch_calls", "batch_bisections", "modexp_full",
-    "modexp_windowed", "multiexp_calls", "table_builds",
+    "verify_individual", "verify_cache_hits",
+    "modexp_full", "modexp_windowed", "table_builds",
     "vscc_memo_hits", "vscc_memo_misses",
     "endorse_simulations", "endorse_signatures", "endorse_cache_hits",
     "proposals_sent", "plan_escalations", "plan_timeouts",
@@ -40,9 +39,8 @@ _COUNTER_FIELDS = (
 class PerfCounters:
     """Crypto / validation perf counters (process-wide, see :data:`PERF`).
 
-    ``modexp_full`` counts plain ``pow()`` calls on full-width exponents;
-    ``modexp_windowed`` counts table-accelerated fixed-base evaluations;
-    ``multiexp_calls`` counts Straus simultaneous multi-exponentiations.
+    ``modexp_full`` counts plain ``pow()`` calls;
+    ``modexp_windowed`` counts table-accelerated fixed-base evaluations.
     ``verify_*`` splits signature checks by how they were satisfied, and
     ``vscc_memo_*`` tracks the shared block-validation memo.  The
     ``endorse_*``/``proposals_sent``/``plan_*`` counters instrument the
@@ -52,14 +50,10 @@ class PerfCounters:
     spent inside each peer phase accumulates in ``phase_seconds``.
     """
 
-    verify_individual: int = 0   # signatures verified one at a time
-    verify_batched: int = 0      # signatures settled by a batch equation
+    verify_individual: int = 0   # signatures decided by the verification equation
     verify_cache_hits: int = 0   # signatures answered from the LRU cache
-    batch_calls: int = 0         # batch equations evaluated
-    batch_bisections: int = 0    # failed batches split to isolate forgeries
     modexp_full: int = 0
     modexp_windowed: int = 0
-    multiexp_calls: int = 0
     table_builds: int = 0        # fixed-base window tables built
     vscc_memo_hits: int = 0
     vscc_memo_misses: int = 0
@@ -89,7 +83,7 @@ class PerfCounters:
     @property
     def verifications(self) -> int:
         """Total signature checks answered, however they were satisfied."""
-        return self.verify_individual + self.verify_batched + self.verify_cache_hits
+        return self.verify_individual + self.verify_cache_hits
 
     @property
     def modexps(self) -> int:
@@ -131,14 +125,10 @@ class PerfCounters:
         snapshot: dict = {
             f"{prefix}verifications": self.verifications,
             f"{prefix}verify_individual": self.verify_individual,
-            f"{prefix}verify_batched": self.verify_batched,
             f"{prefix}verify_cache_hits": self.verify_cache_hits,
-            f"{prefix}batch_calls": self.batch_calls,
-            f"{prefix}batch_bisections": self.batch_bisections,
             f"{prefix}modexp_count": self.modexps,
             f"{prefix}modexp_full": self.modexp_full,
             f"{prefix}modexp_windowed": self.modexp_windowed,
-            f"{prefix}multiexp_calls": self.multiexp_calls,
             f"{prefix}table_builds": self.table_builds,
             f"{prefix}vscc_memo_hits": self.vscc_memo_hits,
             f"{prefix}vscc_memo_misses": self.vscc_memo_misses,
@@ -222,7 +212,7 @@ class Tracer:
 
         With ``perf=True`` the snapshot additionally surfaces the
         process-wide :data:`PERF` counters as ``perf:*`` entries
-        (verifications performed / batched / memo-hit, modexp count,
+        (verifications performed / memo-hit, modexp count,
         per-phase wall time) so one call shows both the pipeline shape
         and what the validation fast path did for it.
         """

@@ -25,7 +25,6 @@ before evaluating any policy of a PDC transaction.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -45,11 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 def shared_vscc_enabled() -> bool:
     """The ``REPRO_SHARED_VSCC=0`` escape hatch (read per block)."""
     return os.environ.get("REPRO_SHARED_VSCC", "1") != "0"
-
-
-def batch_verify_enabled() -> bool:
-    """``REPRO_BATCH_VERIFY=0`` disables the batched signature pre-pass."""
-    return os.environ.get("REPRO_BATCH_VERIFY", "1") != "0"
 
 
 # The shared VSCC memo: per channel object, {(block hash, features) ->
@@ -82,15 +76,12 @@ class Validator:
         channel: "ChannelConfig",
         features: FrameworkFeatures,
         use_shared_memo: Optional[bool] = None,
-        use_batch: Optional[bool] = None,
     ) -> None:
         self._channel = channel
         self._features = features
         self._evaluator = channel.evaluator()
         # None -> consult REPRO_SHARED_VSCC per block; True/False -> pin.
         self._use_shared_memo = use_shared_memo
-        # None -> consult REPRO_BATCH_VERIFY per block; True/False -> pin.
-        self._use_batch = use_batch
         # Per-channel certificate-validation memo: the MSP registry
         # already caches CA checks, but it keys by a 5-field tuple built
         # per call; this memo keys by the certificate object and so costs
@@ -117,8 +108,7 @@ class Validator:
         feature flags — the block hash pins the chain prefix and hence the
         pre-block state), it is returned without re-running any checks.
         Otherwise all of the block's signature checks are collected into
-        one batched Schnorr verification before the per-transaction rules
-        run.
+        one ``verify_batch`` call before the per-transaction rules run.
         """
         memo: Optional[dict] = None
         memo_key = None
@@ -146,32 +136,27 @@ class Validator:
         self, block: Block, ledger: PeerLedger
     ) -> list[ValidationCode]:
         self._payload_bytes = {}
-        use_batch = (
-            batch_verify_enabled() if self._use_batch is None else self._use_batch
-        )
         try:
-            if use_batch:
-                self._prewarm_signatures(block, ledger)
+            self._prewarm_signatures(block, ledger)
             return self._validate_block_inner(block, ledger)
         finally:
             self._payload_bytes = None
 
     def _prewarm_signatures(self, block: Block, ledger: PeerLedger) -> None:
-        """Collect the block's signature checks into one batched call.
+        """Collect the block's signature checks into one ``verify_batch`` call.
 
-        The batch call settles every signature in the shared verification
-        cache, so the per-transaction pipeline below finds each `verify`
+        The per-transaction pipeline below then finds each ``verify``
         already answered; validation *decisions* are taken by exactly the
-        same rules in the same order as the unbatched path.
+        same rules in the same order either way.
         """
-        items = self._collect_signature_items(block, ledger, self._payload_bytes)
-        if len(items) > 1:
-            crypto.verify_batch(items, seed=block.header.prev_hash)
+        _settle_signatures(
+            self._collect_signature_items(block, ledger, self._payload_bytes)
+        )
 
     def _collect_signature_items(
         self, block: Block, ledger: PeerLedger, payload_bytes_out: Optional[dict]
     ) -> list[tuple]:
-        """The block's batchable ``(public_key, message, signature)`` checks.
+        """The block's ``(public_key, message, signature)`` checks.
 
         Only transactions that survive the cheap structural pre-checks
         (duplicate tx-id, channel, chaincode, certificate validity,
@@ -211,10 +196,10 @@ class Validator:
 
         This is the weight vector the execution backend's shard planner
         (and the simulated-time :class:`~repro.runtime.executor.\
-ValidationCostModel`) operate on — the batch verifier keeps each key's
+ValidationCostModel`) operate on — ``verify_batch`` keeps each key's
         signatures in one shard, so the group sizes bound the achievable
         split.  No cryptography runs; only the structural pre-checks the
-        batch collector itself performs.
+        collector itself performs.
         """
         groups: dict[int, int] = {}
         for public_key, _message, _signature in self._collect_signature_items(
@@ -450,6 +435,17 @@ ValidationCostModel`) operate on — the batch verifier keeps each key's
         return True
 
 
+def _settle_signatures(items: list[tuple]) -> None:
+    """Settle ``items`` in the shared verdict memo with one ``verify_batch`` call.
+
+    This is the point where a multi-worker execution backend shards a
+    block's crypto.  The pre-pass works only through the memo: with
+    memoization off it would verify everything twice, so it stands down.
+    """
+    if len(items) > 1 and crypto.verify_cache_enabled():
+        crypto.verify_batch(items)
+
+
 # ---------------------------------------------------------------------------
 # Multi-channel block validation
 # ---------------------------------------------------------------------------
@@ -462,33 +458,24 @@ def validate_blocks(
     A peer serving several channels (P2 in Fig. 1) receives one block per
     channel per delivery round; validating them one at a time leaves the
     execution backend's workers idle between blocks.  This entry point
-    collects every job's batchable signature checks into **one**
-    ``verify_batch`` call — which the backend shards across its workers —
-    then runs each job's full validation pipeline *in job order*, where
-    every signature check is already settled in the shared verification
-    cache.  The flags are therefore byte-identical to calling
+    collects every job's signature checks into **one** ``verify_batch``
+    call — which the backend shards across its workers — then runs each
+    job's full validation pipeline *in job order*, where every signature
+    check is already settled in the shared verdict memo.  The flags are
+    therefore byte-identical to calling
     ``validator.validate_block(block, ledger)`` per job: the combined
-    batch only changes where (and how parallel) the crypto runs, never
+    pass only changes where (and how parallel) the crypto runs, never
     what any rule decides.
 
     ``jobs`` is a sequence of ``(validator, block, ledger)`` triples; the
     per-job flag lists come back in the same order — the deterministic
     merge point at the block boundary.
     """
-    items: list[tuple] = []
-    transcript = hashlib.sha256(b"repro-multi-channel-batch")
-    for validator, block, ledger in jobs:
-        use_batch = (
-            batch_verify_enabled()
-            if validator._use_batch is None
-            else validator._use_batch
-        )
-        if not use_batch:
-            continue
-        items.extend(validator._collect_signature_items(block, ledger, None))
-        transcript.update(block.header.block_hash())
-    if len(items) > 1:
-        crypto.verify_batch(items, seed=transcript.digest())
+    _settle_signatures([
+        item
+        for validator, block, ledger in jobs
+        for item in validator._collect_signature_items(block, ledger, None)
+    ])
     return [
         validator.validate_block(block, ledger) for validator, block, ledger in jobs
     ]

@@ -473,16 +473,16 @@ class ChainReplay:
     record that emitted no block waits for the next one that did, i.e. is
     judged at the state after its predecessor); the one
     :class:`ReferenceValidator` advances (``expected``, finally ``state``);
-    one fresh production validator — shared memo and batched pre-pass
-    pinned off — re-validates against a fresh ledger advanced with the
+    one fresh production validator — shared memo pinned off —
+    re-validates against a fresh ledger advanced with the
     *committed* flags, so one divergence cannot cascade (``production``);
     and the keys VALID transactions put under a key-level policy are
     collected (``governed``).
 
     The walk runs inside :func:`crypto.independent_verification`: the two
     validators stay separate oracles, each applying its own rules to its
-    own state, over signature verdicts computed once, by the
-    single-signature equation, from nothing the pipeline left behind.
+    own state, over signature verdicts computed once, from nothing the
+    pipeline left behind.
     Checks share the walk, never a verdict.
     """
 
@@ -511,8 +511,7 @@ class ChainReplay:
         reference = ReferenceValidator(channel, sim.network.features)
         self.state = reference.state
         validator = Validator(
-            channel=channel, features=source.features,
-            use_shared_memo=False, use_batch=False,
+            channel=channel, features=source.features, use_shared_memo=False
         )
         committer = Committer(channel=channel, local_msp_id=source.msp_id)
         ledger = PeerLedger()
@@ -802,10 +801,10 @@ def check_vscc_memo_agreement(
 
     The fast path lets the 2nd..Nth peer reuse the flag vector the first
     peer computed for an identical block (``validator.py``'s shared
-    memo).  The flags :class:`ChainReplay`'s memo-free, batch-free
-    production validator computed from independently verified signatures
-    must match what the peers committed; any divergence means the memo,
-    the batched pre-pass, or the verification cache changed an outcome.
+    memo).  The flags :class:`ChainReplay`'s memo-free production
+    validator computed from independently verified signatures must match
+    what the peers committed; any divergence means the memo or the
+    verification cache changed an outcome.
     """
     replay = replay or ChainReplay(sim)
     violations = []

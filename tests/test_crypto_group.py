@@ -1,0 +1,116 @@
+"""Provenance of the signature group: the constants re-derive from a seed.
+
+``common/crypto.py`` commits ``P``, ``Q`` and ``G`` as literals.  This
+test holds the recipe that produced them (FIPS 186-4 A.1.1.2 in shape:
+hash a counter-suffixed tag until a 256-bit prime ``q`` appears, then
+until a 1536-bit prime ``p = 1 (mod 2q)`` does), re-runs it, and checks
+the arithmetic facts verification relies on — so nobody has to take the
+hex on trust, and nobody can swap it silently.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import hmac
+
+from repro.common import crypto
+from repro.common.crypto import G, P, Q, PrivateKey, generate_keypair
+
+
+def _stream(tag: bytes, bits: int) -> int:
+    """Top ``bits`` bits of ``SHA-256(tag || i)`` for ``i = 0, 1, ...``."""
+    out = b""
+    counter = 0
+    while len(out) * 8 < bits:
+        out += hashlib.sha256(tag + counter.to_bytes(4, "big")).digest()
+        counter += 1
+    return int.from_bytes(out, "big") >> (len(out) * 8 - bits)
+
+
+def _is_prime(n: int, rounds: int = 40) -> bool:
+    """Miller–Rabin with ``rounds`` bases drawn from the same stream."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    d, twos = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    for i in range(rounds):
+        base = 2 + _stream(b"repro-schnorr-mr-%d" % i, n.bit_length() + 64) % (n - 3)
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _derive_group() -> tuple[int, int, int]:
+    c = 0
+    while True:
+        q = _stream(b"repro-schnorr-q-%d" % c, 256) | 1 << 255 | 1
+        if _is_prime(q):
+            break
+        c += 1
+    c = 0
+    while True:
+        x = _stream(b"repro-schnorr-p-%d" % c, 1536) | 1 << 1535
+        p = x - (x % (2 * q)) + 1
+        if p.bit_length() == 1536 and _is_prime(p):
+            break
+        c += 1
+    return p, q, pow(2, (p - 1) // q, p)
+
+
+class TestGroupProvenance:
+    def test_constants_rederive_from_the_seed_tags(self):
+        assert _derive_group() == (P, Q, G)
+
+    def test_both_moduli_are_prime(self):
+        assert _is_prime(P, rounds=40)
+        assert _is_prime(Q, rounds=40)
+
+    def test_shape(self):
+        assert P.bit_length() == 1536
+        assert Q.bit_length() == 256
+        assert (P - 1) % Q == 0
+        # q divides p - 1 exactly once: G_q is the *only* subgroup of
+        # order q, so "y^q == 1" is membership in <g>, not in a sibling.
+        assert (P - 1) // Q % Q != 0
+
+    def test_generator_has_order_q(self):
+        assert G != 1
+        assert pow(G, Q, P) == 1
+
+    def test_wire_widths_unchanged(self):
+        private, public = generate_keypair(b"width")
+        assert len(public.to_bytes()) == 192
+        assert len(private.sign(b"m")) == 384
+
+
+class TestExponentDerivation:
+    """Keys and nonces are 512-bit digests reduced mod q (bias < 2^-256)."""
+
+    def test_private_key_is_a_reduced_sha512(self):
+        for seed in (b"", b"alpha", b"x" * 100):
+            digest = hashlib.sha512(b"repro-keygen||" + seed).digest()
+            assert len(digest) * 8 >= 512
+            assert PrivateKey.from_seed(seed).x == (int.from_bytes(digest, "big") % Q or 1)
+
+    def test_nonce_is_a_reduced_hmac_sha512(self):
+        private, public = generate_keypair(b"nonce-probe")
+        for message in (b"", b"m", b"y" * 1000):
+            s, r = crypto._decode_signature(private.sign(message))
+            e = crypto._hash_to_int(crypto._int_bytes(r), public.to_bytes(), message) % Q
+            k = (s - private.x * e) % Q
+            digest = hmac.new(crypto._int_bytes(private.x), message, hashlib.sha512).digest()
+            assert len(digest) * 8 >= 512
+            assert k == (int.from_bytes(digest, "big") % Q or 1)
+            assert pow(G, k, P) == r

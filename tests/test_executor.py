@@ -202,7 +202,7 @@ class TestShardedVerifyIdentity:
     def test_serial_workers_match_reference(self, forge):
         items = _workload(forge=set(forge))
         crypto.clear_verify_cache()
-        reference = crypto._verify_batch_serial(items, seed=b"eq")
+        reference = [public.verify(msg, sig) for public, msg, sig in items]
         for workers in (2, 3, 4, 7):
             set_backend("serial", workers=workers)
             crypto.clear_verify_cache()
@@ -211,16 +211,16 @@ class TestShardedVerifyIdentity:
     def test_process_backend_matches_reference(self):
         items = _workload(forge={(0, 0), (3, 2)})
         crypto.clear_verify_cache()
-        reference = crypto._verify_batch_serial(items, seed=b"eq")
+        reference = [public.verify(msg, sig) for public, msg, sig in items]
         set_backend("process", workers=2)
         crypto.clear_verify_cache()
         before = PERF.snapshot()
         assert verify_batch(items, seed=b"eq") == reference
         delta = PERF.delta_since(before)
         # The shards really went to worker processes, and their counter
-        # deltas (modexps, bisections) folded back into the parent.
+        # deltas (one equation per item) folded back into the parent.
         assert delta.get("executor_remote_tasks", 0) >= 2
-        assert delta.get("verify_individual", 0) >= 2  # the two forgeries
+        assert delta.get("verify_individual", 0) == len(items)
 
     def test_small_batches_stay_serial(self):
         items = _workload(n_keys=2, per_key=2)

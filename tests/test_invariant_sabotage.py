@@ -312,7 +312,5 @@ class TestOneIndependentReplay:
         assert len(references) == 1
         assert verified and len(verified) == len(set(verified))
         assert spent.get("verify_individual", 0) == len(verified)
-        assert spent.get("batch_calls", 0) == 0
-        assert spent.get("verify_batched", 0) == 0
         assert spent.get("table_builds", 0) == 0
         assert not crypto._VERIFY_CACHE

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.crypto import G, P, Q
-from repro.common.multiexp import FixedBaseTable, WindowTableLRU, multiexp
+from repro.common.multiexp import FixedBaseTable, WindowTableLRU
 
 SMALL_PRIME = 1009
 
@@ -116,47 +116,3 @@ class TestWindowTableLRU:
         lru.powmod(3, 5, SMALL_PRIME, 16)
         lru.clear()
         assert len(lru) == 0
-
-
-class TestMultiexp:
-    def test_matches_product_of_pows(self):
-        pairs = [(3, 17), (5, 123456), (7, 1), (11, (1 << 128) - 3)]
-        expected = 1
-        for base, exponent in pairs:
-            expected = expected * pow(base, exponent, SMALL_PRIME) % SMALL_PRIME
-        assert multiexp(pairs, SMALL_PRIME) == expected
-
-    def test_empty_input(self):
-        assert multiexp([], SMALL_PRIME) == 1
-        assert multiexp([], 1) == 0  # 1 % 1
-
-    def test_zero_exponents_are_skipped(self):
-        assert multiexp([(3, 0), (5, 0)], SMALL_PRIME) == 1
-        assert multiexp([(3, 0), (5, 2)], SMALL_PRIME) == 25
-
-    def test_single_pair(self):
-        assert multiexp([(G, Q - 1)], P) == pow(G, Q - 1, P)
-
-    def test_large_group_batch(self):
-        pairs = [(pow(G, i + 2, P), (1 << 127) + i) for i in range(8)]
-        expected = 1
-        for base, exponent in pairs:
-            expected = expected * pow(base, exponent, P) % P
-        assert multiexp(pairs, P) == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=SMALL_PRIME - 1),
-                st.integers(min_value=0, max_value=(1 << 64) - 1),
-            ),
-            min_size=0,
-            max_size=6,
-        )
-    )
-    def test_property_agrees_with_pow(self, pairs):
-        expected = 1
-        for base, exponent in pairs:
-            expected = expected * pow(base, exponent, SMALL_PRIME) % SMALL_PRIME
-        assert multiexp(pairs, SMALL_PRIME) == expected

@@ -1,9 +1,9 @@
-"""The block-validation fast path: batching, memoization, escape hatches.
+"""The block-validation fast path: pre-pass, memoization, escape hatches.
 
 Covers the three layers of the fast path at the validator level:
 
 * serialized-bytes memoization on frozen protocol objects;
-* the batched signature pre-pass (equivalence with the unbatched path,
+* the signature pre-pass (equivalence with validation without it,
   including blocks hiding a forged endorsement);
 * the shared VSCC memo (2nd..Nth peer reuses flags; ``REPRO_SHARED_VSCC=0``
   disables it; the simulation invariant checker confirms the memo never
@@ -18,8 +18,9 @@ from repro.chaincode.contracts import PrivateAssetContract
 from repro.common import crypto
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
+from repro.ledger.ledger import PeerLedger
 from repro.network.presets import three_org_network
-from repro.peer.validator import batch_verify_enabled, shared_vscc_enabled
+from repro.peer.validator import Validator, shared_vscc_enabled
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.harness import run_seed
@@ -64,15 +65,11 @@ class TestSerializedBytesMemoization:
 class TestEnvToggles:
     def test_defaults_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHARED_VSCC", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_VERIFY", raising=False)
         assert shared_vscc_enabled()
-        assert batch_verify_enabled()
 
     def test_escape_hatches(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
-        monkeypatch.setenv("REPRO_BATCH_VERIFY", "0")
         assert not shared_vscc_enabled()
-        assert not batch_verify_enabled()
 
 
 class TestSharedVsccMemo:
@@ -133,10 +130,10 @@ class TestSharedVsccMemo:
     def test_memo_agreement_checker_performs_real_verifications(self):
         # Called standalone the checker enters its own verification scope:
         # nothing the pipeline left in the verdict memo answers it, each
-        # distinct signature on the chain is verified exactly once by the
-        # single-signature equation (no batch), any memo hit is on an
-        # entry the scope itself wrote, and the scope leaves the cache
-        # toggle and the per-key window tables as it found them.
+        # distinct signature on the chain is verified exactly once, any
+        # memo hit is on an entry the scope itself wrote, and the scope
+        # leaves the cache toggle and the per-key window tables as it
+        # found them.
         class _Sim:
             def __init__(self, net):
                 self.network = net.network
@@ -161,10 +158,10 @@ class TestSharedVsccMemo:
         PERF.reset()
         assert check_vscc_memo_agreement(_Sim(net)) == []
         assert PERF.verify_individual == len(triples)
-        assert PERF.batch_calls == 0 and PERF.verify_batched == 0
-        # Reference and production validator ask for the same triples:
-        # every hit is the second reader of a verdict the scope computed.
-        assert PERF.verify_cache_hits <= PERF.verify_individual
+        # The reference validator, the production validator's pre-pass
+        # and its rules ask for the same triples: every hit is a later
+        # reader of a verdict the scope computed.
+        assert PERF.verify_cache_hits <= 2 * PERF.verify_individual
         assert PERF.table_builds == 0
         assert crypto._KEY_TABLES.table_count() == tables
         assert crypto.verify_cache_enabled()
@@ -194,9 +191,12 @@ class TestCertificateMemo:
 class TestBatchedPrePass:
     def test_batched_and_unbatched_flags_agree(self, monkeypatch):
         flags_by_mode = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_BATCH_VERIFY", mode)
-            monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
+        monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
+        for mode in ("pre-pass", "none"):
+            if mode == "none":
+                monkeypatch.setattr(
+                    Validator, "_prewarm_signatures", lambda self, block, ledger: None
+                )
             crypto.clear_caches()
             net = _network()
             for i in range(3):
@@ -205,21 +205,49 @@ class TestBatchedPrePass:
                 tuple(v.flags)
                 for v in net.peer_of(1).ledger.blockchain.blocks()
             ]
-        assert flags_by_mode["1"] == flags_by_mode["0"]
+        assert flags_by_mode["pre-pass"] == flags_by_mode["none"]
 
     def test_prewarm_settles_signatures_in_cache(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
         net = _network()
+        _submit(net, "setup-key")
+        validated = next(iter(net.peer_of(1).ledger.blockchain.blocks()))
+        validator = net.peer_of(1)._validator
+        crypto.clear_verify_cache()
         PERF.reset()
-        _submit(net, "warm-key")
-        # With the pre-pass on, the per-transaction pipeline's verify()
-        # calls are answered from the cache the batch populated.
-        assert PERF.verify_batched > 0 or PERF.verify_cache_hits > 0
+        validator._prewarm_signatures(validated.block, PeerLedger())
+        settled = PERF.verify_individual
+        assert settled == 3  # creator + two endorsers
+        # The per-transaction pipeline's verify() calls are answered from
+        # the memo the pre-pass populated.
+        tx = validated.block.transactions[0]
+        assert tx.verify_creator_signature()
+        assert len(validator._valid_signers(tx)) == 2
+        assert PERF.verify_individual == settled
+        assert PERF.verify_cache_hits == 3
+
+    def test_pre_pass_stands_down_without_the_memo(self):
+        # It works only through the verdict memo; with memoization off it
+        # would verify every signature twice.
+        net = _network()
+        _submit(net, "setup-key")
+        validated = next(iter(net.peer_of(1).ledger.blockchain.blocks()))
+        crypto.set_verify_cache(False)
+        try:
+            PERF.reset()
+            flags = Validator(
+                channel=net.network.channel, features=net.network.features,
+                use_shared_memo=False,
+            ).validate_block(validated.block, PeerLedger())
+        finally:
+            crypto.set_verify_cache(True)
+        assert flags == [ValidationCode.VALID]
+        assert PERF.verify_individual == 3
 
     def test_forged_endorsement_rejected_under_batching(self):
         # A wrong-key endorsement signature hidden among valid ones: the
-        # batch equation fails, bisection isolates it, and the policy
-        # check then sees too few valid signers — same as unbatched.
+        # pre-pass settles it False, and the policy check then sees too
+        # few valid signers — same as without the pre-pass.
         from dataclasses import replace
 
         net = _network()
