@@ -6,7 +6,7 @@ Four modes, each a strict superset of the previous one's machinery:
   (hence no signature pre-pass), no shared VSCC memo: every peer re-runs
   both exponentiations of every signature of every block.
 * ``windowed``            — fixed-base window tables for the generator
-  and hot public keys (``repro.common.multiexp``).
+  and every public key (``repro.common.multiexp``).
 * ``memoized``            — plus the verdict memo and the pre-pass that
   fills it: a block's signatures are settled once, in one
   ``verify_batch`` call, and every later reader hits the memo.

@@ -5,11 +5,11 @@ logic reproduced here only needs a *publicly verifiable* signature scheme:
 endorsers sign proposal responses, clients sign envelopes, and validators
 verify both before evaluating endorsement policies.  We implement Schnorr
 signatures in a DSA-style group — the order-``q`` subgroup ``G_q`` of
-``Z_p*`` for a 1536-bit prime ``p = c*q + 1`` and a **256-bit prime**
-``q`` — using nothing but the standard library, with deterministic
-(RFC 6979-style) nonces so every run of the simulator is reproducible.
-``tests/test_crypto_group.py`` re-derives ``p``, ``q`` and ``g`` from
-their seed tags.
+``Z_p*`` for a 1536-bit prime ``p = 2**1536 - k = c*q + 1`` and a
+**256-bit prime** ``q`` — using nothing but the standard library, with
+deterministic (RFC 6979-style) nonces so every run of the simulator is
+reproducible.  ``tests/test_crypto_group.py`` re-derives ``p``, ``q``
+and ``g`` from their recipe.
 
 A signature is the pair ``(s, r)`` with ``r = g**k mod p`` and
 ``s = (k + x*e) mod q`` where ``e = H(r, y, message) mod q``.  Private
@@ -21,9 +21,11 @@ once per distinct key) and ``g**s == r * y**e (mod p)``.  With ``g`` and
 ``y`` in ``G_q`` the equation itself forces ``r = g**s * y**-e`` into
 ``G_q``, so there is no per-signature membership test.
 
-Every exponent is at most 256 bits, so both exponentiations are
-fixed-base table look-ups (:mod:`repro.common.multiexp`): 32
-multiplications for ``g**s``, 64 for ``y**e``.  At that price a
+Every exponent is at most 256 bits, so every exponentiation — the
+key's ``y**q`` included — is a fixed-base table look-up
+(:mod:`repro.common.multiexp`): 32 multiplications for ``g**s``, 64 for
+``y**e``, each reduced by two shift-and-multiply folds that the short
+``k`` allows instead of a generic ``% p``.  At that price a
 randomized batch equation has nothing left to save — its per-item floor
 (a membership test on every commitment plus the coefficient
 multiplications) is no lower — so :func:`verify_batch` settles each
@@ -50,18 +52,12 @@ from typing import Optional, Sequence
 from repro.common.multiexp import FixedBaseTable, WindowTableLRU
 from repro.common.tracing import PERF
 
-# The group: p = c*q + 1 with p a 1536-bit and q a 256-bit prime, both
-# found by hashing counter-suffixed seed tags (the recipe lives in
-# tests/test_crypto_group.py, which re-derives these literals).
-P = int(
-    "a169a281adef9b98f8d8e8957987ab9d978a2eda81ad311970cff13231267520"
-    "868c2436b9575891abdc75b026ba0cdd3021cbc30d8db548a61950ecfe8b8b4b"
-    "8f3ad39f5c39f607e4992b9f2bb1ac2df999b20cf36689733b768342e021cbf7"
-    "6e4d16d588e4a925e0bd1e836172a74dafc62379e638425fc057da9aa93e1c6f"
-    "45e64078f926392db1b18db4f74613bcf5ff591ad293c6b55e48c6a3d2bd4280"
-    "62063f84c3bc768775e77397ce8a0083d5cae67e8536609b029f6a4f08ab14a7",
-    16,
-)
+# The group: q a 256-bit prime found by hashing counter-suffixed seed
+# tags, p = 2**1536 - K for the smallest K that makes p a prime with
+# q | p - 1 (tests/test_crypto_group.py holds the recipe and re-derives
+# both literals).  K is 263 bits, short enough for multiexp's fold.
+K = 0x6e731e1a765104c947af3b44dc1cb3b08012ce9622f6a315211d3f695e68e57d67
+P = 2**1536 - K
 Q = 0x8f24b1c876b8b5962a8bd5df467c802bae08a61644d93b33eba24418e0397c81
 # 2 ** ((p - 1) / q): not 1, and q is prime, so it generates all of G_q.
 G = pow(2, (P - 1) // Q, P)
@@ -123,10 +119,9 @@ _G_TABLE: Optional[FixedBaseTable] = None
 #: key tables).
 _G_WINDOW = 8
 
-#: Per-public-key window tables behind a real LRU (built only once a key
-#: has verified enough signatures to amortize the precomputation; a
-#: 64-row table has paid for itself after about five uses).
-_KEY_TABLES = WindowTableLRU(maxsize=96, build_after=6)
+#: Per-public-key window tables behind a real LRU, built on a key's
+#: first use — which is its validation.
+_KEY_TABLES = WindowTableLRU(P, Q.bit_length(), maxsize=96)
 
 
 def _g_table() -> FixedBaseTable:
@@ -146,7 +141,7 @@ def _g_pow(exponent: int) -> int:
 
 def _y_pow(y: int, exponent: int) -> int:
     if _FAST_PATH:
-        return _KEY_TABLES.powmod(y, exponent, P, Q.bit_length())
+        return _KEY_TABLES.powmod(y, exponent)
     PERF.modexp_full += 1
     return pow(y, exponent, P)
 
@@ -279,10 +274,7 @@ def _key_valid(y: int) -> bool:
     ``(s, g**s)`` for any message.  ``q`` divides ``p - 1`` exactly once,
     so ``y**q == 1`` means ``y`` is a power of ``g``.
     """
-    if not 1 < y < P:
-        return False
-    PERF.modexp_full += 1
-    return pow(y, Q, P) == 1
+    return 1 < y < P and _y_pow(y, Q) == 1
 
 
 @dataclass(frozen=True)
@@ -448,9 +440,7 @@ def _verify_sharded(
     return verdicts
 
 
-def verify_batch(
-    items: Sequence[tuple[PublicKey, bytes, bytes]], seed: bytes = b""
-) -> list[bool]:
+def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples in one call.
 
     Returns one boolean per item, the one :meth:`PublicKey.verify` would
@@ -458,7 +448,7 @@ def verify_batch(
     other item is decided by the same single equation, and its verdict
     is written to the memo, so later ``verify`` calls on the same
     triples are O(1) look-ups.  There is no combined equation (see the
-    module docstring); ``seed`` fed its coefficients and is ignored.
+    module docstring).
 
     When the active :mod:`execution backend <repro.runtime.executor>` has
     more than one worker, a large enough set of memo misses is sharded

@@ -1,18 +1,26 @@
 """Modular-exponentiation kernels behind the validation fast path.
 
-Two techniques, both stdlib-only, both deterministic:
-
 * :class:`FixedBaseTable` — fixed-base windowed precomputation.  The
   exponent is split into base-``2**w`` digits and every ``base**(d *
   2**(w*i))`` is precomputed, so one exponentiation costs one modular
-  multiplication per digit and **zero squarings**.  Worth it for bases
-  that recur: the group generator (every signature) and hot public keys
-  (every endorsement by the same identity).
-* :class:`WindowTableLRU` — per-base tables behind a real LRU.  Building
-  a table costs the equivalent of a few plain ``pow()`` calls, so a base
-  only earns its table after ``build_after`` uses; until then the cache
-  counts uses and answers with plain ``pow()``.  Bounded by ``maxsize``
-  with least-recently-used eviction.
+  multiplication per digit and **zero squarings**.
+* :class:`WindowTableLRU` — per-base tables for one modulus behind a
+  bounded LRU, built on a base's first use: a 64-row build costs less
+  than two native ``pow()`` calls and a look-up a tenth of one, so a
+  table has paid for itself by its second use and counting uses first
+  only delays it (every key in the benchmark's traffic is used twice).
+
+**Reduction is by folding, not by ``%``.**  A table only accepts a
+modulus ``m = 2**n - k`` with ``2*|k| + 2 <= n`` (``|k|`` = bit length):
+``2**n == k (mod m)``, so ``x == (x >> n)*k + (x & (2**n - 1))`` — a
+shift, a short product and a mask, where the generic ``%`` on a
+double-width product costs more than the product itself.  The
+accumulator stays *loosely reduced*, ``acc < 2**n + 2**(2*|k|+2)``: times
+a canonical table entry it is below ``2**(2n+1)``, one fold leaves less
+than ``2**(n+|k|+2)``, the second less than ``2**n + 2**(2*|k|+2)`` — the
+bound again (property-tested in ``tests/test_multiexp.py``) — and one
+``% m`` canonicalises the result on the way out.  There is no second
+reduction path: any other modulus is refused at construction.
 
 Every kernel feeds :data:`repro.common.tracing.PERF` so benchmarks and
 ``Tracer.summary(perf=True)`` can report exact modexp counts.
@@ -25,11 +33,16 @@ from collections import OrderedDict
 from repro.common.tracing import PERF
 
 #: Window width (bits per digit) for the fixed-base tables.  Width 4
-#: keeps the build cost low (15 multiplications per digit row — a table
-#: for 256-bit exponents costs under four plain ``pow()`` calls and has
-#: paid for itself after about five uses) while replacing their ~256
-#: squarings + ~50 multiplications with 64 table multiplications.
+#: keeps the build cost low (15 multiplications per digit row) while
+#: replacing a plain ``pow()``'s ~256 squarings + ~50 multiplications
+#: with 64 table multiplications.
 DEFAULT_WINDOW = 4
+
+
+def fold_twice(x: int, n: int, k: int, low: int) -> int:
+    """``x < 2**(2n+1)`` loosely reduced mod ``2**n - k``; ``low = 2**n - 1``."""
+    x = (x >> n) * k + (x & low)
+    return (x >> n) * k + (x & low)
 
 
 class FixedBaseTable:
@@ -37,26 +50,32 @@ class FixedBaseTable:
 
     ``rows[i][d] == base ** (d << (window * i)) % modulus``; an
     exponentiation is then the product of one entry per non-zero digit.
+    Raises ``ValueError`` unless ``modulus`` folds (module docstring).
     """
 
-    __slots__ = ("base", "modulus", "window", "_mask", "_rows")
+    __slots__ = ("base", "modulus", "window", "_mask", "_rows", "_fold")
 
     def __init__(self, base: int, modulus: int, bits: int, window: int = DEFAULT_WINDOW) -> None:
+        n = modulus.bit_length()
+        k = (1 << n) - modulus
+        if 2 * k.bit_length() + 2 > n:
+            raise ValueError(f"2**{n} - k with |k| = {k.bit_length()} is too wide for folding")
+        low = (1 << n) - 1
         self.base = base
         self.modulus = modulus
         self.window = window
         self._mask = (1 << window) - 1
+        self._fold = (n, k, low)
         digits = max(1, -(-bits // window))
         rows = []
         cur = base % modulus
         for _ in range(digits):
-            row = [1] * (1 << window)
-            row[1] = cur
-            for d in range(2, 1 << window):
-                row[d] = row[d - 1] * cur % modulus
+            row = [1, cur]
+            for _ in range(self._mask):
+                row.append(fold_twice(row[-1] * cur, n, k, low) % modulus)
+            # One too many: base ** (2 ** (window * (i + 1))), the next row's base.
+            cur = row.pop()
             rows.append(row)
-            # base ** (2 ** (window * (i + 1))) for the next digit row.
-            cur = row[self._mask] * cur % modulus
         self._rows = rows
         PERF.table_builds += 1
 
@@ -69,68 +88,54 @@ class FixedBaseTable:
             PERF.modexp_full += 1
             return pow(self.base, exponent, self.modulus)
         PERF.modexp_windowed += 1
-        modulus = self.modulus
+        n, k, low = self._fold
         mask = self._mask
         window = self.window
-        acc = 1
-        i = 0
-        while exponent:
+        acc = 1  # loosely reduced throughout: < 2**n + 2**(2*|k| + 2)
+        for row in self._rows:
+            if not exponent:
+                break
             digit = exponent & mask
             if digit:
-                acc = acc * self._rows[i][digit] % modulus
+                # fold_twice() inlined: the call alone is 5-8 % of a look-up.
+                acc *= row[digit]
+                acc = (acc >> n) * k + (acc & low)
+                acc = (acc >> n) * k + (acc & low)
             exponent >>= window
-            i += 1
-        return acc
+        return acc % self.modulus
 
 
 class WindowTableLRU:
-    """Per-base :class:`FixedBaseTable` cache with LRU eviction.
+    """Per-base :class:`FixedBaseTable` cache, built on first use, LRU-evicted.
 
-    A base is answered with plain ``pow()`` until it has been asked for
-    ``build_after`` times; the table build (a few plain-``pow``'s worth
-    of multiplications) is only paid for bases that are demonstrably hot
-    — in this simulator, the recurring endorser public keys.
+    Modulus and exponent width are fixed at construction: tables are
+    keyed by base, so one cache must never serve two moduli.
     """
 
-    def __init__(self, maxsize: int = 96, build_after: int = 6) -> None:
+    def __init__(self, modulus: int, bits: int, maxsize: int = 96) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be at least 1")
+        self.modulus = modulus
+        self.bits = bits
         self.maxsize = maxsize
-        self.build_after = build_after
-        # base -> int use-count (cold) | FixedBaseTable (hot)
-        self._entries: OrderedDict = OrderedDict()
+        self._tables: OrderedDict = OrderedDict()  # base -> FixedBaseTable
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tables)
 
-    def table_count(self) -> int:
-        return sum(1 for e in self._entries.values() if isinstance(e, FixedBaseTable))
-
-    def has_table(self, base: int) -> bool:
-        return isinstance(self._entries.get(base), FixedBaseTable)
+    def __contains__(self, base: int) -> bool:
+        return base in self._tables
 
     def clear(self) -> None:
-        self._entries.clear()
+        self._tables.clear()
 
-    def powmod(self, base: int, exponent: int, modulus: int, bits: int) -> int:
-        """``base ** exponent % modulus``, via a table once ``base`` is hot."""
-        entry = self._entries.get(base)
-        if isinstance(entry, FixedBaseTable):
-            self._entries.move_to_end(base)
-            return entry.pow(exponent)
-        uses = (entry or 0) + 1
-        if uses >= self.build_after:
-            table = FixedBaseTable(base, modulus, bits)
-            self._entries[base] = table
-            self._entries.move_to_end(base)
-            self._evict()
-            return table.pow(exponent)
-        self._entries[base] = uses
-        self._entries.move_to_end(base)
-        self._evict()
-        PERF.modexp_full += 1
-        return pow(base, exponent, modulus)
-
-    def _evict(self) -> None:
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+    def powmod(self, base: int, exponent: int) -> int:
+        """``base ** exponent % modulus`` from ``base``'s table."""
+        table = self._tables.get(base)
+        if table is None:
+            table = self._tables[base] = FixedBaseTable(base, self.modulus, self.bits)
+            if len(self._tables) > self.maxsize:
+                self._tables.popitem(last=False)
+        else:
+            self._tables.move_to_end(base)
+        return table.pow(exponent)

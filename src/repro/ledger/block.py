@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.hashing import chain_hash, sha256
-from repro.common.serialization import canonical_bytes
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -39,7 +38,16 @@ class Block:
 
     @staticmethod
     def data_hash_of(transactions: tuple[TransactionEnvelope, ...]) -> bytes:
-        return sha256(canonical_bytes([tx.to_wire() for tx in transactions]))
+        """SHA-256 over one 32-byte leaf per transaction, in block order.
+
+        A leaf is ``SHA-256(SHA-256(signed_bytes) || signature)``: the
+        envelope's memoized signed bytes cover every wire field but the
+        signature, and the fixed-width prefix keeps the pair unambiguous
+        — so hashing a block re-encodes nothing an envelope already holds.
+        """
+        return sha256(
+            b"".join(sha256(sha256(tx.signed_bytes()) + tx.signature) for tx in transactions)
+        )
 
     @classmethod
     def create(

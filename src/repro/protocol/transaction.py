@@ -80,19 +80,6 @@ class TransactionEnvelope:
             object.__setattr__(self, "_serialized", cached)
         return cached[1]
 
-    def to_wire(self) -> dict:
-        return {
-            "tx_id": self.tx_id,
-            "channel_id": self.channel_id,
-            "chaincode_id": self.chaincode_id,
-            "creator": self.creator.to_wire(),
-            "payload": self.payload.to_wire(),
-            "endorsements": [e.to_wire() for e in self.endorsements],
-            "signature": self.signature,
-            "function": self.function,
-            "args": list(self.args),
-        }
-
     def verify_creator_signature(self) -> bool:
         return self.creator.public_key.verify(self.signed_bytes(), self.signature)
 

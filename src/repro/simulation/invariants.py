@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common import crypto
 from repro.common.hashing import hash_value
-from repro.common.serialization import canonical_bytes
+from repro.common.serialization import canonical_bytes, clear_serialization_memos
 from repro.ledger.version import Version
 from repro.protocol.transaction import ValidationCode
 from repro.runtime.runtime import TOPIC_SUBMIT
@@ -1149,6 +1149,10 @@ def run_quiescence_checks(sim: "SimNetwork", outcomes: list) -> list:
     # before the checks build a second ledger, or a sweep's peak memory
     # grows with how many runs fit between gen-2 collections.
     gc.collect()
+    # The serialization twin of independent_verification(): the oracle
+    # hashes and verifies encodings it made itself, each once, never
+    # bytes the pipeline memoized on an envelope.
+    clear_serialization_memos()
     with crypto.independent_verification():
         replay = ChainReplay(sim)
         violations = check_hash_chains(sim)

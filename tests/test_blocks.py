@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.common.errors import LedgerError
@@ -9,7 +11,7 @@ from repro.identity.organization import Organization
 from repro.ledger.block import GENESIS_PREV_HASH, Block, ValidatedBlock
 from repro.ledger.blockchain import Blockchain
 from repro.protocol.proposal import new_proposal
-from repro.protocol.response import ChaincodeResponse, ProposalResponsePayload
+from repro.protocol.response import ChaincodeResponse, Endorsement, ProposalResponsePayload
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 from repro.chaincode.rwset import TxReadWriteSet
 
@@ -34,8 +36,6 @@ def _envelope(tag: str = "tx") -> TransactionEnvelope:
         function="fn",
         args=(tag,),
     )
-    from dataclasses import replace
-
     return replace(unsigned, signature=client.sign(unsigned.signed_bytes()))
 
 
@@ -48,6 +48,30 @@ class TestBlock:
         block = Block.create(0, GENESIS_PREV_HASH, (_envelope("a"),))
         tampered = Block(header=block.header, transactions=(_envelope("b"),))
         assert not tampered.verify_data_hash()
+
+    def test_any_envelope_field_or_the_order_flips_the_data_hash(self):
+        first, second = _envelope("a"), _envelope("b")
+        block = Block.create(0, GENESIS_PREV_HASH, (first, second))
+        other = _envelope("c")
+        changes = {
+            "tx_id": first.tx_id + "0",
+            "channel_id": "ch2",
+            "chaincode_id": "cc2",
+            "creator": Organization("Org2MSP").enroll_client().certificate,
+            "payload": other.payload,
+            "endorsements": (Endorsement(first.creator, b"sig"),),
+            "signature": first.signature[:-1] + bytes([first.signature[-1] ^ 1]),
+            "function": "fn2",
+            "args": ("a", "extra"),
+        }
+        assert set(changes) == {f.name for f in fields(TransactionEnvelope)}
+        for name, value in changes.items():
+            tampered = Block(
+                header=block.header, transactions=(replace(first, **{name: value}), second)
+            )
+            assert not tampered.verify_data_hash(), name
+        swapped = Block(header=block.header, transactions=(second, first))
+        assert not swapped.verify_data_hash()
 
     def test_block_hash_chains(self):
         block0 = Block.create(0, GENESIS_PREV_HASH, ())

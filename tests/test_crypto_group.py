@@ -1,11 +1,13 @@
 """Provenance of the signature group: the constants re-derive from a seed.
 
-``common/crypto.py`` commits ``P``, ``Q`` and ``G`` as literals.  This
-test holds the recipe that produced them (FIPS 186-4 A.1.1.2 in shape:
-hash a counter-suffixed tag until a 256-bit prime ``q`` appears, then
-until a 1536-bit prime ``p = 1 (mod 2q)`` does), re-runs it, and checks
-the arithmetic facts verification relies on — so nobody has to take the
-hex on trust, and nobody can swap it silently.
+``common/crypto.py`` commits ``Q`` and ``K`` as literals and sets
+``P = 2**1536 - K``.  This test holds the recipe that produced them (hash
+a counter-suffixed tag until a 256-bit prime ``q`` appears; then take the
+*smallest* ``k`` with ``2**1536 - k = 1 (mod q)`` that makes ``p =
+2**1536 - k`` prime — no free choice, and a ``k`` short enough for the
+fold in ``common/multiexp.py``), re-runs it, and checks the arithmetic
+facts verification relies on — so nobody has to take the hex on trust,
+and nobody can swap it silently.
 """
 
 from __future__ import annotations
@@ -52,26 +54,30 @@ def _is_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-def _derive_group() -> tuple[int, int, int]:
+def _derive_group() -> tuple[int, int, int, int]:
     c = 0
     while True:
         q = _stream(b"repro-schnorr-q-%d" % c, 256) | 1 << 255 | 1
         if _is_prime(q):
             break
         c += 1
-    c = 0
-    while True:
-        x = _stream(b"repro-schnorr-p-%d" % c, 1536) | 1 << 1535
-        p = x - (x % (2 * q)) + 1
-        if p.bit_length() == 1536 and _is_prime(p):
-            break
-        c += 1
-    return p, q, pow(2, (p - 1) // q, p)
+    # k = ((2**1536 - 1) mod q) + j*q walks every p = 1 (mod q), largest first.
+    k, j = (2**1536 - 1) % q, 0
+    while not _is_prime(2**1536 - k):
+        k, j = k + q, j + 1
+    p = 2**1536 - k
+    return p, q, pow(2, (p - 1) // q, p), j
 
 
 class TestGroupProvenance:
     def test_constants_rederive_from_the_seed_tags(self):
-        assert _derive_group() == (P, Q, G)
+        assert _derive_group() == (P, Q, G, 197)
+        assert P == 2**1536 - crypto.K
+
+    def test_the_modulus_folds(self):
+        # What common/multiexp.py demands of a modulus 2**n - k.
+        assert crypto.K.bit_length() == 263
+        assert 2 * crypto.K.bit_length() + 2 <= P.bit_length()
 
     def test_both_moduli_are_prime(self):
         assert _is_prime(P, rounds=40)

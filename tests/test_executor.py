@@ -206,7 +206,7 @@ class TestShardedVerifyIdentity:
         for workers in (2, 3, 4, 7):
             set_backend("serial", workers=workers)
             crypto.clear_verify_cache()
-            assert verify_batch(items, seed=b"eq") == reference
+            assert verify_batch(items) == reference
 
     def test_process_backend_matches_reference(self):
         items = _workload(forge={(0, 0), (3, 2)})
@@ -215,7 +215,7 @@ class TestShardedVerifyIdentity:
         set_backend("process", workers=2)
         crypto.clear_verify_cache()
         before = PERF.snapshot()
-        assert verify_batch(items, seed=b"eq") == reference
+        assert verify_batch(items) == reference
         delta = PERF.delta_since(before)
         # The shards really went to worker processes, and their counter
         # deltas (one equation per item) folded back into the parent.
@@ -226,7 +226,7 @@ class TestShardedVerifyIdentity:
         items = _workload(n_keys=2, per_key=2)
         set_backend("serial", workers=4)
         before = PERF.snapshot()
-        flags = verify_batch(items, seed=b"small")
+        flags = verify_batch(items)
         assert all(flags)
         assert PERF.delta_since(before).get("executor_tasks", 0) == 0
 
@@ -234,7 +234,7 @@ class TestShardedVerifyIdentity:
         items = _workload()
         set_backend("serial", workers=4)
         crypto.clear_verify_cache()
-        verify_batch(items, seed=b"cache")
+        verify_batch(items)
         before = PERF.snapshot()
         assert all(public.verify(msg, sig) for public, msg, sig in items)
         assert PERF.delta_since(before).get("verify_cache_hits") == len(items)

@@ -2,7 +2,8 @@
 
 ``reference-validation``, ``vscc-memo``, ``endorsement-plan``,
 ``snapshot-equivalence`` and ``reorder-soundness`` all read one replay of
-the committed chain.  Each case below plants one seeded defect in an
+the committed chain (and ``hash-chain`` re-hashes every peer's copy of
+it from encodings the oracle makes itself).  Each case below plants one seeded defect in an
 otherwise healthy run — between quiescence and the checks, the way the
 benchmark's probe wraps ``harness.run_quiescence_checks`` — and demands a
 violation carrying that invariant's name, so a change to how the replay
@@ -23,6 +24,7 @@ import pytest
 
 from repro.common import crypto
 from repro.common.hashing import hash_key
+from repro.common.serialization import memo_epoch
 from repro.common.tracing import PERF
 from repro.ledger.block import Block, ValidatedBlock
 from repro.network.collection import CollectionConfig
@@ -123,6 +125,23 @@ def _skip_tail_block(sim, outcomes) -> None:
     orderer.blocks_since = lambda height: list(real(height))[:-1]
 
 
+def _tamper_behind_a_stale_memo(sim, outcomes) -> None:
+    # A committed envelope whose content changed while its memoized
+    # signed bytes did not.  A reader that trusts the pipeline's memo
+    # hashes the original's bytes and sees nothing; the oracle must
+    # encode what the envelope says now.
+    chain = sim.all_peers()[1].ledger.blockchain
+    tip = chain._blocks[-1]
+    first, rest = tip.block.transactions[0], tip.block.transactions[1:]
+    tampered = replace(first, function=first.function + "-tampered")
+    object.__setattr__(tampered, "_serialized", (memo_epoch(), first.signed_bytes()))
+    chain._blocks[-1] = ValidatedBlock(
+        block=Block(header=tip.block.header, transactions=(tampered,) + rest),
+        flags=tip.flags,
+    )
+    assert chain.verify_chain(), "the planted memo should mask the tampering"
+
+
 def _resurrect_expired(sim, outcomes) -> None:
     network = sim.network
     real_join = network.join_peer
@@ -162,6 +181,8 @@ SABOTAGES = {
         ("reorder-soundness", "false early abort", _mark_survivor_aborted),
     "emitted transaction dropped from the record":
         ("reorder-soundness", "not a permutation", _drop_emitted),
+    "committed envelope tampered behind a stale serialization memo":
+        ("hash-chain", "hash chain verification failed", _tamper_behind_a_stale_memo),
     "probe bootstrap skips a tail block":
         ("snapshot-equivalence", "bootstrapped probe at height", _skip_tail_block),
     "probe bootstrap resurrects a BTL-expired key":
