@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.latency import measure_tx_latency
+from repro.bench.latency import LatencyCell, measure_cells, measure_tx_latency
 from repro.core.defense.features import FrameworkFeatures
 
 from _bench_utils import bench_runs, record
@@ -30,10 +30,9 @@ def per_feature_results():
     # The paper's 100 runs per cell: validation is ~0.2 ms of memo hits, so
     # over fewer runs one scheduler hiccup moves a mean past the 1.3x gate.
     runs = max(100, bench_runs())
-    return {
-        label: measure_tx_latency(features, "read", runs=runs, framework_label=label)
-        for label, features in CONFIGS
-    }
+    cells = {label: LatencyCell(features, "read", label) for label, features in CONFIGS}
+    measure_cells(list(cells.values()), runs)
+    return {label: cell.result for label, cell in cells.items()}
 
 
 class TestPerFeatureCost:

@@ -27,9 +27,6 @@ The workload is validation-heavy by construction: 4 orgs x 2 peers,
 12-transaction blocks, MAJORITY endorsement (3 signatures per tx plus
 the creator's), and 8 distinct submitting clients so each block carries
 many per-key signature groups for the planner to spread.
-``REPRO_SHARED_VSCC=0`` for every leg: the cross-peer flag memo is a
-simulator artifact — real peers are separate processes that each verify
-their own blocks — and this bench measures exactly that per-peer work.
 
 Cross-leg assertions pin the refactor's contract: byte-identical chains
 (tx ids + flags per block), equal verification totals, simulated time
@@ -44,10 +41,8 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.chaincode.contracts import AssetContract
 from repro.common import crypto
@@ -57,9 +52,9 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
-from repro.runtime.executor import ValidationCostModel, reset_backend
+from repro.runtime.executor import ValidationCostModel, reset_backend, set_backend
 
-from _bench_utils import record
+from _bench_utils import record, write_bench
 
 ORGS = 4
 PEERS_PER_ORG = 2
@@ -102,8 +97,7 @@ def _chain_shape(net: FabricNetwork) -> list:
 
 
 def _run_leg(leg: str, rounds: int) -> dict:
-    os.environ["REPRO_EXECUTOR"] = LEGS[leg]
-    reset_backend()
+    set_backend(LEGS[leg])
     # Identities replay across legs (counters reset), so verdicts must
     # not leak between legs; window tables stay warm — a shared one-time
     # substrate cost, not part of what the ablation varies.
@@ -151,11 +145,6 @@ def _run_leg(leg: str, rounds: int) -> dict:
 
 def test_executor_ablation(results_dir):
     rounds = _rounds()
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_EXECUTOR", "REPRO_EXECUTOR_WORKERS", "REPRO_SHARED_VSCC")
-    }
-    os.environ["REPRO_SHARED_VSCC"] = "0"
     try:
         # Warm-up: pay one-time costs (imports, key derivation, window
         # tables) before any leg is billed for them.
@@ -163,11 +152,6 @@ def test_executor_ablation(results_dir):
 
         rows, shapes = zip(*[_run_leg(leg, rounds) for leg in LEGS])
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
         reset_backend()
         crypto.clear_caches()
 
@@ -230,13 +214,10 @@ def test_executor_ablation(results_dir):
             "clients": CLIENTS,
             "rounds": rounds,
             "policy": "MAJORITY Endorsement",
-            "shared_vscc": False,
             "cost_model": {"per_signature": 1.0, "per_transaction": 0.25},
         },
         "metric": "committed transactions per simulated second",
         "rows": rows,
         "speedup_4w_vs_1w": by_leg["serial-4w"]["speedup_vs_1w"],
     }
-    (results_dir / "ablation_executor.json").write_text(json.dumps(payload, indent=1))
-    repo_root = Path(__file__).resolve().parent.parent
-    (repo_root / "BENCH_executor.json").write_text(json.dumps(payload, indent=1) + "\n")
+    write_bench("executor", payload)

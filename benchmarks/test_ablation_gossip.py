@@ -1,4 +1,4 @@
-"""Ablation — the gossip fast path (``REPRO_GOSSIP_BATCH`` + anti-entropy).
+"""Ablation — the gossip fast path (``gossip_batch=True`` + anti-entropy).
 
 Three claims, each a committed gate in ``BENCH_gossip.json``:
 
@@ -22,9 +22,7 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 from repro.chaincode.api import Chaincode, require_args
 from repro.chaincode.contracts import PrivateAssetContract
@@ -36,7 +34,7 @@ from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.simulation.harness import run_gossip_equivalence
 
-from _bench_utils import record
+from _bench_utils import record, write_bench
 
 COLLECTIONS = ("PDC1", "PDC2", "PDC3")
 
@@ -267,20 +265,14 @@ _GATES: dict = {}
 
 
 class TestWriteGateFile:
-    def test_write_bench_json(self, results_dir):
+    def test_write_bench_json(self):
         assert set(_GATES) == {"fanout", "convergence", "equivalence"}
         payload = {
             "bench": "gossip fast path ablation",
-            "toggles": {
-                "REPRO_GOSSIP_BATCH": "batched dissemination",
-                "REPRO_ANTI_ENTROPY_EVERY": "digest-loop cadence (sim s)",
+            "settings": {
+                "gossip_batch": "batched dissemination",
+                "anti_entropy_every": "digest-loop cadence (sim s)",
             },
             "gates": _GATES,
         }
-        (results_dir / "ablation_gossip.json").write_text(
-            json.dumps(payload, indent=1)
-        )
-        repo_root = Path(__file__).resolve().parent.parent
-        (repo_root / "BENCH_gossip.json").write_text(
-            json.dumps(payload, indent=1) + "\n"
-        )
+        write_bench("gossip", payload)

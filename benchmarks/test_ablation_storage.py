@@ -12,10 +12,10 @@ Measures what the durability layer costs and buys:
   grows, so replay cost tracks history length while snapshot-bootstrap
   cost tracks state size + the bounded tail.
 
-Results are archived as a rendered table and as machine-readable JSON
-under ``benchmarks/results/``; the join-time sweep is also committed as
-``BENCH_storage.json`` at the repo root (the CI storage-perf-smoke job
-re-generates and archives it).
+Results are archived as rendered tables (and, for the throughput and
+recovery sweeps, machine-readable JSON) under ``benchmarks/results/``;
+the join-time sweep is committed as ``BENCH_storage.json`` at the repo
+root (the CI storage-perf-smoke job re-generates and archives it).
 
 Env knobs:
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,7 +39,7 @@ from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.storage import WalBackend
 
-from _bench_utils import record
+from _bench_utils import record, write_bench
 
 BLOCKS = 60
 
@@ -263,11 +262,7 @@ class TestJoinTimeVsChainLength:
             "replay_ratio": round(replay_ratio, 3),
             "snapshot_ratio": round(snap_ratio, 3),
         }
-        (results_dir / "ablation_storage_join.json").write_text(
-            json.dumps(payload, indent=1)
-        )
-        repo_root = Path(__file__).resolve().parent.parent
-        (repo_root / "BENCH_storage.json").write_text(json.dumps(payload, indent=1) + "\n")
+        write_bench("storage", payload)
 
         # Acceptance gates: snapshot-bootstrap join stays flat while
         # replay-from-genesis tracks chain length.

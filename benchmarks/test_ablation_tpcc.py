@@ -33,19 +33,16 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import replace
-from pathlib import Path
 
 from repro.common import crypto
 from repro.protocol.transaction import ValidationCode
-from repro.runtime.executor import reset_backend
 from repro.simulation.config import SimulationConfig
 from repro.simulation.harness import compare_reports, execute, generate
 
-from _bench_utils import record
+from _bench_utils import record, write_bench
 
 #: (warehouses, arrival rate per simulated second) grid cells.
 GRID = [(1, 2.0), (1, 6.0), (2, 2.0), (2, 6.0)]
@@ -127,10 +124,6 @@ def _run_cell(warehouses: int, rate: float, ops: int, reorder: bool) -> dict:
 
 def test_tpcc_contention_ablation(results_dir):
     ops = _ops()
-    saved = {
-        key: os.environ.get(key)
-        for key in ("REPRO_EXECUTOR", "REPRO_EXECUTOR_WORKERS")
-    }
     try:
         rows = [
             _run_cell(w, rate, ops, reorder)
@@ -138,12 +131,6 @@ def test_tpcc_contention_ablation(results_dir):
             for reorder in (False, True)
         ]
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        reset_backend()
         crypto.clear_caches()
 
     by_cell = {
@@ -217,6 +204,4 @@ def test_tpcc_contention_ablation(results_dir):
         "metric": "committed NewOrders per simulated minute (tpmC-style)",
         "rows": rows,
     }
-    (results_dir / "ablation_tpcc.json").write_text(json.dumps(payload, indent=1))
-    repo_root = Path(__file__).resolve().parent.parent
-    (repo_root / "BENCH_tpcc.json").write_text(json.dumps(payload, indent=1) + "\n")
+    write_bench("tpcc", payload)

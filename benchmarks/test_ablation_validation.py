@@ -1,17 +1,20 @@
 """Ablation over the block-validation fast path.
 
-Four modes, each a strict superset of the previous one's machinery:
+Three modes, each a strict superset of the previous one's machinery:
 
-* ``naive``               — plain ``pow()`` everywhere, no verdict memo
-  (hence no signature pre-pass), no shared VSCC memo: every peer re-runs
-  both exponentiations of every signature of every block.
-* ``windowed``            — fixed-base window tables for the generator
-  and every public key (``repro.common.multiexp``).
-* ``memoized``            — plus the verdict memo and the pre-pass that
-  fills it: a block's signatures are settled once, in one
-  ``verify_batch`` call, and every later reader hits the memo.
-* ``memoized+shared-memo`` — plus the shared VSCC memo: the 2nd..Nth peer
-  reuses the flag vector the first peer computed for the same block.
+* ``naive``    — plain ``pow()`` everywhere, no verdict memo (hence no
+  signature pre-pass): both exponentiations of every signature are
+  native calls.
+* ``windowed`` — fixed-base window tables for the generator and every
+  public key (``repro.common.multiexp``).
+* ``memoized`` — plus the verdict memo and the pre-pass that fills it: a
+  block's signatures are settled once, in one ``verify_batch`` call, and
+  every later reader hits the memo.
+
+The shared VSCC memo — the 2nd..Nth peer reuses the flag vector the
+first peer computed for the same block — is on in every mode: it is the
+validator's only path (its end-to-end share is ``peer.vscc_memo_hit_share``
+in ``BENCHMARK.json``).
 
 The workload is a 4-org / 8-peer network (two peers per org) with the
 MAJORITY chaincode policy and pipelined submissions, so every block
@@ -20,8 +23,8 @@ signatures, and every block is validated by all 8 peers.
 
 The validation-phase wall time comes from ``PERF.phase_seconds`` (the
 peer times its validate/commit phases around ``deliver_block``).
-Results land in three places: the rendered table and JSON under
-``benchmarks/results/``, and the committed ``BENCH_validation.json`` at
+Results land in two places: the rendered table under
+``benchmarks/results/`` and the committed ``BENCH_validation.json`` at
 the repo root (the CI artifact).
 
 Environment knobs:
@@ -32,9 +35,7 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 from repro.chaincode.contracts import AssetContract
 from repro.common import crypto
@@ -45,19 +46,18 @@ from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 
-from _bench_utils import record
+from _bench_utils import record, write_bench
 
 ORGS = 4
 PEERS_PER_ORG = 2
 BATCH_SIZE = 6
 DEPTH = 24
 
-#: mode -> (fast path, verdict memo + pre-pass, shared VSCC memo)
-MODES: dict[str, tuple[bool, bool, bool]] = {
-    "naive": (False, False, False),
-    "windowed": (True, False, False),
-    "memoized": (True, True, False),
-    "memoized+shared-memo": (True, True, True),
+#: mode -> (fast path, verdict memo + pre-pass)
+MODES: dict[str, tuple[bool, bool]] = {
+    "naive": (False, False),
+    "windowed": (True, False),
+    "memoized": (True, True),
 }
 
 
@@ -80,10 +80,9 @@ def _network() -> FabricNetwork:
 
 
 def _run_mode(mode: str, transactions: int) -> dict:
-    fast, cache, memo = MODES[mode]
+    fast, cache = MODES[mode]
     crypto.set_fast_path(fast)
     crypto.set_verify_cache(cache)
-    os.environ["REPRO_SHARED_VSCC"] = "1" if memo else "0"
     crypto.clear_caches()
 
     net = _network()
@@ -131,7 +130,6 @@ def test_validation_fastpath_ablation(results_dir):
     saved = {
         "fast": crypto.fast_path_enabled(),
         "cache": crypto.verify_cache_enabled(),
-        "memo": os.environ.get("REPRO_SHARED_VSCC"),
     }
     try:
         # Warm-up run: pay one-time costs (imports, key derivation) before
@@ -142,10 +140,6 @@ def test_validation_fastpath_ablation(results_dir):
     finally:
         crypto.set_fast_path(saved["fast"])
         crypto.set_verify_cache(saved["cache"])
-        if saved["memo"] is None:
-            os.environ.pop("REPRO_SHARED_VSCC", None)
-        else:
-            os.environ["REPRO_SHARED_VSCC"] = saved["memo"]
         crypto.clear_caches()
 
     by_mode = {row["mode"]: row for row in rows}
@@ -156,34 +150,34 @@ def test_validation_fastpath_ablation(results_dir):
     # Sanity: the fast path did what each mode claims.
     assert by_mode["naive"]["modexp_windowed"] == 0
     assert by_mode["naive"]["verify_cache_hits"] == 0
-    assert by_mode["naive"]["vscc_memo_hits"] == 0
     assert by_mode["windowed"]["modexp_windowed"] > 0
     # Every signature the windowed mode re-verifies is decided once.
-    assert by_mode["memoized"]["verify_cache_hits"] > 0
-    assert by_mode["memoized"]["verify_individual"] < by_mode["windowed"]["verify_individual"]
-    memo_row = by_mode["memoized+shared-memo"]
+    memo_row = by_mode["memoized"]
+    assert memo_row["verify_cache_hits"] > 0
+    assert memo_row["verify_individual"] < by_mode["windowed"]["verify_individual"]
     # 8 peers, first validator misses, the other 7 hit: 7 hits per block.
-    assert memo_row["vscc_memo_hits"] == 7 * memo_row["blocks"]
+    for row in rows:
+        assert row["vscc_memo_hits"] == 7 * row["blocks"]
 
     # The CI gate: the memoized pre-pass must never *cost* throughput.
-    assert by_mode["memoized"]["validate_s"] <= naive_s * 1.10, (
-        f"memoized validation ({by_mode['memoized']['validate_s']}s) is more than "
+    assert memo_row["validate_s"] <= naive_s * 1.10, (
+        f"memoized validation ({memo_row['validate_s']}s) is more than "
         f"10% slower than naive ({naive_s}s)"
     )
     # The acceptance criterion: ≥3x on the 4-org/8-peer workload.
     assert memo_row["speedup_vs_naive"] >= 3.0, (
-        f"memoized+shared-memo speedup {memo_row['speedup_vs_naive']}x < 3x "
+        f"memoized speedup {memo_row['speedup_vs_naive']}x < 3x "
         f"(naive {naive_s}s vs {memo_row['validate_s']}s)"
     )
 
     lines = [
         "Ablation — block-validation fast path (4 orgs x 2 peers, MAJORITY)",
-        f"{'mode':>20} {'txs':>5} {'blocks':>7} {'validate s':>11} {'speedup':>8} "
+        f"{'mode':>9} {'txs':>5} {'blocks':>7} {'validate s':>11} {'speedup':>8} "
         f"{'verified':>9} {'cache':>7} {'memo':>6}",
     ]
     for row in rows:
         lines.append(
-            f"{row['mode']:>20} {row['transactions']:>5} {row['blocks']:>7} "
+            f"{row['mode']:>9} {row['transactions']:>5} {row['blocks']:>7} "
             f"{row['validate_s']:>11.4f} {row['speedup_vs_naive']:>7.2f}x "
             f"{row['verify_individual']:>9} "
             f"{row['verify_cache_hits']:>7} {row['vscc_memo_hits']:>6}"
@@ -199,8 +193,6 @@ def test_validation_fastpath_ablation(results_dir):
             "policy": "MAJORITY Endorsement",
         },
         "rows": rows,
-        "speedup_memoized_shared_memo_vs_naive": memo_row["speedup_vs_naive"],
+        "speedup_memoized_vs_naive": memo_row["speedup_vs_naive"],
     }
-    (results_dir / "ablation_validation.json").write_text(json.dumps(payload, indent=1))
-    repo_root = Path(__file__).resolve().parent.parent
-    (repo_root / "BENCH_validation.json").write_text(json.dumps(payload, indent=1) + "\n")
+    write_bench("validation", payload)

@@ -3,8 +3,10 @@
 from repro.bench.latency import (
     DEFAULT_RUNS,
     TX_TYPES,
+    LatencyCell,
     LatencyStats,
     TxLatency,
+    measure_cells,
     measure_fig11,
     measure_tx_latency,
     overhead_pct,
@@ -23,10 +25,12 @@ __all__ = [
     "DEFAULT_CELLS",
     "DEFAULT_RUNS",
     "DEFAULT_TRANSACTIONS",
+    "LatencyCell",
     "LatencyStats",
     "TX_TYPES",
     "ThroughputCell",
     "TxLatency",
+    "measure_cells",
     "measure_fig11",
     "measure_throughput",
     "measure_throughput_matrix",

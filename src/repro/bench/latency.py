@@ -11,17 +11,19 @@ Measures, per transaction, the two latencies the paper reports:
   the collection-level check for reads), MVCC, and commit.
 
 Each configuration is measured over N runs (the paper uses 100) for the
-three transaction types read / write / delete.  Absolute numbers are
+three transaction types read / write / delete, the configurations
+interleaved run by run (:func:`measure_cells`).  Absolute numbers are
 simulator-scale, not Docker-network-scale; the claim under test is the
 *relative* one — that the modified framework adds only minor overhead.
 """
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.chaincode.contracts import ConstrainedPrivateAssetContract
 from repro.core.defense.features import FrameworkFeatures
@@ -113,59 +115,99 @@ class _ValidationTimer:
         self._armed = False
 
 
+class LatencyCell:
+    """One (framework, tx-type) cell: set up once, measured run by run."""
+
+    def __init__(
+        self,
+        features: FrameworkFeatures,
+        tx_type: str,
+        framework_label: Optional[str] = None,
+    ) -> None:
+        if tx_type not in TX_TYPES:
+            raise ValueError(f"tx_type must be one of {TX_TYPES}")
+        self._tx_type = tx_type
+        self._net = net = _build_network(features)
+        self.result = TxLatency(
+            framework=framework_label or features.describe(), tx_type=tx_type
+        )
+        self._timer = _ValidationTimer(net, self.result.validation)
+        self._client = net.client_of(1)
+        self._endorsers = [net.peer_of(1), net.peer_of(2)]
+        # A read target that exists for every run.
+        if tx_type == "read":
+            self._seed("bench-key")
+
+    def _seed(self, key: str) -> None:
+        net = self._net
+        self._client.submit_transaction(
+            net.chaincode_id, "set_private", [net.collection, key],
+            transient={"value": b"12"}, endorsing_peers=self._endorsers,
+        ).raise_for_status()
+
+    def step(self, run: int) -> None:
+        """Measure one transaction (run number ``run``) of this cell."""
+        net, client = self._net, self._client
+        if self._tx_type == "read":
+            function, args, transient = "get_private", [net.collection, "bench-key"], None
+        elif self._tx_type == "write":
+            function, args, transient = (
+                "set_private", [net.collection, f"bench-{run}"], {"value": b"12"},
+            )
+        else:  # delete
+            self._seed(f"bench-{run}")
+            function, args, transient = "del_private", [net.collection, f"bench-{run}"], None
+
+        start = time.perf_counter()
+        proposal = client._proposal(net.chaincode_id, function, args, transient)
+        responses = [
+            net.network.request_endorsement(peer, proposal).response
+            for peer in self._endorsers
+        ]
+        client._check_consistency(proposal, responses)
+        envelope = client.assemble(proposal, responses)
+        self.result.execution.add(time.perf_counter() - start)
+
+        self._timer.arm()
+        try:
+            net.network.submit_envelope(envelope).raise_for_status()
+        finally:
+            self._timer.disarm()
+
+
+def measure_cells(cells: Sequence[LatencyCell], runs: int) -> None:
+    """Drive every cell run by run: ``for run: for cell: cell.step(run)``.
+
+    Cells compared against each other must be measured interleaved: the
+    host's speed state can outlast a whole 0.2 s cell, so cells measured
+    one after another read a state flip as overhead of whichever came
+    second.  Interleaved, every cell samples every state equally.  The
+    cyclic collector is held off for the duration (as ``timeit`` does):
+    one collection pause inside a 0.1 ms validation sample moves that
+    cell's mean by a third.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for run in range(runs):
+            for cell in cells:
+                cell.step(run)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def measure_tx_latency(
     features: FrameworkFeatures,
     tx_type: str,
     runs: int = DEFAULT_RUNS,
     framework_label: Optional[str] = None,
 ) -> TxLatency:
-    """Measure one Fig. 11 cell."""
-    if tx_type not in TX_TYPES:
-        raise ValueError(f"tx_type must be one of {TX_TYPES}")
-    net = _build_network(features)
-    result = TxLatency(
-        framework=framework_label or features.describe(), tx_type=tx_type
-    )
-    timer = _ValidationTimer(net, result.validation)
-    client = net.client_of(1)
-    endorsers = [net.peer_of(1), net.peer_of(2)]
-
-    def seed(key: str) -> None:
-        client.submit_transaction(
-            net.chaincode_id, "set_private", [net.collection, key],
-            transient={"value": b"12"}, endorsing_peers=endorsers,
-        ).raise_for_status()
-
-    # A read target that exists for every run.
-    if tx_type == "read":
-        seed("bench-key")
-
-    for run in range(runs):
-        if tx_type == "read":
-            function, args, transient = "get_private", [net.collection, "bench-key"], None
-        elif tx_type == "write":
-            function, args, transient = (
-                "set_private", [net.collection, f"bench-{run}"], {"value": b"12"},
-            )
-        else:  # delete
-            seed(f"bench-{run}")
-            function, args, transient = "del_private", [net.collection, f"bench-{run}"], None
-
-        start = time.perf_counter()
-        proposal = client._proposal(net.chaincode_id, function, args, transient)
-        responses = [
-            net.network.request_endorsement(peer, proposal).response for peer in endorsers
-        ]
-        client._check_consistency(proposal, responses)
-        envelope = client.assemble(proposal, responses)
-        result.execution.add(time.perf_counter() - start)
-
-        timer.arm()
-        try:
-            net.network.submit_envelope(envelope).raise_for_status()
-        finally:
-            timer.disarm()
-    return result
+    """Measure one Fig. 11 cell (the one-cell case of :func:`measure_cells`)."""
+    cell = LatencyCell(features, tx_type, framework_label)
+    measure_cells([cell], runs)
+    return cell.result
 
 
 def measure_fig11(
@@ -177,15 +219,14 @@ def measure_fig11(
         ("original", FrameworkFeatures.original()),
         ("modified", FrameworkFeatures.defended()),
     ]
-    results = {}
+    cells = {}
     for label, features in frameworks:
         for tx_type in TX_TYPES:
             if progress:
                 progress(f"{label} framework, {tx_type} transactions")
-            results[(label, tx_type)] = measure_tx_latency(
-                features, tx_type, runs=runs, framework_label=label
-            )
-    return results
+            cells[(label, tx_type)] = LatencyCell(features, tx_type, label)
+    measure_cells(list(cells.values()), runs)
+    return {key: cell.result for key, cell in cells.items()}
 
 
 def overhead_pct(results: dict, tx_type: str, phase: str) -> float:

@@ -21,13 +21,13 @@ computes a minimal endorser set from the chaincode's endorsement policy,
 contacts only that set (in parallel sim-time when an event runtime is
 attached), completes as soon as the collected responses satisfy every
 policy validation will apply, and escalates to backup endorsers on
-failure or timeout.  ``REPRO_ENDORSE_PLAN=0`` disables planning and
-restores the sequential endorse-everywhere path everywhere.
+failure or timeout.  ``endorsement_plan=False`` on a call restores the
+sequential endorse-everywhere path for that call (attack code and the
+sequential reference use it).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -58,19 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import PendingTransaction
 
 
-def endorse_plan_enabled() -> bool:
-    """``REPRO_ENDORSE_PLAN=0`` disables policy-aware endorsement plans."""
-    return os.environ.get("REPRO_ENDORSE_PLAN", "1") != "0"
-
-
-def endorsement_timeout() -> float:
-    """Sim-time wait per endorsement wave (``REPRO_ENDORSE_TIMEOUT``).
-
-    Clamped to a small positive floor: a plan with no timer could wait
-    forever on a dropped message, and liveness accounting expects every
-    endorsement to resolve one way or the other.
-    """
-    return max(0.1, float(os.environ.get("REPRO_ENDORSE_TIMEOUT", "5.0")))
+#: Sim-time wait per endorsement wave.  A plan with no timer could wait
+#: forever on a dropped message, and liveness accounting expects every
+#: endorsement to resolve one way or the other.
+ENDORSEMENT_TIMEOUT = 5.0
 
 
 @dataclass(frozen=True)
@@ -187,7 +178,7 @@ class Gateway:
             proposal = self._proposal(chaincode_id, function, args, transient)
             plan = self._build_plan(chaincode_id, peers)
             return runtime.endorse_async(
-                self, proposal, plan, timeout=endorsement_timeout()
+                self, proposal, plan, timeout=ENDORSEMENT_TIMEOUT
             )
         envelope, payload = self._endorse_and_assemble(
             chaincode_id, function, args, transient, endorsing_peers,
@@ -238,8 +229,6 @@ class Gateway:
         endorsing_peers: Optional[Sequence["PeerNode"]],
         endorsement_plan: Optional[bool],
     ) -> bool:
-        if not endorse_plan_enabled():
-            return False
         if endorsement_plan is not None:
             return endorsement_plan
         return endorsing_peers is None
@@ -361,7 +350,7 @@ class Gateway:
         Version conflicts are the *expected* outcome of concurrent
         read-modify-writes (Section II-B3); the standard client remedy is
         to re-simulate against fresh state and resubmit.  An orderer
-        early abort (``REPRO_REORDER=1``) is the same verdict delivered
+        early abort (``reorder=True``) is the same verdict delivered
         sooner, so it is retried the same way.  Other failure codes are
         not retried — they indicate policy or integrity problems, not
         contention.

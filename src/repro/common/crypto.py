@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import hmac
-import os
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -82,17 +81,29 @@ def _exponent(digest: bytes) -> int:
 # Fast-path switches and precomputation
 # ---------------------------------------------------------------------------
 
-# REPRO_CRYPTO_FAST=0 routes every exponentiation through plain pow()
-# (the naive baseline the ablation bench measures against).
-_FAST_PATH = os.environ.get("REPRO_CRYPTO_FAST", "1") != "0"
-# REPRO_VERIFY_CACHE=0 disables (verification-result) memoization.
-_CACHE_ENABLED = os.environ.get("REPRO_VERIFY_CACHE", "1") != "0"
+# Off routes every exponentiation through plain pow() (the naive
+# baseline tests and the ablation bench compare against).
+_FAST_PATH = True
+# Off disables (verification-result) memoization.
+_CACHE_ENABLED = True
+
+
+def _retire_worker_pool() -> None:
+    """Make pool workers re-fork with this module's current switches.
+
+    A worker keeps the globals it was forked with.  ``shutdown`` is a
+    no-op on the serial backend; a pool re-forks lazily on its next task.
+    """
+    from repro.runtime.executor import current_backend
+
+    current_backend().shutdown()
 
 
 def set_fast_path(enabled: bool) -> None:
-    """Toggle the fixed-base window kernels (bench ablation hook)."""
+    """Toggle the fixed-base window kernels (test/bench reference hook)."""
     global _FAST_PATH
     _FAST_PATH = bool(enabled)
+    _retire_worker_pool()
 
 
 def fast_path_enabled() -> bool:
@@ -100,11 +111,12 @@ def fast_path_enabled() -> bool:
 
 
 def set_verify_cache(enabled: bool) -> None:
-    """Toggle verification-result memoization (bench ablation hook)."""
+    """Toggle verification-result memoization (test/bench reference hook)."""
     global _CACHE_ENABLED
     _CACHE_ENABLED = bool(enabled)
     if not enabled:
         _VERIFY_CACHE.clear()
+    _retire_worker_pool()
 
 
 def verify_cache_enabled() -> bool:

@@ -16,31 +16,31 @@ endorser of a write-only transaction holds the plaintext write set it
 produced and disseminates it to the members, which is what makes the
 paper's fake-write injection commit at victim members.
 
-Two wire-level behaviours are environment decisions (§15 of the
+Two wire-level behaviours are settings of the network (§15 of the
 architecture notes):
 
-* ``REPRO_GOSSIP_BATCH`` — coalesce every private rwset of one
-  endorsement into a single per-target payload (one message per target
-  instead of one per (collection, target)).  Default off: the reference
-  per-push path stays the baseline, and the ``gossip-equivalence``
-  invariant pins both paths to byte-identical private state.
-* ``REPRO_ANTI_ENTROPY_EVERY`` — cadence (simulated seconds) of the
-  digest-driven anti-entropy loop (see ``gossip.anti_entropy``); ``0``
-  disables the loop and leaves pull reconciliation on demand only.
+* ``FabricNetwork(gossip_batch=True)`` — coalesce every private rwset of
+  one endorsement into a single per-target payload (one message per
+  target instead of one per (collection, target)).  Default off: the
+  reference per-push path stays the baseline, and the
+  ``gossip-equivalence`` invariant pins both paths to byte-identical
+  private state.
+* ``FabricNetwork(anti_entropy_every=N)`` — cadence (simulated seconds)
+  of the digest-driven anti-entropy loop (see ``gossip.anti_entropy``);
+  ``0`` disables the loop and leaves pull reconciliation on demand only.
 
-Independent of both toggles, the push set is *rotated* deterministically
+Independent of both settings, the push set is *rotated* deterministically
 from the run seed: ``eligible[:max_peer_count]`` would always starve the
 same tail peers, which then pay every reconciliation round.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
-from repro.common.errors import ConfigError, GossipError
+from repro.common.errors import GossipError
 from repro.common.tracing import PERF
 from repro.storage.codec import pack_private_writes
 
@@ -71,36 +71,6 @@ GossipBatchTransport = Callable[
     ["PeerNode", "PeerNode", str, tuple[PrivateCollectionWrites, ...]], None
 ]
 
-ENV_GOSSIP_BATCH = "REPRO_GOSSIP_BATCH"
-ENV_ANTI_ENTROPY_EVERY = "REPRO_ANTI_ENTROPY_EVERY"
-
-
-def resolve_gossip_batch(enabled: Optional[bool] = None) -> bool:
-    """Batching toggle: explicit argument > ``REPRO_GOSSIP_BATCH`` > off."""
-    if enabled is None:
-        raw = os.environ.get(ENV_GOSSIP_BATCH, "").strip()
-        enabled = raw not in ("", "0", "false", "no")
-    return bool(enabled)
-
-
-def resolve_anti_entropy_every(every: Optional[float] = None) -> float:
-    """Anti-entropy cadence: argument > ``REPRO_ANTI_ENTROPY_EVERY`` > off."""
-    if every is None:
-        raw = os.environ.get(ENV_ANTI_ENTROPY_EVERY, "").strip()
-        if not raw:
-            return 0.0
-        try:
-            every = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_ANTI_ENTROPY_EVERY} must be a number of simulated "
-                f"seconds, got {raw!r}"
-            )
-    every = float(every)
-    if every < 0:
-        raise ConfigError(f"anti-entropy cadence must be >= 0, got {every}")
-    return every
-
 
 def payload_bytes(writes: PrivateCollectionWrites) -> int:
     """Wire size of one collection rwset (the archive framing)."""
@@ -116,10 +86,10 @@ def payload_bytes(writes: PrivateCollectionWrites) -> int:
 class GossipNetwork:
     """The channel-wide gossip membership view."""
 
-    def __init__(self, channel: "ChannelConfig", batch: Optional[bool] = None) -> None:
+    def __init__(self, channel: "ChannelConfig", batch: bool = False) -> None:
         self._channel = channel
         self._peers: list["PeerNode"] = []
-        self.batch_enabled = resolve_gossip_batch(batch)
+        self.batch_enabled = batch
         #: Seed for deterministic push-set rotation and anti-entropy source
         #: selection; ``attach_runtime`` overwrites it with the run seed.
         self.rotation_seed = 0

@@ -1,14 +1,14 @@
 """Signed state snapshots: checkpointed peer bootstrap with tail replay.
 
 Models Fabric's ledger checkpointing/snapshot feature for the recovery
-and join path.  Every ``REPRO_SNAPSHOT_EVERY`` blocks a peer derives a
+and join path.  Every ``snapshot_every`` blocks a peer derives a
 :class:`SnapshotManifest` from its committed state — block height, last
 block hash, a digest over the state every peer shares (public world
 state + metadata + the private *hash* store) and per-collection digests
 over the hashed private entries — signs it, and gossips the signature.
 When the accumulated certificates satisfy the channel policy the
 snapshot is *sealed*: it is now an attested checkpoint any peer may
-bootstrap from, and (under ``REPRO_PRUNE``) the blocks below it may be
+bootstrap from, and (under ``prune=True``) the blocks below it may be
 archived.
 
 The manifest deliberately covers only state all peers share.  Private
@@ -36,12 +36,11 @@ during tail replay, so pruning can never resurrect BTL-purged plaintext.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.common.errors import ConfigError, SnapshotError
+from repro.common.errors import SnapshotError
 from repro.common.hashing import hash_key, hash_value
 from repro.common.serialization import canonical_bytes
 from repro.ledger.ledger import (
@@ -68,9 +67,6 @@ from repro.storage.codec import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.network.channel import ChannelConfig
 
-ENV_SNAPSHOT_EVERY = "REPRO_SNAPSHOT_EVERY"
-ENV_PRUNE = "REPRO_PRUNE"
-
 #: Channel policy a snapshot's signature set must satisfy before the
 #: snapshot counts as sealed — the same majority-of-orgs rule the default
 #: chaincode endorsement uses.
@@ -87,32 +83,6 @@ NS_SNAPSHOTS = "snapshots"
 #: Sealed snapshots retained per peer; older ones are dropped so snapshot
 #: storage stays bounded regardless of chain length.
 RETAIN_SNAPSHOTS = 2
-
-
-def resolve_snapshot_every(every: Optional[int] = None) -> int:
-    """Snapshot interval: explicit argument > env var > 0 (disabled)."""
-    if every is None:
-        raw = os.environ.get(ENV_SNAPSHOT_EVERY, "").strip()
-        if raw:
-            try:
-                every = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{ENV_SNAPSHOT_EVERY}={raw!r} is not an integer"
-                ) from None
-        else:
-            every = 0
-    if every < 0:
-        raise ConfigError(f"snapshot interval must be >= 0, got {every}")
-    return every
-
-
-def resolve_prune(prune: Optional[bool] = None) -> bool:
-    """Pruning toggle: explicit argument > env var > False."""
-    if prune is None:
-        raw = os.environ.get(ENV_PRUNE, "").strip()
-        prune = raw not in ("", "0", "false", "no")
-    return bool(prune)
 
 
 @dataclass(frozen=True)

@@ -17,19 +17,11 @@ from repro.client.gateway import Gateway, SubmitResult
 from repro.common.errors import ConfigError, EndorsementError
 from repro.common.tracing import PERF, Tracer
 from repro.core.defense.features import FrameworkFeatures
-from repro.gossip.dissemination import (
-    GossipNetwork,
-    resolve_anti_entropy_every,
-    resolve_gossip_batch,
-)
+from repro.gossip.dissemination import GossipNetwork
 from repro.gossip.reconciler import Reconciler
-from repro.ledger.snapshot import (
-    bootstrap_from_package,
-    resolve_prune,
-    resolve_snapshot_every,
-)
+from repro.ledger.snapshot import bootstrap_from_package
 from repro.network.channel import ChannelConfig
-from repro.orderer.reorder import ReorderPipeline, conflict_scopes, resolve_reorder
+from repro.orderer.reorder import ReorderPipeline, conflict_scopes
 from repro.orderer.service import OrderingService
 from repro.peer.endorser import EndorsementOutput
 from repro.peer.node import PeerNode
@@ -56,11 +48,11 @@ class FabricNetwork:
         tracer: "Tracer | None" = None,
         state_backend: str | None = None,
         state_dir: str | None = None,
-        snapshot_every: int | None = None,
-        prune: bool | None = None,
-        reorder: bool | None = None,
-        gossip_batch: bool | None = None,
-        anti_entropy_every: float | None = None,
+        snapshot_every: int = 0,
+        prune: bool = False,
+        reorder: bool = False,
+        gossip_batch: bool = False,
+        anti_entropy_every: float = 0.0,
     ) -> None:
         self.channel = channel
         self.features = features or FrameworkFeatures.original()
@@ -70,37 +62,35 @@ class FabricNetwork:
         # scratch directory.
         self.state_backend = resolve_backend_kind(state_backend)
         self._state_dir = state_dir
-        # Snapshot checkpointing interval and pruning toggle for every
-        # peer (resolved from REPRO_SNAPSHOT_EVERY / REPRO_PRUNE when not
-        # given; 0 / False keep the un-snapshotted reference behaviour).
-        self.snapshot_every = resolve_snapshot_every(snapshot_every)
-        self.prune_enabled = resolve_prune(prune)
-        # Gossip fast path (resolved from REPRO_GOSSIP_BATCH /
-        # REPRO_ANTI_ENTROPY_EVERY when not given): coalesced per-target
-        # dissemination payloads, and the cadence of the digest-driven
+        # Snapshot checkpointing interval and pruning switch for every
+        # peer (0 / False keep the un-snapshotted reference behaviour).
+        if snapshot_every < 0:
+            raise ConfigError(f"snapshot interval must be >= 0, got {snapshot_every}")
+        self.snapshot_every = snapshot_every
+        self.prune_enabled = prune
+        # Gossip fast path: coalesced per-target dissemination payloads,
+        # and the cadence (simulated seconds) of the digest-driven
         # anti-entropy loop the runtime schedules (0 = off).
-        self.gossip_batch_enabled = resolve_gossip_batch(gossip_batch)
-        self.anti_entropy_every = resolve_anti_entropy_every(anti_entropy_every)
-        self.gossip = GossipNetwork(channel, batch=self.gossip_batch_enabled)
+        if anti_entropy_every < 0:
+            raise ConfigError(
+                f"anti-entropy cadence must be >= 0, got {anti_entropy_every}"
+            )
+        self.anti_entropy_every = anti_entropy_every
+        self.gossip = GossipNetwork(channel, batch=gossip_batch)
         self.reconciler = Reconciler(self.gossip)
-        # Conflict-aware ordering (resolved from REPRO_REORDER when not
-        # given): the orderer reorders each cut batch along its conflict
-        # graph and early-aborts provably doomed transactions.
-        self.reorder_enabled = resolve_reorder(reorder)
+        # Conflict-aware ordering: the orderer reorders each cut batch
+        # along its conflict graph and early-aborts provably doomed
+        # transactions.
         self.orderer = OrderingService(
             cluster_size=orderer_cluster_size,
             batch_size=batch_size,
-            reorderer=(
-                ReorderPipeline(channel, self.features)
-                if self.reorder_enabled
-                else None
-            ),
+            reorderer=ReorderPipeline(channel, self.features) if reorder else None,
         )
         self._peers: dict[str, PeerNode] = {}
         self._peer_delivery: dict[str, Callable[["Block"], object]] = {}
         self._disseminate = disseminate_on_endorsement
         self.tracer = tracer
-        if self.reorder_enabled and tracer is not None:
+        if reorder and tracer is not None:
             self.orderer.on_early_abort(
                 lambda envelope, reason, conflict_block: tracer.record(
                     "orderer", "early-abort", envelope.tx_id,
@@ -228,10 +218,10 @@ class FabricNetwork:
         runs the event loop until its own commit.  Attach the runtime
         *after* adding peers but before submitting traffic.
 
-        ``mempool_limit`` bounds transactions in flight (default: the
-        ``REPRO_MEMPOOL_LIMIT`` env var, else unbounded); ``validate_cost``
-        attaches a :class:`~repro.runtime.executor.ValidationCostModel`
-        charging each block's validation its simulated service time.
+        ``mempool_limit`` bounds transactions in flight (default:
+        unbounded); ``validate_cost`` attaches a
+        :class:`~repro.runtime.executor.ValidationCostModel` charging each
+        block's validation its simulated service time.
         """
         if self.runtime is not None:
             raise ConfigError("a runtime is already attached to this network")
@@ -414,9 +404,6 @@ class FabricNetwork:
         if len(statuses) > 1:  # pragma: no cover - would indicate a simulator bug
             raise EndorsementError(f"peers disagree on tx {tx_id}: {statuses}")
         return statuses.pop()
-
-    # Backwards-compatible alias (pre-runtime name).
-    _status_of = status_of
 
     # -- maintenance --------------------------------------------------------------
     def reconcile_private_data(self) -> int:

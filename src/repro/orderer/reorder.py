@@ -53,7 +53,6 @@ serial and process-pool executions byte-identical.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -66,9 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.defense.features import FrameworkFeatures
     from repro.network.channel import ChannelConfig
 
-#: Environment toggle: ``REPRO_REORDER=1`` enables the pipeline.
-ENV_REORDER = "REPRO_REORDER"
-
 #: The two flags a conflict-aware orderer may predict-and-abort on.
 _CONFLICT_FLAGS = (
     ValidationCode.MVCC_READ_CONFLICT,
@@ -78,14 +74,6 @@ _CONFLICT_FLAGS = (
 #: ``scope`` classification of a committed MVCC/phantom abort.
 SCOPE_WITHIN_BLOCK = "within-block"
 SCOPE_CROSS_BLOCK = "cross-block"
-
-
-def resolve_reorder(enabled: Optional[bool] = None) -> bool:
-    """Reorder toggle: explicit argument > ``REPRO_REORDER`` > off."""
-    if enabled is None:
-        raw = os.environ.get(ENV_REORDER, "").strip()
-        enabled = raw not in ("", "0", "false", "no")
-    return bool(enabled)
 
 
 # ---------------------------------------------------------------------------

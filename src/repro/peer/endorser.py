@@ -14,7 +14,6 @@ the proposal-response payload.  Two paper-relevant behaviours live here:
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional
@@ -43,11 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bound on cached endorsements per peer between commits; a commit clears
 #: the cache anyway, the cap only guards against unbounded query storms.
 _SIM_CACHE_MAX = 512
-
-
-def endorse_cache_enabled() -> bool:
-    """``REPRO_ENDORSE_CACHE=0`` disables the peer-side simulation cache."""
-    return os.environ.get("REPRO_ENDORSE_CACHE", "1") != "0"
 
 
 #: Every live endorser, so ``clear_simulation_caches`` (hooked into
@@ -84,23 +78,15 @@ class Endorser:
         channel: "ChannelConfig",
         chaincodes: Mapping[str, Chaincode],
         features: FrameworkFeatures,
-        use_sim_cache: Optional[bool] = None,
     ) -> None:
         self._identity = identity
         self._ledger = ledger
         self._channel = channel
         self._chaincodes = chaincodes
         self._features = features
-        # None = consult REPRO_ENDORSE_CACHE per call (PR 4 toggle pattern).
-        self._use_sim_cache = use_sim_cache
         self._sim_cache: dict[bytes, EndorsementOutput] = {}
         self._sim_cache_height = -1
         _LIVE_ENDORSERS.add(self)
-
-    def _cache_enabled(self) -> bool:
-        if self._use_sim_cache is not None:
-            return self._use_sim_cache
-        return endorse_cache_enabled()
 
     def _cache_lookup(self, proposal: Proposal, reusable: bool) -> Optional[EndorsementOutput]:
         """Answer from the simulation cache, invalidating on state change.
@@ -157,11 +143,9 @@ class Endorser:
         from a previous simulation of the same invocation at the same
         state height (see :meth:`_cache_lookup`).
         """
-        caching = self._cache_enabled()
-        if caching:
-            cached = self._cache_lookup(proposal, reusable)
-            if cached is not None:
-                return cached
+        cached = self._cache_lookup(proposal, reusable)
+        if cached is not None:
+            return cached
         contract = self._chaincodes.get(proposal.chaincode_id)
         if contract is None:
             raise EndorsementError(
@@ -226,6 +210,5 @@ class Endorser:
         output = EndorsementOutput(
             response=proposal_response, private_writes=simulation.private_writes
         )
-        if caching:
-            self._cache_store(proposal, output)
+        self._cache_store(proposal, output)
         return output

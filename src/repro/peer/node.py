@@ -27,8 +27,6 @@ from repro.ledger.snapshot import (
     SnapshotStore,
     build_snapshot,
     filter_package_for,
-    resolve_prune,
-    resolve_snapshot_every,
 )
 from repro.peer.committer import Committer
 from repro.peer.endorser import EndorsementOutput, Endorser
@@ -54,16 +52,16 @@ class PeerNode:
         channel: "ChannelConfig",
         features: FrameworkFeatures | None = None,
         backend: Optional[KVBackend] = None,
-        snapshot_every: Optional[int] = None,
-        prune: Optional[bool] = None,
+        snapshot_every: int = 0,
+        prune: bool = False,
     ) -> None:
         self.identity = identity
         self.channel = channel
         self.features = features or FrameworkFeatures.original()
         self.ledger = PeerLedger(backend)
         self.crashed = False
-        self.snapshot_every = resolve_snapshot_every(snapshot_every)
-        self.prune_enabled = resolve_prune(prune)
+        self.snapshot_every = snapshot_every
+        self.prune_enabled = prune
         self.snapshots = SnapshotStore(self.ledger)
         self._chaincodes: dict[str, Chaincode] = {}
         self._endorser = Endorser(

@@ -25,7 +25,6 @@ before evaluating any policy of a PDC transaction.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.common import crypto
@@ -39,11 +38,6 @@ from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
-
-
-def shared_vscc_enabled() -> bool:
-    """The ``REPRO_SHARED_VSCC=0`` escape hatch (read per block)."""
-    return os.environ.get("REPRO_SHARED_VSCC", "1") != "0"
 
 
 # The shared VSCC memo: per channel object, {(block hash, features) ->
@@ -75,12 +69,12 @@ class Validator:
         self,
         channel: "ChannelConfig",
         features: FrameworkFeatures,
-        use_shared_memo: Optional[bool] = None,
+        use_shared_memo: bool = True,
     ) -> None:
         self._channel = channel
         self._features = features
         self._evaluator = channel.evaluator()
-        # None -> consult REPRO_SHARED_VSCC per block; True/False -> pin.
+        # False is for oracles: validate afresh, never read or feed the memo.
         self._use_shared_memo = use_shared_memo
         # Per-channel certificate-validation memo: the MSP registry
         # already caches CA checks, but it keys by a 5-field tuple built
@@ -112,12 +106,7 @@ class Validator:
         """
         memo: Optional[dict] = None
         memo_key = None
-        use_memo = (
-            shared_vscc_enabled()
-            if self._use_shared_memo is None
-            else self._use_shared_memo
-        )
-        if use_memo:
+        if self._use_shared_memo:
             memo = _shared_memo_for(self._channel)
             memo_key = (block.header.block_hash(), self._features)
             hit = memo.get(memo_key)

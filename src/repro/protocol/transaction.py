@@ -27,7 +27,7 @@ class ValidationCode(str, enum.Enum):
     BAD_RESPONSE_STATUS = "BAD_RESPONSE_STATUS"
     DUPLICATE_TXID = "DUPLICATE_TXID"
     INVALID_OTHER = "INVALID_OTHER"
-    # Assigned by the conflict-aware ordering service (REPRO_REORDER=1),
+    # Assigned by the conflict-aware ordering service (``reorder=True``),
     # never by a validating peer: the transaction was dropped before block
     # inclusion because its reads were provably stale, so this code never
     # appears in block metadata — only in client-facing submit results.

@@ -12,7 +12,7 @@ concurrently.  Attach one with ``network.attach_runtime(seed=...)``.
 The package also hosts the pluggable :mod:`execution backends
 <repro.runtime.executor>`: the serial byte-identical reference and the
 ``multiprocessing`` pool that CPU-bound crypto offloads through, selected
-via ``REPRO_EXECUTOR`` / ``REPRO_EXECUTOR_WORKERS``.
+via ``REPRO_EXECUTOR`` (``serial`` | ``process[:N]``).
 """
 
 from repro.runtime.bus import Endpoint, Message, MessageBus
@@ -41,7 +41,6 @@ from repro.runtime.runtime import (
     DEFAULT_BATCH_TIMEOUT,
     PendingTransaction,
     TransactionRuntime,
-    resolve_mempool_limit,
 )
 from repro.runtime.scheduler import EventScheduler, ScheduledEvent
 
@@ -67,7 +66,6 @@ __all__ = [
     "plan_shards",
     "reset_backend",
     "resolve_executor_kind",
-    "resolve_mempool_limit",
     "resolve_worker_count",
     "set_backend",
     "shard_makespan",

@@ -26,9 +26,9 @@ what makes the ``parallel-equivalence`` simulation invariant (process
 run byte-identical to the serial reference) checkable at all.
 
 Selection follows the storage-factory idiom: explicit argument over the
-``REPRO_EXECUTOR`` environment variable over the serial default.  The
-spec accepts an inline worker count (``process:4``); otherwise
-``REPRO_EXECUTOR_WORKERS`` sets it.
+``REPRO_EXECUTOR`` environment variable over the serial default, the
+variable read once per process (and again after :func:`reset_backend`).
+The worker count rides in the spec (``process:4``).
 
 :class:`ValidationCostModel` is the simulated-time face of the same
 plan: it charges a block's validation *service time* as the makespan of
@@ -43,6 +43,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,7 +51,6 @@ from repro.common.errors import ConfigError
 from repro.common.tracing import PERF
 
 ENV_VAR = "REPRO_EXECUTOR"
-ENV_WORKERS = "REPRO_EXECUTOR_WORKERS"
 
 #: Recognised backend kinds (the spec may carry an inline worker count,
 #: e.g. ``process:4``).
@@ -86,20 +86,11 @@ def resolve_executor_kind(kind: Optional[str] = None) -> str:
 def resolve_worker_count(
     workers: Optional[int] = None, spec: Optional[str] = None
 ) -> int:
-    """Worker count: explicit over spec-inline over env over kind default."""
+    """Worker count: explicit over spec-inline over kind default."""
     if workers is None:
-        kind, inline = _parse_spec(spec if spec is not None else resolve_executor_kind())
-        if inline is not None:
-            workers = inline
-        else:
-            env = os.environ.get(ENV_WORKERS)
-            if env:
-                try:
-                    workers = int(env)
-                except ValueError:
-                    raise ConfigError(f"invalid {ENV_WORKERS} value {env!r}")
-            else:
-                workers = _DEFAULT_PROCESS_WORKERS if kind == "process" else 1
+        kind, workers = _parse_spec(spec if spec is not None else resolve_executor_kind())
+        if workers is None:
+            workers = _DEFAULT_PROCESS_WORKERS if kind == "process" else 1
     if workers < 1:
         raise ConfigError(f"executor worker count must be >= 1, got {workers}")
     return workers
@@ -185,16 +176,11 @@ def _init_worker() -> None:
     """Pool-worker initializer: pin the child to the serial reference.
 
     A forked child inherits the parent's module state — including the
-    active :class:`ProcessPoolBackend` and any ``REPRO_EXECUTOR`` env —
-    so without this a task could try to re-offload into a pool handle
-    that only works from the parent.
+    active :class:`ProcessPoolBackend` — so without this a task could
+    try to re-offload into a pool handle that only works from the parent.
     """
-    global _ACTIVE, _ACTIVE_SPEC, _PINNED
-    os.environ[ENV_VAR] = "serial"
-    os.environ.pop(ENV_WORKERS, None)
-    _PINNED = None
-    _ACTIVE = None
-    _ACTIVE_SPEC = None
+    global _ACTIVE
+    _ACTIVE = SerialBackend()
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -243,12 +229,12 @@ class ProcessPoolBackend(ExecutionBackend):
 # The active backend
 # ---------------------------------------------------------------------------
 
-_PINNED: Optional[ExecutionBackend] = None
 _ACTIVE: Optional[ExecutionBackend] = None
-_ACTIVE_SPEC: Optional[tuple] = None
 
 
-def _build(kind: str, workers: int) -> ExecutionBackend:
+def _build(spec: str, workers: Optional[int] = None) -> ExecutionBackend:
+    kind, _ = _parse_spec(spec)
+    workers = resolve_worker_count(workers, spec=spec)
     if kind == "process":
         return ProcessPoolBackend(workers)
     return SerialBackend(workers)
@@ -257,55 +243,61 @@ def _build(kind: str, workers: int) -> ExecutionBackend:
 def current_backend() -> ExecutionBackend:
     """The backend hot call sites offload through.
 
-    A pinned backend (:func:`set_backend`) wins; otherwise the
-    environment spec is re-resolved on every call — the toggle idiom the
-    benches rely on — and the cached instance is rebuilt (previous pool
-    shut down) whenever the resolved ``(kind, workers)`` changes.
+    Whatever :func:`set_backend` or :func:`pinned_backend` installed;
+    otherwise the ``REPRO_EXECUTOR`` spec, resolved on first use and kept
+    until :func:`reset_backend` — the environment says where a process
+    runs its work once, it is not re-read per call.
     """
-    if _PINNED is not None:
-        return _PINNED
-    global _ACTIVE, _ACTIVE_SPEC
-    spec = resolve_executor_kind()
-    kind, _ = _parse_spec(spec)
-    workers = resolve_worker_count(spec=spec)
-    if _ACTIVE is None or _ACTIVE_SPEC != (kind, workers):
-        if _ACTIVE is not None:
-            _ACTIVE.shutdown()
-        _ACTIVE = _build(kind, workers)
-        _ACTIVE_SPEC = (kind, workers)
+    global _ACTIVE
+    if _ACTIVE is None:
+        _ACTIVE = _build(resolve_executor_kind())
     return _ACTIVE
 
 
 def set_backend(
     kind: Optional[str] = None, workers: Optional[int] = None
 ) -> ExecutionBackend:
-    """Pin the active backend explicitly (pass ``None`` to unpin).
+    """Install the active backend, shutting the previous one down.
 
-    Pinning bypasses the environment entirely — ``SimulationConfig``
-    pins via the spec it recorded so a replayed trace reproduces the
-    original run's executor even under a different environment.
+    An explicit backend bypasses the environment; ``None`` returns to it.
     """
-    global _PINNED
-    if _PINNED is not None:
-        _PINNED.shutdown()
-        _PINNED = None
-    if kind is None:
-        return current_backend()
-    spec = resolve_executor_kind(kind)
-    parsed_kind, _ = _parse_spec(spec)
-    _PINNED = _build(parsed_kind, resolve_worker_count(workers, spec=spec))
-    return _PINNED
+    global _ACTIVE
+    reset_backend()
+    if kind is not None:
+        _ACTIVE = _build(kind, workers)
+    return current_backend()
+
+
+@contextmanager
+def pinned_backend(spec: str):
+    """Scope in which :func:`current_backend` is the backend ``spec`` names.
+
+    ``harness.execute`` runs under the spec its config recorded.  An
+    active backend that already is that spec is kept (one pool serves a
+    whole ``REPRO_EXECUTOR=process:2`` process); otherwise the scope
+    builds one, shuts it down on exit — a pool lives for one run at most
+    — and restores what was active, untouched.
+    """
+    global _ACTIVE
+    previous = current_backend()
+    backend = _build(spec)
+    if backend.describe() == previous.describe():
+        backend = previous
+    _ACTIVE = backend
+    try:
+        yield backend
+    finally:
+        _ACTIVE = previous
+        if backend is not previous:
+            backend.shutdown()
 
 
 def reset_backend() -> None:
-    """Unpin and drop the cached backend (test/bench isolation hook)."""
-    global _PINNED, _ACTIVE, _ACTIVE_SPEC
-    for backend in (_PINNED, _ACTIVE):
-        if backend is not None:
-            backend.shutdown()
-    _PINNED = None
+    """Drop the active backend; the next use re-resolves ``REPRO_EXECUTOR``."""
+    global _ACTIVE
+    if _ACTIVE is not None:
+        _ACTIVE.shutdown()
     _ACTIVE = None
-    _ACTIVE_SPEC = None
 
 
 @atexit.register
@@ -329,8 +321,7 @@ class ValidationCostModel:
     the *same* plan the executor uses for real offload, so the model
     charges exactly the parallelism that actually executed.  ``workers``
     of ``None`` follows :func:`current_backend`, which is how the
-    workers-vs-throughput ablation varies parallelism from the
-    environment.
+    workers-vs-throughput ablation varies parallelism per leg.
 
     Defaults are calibrated against the measured serial cost of the
     batched verifier on this codebase's 1536-bit group (~1 simulated

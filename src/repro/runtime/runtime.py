@@ -33,7 +33,6 @@ The synchronous API stays available: with a runtime attached,
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
@@ -61,23 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Simulated time the orderer waits before cutting an under-filled batch.
 DEFAULT_BATCH_TIMEOUT = 10.0
-
-#: Environment override for the submit-pipeline mempool bound.
-ENV_MEMPOOL_LIMIT = "REPRO_MEMPOOL_LIMIT"
-
-
-def resolve_mempool_limit(limit: Optional[int] = None) -> Optional[int]:
-    """Mempool bound: explicit over ``REPRO_MEMPOOL_LIMIT`` over unbounded."""
-    if limit is None:
-        env = os.environ.get(ENV_MEMPOOL_LIMIT)
-        if env:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise ConfigError(f"invalid {ENV_MEMPOOL_LIMIT} value {env!r}")
-    if limit is not None and limit < 1:
-        raise ConfigError(f"mempool limit must be >= 1, got {limit}")
-    return limit
 
 TOPIC_SUBMIT = "submit"
 TOPIC_DELIVER = "deliver-block"
@@ -193,8 +175,10 @@ class TransactionRuntime:
         self.scheduler = EventScheduler(seed=seed)
         self.bus = MessageBus(self.scheduler, latency=latency, faults=faults)
         self.batch_timeout = batch_timeout
+        if mempool_limit is not None and mempool_limit < 1:
+            raise ConfigError(f"mempool limit must be >= 1, got {mempool_limit}")
         #: Max transactions in flight; ``None`` keeps the pipeline open-loop.
-        self.mempool_limit = resolve_mempool_limit(mempool_limit)
+        self.mempool_limit = mempool_limit
         #: Submissions refused by the mempool bound.
         self.mempool_rejections = 0
         #: Optional simulated-time model charging each block's validation

@@ -6,7 +6,10 @@ policies, defense features, orderer batching, latency/fault intensity and
 workload mix.  ``SimulationConfig.generate(seed, ops)`` expands a seed
 into a config; the same seed always yields the same config, and a config
 round-trips through JSON (``to_wire``/``from_wire``) so a failing trace
-can be replayed from a file by a process that never saw the seed.
+can be replayed from a file by a process that never saw the seed — or
+the environment: every setting a run depends on is a field here, and
+only ``state_backend`` and ``executor`` (where work happens, never what
+it computes) take their default from an environment variable.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from repro.gossip.dissemination import resolve_anti_entropy_every, resolve_gossip_batch
-from repro.ledger.snapshot import resolve_prune, resolve_snapshot_every
-from repro.orderer.reorder import resolve_reorder
 from repro.runtime.executor import resolve_executor_kind
 from repro.storage import resolve_backend_kind
 
@@ -60,19 +60,14 @@ class SimulationConfig:
     bursts: tuple = ()  # ((start, end, rate multiplier), ...) burst windows
     retry_budget: int = 0  # admission/retry policy budget per logical tx
     mempool_limit: int = 0  # submit-pipeline bound; 0 = unbounded
-    # -- snapshot checkpointing (environment decisions like the storage
-    # backend: REPRO_SNAPSHOT_EVERY / REPRO_PRUNE or --snapshot-every /
-    # --prune; 0 / False keep the un-snapshotted reference behaviour) -------
+    # -- fast paths a seed never draws: set by the caller (simulate's
+    # --snapshot-every / --prune / --reorder / --gossip-batch /
+    # --anti-entropy-every), each pinned to the reference behaviour by its
+    # own invariant (snapshot-equivalence, reorder-soundness,
+    # gossip-equivalence) --------------------------------------------------
     snapshot_every: int = 0  # blocks between snapshot manifests; 0 = off
     prune: bool = False  # archive pre-snapshot blocks once sealed
-    # -- conflict-aware ordering (an environment decision like the above:
-    # REPRO_REORDER or --reorder; False keeps the arrival-order reference
-    # behaviour) ------------------------------------------------------------
     reorder: bool = False  # reorder batches + early-abort doomed txs
-    # -- the gossip fast path (environment decisions like the above:
-    # REPRO_GOSSIP_BATCH / REPRO_ANTI_ENTROPY_EVERY or --gossip-batch /
-    # --anti-entropy-every; off keeps the per-push reference behaviour
-    # and on-demand-only reconciliation) -------------------------------------
     gossip_batch: bool = False  # coalesce one endorsement's pushes per target
     anti_entropy_every: float = 0.0  # digest-loop cadence (sim s); 0 = off
     # -- peer validation service time: simulated seconds charged per block
@@ -169,20 +164,6 @@ class SimulationConfig:
             # invariant enforces exactly that), so it is an environment
             # decision (REPRO_EXECUTOR or --executor) recorded for replay.
             executor=resolve_executor_kind(),
-            # Snapshot cadence and pruning are environment decisions too:
-            # a checkpointed run must commit the same history as the
-            # reference (the snapshot-equivalence invariant enforces it).
-            snapshot_every=resolve_snapshot_every(),
-            prune=resolve_prune(),
-            # Conflict-aware ordering is an environment decision too: it
-            # must only drop provably doomed transactions (the
-            # reorder-soundness invariant enforces it).
-            reorder=resolve_reorder(),
-            # The gossip fast path is an environment decision as well: the
-            # gossip-equivalence invariant pins batched dissemination to
-            # the reference path's byte-identical private state.
-            gossip_batch=resolve_gossip_batch(),
-            anti_entropy_every=resolve_anti_entropy_every(),
         )
 
     @staticmethod
@@ -251,11 +232,6 @@ class SimulationConfig:
             bursts=bursts,
             retry_budget=rng.randint(1, 3),
             mempool_limit=rng.choice([0, 8, 16]),
-            snapshot_every=resolve_snapshot_every(),
-            prune=resolve_prune(),
-            reorder=resolve_reorder(),
-            gossip_batch=resolve_gossip_batch(),
-            anti_entropy_every=resolve_anti_entropy_every(),
         )
 
     @classmethod

@@ -4,13 +4,13 @@ The harness is the only module that touches the live objects; everything
 upstream (config, workload, fault plan) is pure data and everything
 downstream (invariants, shrinking) consumes the :class:`SimulationReport`
 it produces.  ``execute(config, ops, faults)`` is the replay function:
-called twice with the same inputs it produces the same history, which is
-what seed replay and trace shrinking rely on.
+called twice with the same inputs it produces the same history — in any
+process, under any environment — which is what seed replay and trace
+shrinking rely on.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -27,8 +27,7 @@ from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
-from repro.runtime import executor as executor_mod
-from repro.runtime.executor import ValidationCostModel
+from repro.runtime.executor import ValidationCostModel, pinned_backend
 from repro.runtime.faults import FaultInjector, LatencyModel
 from repro.runtime.runtime import GOSSIP_TOPICS
 from repro.simulation.config import SimulationConfig
@@ -279,78 +278,56 @@ def execute(
     fault_actions: list,
     weaken: Optional[str] = None,
 ) -> SimulationReport:
-    """Run one (config, ops, faults) triple and check every invariant."""
-    # Whether an op endorses through a plan is recorded per spec
-    # (``use_plan``), so replay must not depend on the ambient
-    # ``REPRO_ENDORSE_PLAN`` kill switch: pin it on for the run.  (The
-    # state backend, by contrast, changes durability but never behaviour,
-    # which is why it *is* an environment decision.)  The execution
-    # backend is pinned to what the config recorded so a replayed trace
-    # runs the same mechanism the original did — the parallel-equivalence
-    # invariant is what guarantees the *results* never depend on it.
-    saved_plan = os.environ.get("REPRO_ENDORSE_PLAN")
-    saved_executor = os.environ.get(executor_mod.ENV_VAR)
-    os.environ["REPRO_ENDORSE_PLAN"] = "1"
-    os.environ[executor_mod.ENV_VAR] = config.executor
-    try:
-        return _execute(config, ops, fault_actions, weaken)
-    finally:
-        if saved_plan is None:
-            os.environ.pop("REPRO_ENDORSE_PLAN", None)
-        else:
-            os.environ["REPRO_ENDORSE_PLAN"] = saved_plan
-        if saved_executor is None:
-            os.environ.pop(executor_mod.ENV_VAR, None)
-        else:
-            os.environ[executor_mod.ENV_VAR] = saved_executor
+    """Run one (config, ops, faults) triple and check every invariant.
 
+    Every setting the run depends on is a field of ``config`` or
+    recorded per op (``OpSpec.use_plan``); nothing in the process
+    environment changes what it computes.  The execution backend is
+    pinned to what the config recorded so a replayed trace runs the
+    mechanism the original did — the parallel-equivalence invariant
+    guarantees the *results* never depend on it.
+    """
+    with pinned_backend(config.executor):
+        sim = build_network(config)
+        runtime = sim.network.runtime
+        assert runtime is not None
+        if weaken is not None:
+            WEAKENERS[weaken](sim)
 
-def _execute(
-    config: SimulationConfig,
-    ops: list,
-    fault_actions: list,
-    weaken: Optional[str] = None,
-) -> SimulationReport:
-    sim = build_network(config)
-    runtime = sim.network.runtime
-    assert runtime is not None
-    if weaken is not None:
-        WEAKENERS[weaken](sim)
+        monitor = BlockBoundaryMonitor()
+        monitor.attach(sim.all_peers())
+        recovery = RecoveryMonitor(sim.network.channel, sim.network.features)
+        recovery.attach(runtime)
 
-    monitor = BlockBoundaryMonitor()
-    monitor.attach(sim.all_peers())
-    recovery = RecoveryMonitor(sim.network.channel, sim.network.features)
-    recovery.attach(runtime)
+        outcomes = [OpOutcome(spec=spec) for spec in ops]
+        for outcome in outcomes:
+            runtime.scheduler.call_at(outcome.spec.at, _submitter(sim, outcome))
+        for action in fault_actions:
+            runtime.scheduler.call_at(
+                action.at, (lambda a=action: a.apply(runtime)), priority=-1
+            )
 
-    outcomes = [OpOutcome(spec=spec) for spec in ops]
-    for outcome in outcomes:
-        runtime.scheduler.call_at(outcome.spec.at, _submitter(sim, outcome))
-    for action in fault_actions:
-        runtime.scheduler.call_at(
-            action.at, (lambda a=action: a.apply(runtime)), priority=-1
-        )
+        runtime.run()
 
-    runtime.run()
+        # Drive to quiescence: heal everything, repair missed deliveries,
+        # then reconcile private data to a fixpoint.
+        faults = runtime.bus.faults
+        faults.heal()
+        faults.drop_rate = 0.0
+        faults.topic_drop_rates.clear()
+        runtime.bus.latency.jitter = config.jitter
+        caught_up = runtime.catch_up()
+        runtime.run()
+        reconciled = 0
+        for _ in range(10):
+            repaired = sim.network.reconcile_private_data()
+            reconciled += repaired
+            if repaired == 0:
+                break
 
-    # Drive to quiescence: heal everything, repair missed deliveries, then
-    # reconcile private data to a fixpoint.
-    faults = runtime.bus.faults
-    faults.heal()
-    faults.drop_rate = 0.0
-    faults.topic_drop_rates.clear()
-    runtime.bus.latency.jitter = config.jitter
-    caught_up = runtime.catch_up()
-    runtime.run()
-    reconciled = 0
-    for _ in range(10):
-        repaired = sim.network.reconcile_private_data()
-        reconciled += repaired
-        if repaired == 0:
-            break
-
-    violations = list(monitor.violations)
-    violations.extend(recovery.violations)
-    violations.extend(run_quiescence_checks(sim, outcomes))
+        violations = list(monitor.violations)
+        violations.extend(recovery.violations)
+        violations.extend(run_quiescence_checks(sim, outcomes))
 
     reference = sim.all_peers()[0]
     stats = {
@@ -684,11 +661,11 @@ def run_parallel_equivalence(
     workers: int = 4,
     weaken: Optional[str] = None,
     workload: str = "mixed",
-    snapshot_every: Optional[int] = None,
-    prune: Optional[bool] = None,
-    reorder: Optional[bool] = None,
-    gossip_batch: Optional[bool] = None,
-    anti_entropy_every: Optional[float] = None,
+    snapshot_every: int = 0,
+    prune: bool = False,
+    reorder: bool = False,
+    gossip_batch: bool = False,
+    anti_entropy_every: float = 0.0,
 ) -> EquivalenceReport:
     """Check the ``parallel-equivalence`` invariant for one seed.
 
@@ -702,17 +679,14 @@ def run_parallel_equivalence(
     offloading crypto to worker processes changed *where* work ran, never
     what it computed.
     """
-    config = SimulationConfig.generate_workload(workload, seed, ops)
-    if snapshot_every is not None:
-        config = replace(config, snapshot_every=snapshot_every)
-    if prune is not None:
-        config = replace(config, prune=prune)
-    if reorder is not None:
-        config = replace(config, reorder=reorder)
-    if gossip_batch is not None:
-        config = replace(config, gossip_batch=gossip_batch)
-    if anti_entropy_every is not None:
-        config = replace(config, anti_entropy_every=anti_entropy_every)
+    config = replace(
+        SimulationConfig.generate_workload(workload, seed, ops),
+        snapshot_every=snapshot_every,
+        prune=prune,
+        reorder=reorder,
+        gossip_batch=gossip_batch,
+        anti_entropy_every=anti_entropy_every,
+    )
     ops_list, fault_actions = generate(config)
     reference = execute(
         replace(config, executor="serial"), ops_list, fault_actions, weaken=weaken

@@ -44,7 +44,7 @@ The catalogue (names are the ``invariant`` field of each violation):
   non-member collections, and no BTL-expired plaintext resurrected by
   the bootstrap.
 * ``reorder-soundness`` — when the conflict-aware orderer ran
-  (``REPRO_REORDER=1``), every processed batch's audit record must show:
+  (``reorder=True``), every processed batch's audit record must show:
   the emitted block is exactly a permutation of the non-aborted input
   (no transaction lost or duplicated), the delivered block matches the
   pipeline's emitted sequence, and every early-aborted transaction —

@@ -91,9 +91,6 @@ def pack_str(out: list, text: str) -> None:
     out.append(encoded)
 
 
-_pack_str = pack_str
-
-
 class Reader:
     """Bounds-checked cursor over a byte payload."""
 
@@ -120,9 +117,6 @@ class Reader:
 
     def done(self) -> bool:
         return self._offset == len(self._raw)
-
-
-_Reader = Reader
 
 
 def pack_bytes_map(data: dict[str, bytes]) -> bytes:
@@ -213,8 +207,8 @@ def pack_ops(ops: Iterable[tuple[str, str, Optional[bytes]]]) -> bytes:
     items = list(ops)
     out = [OPS_MAGIC, _U32.pack(len(items))]
     for namespace, key, value in items:
-        _pack_str(out, namespace)
-        _pack_str(out, key)
+        pack_str(out, namespace)
+        pack_str(out, key)
         if value is None:  # a delete
             out.append(b"\x00")
         else:
@@ -227,7 +221,7 @@ def pack_ops(ops: Iterable[tuple[str, str, Optional[bytes]]]) -> bytes:
 def unpack_ops(raw: bytes) -> list[tuple[str, str, Optional[bytes]]]:
     if not raw.startswith(OPS_MAGIC):
         raise CodecError("op payload lacks the deterministic-framing magic")
-    reader = _Reader(raw, len(OPS_MAGIC))
+    reader = Reader(raw, len(OPS_MAGIC))
     ops: list[tuple[str, str, Optional[bytes]]] = []
     for _ in range(reader.u32()):
         namespace = reader.string()
@@ -254,10 +248,10 @@ def pack_tables(data: dict[str, dict[str, bytes]]) -> bytes:
     out = [TABLES_MAGIC, _U32.pack(len(data))]
     for namespace in sorted(data):
         rows = data[namespace]
-        _pack_str(out, namespace)
+        pack_str(out, namespace)
         out.append(_U32.pack(len(rows)))
         for key in sorted(rows):
-            _pack_str(out, key)
+            pack_str(out, key)
             value = rows[key]
             out.append(_U32.pack(len(value)))
             out.append(value)
@@ -273,7 +267,7 @@ def unpack_tables(raw: bytes) -> dict[str, dict[str, bytes]]:
     body, checksum = raw[: -_U32.size], _U32.unpack(raw[-_U32.size :])[0]
     if zlib.crc32(body) != checksum:
         raise CodecError("table snapshot failed its crc32 check")
-    reader = _Reader(body, len(TABLES_MAGIC))
+    reader = Reader(body, len(TABLES_MAGIC))
     data: dict[str, dict[str, bytes]] = {}
     for _ in range(reader.u32()):
         namespace = reader.string()

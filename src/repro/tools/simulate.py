@@ -22,6 +22,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.common.errors import ConfigError
 from repro.runtime.executor import resolve_executor_kind
 from repro.simulation.config import SimulationConfig
 from repro.storage import BACKEND_KINDS
@@ -43,8 +44,20 @@ def _executor_spec(spec: str) -> str:
     """argparse type: validate an executor spec eagerly."""
     try:
         return resolve_executor_kind(spec)
-    except Exception as exc:
+    except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _fast_path_settings(args) -> dict:
+    """The ``SimulationConfig`` fields the fast-path flags set."""
+    return {
+        "snapshot_every": args.snapshot_every,
+        "prune": args.prune,
+        "reorder": args.reorder,
+        "gossip_batch": args.gossip_batch,
+        # None = flag not given (--check-gossip-equivalence then picks 4).
+        "anti_entropy_every": args.anti_entropy_every or 0.0,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -76,30 +89,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--executor", type=_executor_spec, default=None,
                         help="execution backend spec, e.g. serial or process:4 "
                              "(default: the REPRO_EXECUTOR env var, else serial)")
-    parser.add_argument("--snapshot-every", type=int, default=None,
+    parser.add_argument("--snapshot-every", type=int, default=0,
                         help="peer snapshot checkpoint cadence in blocks; "
                              "enables the snapshot-equivalence invariant "
-                             "(default: the REPRO_SNAPSHOT_EVERY env var, "
-                             "else off)")
+                             "(default: off)")
     parser.add_argument("--prune", action="store_true",
                         help="archive pre-snapshot blocks once a snapshot "
                              "seals (peer chains and the orderer backlog; "
-                             "default: the REPRO_PRUNE env var, else off)")
+                             "default: off)")
     parser.add_argument("--reorder", action="store_true",
                         help="conflict-aware ordering: reorder each batch "
                              "along its conflict graph and early-abort "
                              "provably doomed transactions; enables the "
-                             "reorder-soundness invariant (default: the "
-                             "REPRO_REORDER env var, else off)")
+                             "reorder-soundness invariant (default: off)")
     parser.add_argument("--gossip-batch", action="store_true",
                         help="batched gossip fast path: coalesce each "
                              "endorsement's private rwsets into one payload "
-                             "per target peer (default: the "
-                             "REPRO_GOSSIP_BATCH env var, else off)")
+                             "per target peer (default: off)")
     parser.add_argument("--anti-entropy-every", type=float, default=None,
                         help="digest-driven anti-entropy cadence in simulated "
-                             "seconds; 0 disables the loop (default: the "
-                             "REPRO_ANTI_ENTROPY_EVERY env var, else off)")
+                             "seconds; 0 disables the loop (default: off)")
     parser.add_argument("--workload", choices=["mixed", "tpcc"], default="mixed",
                         help="workload family: the mixed asset/PDC mix, or the "
                              "contended TPC-C-style mix with open-loop arrivals "
@@ -132,22 +141,14 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     for seed in range(args.seed_base, args.seed_base + args.seeds):
         seed_started = time.time()
-        config = SimulationConfig.generate_workload(args.workload, seed, args.ops)
+        config = dataclasses.replace(
+            SimulationConfig.generate_workload(args.workload, seed, args.ops),
+            **_fast_path_settings(args),
+        )
         if args.backend is not None:
             config = dataclasses.replace(config, state_backend=args.backend)
         if args.executor is not None:
             config = dataclasses.replace(config, executor=args.executor)
-        if args.snapshot_every is not None:
-            config = dataclasses.replace(config, snapshot_every=args.snapshot_every)
-        if args.prune:
-            config = dataclasses.replace(config, prune=True)
-        if args.reorder:
-            config = dataclasses.replace(config, reorder=True)
-        if args.gossip_batch:
-            config = dataclasses.replace(config, gossip_batch=True)
-        if args.anti_entropy_every is not None:
-            config = dataclasses.replace(
-                config, anti_entropy_every=args.anti_entropy_every)
         ops, fault_actions = generate(config)
         report = execute(config, ops, fault_actions, weaken=args.weaken)
         print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
@@ -179,10 +180,7 @@ def _check_equivalence(args) -> int:
         seed_started = time.time()
         report = run_parallel_equivalence(
             seed, args.ops, workers=args.equiv_workers, weaken=args.weaken,
-            workload=args.workload,
-            snapshot_every=args.snapshot_every,
-            prune=True if args.prune else None,
-            reorder=True if args.reorder else None,
+            workload=args.workload, **_fast_path_settings(args),
         )
         print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
         if report.ok:

@@ -17,7 +17,7 @@ Two failure classes are retried, each the safe way:
   invalid), so the retry **re-endorses a fresh proposal** (new tx id,
   re-reading current state); the aborted attempt stays on-chain as an
   invalid transaction, exactly like a Fabric client SDK retry.  An
-  orderer **early abort** (``REPRO_REORDER=1``) is the same verdict made
+  orderer **early abort** (``reorder=True``) is the same verdict made
   sooner: the envelope never reached a block, but its reads are provably
   stale, so the retry likewise re-endorses fresh — the only difference is
   that no invalid transaction occupies chain space.

@@ -13,19 +13,6 @@ from repro.network.presets import three_org_network
 
 
 @pytest.fixture
-def no_reorder(monkeypatch):
-    """Pin conflict-aware ordering off for the duration of one test.
-
-    Tests that engineer an MVCC/phantom conflict and assert the
-    arrival-order reference outcome (the losing transaction committed
-    on-chain as invalid) request this fixture *before* any fixture or
-    helper that constructs a network — under ``REPRO_REORDER=1`` the
-    orderer would early-abort the doomed transaction instead.
-    """
-    monkeypatch.setenv("REPRO_REORDER", "0")
-
-
-@pytest.fixture
 def three_orgs():
     """Three fresh organizations Org1MSP..Org3MSP."""
     return [Organization(f"Org{i}MSP") for i in (1, 2, 3)]

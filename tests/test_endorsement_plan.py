@@ -44,14 +44,6 @@ from repro.protocol.transaction import ValidationCode
 from repro.runtime import LatencyModel
 
 
-@pytest.fixture(autouse=True)
-def _plan_enabled(monkeypatch):
-    """Pin the plan toggle on: these tests exercise the plan path itself,
-    so they must hold under a CI leg that exports REPRO_ENDORSE_PLAN=0.
-    (The off-switch test below overrides this with its own setenv.)"""
-    monkeypatch.setenv("REPRO_ENDORSE_PLAN", "1")
-
-
 def _endorsing_orgs(envelope) -> set[str]:
     return {e.endorser.msp_id for e in envelope.endorsements}
 
@@ -272,13 +264,12 @@ class TestPlanEscalationRobustness:
 
 
 # ---------------------------------------------------------------------------
-# the off switch: REPRO_ENDORSE_PLAN=0 restores sequential behaviour
+# the per-call off switch: endorsement_plan=False restores sequential behaviour
 # ---------------------------------------------------------------------------
 class TestPlanDisabledChainIdentity:
-    def test_disabled_plan_matches_explicit_sequential_chain(self, monkeypatch):
+    def test_disabled_plan_matches_explicit_sequential_chain(self):
         """With planning off, a default submit must produce a committed
         chain byte-identical to pinning the default endorsers explicitly."""
-        monkeypatch.setenv("REPRO_ENDORSE_PLAN", "0")
 
         def run(explicit: bool) -> list:
             net = _majority_network()
@@ -291,6 +282,7 @@ class TestPlanDisabledChainIdentity:
                     endorsing_peers=(
                         list(net.default_endorsers()) if explicit else None
                     ),
+                    endorsement_plan=False,
                 ).raise_for_status()
             peer = net.peers()[0]
             return [

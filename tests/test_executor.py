@@ -1,14 +1,13 @@
 """Tests for the pluggable execution backends.
 
 Covers the spec/worker resolution chain, the deterministic LPT shard
-planner, both backends' ordered ``map``, the pin/unpin registry, the
-cost model, and — the load-bearing property — byte-identity of sharded
-``verify_batch`` / offloaded signing against the serial reference.
+planner, both backends' ordered ``map``, the active-backend registry and
+its scoped pin, the cost model, and — the load-bearing property —
+byte-identity of sharded ``verify_batch`` / offloaded signing against
+the serial reference.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -18,11 +17,11 @@ from repro.common.errors import ConfigError
 from repro.common.tracing import PERF
 from repro.runtime.executor import (
     ENV_VAR,
-    ENV_WORKERS,
     ProcessPoolBackend,
     SerialBackend,
     ValidationCostModel,
     current_backend,
+    pinned_backend,
     plan_shards,
     reset_backend,
     resolve_executor_kind,
@@ -33,16 +32,11 @@ from repro.runtime.executor import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_executor_env():
-    saved = {k: os.environ.pop(k, None) for k in (ENV_VAR, ENV_WORKERS)}
+def _clean_executor_env(monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
     reset_backend()
     crypto.clear_verify_cache()
     yield
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
     reset_backend()
     crypto.clear_verify_cache()
 
@@ -55,12 +49,12 @@ class TestResolution:
     def test_default_is_serial(self):
         assert resolve_executor_kind() == "serial"
 
-    def test_env_over_default(self):
-        os.environ[ENV_VAR] = "process:3"
+    def test_env_over_default(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "process:3")
         assert resolve_executor_kind() == "process:3"
 
-    def test_explicit_over_env(self):
-        os.environ[ENV_VAR] = "process"
+    def test_explicit_over_env(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "process")
         assert resolve_executor_kind("serial") == "serial"
 
     @pytest.mark.parametrize("bad", ["thread", "process:x", "process:0", "pool:2"])
@@ -72,18 +66,14 @@ class TestResolution:
         # kind default: serial -> 1, process -> 4
         assert resolve_worker_count(spec="serial") == 1
         assert resolve_worker_count(spec="process") == 4
-        # env beats the kind default
-        os.environ[ENV_WORKERS] = "6"
-        assert resolve_worker_count(spec="process") == 6
-        # spec-inline beats env
+        # spec-inline beats the kind default
         assert resolve_worker_count(spec="process:2") == 2
         # explicit beats everything
         assert resolve_worker_count(workers=8, spec="process:2") == 8
 
     def test_bad_worker_counts_rejected(self):
-        os.environ[ENV_WORKERS] = "nope"
         with pytest.raises(ConfigError):
-            resolve_worker_count(spec="process")
+            resolve_worker_count(spec="process:nope")
         with pytest.raises(ConfigError):
             resolve_worker_count(workers=0)
 
@@ -159,24 +149,58 @@ class TestBackends:
         finally:
             backend.shutdown()
 
-    def test_current_backend_follows_env(self):
+    def test_current_backend_follows_env(self, monkeypatch):
         assert current_backend().kind == "serial"
-        os.environ[ENV_VAR] = "process:2"
+        # The variable is read once: a change takes effect at the next
+        # reset_backend(), not at the next call.
+        monkeypatch.setenv(ENV_VAR, "process:2")
+        assert current_backend().kind == "serial"
+        reset_backend()
         backend = current_backend()
         assert backend.kind == "process"
         assert backend.workers == 2
-        # Same spec -> same cached instance; changed spec -> rebuilt.
         assert current_backend() is backend
-        os.environ[ENV_VAR] = "serial"
+        monkeypatch.setenv(ENV_VAR, "serial")
+        reset_backend()
         assert current_backend().kind == "serial"
 
-    def test_set_backend_pins_over_env(self):
-        os.environ[ENV_VAR] = "process:2"
+    def test_set_backend_pins_over_env(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "process:2")
         pinned = set_backend("serial", workers=3)
         assert current_backend() is pinned
         assert pinned.kind == "serial" and pinned.workers == 3
         set_backend(None)
         assert current_backend().kind == "process"
+
+    def test_pinned_backend_is_scoped_and_leaks_no_pool(self):
+        outer = set_backend("serial", workers=3)
+        for _ in range(2):  # consecutive scopes on one spec: one pool each
+            with pinned_backend("process:2") as pinned:
+                assert current_backend() is pinned
+                assert pinned.describe() == "process:2"
+                assert pinned.map(_double, [1, 2]) == [2, 4]
+                assert pinned._pool is not None
+            # The scope shut down what it built and restored what was active.
+            assert pinned._pool is None
+            assert current_backend() is outer
+
+    def test_pinned_backend_keeps_a_matching_active_backend(self):
+        # A process whose active backend already is what the config
+        # recorded serves every run from its one pool.
+        outer = set_backend("process:2")
+        assert outer.map(_double, [1]) == [2]
+        pool = outer._pool
+        with pinned_backend("process:2") as pinned:
+            assert pinned is outer
+        assert current_backend() is outer and outer._pool is pool
+
+    def test_pinned_backend_restores_on_error(self):
+        outer = current_backend()
+        with pytest.raises(RuntimeError):
+            with pinned_backend("serial:4"):
+                assert current_backend().workers == 4
+                raise RuntimeError("boom")
+        assert current_backend() is outer
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +245,35 @@ class TestShardedVerifyIdentity:
         # deltas (one equation per item) folded back into the parent.
         assert delta.get("executor_remote_tasks", 0) >= 2
         assert delta.get("verify_individual", 0) == len(items)
+
+    def test_fast_path_toggle_reaches_pool_workers(self):
+        # A worker keeps the module globals it was forked with, so the
+        # setter must retire the live pool: the merged PERF delta of a
+        # sharded batch shows which kernels the workers actually ran.
+        items = _workload()
+        set_backend("process", workers=2)
+        verify_batch(items)  # fork the pool with the fast path on
+        saved = crypto.fast_path_enabled()
+        try:
+            crypto.set_fast_path(False)
+            crypto.clear_caches()
+            before = PERF.snapshot()
+            assert all(verify_batch(items))
+            delta = PERF.delta_since(before)
+            assert delta.get("executor_remote_tasks", 0) >= 2
+            assert delta.get("modexp_windowed", 0) == 0
+            assert delta.get("modexp_full", 0) > 0
+            crypto.set_fast_path(True)
+            crypto.clear_caches()
+            before = PERF.snapshot()
+            assert all(verify_batch(items))
+            delta = PERF.delta_since(before)
+            assert delta.get("executor_remote_tasks", 0) >= 2
+            assert delta.get("modexp_full", 0) == 0
+            assert delta.get("modexp_windowed", 0) > 0
+        finally:
+            crypto.set_fast_path(saved)
+            crypto.clear_caches()
 
     def test_small_batches_stay_serial(self):
         items = _workload(n_keys=2, per_key=2)

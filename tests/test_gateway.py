@@ -67,10 +67,9 @@ class TestSubmit:
         )
         assert secret not in result.envelope.signed_bytes()
 
-    def test_default_endorsement_is_minimal_quorum(self, network, monkeypatch):
+    def test_default_endorsement_is_minimal_quorum(self, network):
         """With no pinned endorsers the gateway plans a minimal quorum:
         MAJORITY of 3 orgs needs only 2 endorsements."""
-        monkeypatch.setenv("REPRO_ENDORSE_PLAN", "1")
         client = network.client("Org1MSP")
         result = client.submit_transaction(
             "pdccc", "set_private", ["PDC1", "k"], transient={"value": b"1"}
@@ -80,12 +79,12 @@ class TestSubmit:
         assert len(orgs) == 2
         assert orgs <= {"Org1MSP", "Org2MSP", "Org3MSP"}
 
-    def test_default_endorsers_one_per_org_without_plan(self, network, monkeypatch):
-        """REPRO_ENDORSE_PLAN=0 restores the endorse-everywhere default."""
-        monkeypatch.setenv("REPRO_ENDORSE_PLAN", "0")
+    def test_default_endorsers_one_per_org_without_plan(self, network):
+        """``endorsement_plan=False`` restores the endorse-everywhere default."""
         client = network.client("Org1MSP")
         result = client.submit_transaction(
-            "pdccc", "set_private", ["PDC1", "k"], transient={"value": b"1"}
+            "pdccc", "set_private", ["PDC1", "k"], transient={"value": b"1"},
+            endorsement_plan=False,
         )
         assert result.committed
         orgs = {e.endorser.msp_id for e in result.envelope.endorsements}

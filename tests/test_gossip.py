@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaincode.contracts import PrivateAssetContract
-from repro.common.errors import GossipError
+from repro.common.errors import ConfigError, GossipError
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
@@ -318,7 +318,7 @@ class TestRotation:
 
 
 class TestBatchedDissemination:
-    """The REPRO_GOSSIP_BATCH fast path: one payload per target."""
+    """The ``gossip_batch=True`` fast path: one payload per target."""
 
     def _two_collection_network(self, **kwargs):
         _reset_counters()
@@ -344,8 +344,7 @@ class TestBatchedDissemination:
         ).raise_for_status()
         return counters
 
-    def test_batch_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GOSSIP_BATCH", raising=False)
+    def test_batch_disabled_by_default(self):
         net = self._two_collection_network()
         assert net.gossip.batch_enabled is False
         self._move(net)
@@ -433,6 +432,10 @@ class TestAntiEntropy:
     def test_disabled_cadence_means_no_engine(self):
         _net, runtime = self._runtime_network(every=0.0)
         assert runtime.anti_entropy is None
+
+    def test_negative_cadence_rejected(self):
+        with pytest.raises(ConfigError):
+            self._runtime_network(every=-1)
 
     def test_anti_entropy_repairs_gaps_without_manual_reconcile(self):
         """Dissemination is dropped but the AE topics stay up: by the time

@@ -133,7 +133,7 @@ class TestPrivateDataWorkflow:
             "pdccc", "verify_private", ["PDC1", "k", "wrong"], peer=p3
         ) == b"mismatch"
 
-    def test_concurrent_updates_one_wins(self, no_reorder, public_network, endorsers):
+    def test_concurrent_updates_one_wins(self, public_network, endorsers):
         """Two read-modify-writes endorsed against the same version: the
         second to order loses the MVCC check."""
         client = public_network.client("Org1MSP")
@@ -157,7 +157,7 @@ class TestPrivateDataWorkflow:
             "pdccc", "PDC1", "n"
         ) == b"11"
 
-    def test_intra_block_conflict(self, no_reorder, public_network, endorsers):
+    def test_intra_block_conflict(self, public_network, endorsers):
         """Same conflict, but both transactions land in ONE block."""
         client = public_network.client("Org1MSP")
         client.submit_transaction(

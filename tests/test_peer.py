@@ -173,7 +173,7 @@ class TestValidatorThroughPipeline:
         validated = list(peer.ledger.blockchain.blocks())[-1]
         assert validated.flags == [ValidationCode.DUPLICATE_TXID]
 
-    def test_mvcc_conflict_between_blocks(self, no_reorder, network):
+    def test_mvcc_conflict_between_blocks(self, network):
         """A stale read set is invalidated once the key moves on."""
         client = _client(network)
         peers = [network.peers_of("Org1MSP")[0], network.peers_of("Org2MSP")[0]]

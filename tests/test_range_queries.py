@@ -75,10 +75,8 @@ class TestRangeScan:
 
 
 class TestPhantomProtection:
-    @pytest.fixture(autouse=True)
-    def _reference_ordering(self, no_reorder):
-        """These tests assert the parked scan commits on-chain as
-        PHANTOM_READ_CONFLICT — the arrival-order reference outcome."""
+    """The parked scan commits on-chain as PHANTOM_READ_CONFLICT — the
+    arrival-order reference outcome (reordering is off by default)."""
 
     def _park_scan(self, net, client, endorsers):
         """Endorse (but do not submit) a range-scanning transaction."""

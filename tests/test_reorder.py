@@ -1,4 +1,4 @@
-"""Tests for conflict-aware ordering (``REPRO_REORDER``).
+"""Tests for conflict-aware ordering (``FabricNetwork(reorder=True)``).
 
 The reorder pipeline lives *inside* the ordering service: each cut batch
 is reordered along its conflict graph and transactions whose reads are
@@ -22,7 +22,6 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.orderer.block_cutter import BlockCutter
-from repro.orderer.reorder import resolve_reorder
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.config import SimulationConfig
@@ -60,30 +59,6 @@ def _tx_occurrences(net: FabricNetwork, tx_id: str) -> int:
         for tx in validated.block.transactions
         if tx.tx_id == tx_id
     )
-
-
-# ---------------------------------------------------------------------------
-# The env toggle
-# ---------------------------------------------------------------------------
-
-class TestResolveReorder:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_REORDER", raising=False)
-        assert resolve_reorder() is False
-
-    @pytest.mark.parametrize("raw,expected", [
-        ("", False), ("0", False), ("false", False), ("no", False),
-        ("1", True), ("true", True), ("on", True),
-    ])
-    def test_env_parsing(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_REORDER", raw)
-        assert resolve_reorder() is expected
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REORDER", "1")
-        assert resolve_reorder(False) is False
-        monkeypatch.setenv("REPRO_REORDER", "0")
-        assert resolve_reorder(True) is True
 
 
 # ---------------------------------------------------------------------------

@@ -667,17 +667,8 @@ class TestMempoolBound:
         assert outcomes == ["MempoolFullError", "MempoolFullError", "ok"]
         assert runtime.mempool_rejections == 2
 
-    def test_env_resolution(self, monkeypatch):
-        from repro.runtime import resolve_mempool_limit
-
-        assert resolve_mempool_limit() is None
-        assert resolve_mempool_limit(7) == 7
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "3")
-        assert resolve_mempool_limit() == 3
-        assert resolve_mempool_limit(9) == 9  # explicit beats env
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "0")
+    def test_limit_below_one_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_mempool_limit()
-        monkeypatch.setenv("REPRO_MEMPOOL_LIMIT", "lots")
-        with pytest.raises(ConfigError):
-            resolve_mempool_limit()
+            self._bounded_network(limit=0)
+        net, runtime = self._bounded_network(limit=None)
+        assert runtime.mempool_limit is None  # default: unbounded

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.chaincode.contracts import PrivateAssetContract
+from repro.identity.organization import Organization
+from repro.network.channel import ChannelConfig
+from repro.network.collection import CollectionConfig
+from repro.network.network import FabricNetwork
 from repro.simulation import (
     SimulationConfig,
     Violation,
@@ -152,6 +161,142 @@ class TestSeedReplay:
         assert [str(v) for v in replayed.violations] == [
             str(v) for v in direct.violations
         ]
+
+
+# ---------------------------------------------------------------------------
+# a run is a function of its recorded config, not of the process environment
+# ---------------------------------------------------------------------------
+#: Every retired variable at a value that, were it still read, would change
+#: the run: timeouts below a hop delay, a two-slot mempool, every fast path
+#: flipped against its default.
+RETIRED_VARIABLES = {
+    "REPRO_ENDORSE_TIMEOUT": "0.1",
+    "REPRO_MEMPOOL_LIMIT": "2",
+    "REPRO_ENDORSE_PLAN": "0",
+    "REPRO_SHARED_VSCC": "0",
+    "REPRO_ENDORSE_CACHE": "0",
+    "REPRO_REORDER": "1",
+    "REPRO_GOSSIP_BATCH": "1",
+    "REPRO_SNAPSHOT_EVERY": "3",
+    "REPRO_PRUNE": "1",
+    "REPRO_ANTI_ENTROPY_EVERY": "1",
+    "REPRO_VERIFY_CACHE": "0",
+    "REPRO_CRYPTO_FAST": "0",
+    "REPRO_EXECUTOR_WORKERS": "3",
+}
+
+#: The two environment reads ``src/repro`` keeps: where work runs and
+#: where state is stored, never what a run computes.
+ENVIRONMENT_READS = {"runtime/executor.py": 1, "storage/factory.py": 1}
+
+
+def _history(report) -> tuple:
+    return (
+        report.stats["state_digest"],
+        report.stats["blocks"],
+        [(o.tx_id, o.status, o.error) for o in report.outcomes],
+    )
+
+
+class TestReplayIsSelfContained:
+    @pytest.fixture(scope="class")
+    def triple(self):
+        config = SimulationConfig.generate(3, 40)
+        assert config.plan_rate > 0
+        return (config, *generate(config))
+
+    @pytest.fixture(scope="class")
+    def clean(self, triple):
+        report = execute(*triple)
+        assert report.ok, report.summary()
+        return _history(report)
+
+    @pytest.mark.parametrize("variable", sorted(RETIRED_VARIABLES))
+    def test_retired_variable_cannot_reach_a_run(
+        self, triple, clean, variable, monkeypatch
+    ):
+        monkeypatch.setenv(variable, RETIRED_VARIABLES[variable])
+        assert _history(execute(*triple)) == clean
+
+    def test_environment_surface_is_two_reads(self):
+        """``os.environ`` / ``os.getenv`` / ``os.putenv`` appear in
+        ``src/repro`` only as the two named ``os.environ.get`` reads —
+        the layer cannot grow back unnoticed."""
+        names = ("environ", "environb", "getenv", "putenv", "unsetenv")
+        root = Path(repro.__file__).parent
+        mentions: dict = {}
+        reads: dict = {}
+        for path in sorted(root.rglob("*.py")):
+            key = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    name = None
+                if name in names:
+                    mentions[key] = mentions.get(key, 0) + 1
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get"
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "environ"
+                ):
+                    reads[key] = reads.get(key, 0) + 1
+        assert mentions == reads == ENVIRONMENT_READS
+
+
+def _pdc_network(**settings) -> FabricNetwork:
+    """Three orgs, one peer each, PDC1 = {org1, org2}."""
+    orgs = [Organization(f"Org{i}MSP") for i in (1, 2, 3)]
+    channel = ChannelConfig(channel_id="coexist", organizations=orgs)
+    channel.deploy_chaincode(
+        "pdccc",
+        endorsement_policy="MAJORITY Endorsement",
+        collections=[CollectionConfig(
+            name="PDC1", policy="OR('Org1MSP.member', 'Org2MSP.member')",
+            required_peer_count=1, max_peer_count=3,
+        )],
+    )
+    net = FabricNetwork(channel=channel, **settings)
+    for org in orgs:
+        net.add_peer(org.msp_id)
+    net.install_chaincode("pdccc", PrivateAssetContract())
+    return net
+
+
+class TestDifferentlyConfiguredNetworksCoexist:
+    def test_each_network_behaves_per_its_own_arguments(self):
+        """Settings are constructor arguments, so two networks in one
+        process hold different ones — what a process-global environment
+        could not express."""
+        fast = _pdc_network(
+            reorder=True, gossip_batch=True, snapshot_every=5, prune=True
+        )
+        plain = _pdc_network()
+        for i in range(7):  # driven alternately, one transaction each
+            for net in (fast, plain):
+                endorsers = [net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]]
+                net.client("Org1MSP").submit_transaction(
+                    "pdccc", "set_private", ["PDC1", f"k{i}"],
+                    transient={"value": b"v%d" % i}, endorsing_peers=endorsers,
+                ).raise_for_status()
+
+        assert fast.orderer.reorderer is not None
+        assert plain.orderer.reorderer is None
+        assert fast.gossip.batched_payloads > 0
+        assert plain.gossip.batched_payloads == 0 and plain.gossip.pushes > 0
+        for peer in fast.peers():
+            assert peer.latest_sealed_snapshot().manifest.height == 5
+            assert peer.ledger.blockchain.genesis_offset > 0  # pruned below it
+        for peer in plain.peers():
+            assert peer.latest_sealed_snapshot() is None
+            assert peer.ledger.blockchain.genesis_offset == 0
+        assert {p.ledger.height for p in fast.peers() + plain.peers()} == {7}
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from repro.identity.organization import Organization
 from repro.ledger.snapshot import (
     RETAIN_SNAPSHOTS,
     bootstrap_from_package,
-    resolve_prune,
-    resolve_snapshot_every,
     verify_package,
 )
 from repro.network.channel import ChannelConfig
@@ -109,33 +107,17 @@ def _public_state(peer) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# env toggles
+# settings
 # ---------------------------------------------------------------------------
-class TestEnvResolution:
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "7")
-        monkeypatch.setenv("REPRO_PRUNE", "1")
-        assert resolve_snapshot_every(3) == 3
-        assert resolve_prune(False) is False
-
-    def test_env_var_wins_over_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "12")
-        monkeypatch.setenv("REPRO_PRUNE", "yes")
-        assert resolve_snapshot_every() == 12
-        assert resolve_prune() is True
-
-    def test_defaults_keep_the_feature_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SNAPSHOT_EVERY", raising=False)
-        monkeypatch.delenv("REPRO_PRUNE", raising=False)
-        assert resolve_snapshot_every() == 0
-        assert resolve_prune() is False
-
-    def test_bad_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SNAPSHOT_EVERY", "often")
+class TestSettings:
+    def test_negative_snapshot_interval_rejected(self):
         with pytest.raises(ConfigError):
-            resolve_snapshot_every()
-        with pytest.raises(ConfigError):
-            resolve_snapshot_every(-1)
+            _network(snapshot_every=-1)
+
+    def test_defaults_keep_the_feature_off(self):
+        net = _network()
+        assert net.snapshot_every == 0 and net.prune_enabled is False
+        assert all(p.snapshot_every == 0 and not p.prune_enabled for p in net.peers())
 
 
 # ---------------------------------------------------------------------------

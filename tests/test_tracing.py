@@ -157,7 +157,7 @@ class TestAbortSummary:
         runtime = net.attach_runtime(seed=2, mempool_limit=2, batch_timeout=1.0)
         return net, runtime, tracer, random_mod
 
-    def test_breakdown_matches_ledger_counts(self, no_reorder):
+    def test_breakdown_matches_ledger_counts(self):
         from repro.workload import RetryPolicy, submit_with_retry_async
 
         net, runtime, tracer, random_mod = self._contended_runtime()

@@ -5,9 +5,9 @@ Covers the three layers of the fast path at the validator level:
 * serialized-bytes memoization on frozen protocol objects;
 * the signature pre-pass (equivalence with validation without it,
   including blocks hiding a forged endorsement);
-* the shared VSCC memo (2nd..Nth peer reuses flags; ``REPRO_SHARED_VSCC=0``
-  disables it; the simulation invariant checker confirms the memo never
-  changes a validation flag).
+* the shared VSCC memo (2nd..Nth peer reuses flags; a
+  ``Validator(use_shared_memo=False)`` validates afresh; the simulation
+  invariant checker confirms the memo never changes a validation flag).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
 from repro.ledger.ledger import PeerLedger
 from repro.network.presets import three_org_network
-from repro.peer.validator import Validator, shared_vscc_enabled
+from repro.peer.validator import Validator
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.harness import run_seed
@@ -39,6 +39,16 @@ def _network():
     reset_nonce_counter()
     net = three_org_network()
     net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+    return net
+
+
+def _without_shared_memo(net):
+    """Give every peer its own memo-less validator: per-peer validation."""
+    for peer in net.network.peers():
+        peer._validator = Validator(
+            channel=net.network.channel, features=peer.features,
+            use_shared_memo=False,
+        )
     return net
 
 
@@ -62,19 +72,8 @@ class TestSerializedBytesMemoization:
         assert tx.signed_bytes() is tx.signed_bytes()
 
 
-class TestEnvToggles:
-    def test_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARED_VSCC", raising=False)
-        assert shared_vscc_enabled()
-
-    def test_escape_hatches(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
-        assert not shared_vscc_enabled()
-
-
 class TestSharedVsccMemo:
-    def test_second_peer_hits_the_memo(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_VSCC", "1")
+    def test_second_peer_hits_the_memo(self):
         net = _network()
         PERF.reset()
         result = _submit(net, "hit-key")
@@ -84,30 +83,30 @@ class TestSharedVsccMemo:
         assert PERF.vscc_memo_misses == 1
         assert PERF.vscc_memo_hits == 2
 
-    def test_flags_identical_with_memo_disabled(self, monkeypatch):
+    def test_flags_identical_with_memo_disabled(self):
         flags_by_mode = {}
-        for mode in ("1", "0"):
-            monkeypatch.setenv("REPRO_SHARED_VSCC", mode)
+        for shared in (True, False):
             crypto.clear_caches()
-            net = _network()
+            net = _network() if shared else _without_shared_memo(_network())
+            PERF.reset()
             for i in range(4):
                 _submit(net, f"eq-{i}")
-            flags_by_mode[mode] = [
+            assert (PERF.vscc_memo_hits > 0) is shared
+            flags_by_mode[shared] = [
                 tuple(v.flags)
                 for v in net.peer_of(1).ledger.blockchain.blocks()
             ]
-        assert flags_by_mode["1"] == flags_by_mode["0"]
+        assert flags_by_mode[True] == flags_by_mode[False]
         assert all(
             flag is ValidationCode.VALID
-            for flags in flags_by_mode["1"]
+            for flags in flags_by_mode[True]
             for flag in flags
         )
 
-    def test_memo_scoped_per_network(self, monkeypatch):
+    def test_memo_scoped_per_network(self):
         # Two identical networks produce byte-identical blocks; the memo
         # must not leak flags across them (it is keyed on the channel
         # *instance*, not on the block bytes alone).
-        monkeypatch.setenv("REPRO_SHARED_VSCC", "1")
         first = _network()
         _submit(first, "scope-key")
         PERF.reset()
@@ -191,14 +190,13 @@ class TestCertificateMemo:
 class TestBatchedPrePass:
     def test_batched_and_unbatched_flags_agree(self, monkeypatch):
         flags_by_mode = {}
-        monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
         for mode in ("pre-pass", "none"):
             if mode == "none":
                 monkeypatch.setattr(
                     Validator, "_prewarm_signatures", lambda self, block, ledger: None
                 )
             crypto.clear_caches()
-            net = _network()
+            net = _without_shared_memo(_network())
             for i in range(3):
                 _submit(net, f"batch-{i}")
             flags_by_mode[mode] = [
@@ -207,8 +205,7 @@ class TestBatchedPrePass:
             ]
         assert flags_by_mode["pre-pass"] == flags_by_mode["none"]
 
-    def test_prewarm_settles_signatures_in_cache(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_VSCC", "0")
+    def test_prewarm_settles_signatures_in_cache(self):
         net = _network()
         _submit(net, "setup-key")
         validated = next(iter(net.peer_of(1).ledger.blockchain.blocks()))

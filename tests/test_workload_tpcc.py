@@ -376,7 +376,7 @@ class TestAdmissionRetry:
         # Resubmitting after a refusal must not commit the envelope twice.
         assert _tx_occurrences(net, handle.tx_id) == 1
 
-    def test_mvcc_abort_retried_as_fresh_transaction(self, no_reorder):
+    def test_mvcc_abort_retried_as_fresh_transaction(self):
         # batch_size=2 packs the two racing read-modify-writes of the
         # warehouse ytd hot key into one block: one commits, one aborts.
         net, runtime = _bounded_tpcc(limit=None, batch_size=2, batch_timeout=2.0)
@@ -408,7 +408,7 @@ class TestAdmissionRetry:
         # Both payments applied exactly once: ytd = 100 + 7.
         assert peer.query_public(TPCC_CHAINCODE, "warehouse:1") == b"107"
 
-    def test_mvcc_budget_exhaustion_keeps_the_final_status(self, no_reorder):
+    def test_mvcc_budget_exhaustion_keeps_the_final_status(self):
         net, runtime = _bounded_tpcc(limit=None, batch_size=2, batch_timeout=2.0)
         endorsers = net.default_endorsers()[:2]
         handles = [
