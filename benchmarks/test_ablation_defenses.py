@@ -27,8 +27,9 @@ CONFIGS = [
 
 @pytest.fixture(scope="module")
 def per_feature_results():
-    # The paper's 100 runs per cell: validation is ~0.2 ms of memo hits, so
-    # over fewer runs one scheduler hiccup moves a mean past the 1.3x gate.
+    # The paper's 100 runs per cell.  Validation is ~0.1 ms of memo hits:
+    # one ~4 ms preemption sample moves a cell's *mean* past 1.3x, so the
+    # gate below reads medians (as Fig. 11's overhead does).
     runs = max(100, bench_runs())
     cells = {label: LatencyCell(features, "read", label) for label, features in CONFIGS}
     measure_cells(list(cells.values()), runs)
@@ -38,12 +39,12 @@ def per_feature_results():
 class TestPerFeatureCost:
     def test_render(self, per_feature_results, results_dir):
         lines = [
-            "Ablation — per-feature defense cost (read transactions, ms mean)",
+            "Ablation — per-feature defense cost (read transactions, ms median)",
             f"{'config':<10} {'execution':>12} {'validation':>12}",
         ]
         for label, result in per_feature_results.items():
             lines.append(
-                f"{label:<10} {result.execution.mean:>12.3f} {result.validation.mean:>12.3f}"
+                f"{label:<10} {result.execution.median:>12.3f} {result.validation.median:>12.3f}"
             )
         record(results_dir, "ablation_defense_features", "\n".join(lines))
 
@@ -52,8 +53,8 @@ class TestPerFeatureCost:
         for label, result in per_feature_results.items():
             if label == "original":
                 continue
-            assert result.validation.mean < baseline.validation.mean * 1.3, label
-            assert result.execution.mean < baseline.execution.mean * 1.3, label
+            assert result.validation.median < baseline.validation.median * 1.3, label
+            assert result.execution.median < baseline.execution.median * 1.3, label
 
     @pytest.mark.parametrize("label", [c[0] for c in CONFIGS])
     def test_bench_validation_per_config(self, benchmark, label):

@@ -29,7 +29,7 @@ sequential reference use it).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.common import crypto
@@ -425,7 +425,7 @@ class Gateway:
             function=proposal.function,
             args=proposal.args,
         )
-        return replace(unsigned, signature=self.identity.sign(unsigned.signed_bytes()))
+        return unsigned.with_signature(self.identity.sign(unsigned.signed_bytes()))
 
     def _proposal(
         self,

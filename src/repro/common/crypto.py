@@ -11,27 +11,28 @@ deterministic (RFC 6979-style) nonces so every run of the simulator is
 reproducible.  ``tests/test_crypto_group.py`` re-derives ``p``, ``q``
 and ``g`` from their recipe.
 
-A signature is the pair ``(s, r)`` with ``r = g**k mod p`` and
-``s = (k + x*e) mod q`` where ``e = H(r, y, message) mod q``.  Private
+A signature is Schnorr's original short pair ``(e, s)``, 16 + 32 = 48
+bytes on the wire: with ``r = g**k mod p``, ``e`` is the first 16 bytes
+of ``SHA-256(r || y || message)`` and ``s = (k - x*e) mod q``.  Private
 keys and nonces are 512-bit digests reduced mod ``q``; the reduction of
-``s`` is what hides them (an unreduced ``k + x*e`` hands out ``x`` as
-``s // e``).  Verification accepts iff ``0 <= s < q``, ``0 < r < p``, the
+``s`` is what hides them (unreduced, ``-s // e`` is the top half of
+``x``).  Verification accepts iff the string is 48 bytes, ``s < q``, the
 public key is a non-identity element of ``G_q`` (``y**q == 1``, checked
-once per distinct key) and ``g**s == r * y**e (mod p)``.  With ``g`` and
-``y`` in ``G_q`` the equation itself forces ``r = g**s * y**-e`` into
-``G_q``, so there is no per-signature membership test.
+once per distinct key) and the truncated hash of ``r' = g**s * y**e mod
+p`` equals ``e``.  No commitment travels, so there is none to range-check
+or to find outside ``G_q``; a 128-bit ``e`` bounds a forger by ``2**-128``
+per hash query, the generic bound of a 256-bit ``q`` (DESIGN.md).
 
-Every exponent is at most 256 bits, so every exponentiation — the
-key's ``y**q`` included — is a fixed-base table look-up
-(:mod:`repro.common.multiexp`): 32 multiplications for ``g**s``, 64 for
-``y**e``, each reduced by two shift-and-multiply folds that the short
-``k`` allows instead of a generic ``% p``.  At that price a
-randomized batch equation has nothing left to save — its per-item floor
-(a membership test on every commitment plus the coefficient
-multiplications) is no lower — so :func:`verify_batch` settles each
-signature by the single equation; what it adds is the verdict memo, the
-grouping by key and the sharding across the execution backend
-(docs/architecture.md §9 has the measurements).
+Every exponentiation is a fixed-base table look-up
+(:mod:`repro.common.multiexp`) — 32 + 32 multiplications a verification,
+``g**s`` and ``y**e`` — each reduced by two shift-and-multiply folds that
+the short ``k`` of ``p`` allows instead of a generic ``% p``.  Key tables
+are built for the 128-bit challenge; the one 256-bit exponent a key
+sees, its validation's ``y**q``, is two limbs of that table joined by
+128 squarings.  At that price a randomized batch equation has nothing
+left to save, so :func:`verify_batch` settles each signature by the
+single equation; what it adds is the verdict memo, the grouping by key
+and the sharding across the execution backend (docs/architecture.md §9).
 
 The substitution is documented in DESIGN.md: the attacks and defenses in
 the paper do not depend on the curve, only on unforgeability and public
@@ -61,15 +62,13 @@ Q = 0x8f24b1c876b8b5962a8bd5df467c802bae08a61644d93b33eba24418e0397c81
 # 2 ** ((p - 1) / q): not 1, and q is prime, so it generates all of G_q.
 G = pow(2, (P - 1) // Q, P)
 _WIDTH = (P.bit_length() + 7) // 8  # bytes per group element on the wire
+_E_BYTES = 16  # the challenge: a 128-bit truncation of SHA-256
+_S_BYTES = (Q.bit_length() + 7) // 8
 
 
-class SignatureError(Exception):
-    """A signature failed to verify or could not be decoded."""
-
-
-def _hash_to_int(*parts: bytes) -> int:
-    digest = hashlib.sha256(b"||".join(parts)).digest()
-    return int.from_bytes(digest, "big")
+def _challenge(r: int, key: bytes, message: bytes) -> bytes:
+    """The first 16 bytes of ``SHA-256(r || y || message)``."""
+    return hashlib.sha256(b"||".join((_int_bytes(r), key, message))).digest()[:_E_BYTES]
 
 
 def _exponent(digest: bytes) -> int:
@@ -127,13 +126,13 @@ _G_TABLE: Optional[FixedBaseTable] = None
 
 #: The generator serves every signature and every verification of the
 #: process, so its table takes the wide window: 32 rows of 255 entries,
-#: 32 multiplications per ``g**e``, built once (about as long as nine
-#: key tables).
+#: 32 multiplications per ``g**e``, built once (about as long as
+#: eighteen key tables).
 _G_WINDOW = 8
 
 #: Per-public-key window tables behind a real LRU, built on a key's
-#: first use — which is its validation.
-_KEY_TABLES = WindowTableLRU(P, Q.bit_length(), maxsize=96)
+#: first use — which is its validation — for challenge-sized exponents.
+_KEY_TABLES = WindowTableLRU(P, 8 * _E_BYTES, maxsize=96)
 
 
 def _g_table() -> FixedBaseTable:
@@ -282,9 +281,9 @@ def _key_valid(y: int) -> bool:
     """Is ``y`` a non-identity element of ``G_q``?  One modexp per key.
 
     Everything verification concludes rests on it: for ``y`` outside
-    ``G_q`` the equation no longer confines ``r``, and ``y = 1`` accepts
-    ``(s, g**s)`` for any message.  ``q`` divides ``p - 1`` exactly once,
-    so ``y**q == 1`` means ``y`` is a power of ``g``.
+    ``G_q`` the recomputed ``r'`` leaves it, and ``y = 1`` accepts
+    ``(H(g**s, 1, m), s)`` for any message.  ``q`` divides ``p - 1``
+    exactly once, so ``y**q == 1`` means ``y`` is a power of ``g``.
     """
     return 1 < y < P and _y_pow(y, Q) == 1
 
@@ -318,26 +317,15 @@ class PublicKey:
 
     def _verify_uncached(self, message: bytes, signature: bytes) -> bool:
         PERF.verify_individual += 1
-        try:
-            s, r = _decode_signature(signature)
-        except SignatureError:
+        e, s = signature[:_E_BYTES], int.from_bytes(signature[_E_BYTES:], "big")
+        if not (len(signature) == _E_BYTES + _S_BYTES and s < Q and _key_valid(self.y)):
             return False
-        if not (0 <= s < Q and 0 < r < P and _key_valid(self.y)):
-            return False
-        e = _hash_to_int(_int_bytes(r), self.to_bytes(), message) % Q
-        return _g_pow(s) == r * _y_pow(self.y, e) % P
+        r = _g_pow(s) * _y_pow(self.y, int.from_bytes(e, "big")) % P
+        return _challenge(r, self.to_bytes(), message) == e
 
 
 def _int_bytes(value: int) -> bytes:
     return value.to_bytes(_WIDTH, "big")
-
-
-def _decode_signature(signature: bytes) -> tuple[int, int]:
-    if len(signature) != 2 * _WIDTH:
-        raise SignatureError(f"signature must be {2 * _WIDTH} bytes, got {len(signature)}")
-    s = int.from_bytes(signature[:_WIDTH], "big")
-    r = int.from_bytes(signature[_WIDTH:], "big")
-    return s, r
 
 
 @dataclass(frozen=True)
@@ -361,11 +349,10 @@ class PrivateKey:
     def sign(self, message: bytes) -> bytes:
         """Produce a deterministic Schnorr signature over ``message``."""
         k = _exponent(hmac.new(_int_bytes(self.x), message, hashlib.sha512).digest())
-        r = _g_pow(k)
-        e = _hash_to_int(_int_bytes(r), self.public_key().to_bytes(), message) % Q
-        # Reduced mod q: the unreduced sum would leak x as s // e.
-        s = (k + self.x * e) % Q
-        return _int_bytes(s) + _int_bytes(r)
+        e = _challenge(_g_pow(k), self.public_key().to_bytes(), message)
+        # Reduced mod q: unreduced, -s // e is the top half of x.
+        s = (k - self.x * int.from_bytes(e, "big")) % Q
+        return e + s.to_bytes(_S_BYTES, "big")
 
 
 @functools.lru_cache(maxsize=4096)

@@ -5,8 +5,8 @@
   2**(w*i))`` is precomputed, so one exponentiation costs one modular
   multiplication per digit and **zero squarings**.
 * :class:`WindowTableLRU` — per-base tables for one modulus behind a
-  bounded LRU, built on a base's first use: a 64-row build costs less
-  than two native ``pow()`` calls and a look-up a tenth of one, so a
+  bounded LRU, built on a base's first use: a 32-row build costs less
+  than two native ``pow()`` calls and a look-up an eighth of one, so a
   table has paid for itself by its second use and counting uses first
   only delays it (every key in the benchmark's traffic is used twice).
 
@@ -22,6 +22,12 @@ bound again (property-tested in ``tests/test_multiexp.py``) — and one
 ``% m`` canonicalises the result on the way out.  There is no second
 reduction path: any other modulus is refused at construction.
 
+**Past the table's range is Horner, not ``pow()``.**  A wider exponent
+is read in table-width limbs, most significant first: look a limb up,
+square once per bit of table width, multiply the next look-up in.  Two
+loosely reduced operands multiply to less than ``2**(2n+2)`` and two
+folds still land inside the bound, so squarings share the one fold.
+
 Every kernel feeds :data:`repro.common.tracing.PERF` so benchmarks and
 ``Tracer.summary(perf=True)`` can report exact modexp counts.
 """
@@ -34,13 +40,13 @@ from repro.common.tracing import PERF
 
 #: Window width (bits per digit) for the fixed-base tables.  Width 4
 #: keeps the build cost low (15 multiplications per digit row) while
-#: replacing a plain ``pow()``'s ~256 squarings + ~50 multiplications
-#: with 64 table multiplications.
+#: replacing a plain ``pow()``'s one squaring per exponent bit with one
+#: table multiplication per four.
 DEFAULT_WINDOW = 4
 
 
 def fold_twice(x: int, n: int, k: int, low: int) -> int:
-    """``x < 2**(2n+1)`` loosely reduced mod ``2**n - k``; ``low = 2**n - 1``."""
+    """``x < 2**(2n+2)`` loosely reduced mod ``2**n - k``; ``low = 2**n - 1``."""
     x = (x >> n) * k + (x & low)
     return (x >> n) * k + (x & low)
 
@@ -83,26 +89,33 @@ class FixedBaseTable:
         return exponent >= 0 and (exponent >> (self.window * len(self._rows))) == 0
 
     def pow(self, exponent: int) -> int:
-        """``base ** exponent % modulus`` (falls back past table range)."""
-        if not self.covers(exponent):
-            PERF.modexp_full += 1
-            return pow(self.base, exponent, self.modulus)
+        """``base ** exponent % modulus``, any ``exponent >= 0``."""
+        if exponent < 0:
+            raise ValueError("negative exponent")
         PERF.modexp_windowed += 1
         n, k, low = self._fold
         mask = self._mask
         window = self.window
+        span = window * len(self._rows)
+        shift = max(exponent.bit_length() - 1, 0) // span * span
         acc = 1  # loosely reduced throughout: < 2**n + 2**(2*|k| + 2)
-        for row in self._rows:
-            if not exponent:
-                break
-            digit = exponent & mask
-            if digit:
-                # fold_twice() inlined: the call alone is 5-8 % of a look-up.
-                acc *= row[digit]
-                acc = (acc >> n) * k + (acc & low)
-                acc = (acc >> n) * k + (acc & low)
-            exponent >>= window
-        return acc % self.modulus
+        while True:
+            limb = exponent >> shift & ((1 << span) - 1)
+            for row in self._rows:
+                if not limb:
+                    break
+                digit = limb & mask
+                if digit:
+                    # fold_twice() inlined: the call alone is 5-8 % of a look-up.
+                    acc *= row[digit]
+                    acc = (acc >> n) * k + (acc & low)
+                    acc = (acc >> n) * k + (acc & low)
+                limb >>= window
+            if not shift:
+                return acc % self.modulus
+            shift -= span  # past the table: Horner, one limb down
+            for _ in range(span):
+                acc = fold_twice(acc * acc, n, k, low)
 
 
 class WindowTableLRU:

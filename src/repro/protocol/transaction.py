@@ -9,7 +9,7 @@ client's signature over all of it (Fig. 3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.serialization import canonical_bytes, memo_epoch
 from repro.identity.identity import Certificate
@@ -79,6 +79,16 @@ class TransactionEnvelope:
             cached = (memo_epoch(), value)
             object.__setattr__(self, "_serialized", cached)
         return cached[1]
+
+    def with_signature(self, signature: bytes) -> "TransactionEnvelope":
+        """This envelope under ``signature``, keeping the encoding memo.
+
+        The signature is not part of :meth:`signed_bytes`, so what was
+        encoded to be signed is what every validator will ask for.
+        """
+        signed = replace(self, signature=signature)
+        object.__setattr__(signed, "_serialized", getattr(self, "_serialized", None))
+        return signed
 
     def verify_creator_signature(self) -> bool:
         return self.creator.public_key.verify(self.signed_bytes(), self.signature)

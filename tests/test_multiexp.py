@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.crypto import G, P, Q, generate_keypair
 from repro.common.multiexp import FixedBaseTable, WindowTableLRU, fold_twice
+from repro.common.tracing import PERF
 
 # Small fold-friendly primes (2**n - k with 2*|k| + 2 <= n).
 M13 = 2**13 - 1
@@ -56,6 +57,18 @@ class TestFold:
         assert folded % modulus == a * b % modulus
         assert folded < bound
 
+    @pytest.mark.parametrize("modulus", [P, P25519, M13, EDGE])
+    def test_squaring_a_loosely_reduced_value_stays_inside_the_bound(self, modulus):
+        # The Horner branch squares the accumulator itself: both operands
+        # loosely reduced, the product below 2**(2n+2), two folds enough.
+        n, k, low, bound = _shape(modulus)
+        a = bound - 1
+        for _ in range(4):
+            folded = fold_twice(a * a, n, k, low)
+            assert folded % modulus == a * a % modulus
+            assert folded < bound
+            a = folded
+
     @pytest.mark.parametrize("modulus", [RETIRED_P, GOLDILOCKS64, 2**10 - 17])
     def test_a_modulus_without_the_shape_is_refused(self, modulus):
         with pytest.raises(ValueError, match="folding"):
@@ -73,7 +86,7 @@ class TestFixedBaseTable:
         past_the_table = 1 << 256
         for base in (1, 2, P - 1, G, key.y):
             table = FixedBaseTable(base, P, Q.bit_length(), window=window)
-            assert not table.covers(past_the_table)  # answered by the fallback
+            assert not table.covers(past_the_table)  # answered limb by limb
             for exponent in (0, 1, 2, 15, 16, 17, 255, Q // 3, Q - 1, Q, 2**256 - 1, past_the_table):
                 assert table.pow(exponent) == pow(base, exponent, P), (base, exponent)
 
@@ -104,6 +117,22 @@ class TestFixedBaseTable:
         table = FixedBaseTable(3, M13, 8)
         exponent = 1 << 40
         assert table.pow(exponent) == pow(3, exponent, M13)
+
+    @pytest.mark.parametrize("bits", [129, 256, 257, 600])
+    def test_horner_over_limbs_of_a_128_bit_table(self, bits):
+        _, key = generate_keypair(b"horner-base")
+        table = FixedBaseTable(key.y, P, 128)
+        assert len(table._rows) == 32
+        for exponent in (1 << (bits - 1), (1 << bits) - 1, (1 << bits) // 3 | 1 << (bits - 1)):
+            assert exponent.bit_length() == bits and not table.covers(exponent)
+            before = PERF.snapshot()
+            assert table.pow(exponent) == pow(key.y, exponent, P)
+            # One windowed exponentiation however many limbs, never pow().
+            assert PERF.delta_since(before) == {"modexp_windowed": 1}
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError, match="negative"):
+            FixedBaseTable(3, M13, 8).pow(-1)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -71,6 +71,25 @@ class TestSerializedBytesMemoization:
         assert tx.payload.bytes() is tx.payload.bytes()
         assert tx.signed_bytes() is tx.signed_bytes()
 
+    def test_an_envelope_is_encoded_once_from_assemble_to_commit(self, monkeypatch):
+        # The bytes the client signed are the bytes every peer verifies:
+        # the memo rides from the unsigned envelope onto the signed one.
+        from repro.protocol import transaction
+
+        calls = []
+        canonical_bytes = transaction.canonical_bytes
+
+        def counting(value):
+            calls.append(value["tx_id"])
+            return canonical_bytes(value)
+
+        monkeypatch.setattr(transaction, "canonical_bytes", counting)
+        net = _network()
+        results = [_submit(net, f"once-{i}") for i in range(3)]
+        assert all(r.committed for r in results)
+        assert all(p.ledger.blockchain.height == 3 for p in net.network.peers())
+        assert sorted(calls) == sorted(r.envelope.tx_id for r in results)
+
 
 class TestSharedVsccMemo:
     def test_second_peer_hits_the_memo(self):
