@@ -22,8 +22,10 @@ The shape the grid must show (and gates on):
   executor and the ``process:2`` pool — contention does not break the
   parallel-equivalence contract;
 * on the hottest (single-warehouse) cells, conflict-aware ordering is
-  worth the trouble: >= 1.3x the reference tpmC at a lower on-chain
-  MVCC abort rate, with the waste converted into orderer early aborts.
+  worth the trouble: a lower on-chain MVCC abort rate, with the waste
+  converted into orderer early aborts, at every size — and >= 1.3x the
+  reference tpmC wherever the cell is long enough to measure tpmC (see
+  :data:`MIN_MEASURED_NEW_ORDERS`).
 
 Environment knobs:
 
@@ -47,6 +49,15 @@ from _bench_utils import record, write_bench
 #: (warehouses, arrival rate per simulated second) grid cells.
 GRID = [(1, 2.0), (1, 6.0), (2, 2.0), (2, 6.0)]
 PARALLEL_SPEC = "process:2"
+
+#: Committed NewOrders a reordered hot cell needs before its tpmC is a
+#: measurement: below it one NewOrder more or less moves tpmC by more
+#: than the 1.3x the gate asks for.  At 16 ops a hot cell commits 3 (and
+#: the reference, which cuts 13 blocks to the reordered cell's 9, can
+#: read higher); from 30 ops — the size CI runs — it commits 5 to 11.
+MIN_MEASURED_NEW_ORDERS = 5
+#: The size from which every hot cell is long enough to gate tpmC.
+GATED_TPMC_OPS = 30
 
 
 def _ops(default: int = 60) -> int:
@@ -160,9 +171,13 @@ def test_tpcc_contention_ablation(results_dir):
         assert reordered["mvcc_abort_rate"] < reference["mvcc_abort_rate"], (
             reference, reordered,
         )
-        assert reordered["tpmC"] >= 1.3 * reference["tpmC"], (
-            reference, reordered,
-        )
+        measured = reordered["committed_new_orders"] >= MIN_MEASURED_NEW_ORDERS
+        if ops >= GATED_TPMC_OPS:
+            assert measured, (reordered, "too short to gate tpmC at this size")
+        if measured:
+            assert reordered["tpmC"] >= 1.3 * reference["tpmC"], (
+                reference, reordered,
+            )
     # The retry layer absorbed real backpressure somewhere on the grid.
     assert sum(row["retries"] for row in rows) > 0
     assert sum(row["mempool_drops"] for row in rows) > 0

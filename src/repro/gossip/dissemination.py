@@ -46,7 +46,7 @@ from repro.storage.codec import pack_private_writes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.identity.identity import Certificate
-    from repro.ledger.snapshot import SnapshotManifest, SnapshotPackage, SnapshotRecord
+    from repro.ledger.snapshot import SnapshotManifest, SnapshotPackage
     from repro.network.channel import ChannelConfig
     from repro.peer.node import PeerNode
 
@@ -245,15 +245,15 @@ class GossipNetwork:
 
     def snapshot_offers(
         self, requester: "PeerNode", min_height: int = 0
-    ) -> list[tuple["PeerNode", "SnapshotRecord"]]:
-        """Live peers' latest sealed snapshots at or past ``min_height``."""
+    ) -> list[tuple["PeerNode", int]]:
+        """Live peers' latest sealed snapshot heights at or past ``min_height``."""
         offers = []
         for peer in self._peers:
             if peer is requester or peer.crashed:
                 continue
-            record = peer.latest_sealed_snapshot()
-            if record is not None and record.manifest.height >= min_height:
-                offers.append((peer, record))
+            height = peer.sealed_snapshot_height()
+            if height is not None and height >= min_height:
+                offers.append((peer, height))
         return offers
 
     def _shared_collections(self, requester_msp: str, server_msp: str) -> int:
@@ -292,7 +292,7 @@ class GossipNetwork:
             offers,
             key=lambda offer: (
                 self._shared_collections(requester.msp_id, offer[0].msp_id),
-                offer[1].manifest.height,
+                offer[1],
                 offer[0].name,
             ),
         )

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.hashing import chain_hash, sha256
+from repro.common.serialization import Memoized
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
+from repro.storage.codec import pack_obj, unpack_obj
 
 GENESIS_PREV_HASH = b"\x00" * 32
 
@@ -30,11 +32,32 @@ class BlockHeader:
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Memoized):
     """An ordered block as distributed by the ordering service."""
 
     header: BlockHeader
     transactions: tuple[TransactionEnvelope, ...]
+
+    def stored_transactions(self) -> bytes:
+        """The transaction list's storage encoding, made once per process.
+
+        Every peer stores the block the orderer cut — in this in-process
+        simulator the same object — so the one encoding is shared by all
+        of their block rows (and by a re-validating oracle's).  Not
+        epoch-stamped: it is not a canonical encoding, only the pickled
+        fields, and a block never changes.
+        """
+        stored = self.__dict__.get("_stored")
+        if stored is None:
+            stored = self.__dict__["_stored"] = pack_obj(self.transactions)
+        return stored
+
+    @classmethod
+    def from_storage(cls, header: BlockHeader, stored: bytes) -> "Block":
+        """Rebuild a block from :meth:`stored_transactions` bytes."""
+        block = cls(header=header, transactions=unpack_obj(stored))
+        block.__dict__["_stored"] = stored
+        return block
 
     @staticmethod
     def data_hash_of(transactions: tuple[TransactionEnvelope, ...]) -> bytes:

@@ -11,6 +11,15 @@ in an in-memory list rebuilt on open — reads never hit the codec.  The
 integrity checks in :meth:`append` run *before* anything is staged, so a
 bad block can never contaminate an atomic batch.
 
+A block row is header first: ``BLOCK_MAGIC | number | prev hash | data
+hash | flags | transactions``.  The transactions are the block's shared
+storage encoding (:meth:`Block.stored_transactions`), made once per
+process however many peers store the block; everything before them is a
+``struct`` framing, so a reader that needs only a block's hash and flags
+(:meth:`Blockchain.block_heads`, :meth:`Blockchain.transaction_flag`)
+never decodes an envelope.  The magic's first byte (``0x01``) can never
+open a pickle stream, whatever the block number.
+
 A chain may carry a *pruned prefix*: blocks below ``genesis_offset`` have
 been archived (moved to the cold ``blocks.archive`` namespace, never
 deleted) or were never transferred at all for a snapshot-bootstrapped
@@ -25,13 +34,14 @@ bootstrapped peer that never saw the prefix.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator, Optional
 
 from repro.common.errors import LedgerError
-from repro.ledger.block import GENESIS_PREV_HASH, ValidatedBlock
+from repro.ledger.block import GENESIS_PREV_HASH, Block, BlockHeader, ValidatedBlock
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 from repro.storage import KVBackend, MemoryBackend, WriteBatch, write_op
-from repro.storage.codec import pack_obj, unpack_obj
+from repro.storage.codec import CodecError, Reader, pack_obj, unpack_obj
 
 NS_BLOCKS = "blocks"
 NS_BLOCKS_ARCHIVE = "blocks.archive"
@@ -39,9 +49,58 @@ NS_BLOCKS_META = "blocks.meta"
 
 _PRUNE_META_KEY = "prune"
 
+#: Magic prefix of a block row (first byte 0x01: never a pickle stream).
+BLOCK_MAGIC = b"\x01RBK1"
+
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+#: A flag is stored as its position in the enum's declaration order.
+_FLAG_CODES = tuple(ValidationCode)
+_FLAG_INDEX = {code: index for index, code in enumerate(_FLAG_CODES)}
+
 
 def _block_key(number: int) -> str:
     return f"{number:016d}"
+
+
+def pack_block_row(validated: ValidatedBlock) -> bytes:
+    """Frame a validated block as ``header | flags | transactions``."""
+    header = validated.block.header
+    return b"".join((
+        BLOCK_MAGIC,
+        _U64.pack(header.number),
+        _U32.pack(len(header.prev_hash)), header.prev_hash,
+        _U32.pack(len(header.data_hash)), header.data_hash,
+        _U32.pack(len(validated.flags)),
+        bytes(_FLAG_INDEX[flag] for flag in validated.flags),
+        validated.block.stored_transactions(),
+    ))
+
+
+def unpack_block_row(
+    raw: bytes, head_only: bool = False
+) -> tuple[BlockHeader, list[ValidationCode], Optional[Block]]:
+    """``(header, flags, block)`` of a block row; ``block`` is ``None``
+    under ``head_only``, which stops before the transactions."""
+    if not raw.startswith(BLOCK_MAGIC):
+        raise CodecError("block row lacks the block-framing magic")
+    reader = Reader(raw, len(BLOCK_MAGIC))
+    number = _U64.unpack(reader.take(_U64.size))[0]
+    prev_hash = reader.take(reader.u32())
+    data_hash = reader.take(reader.u32())
+    try:
+        flags = [_FLAG_CODES[index] for index in reader.take(reader.u32())]
+    except IndexError:
+        raise CodecError("block row carries an unknown validation code") from None
+    header = BlockHeader(number=number, prev_hash=prev_hash, data_hash=data_hash)
+    if head_only:
+        return header, flags, None
+    return header, flags, Block.from_storage(header, reader.rest())
+
+
+def _decode_block(raw: bytes) -> ValidatedBlock:
+    _, flags, block = unpack_block_row(raw)
+    return ValidatedBlock(block=block, flags=flags)
 
 
 class Blockchain:
@@ -63,9 +122,9 @@ class Blockchain:
         # from pruned history.  Archived blocks are decoded once here for
         # their ids and locations only — they are not kept in memory.
         for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
-            self._index_transactions(unpack_obj(raw))
+            self._index_transactions(_decode_block(raw))
         for _, raw in self._backend.range(NS_BLOCKS):
-            self._cache(unpack_obj(raw))
+            self._cache(_decode_block(raw))
 
     def _index_transactions(self, validated: ValidatedBlock) -> None:
         block = validated.block
@@ -119,7 +178,7 @@ class Blockchain:
             key = _block_key(validated.block.header.number)
             raw = self._backend.get(NS_BLOCKS, key)
             if raw is None:  # pragma: no cover - append always persisted it
-                raw = pack_obj(validated)
+                raw = pack_block_row(validated)
             batch.put(NS_BLOCKS_ARCHIVE, key, raw)
             batch.delete(NS_BLOCKS, key)
         anchor = pruned[-1].block.header.block_hash()
@@ -184,7 +243,7 @@ class Blockchain:
             batch,
             NS_BLOCKS,
             _block_key(block.header.number),
-            pack_obj(validated),
+            pack_block_row(validated),
             on_commit=lambda: self._cache(validated),
         )
 
@@ -206,13 +265,31 @@ class Blockchain:
     def archived_blocks(self) -> Iterator[ValidatedBlock]:
         """Cold-archived blocks, in commit order (decoded on demand)."""
         for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
-            yield unpack_obj(raw)
+            yield _decode_block(raw)
 
     def all_blocks(self) -> Iterator[ValidatedBlock]:
         """Archived + live blocks — the full replayable history when
         :attr:`full_history_available` holds."""
         yield from self.archived_blocks()
         yield from self._blocks
+
+    def block_heads(self) -> Iterator[tuple[BlockHeader, list[ValidationCode]]]:
+        """``(header, flags)`` of every archived + live block, in commit
+        order — :meth:`all_blocks` without decoding a transaction."""
+        for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
+            header, flags, _ = unpack_block_row(raw, head_only=True)
+            yield header, flags
+        for validated in self._blocks:
+            yield validated.block.header, validated.flags
+
+    def stored_block(self, number: int) -> ValidatedBlock:
+        """Block ``number``, live or archived (decoded on demand)."""
+        if number >= self._offset:
+            return self.block(number)
+        raw = self._backend.get(NS_BLOCKS_ARCHIVE, _block_key(number))
+        if raw is None:
+            raise LedgerError(f"block {number} is not held (archive base {self._archive_base})")
+        return _decode_block(raw)
 
     def find_transaction(
         self, tx_id: str
@@ -227,15 +304,23 @@ class Blockchain:
         if location is None:
             return None
         block_num, tx_num = location
-        index = block_num - self._offset
-        if index >= 0:
-            validated = self._blocks[index]
-        else:
-            raw = self._backend.get(NS_BLOCKS_ARCHIVE, _block_key(block_num))
-            if raw is None:  # pragma: no cover - index built from held blocks
-                return None
-            validated = unpack_obj(raw)
+        validated = self.stored_block(block_num)
         return validated.block.transactions[tx_num], validated.flags[tx_num]
+
+    def transaction_flag(self, tx_id: str) -> Optional[ValidationCode]:
+        """The validity flag of a committed transaction, by id.
+
+        Reads only the flags of an archived block's row, never its
+        transactions.
+        """
+        location = self._tx_index.get(tx_id)
+        if location is None:
+            return None
+        block_num, tx_num = location
+        if block_num >= self._offset:
+            return self._blocks[block_num - self._offset].flags[tx_num]
+        raw = self._backend.get(NS_BLOCKS_ARCHIVE, _block_key(block_num))
+        return unpack_block_row(raw, head_only=True)[1][tx_num]
 
     def has_transaction(self, tx_id: str) -> bool:
         return tx_id in self._tx_index

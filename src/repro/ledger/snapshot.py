@@ -42,7 +42,8 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import SnapshotError
 from repro.common.hashing import hash_key, hash_value
-from repro.common.serialization import canonical_bytes
+from repro.common.serialization import Memoized, canonical_bytes, from_canonical_bytes
+from repro.identity.identity import Certificate
 from repro.ledger.ledger import (
     NS_MISSING,
     NS_PRIVATE_META,
@@ -52,14 +53,14 @@ from repro.ledger.ledger import (
 )
 from repro.ledger.private_state import NS_PRIVATE, NS_PRIVATE_HASH
 from repro.ledger.world_state import NS_PUBLIC, NS_PUBLIC_META
-from repro.storage import WriteBatch, split_key
+from repro.storage import WriteBatch, compose_key, split_key
 from repro.storage.codec import (
     U64_PAIR_SIZE,
     CodecError,
-    pack_obj,
+    pack_tables,
     unpack_bytes_map,
-    unpack_obj,
     unpack_private_writes,
+    unpack_tables,
     unpack_u64_pair,
     unpack_versioned,
 )
@@ -86,7 +87,7 @@ RETAIN_SNAPSHOTS = 2
 
 
 @dataclass(frozen=True)
-class SnapshotManifest:
+class SnapshotManifest(Memoized):
     """What a peer signs: the attestable summary of its state at a height."""
 
     channel_id: str
@@ -98,14 +99,28 @@ class SnapshotManifest:
     collection_digests: tuple
 
     def signing_bytes(self) -> bytes:
-        return canonical_bytes({
+        """The canonical bytes every signature covers (memoized): a
+        manifest is signed once and verified at every peer it reaches."""
+        return self._memo("_signing", lambda: canonical_bytes({
             "kind": "snapshot-manifest",
             "channel": self.channel_id,
             "height": self.height,
             "last_block_hash": self.last_block_hash,
             "state_hash": self.state_hash,
             "collections": [list(entry) for entry in self.collection_digests],
-        })
+        }))
+
+    @classmethod
+    def from_signing_bytes(cls, raw: bytes) -> "SnapshotManifest":
+        """Inverse of :meth:`signing_bytes`."""
+        doc = from_canonical_bytes(raw)
+        return cls(
+            channel_id=doc["channel"],
+            height=doc["height"],
+            last_block_hash=doc["last_block_hash"],
+            state_hash=doc["state_hash"],
+            collection_digests=tuple(tuple(entry) for entry in doc["collections"]),
+        )
 
 
 @dataclass
@@ -477,62 +492,170 @@ def bootstrap_from_package(
 
 
 # -- per-peer persistence ----------------------------------------------------
+_MANIFEST = "manifest"
+_ROWS = "rows"
+_SEALED = "sealed"
+_SIG = "sig"
+_SEALED_MARK = b"\x01"
+
+
 def _height_key(height: int) -> str:
     return f"{height:016d}"
+
+
+def _row_key(height: int, *parts: str) -> str:
+    return compose_key(_height_key(height), *parts)
+
+
+def _pack_signature(certificate: Certificate, signature: bytes) -> bytes:
+    return canonical_bytes({"certificate": certificate, "signature": signature})
+
+
+def _unpack_signature(raw: bytes) -> tuple[Certificate, bytes]:
+    doc = from_canonical_bytes(raw)
+    return Certificate.from_wire(doc["certificate"]), doc["signature"]
 
 
 class SnapshotStore:
     """A peer's durable snapshot records, in the ``snapshots`` namespace.
 
-    Reads go through ``ledger.backend`` on every call so the store
-    survives crash/reopen without its own recovery step; the record set
-    is bounded by :data:`RETAIN_SNAPSHOTS` so cost stays O(1).
+    A record is several rows under its zero-padded height, so every event
+    writes only what it adds:
+
+    * ``<height>/manifest`` — the manifest's signing bytes, and
+    * ``<height>/rows`` — the payload rows (``pack_tables``), both written
+      once, when the peer produces the snapshot;
+    * ``<height>/sig/<enrollment id>`` — one row per signature, the
+      canonical ``{certificate, signature}``;
+    * ``<height>/sealed`` — the marker a seal writes.
+
+    A received signature is one small row, checked against the manifest
+    row and the other signature rows without reading the payload rows.
+    A seal stages its marker and the retention it triggers in one batch:
+    the newest :data:`RETAIN_SNAPSHOTS` records and the newest sealed one
+    are kept, and every row of every other height is deleted.  Reads go
+    through ``ledger.backend`` on every call so the store survives
+    crash/reopen without its own recovery step; the record set is bounded
+    by :data:`RETAIN_SNAPSHOTS` so cost stays O(1).
     """
 
     def __init__(self, ledger: PeerLedger) -> None:
         self._ledger = ledger
 
-    def put(self, record: SnapshotRecord) -> None:
-        self._ledger.backend.put(
-            NS_SNAPSHOTS, _height_key(record.manifest.height), pack_obj(record)
-        )
-
-    def get(self, height: int) -> Optional[SnapshotRecord]:
-        raw = self._ledger.backend.get(NS_SNAPSHOTS, _height_key(height))
-        return unpack_obj(raw) if raw is not None else None
-
-    def records(self) -> list[SnapshotRecord]:
+    def _heights(self, kind: str) -> list[int]:
+        """Heights holding a ``kind`` row (``manifest`` or ``sealed``), ascending."""
         return [
-            unpack_obj(raw)
-            for _, raw in self._ledger.backend.range(NS_SNAPSHOTS)
+            int(height)
+            for height, *rest in (
+                split_key(key) for key, _ in self._ledger.backend.range(NS_SNAPSHOTS)
+            )
+            if rest == [kind]
         ]
 
+    # -- whole records ---------------------------------------------------------
+    def stage_record(self, batch: WriteBatch, record: SnapshotRecord) -> None:
+        """Stage ``record`` in place of whatever its height held.
+
+        A sealed record stages its seal too, and with it the retention.
+        """
+        height = record.manifest.height
+        for key, _ in self._ledger.backend.prefix(NS_SNAPSHOTS, _height_key(height)):
+            batch.delete(NS_SNAPSHOTS, key)
+        if record.sealed and not self._stage_seal(batch, height):
+            return
+        batch.put(NS_SNAPSHOTS, _row_key(height, _MANIFEST), record.manifest.signing_bytes())
+        batch.put(NS_SNAPSHOTS, _row_key(height, _ROWS), pack_tables(
+            {namespace: dict(rows) for namespace, rows in record.rows.items()}
+        ))
+        for certificate, signature in record.signatures.values():
+            self.stage_signature(batch, height, certificate, signature)
+
+    def get(self, height: int) -> Optional[SnapshotRecord]:
+        backend = self._ledger.backend
+        manifest = backend.get(NS_SNAPSHOTS, _row_key(height, _MANIFEST))
+        if manifest is None:
+            return None
+        rows = unpack_tables(backend.get(NS_SNAPSHOTS, _row_key(height, _ROWS)))
+        signatures = {}
+        for key, raw in backend.prefix(NS_SNAPSHOTS, _height_key(height), _SIG):
+            signatures[split_key(key)[-1]] = _unpack_signature(raw)
+        return SnapshotRecord(
+            manifest=SnapshotManifest.from_signing_bytes(manifest),
+            rows={namespace: list(table.items()) for namespace, table in rows.items()},
+            signatures=signatures,
+            sealed=self.is_sealed(height),
+        )
+
+    def records(self) -> list[SnapshotRecord]:
+        return [self.get(height) for height in self._heights(_MANIFEST)]
+
     def latest_sealed(self) -> Optional[SnapshotRecord]:
-        sealed = [record for record in self.records() if record.sealed]
+        height = self.latest_sealed_height()
+        return self.get(height) if height is not None else None
+
+    def latest_sealed_height(self) -> Optional[int]:
+        sealed = self._heights(_SEALED)
         return sealed[-1] if sealed else None
 
-    def retain_latest(self, keep: int = RETAIN_SNAPSHOTS) -> int:
-        """Drop all but the newest ``keep`` records; returns the count.
+    # -- the signature path ----------------------------------------------------
+    def manifest_bytes(self, height: int) -> Optional[bytes]:
+        """The stored manifest's signing bytes, or ``None``."""
+        return self._ledger.backend.get(NS_SNAPSHOTS, _row_key(height, _MANIFEST))
 
-        The newest *sealed* record is retained unconditionally: it is the
+    def has_signature(self, height: int, enrollment_id: str) -> bool:
+        key = _row_key(height, _SIG, enrollment_id)
+        return self._ledger.backend.get(NS_SNAPSHOTS, key) is not None
+
+    def certificates(self, height: int) -> list[Certificate]:
+        """The signers recorded for ``height``."""
+        return [
+            _unpack_signature(raw)[0]
+            for _, raw in self._ledger.backend.prefix(NS_SNAPSHOTS, _height_key(height), _SIG)
+        ]
+
+    def is_sealed(self, height: int) -> bool:
+        return self._ledger.backend.get(NS_SNAPSHOTS, _row_key(height, _SEALED)) is not None
+
+    def stage_signature(
+        self,
+        batch: WriteBatch,
+        height: int,
+        certificate: Certificate,
+        signature: bytes,
+        seal: bool = False,
+    ) -> None:
+        """Stage one signature row for ``height``; with ``seal``, its seal too."""
+        if seal and not self._stage_seal(batch, height):
+            return
+        batch.put(
+            NS_SNAPSHOTS,
+            _row_key(height, _SIG, certificate.enrollment_id),
+            _pack_signature(certificate, signature),
+        )
+
+    # -- sealing and retention ---------------------------------------------------
+    def _stage_seal(self, batch: WriteBatch, height: int) -> bool:
+        """Stage ``height``'s seal marker and the retention the seal triggers.
+
+        The newest sealed record is retained unconditionally: it is the
         peer's serving/bootstrap source, and the chain may already be
         pruned to its height — a seal that arrives late (via gossip) for
         an older height must not be dropped in favour of newer records
-        that never reached quorum.
+        that never reached quorum.  A late seal below a newer sealed
+        record can still fall outside the kept set; then ``height``'s
+        stored rows are staged for deletion, no marker is staged, and the
+        ``False`` returned tells the caller to stage no row of ``height``
+        either, so no row outlives its manifest.
         """
-        entries = [
-            (key, unpack_obj(raw))
-            for key, raw in self._ledger.backend.range(NS_SNAPSHOTS)
-        ]
-        kept = {key for key, _ in entries[-keep:]} if keep else set()
-        sealed = [key for key, record in entries if record.sealed]
-        if sealed:
-            kept.add(sealed[-1])
-        dropped = [key for key, _ in entries if key not in kept]
-        if not dropped:
-            return 0
-        batch = WriteBatch()
-        for key in dropped:
-            batch.delete(NS_SNAPSHOTS, key)
-        self._ledger.commit_batch(batch)
-        return len(dropped)
+        heights = sorted(set(self._heights(_MANIFEST)) | {height})
+        kept = set(heights[-RETAIN_SNAPSHOTS:])
+        kept.add(max(self._heights(_SEALED) + [height]))
+        backend = self._ledger.backend
+        for dropped in heights:
+            if dropped not in kept:
+                for key, _ in backend.prefix(NS_SNAPSHOTS, _height_key(dropped)):
+                    batch.delete(NS_SNAPSHOTS, key)
+        if height not in kept:
+            return False
+        batch.put(NS_SNAPSHOTS, _row_key(height, _SEALED), _SEALED_MARK)
+        return True

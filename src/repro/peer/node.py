@@ -33,14 +33,14 @@ from repro.peer.endorser import EndorsementOutput, Endorser
 from repro.peer.validator import Validator
 from repro.protocol.proposal import Proposal
 from repro.protocol.transaction import ValidationCode
-from repro.storage import KVBackend
+from repro.storage import KVBackend, WriteBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
 
 CommitListener = Callable[["PeerNode", ValidatedBlock], None]
 SnapshotSigListener = Callable[["PeerNode", SnapshotManifest, Certificate, bytes], None]
-SnapshotSealListener = Callable[["PeerNode", SnapshotRecord], None]
+SnapshotSealListener = Callable[["PeerNode", SnapshotManifest], None]
 
 
 class PeerNode:
@@ -191,7 +191,7 @@ class PeerNode:
         height = self.ledger.height
         if not every or height == 0 or height % every != 0:
             return None
-        if self.snapshots.get(height) is not None:
+        if self.snapshots.manifest_bytes(height) is not None:
             return None
         return self.produce_snapshot()
 
@@ -207,8 +207,12 @@ class PeerNode:
         ):
             if their_manifest == manifest:
                 record.signatures[certificate.enrollment_id] = (certificate, sig)
-        self.snapshots.put(record)
-        self._check_seal(record)
+        record.sealed = self._quorum([cert for cert, _ in record.signatures.values()])
+        batch = WriteBatch()
+        self.snapshots.stage_record(batch, record)
+        self.ledger.commit_batch(batch)
+        if record.sealed:
+            self._sealed(manifest)
         for listener in self._snapshot_sig_listeners:
             listener(self, manifest, self.certificate, signature)
         return record
@@ -216,45 +220,57 @@ class PeerNode:
     def receive_snapshot_sig(
         self, manifest: SnapshotManifest, certificate: Certificate, signature: bytes
     ) -> None:
-        """Gossip handler: accumulate another peer's manifest signature."""
+        """Gossip handler: accumulate another peer's manifest signature.
+
+        Reads the stored manifest and signatures, never the payload rows,
+        and writes one signature row — plus, when it completes a quorum,
+        the seal marker, in the same batch.
+        """
         if self.crashed:
             return
         if not self.channel.msp_registry.validate_certificate(certificate):
             return
-        if not certificate.public_key.verify(manifest.signing_bytes(), signature):
+        signing = manifest.signing_bytes()
+        if not certificate.public_key.verify(signing, signature):
             return
-        record = self.snapshots.get(manifest.height)
-        if record is None:
-            if manifest.height > self.ledger.height:
-                self._pending_snapshot_sigs.setdefault(manifest.height, []).append(
+        height = manifest.height
+        stored = self.snapshots.manifest_bytes(height)
+        if stored is None:
+            if height > self.ledger.height:
+                self._pending_snapshot_sigs.setdefault(height, []).append(
                     (certificate, signature, manifest)
                 )
             return
-        if record.manifest != manifest:
+        if stored != signing:
             # Divergent state at the same height: never co-sign it.
             return
-        if certificate.enrollment_id in record.signatures:
+        if self.snapshots.has_signature(height, certificate.enrollment_id):
             return
-        record.signatures[certificate.enrollment_id] = (certificate, signature)
-        self.snapshots.put(record)
-        self._check_seal(record)
+        sealing = not self.snapshots.is_sealed(height) and self._quorum(
+            self.snapshots.certificates(height) + [certificate]
+        )
+        batch = WriteBatch()
+        self.snapshots.stage_signature(batch, height, certificate, signature, seal=sealing)
+        self.ledger.commit_batch(batch)
+        if sealing:
+            self._sealed(manifest)
 
-    def _check_seal(self, record: SnapshotRecord) -> None:
-        if record.sealed:
-            return
-        certs = [cert for cert, _ in record.signatures.values()]
-        if not self.channel.evaluator().evaluate(SNAPSHOT_POLICY, certs):
-            return
-        record.sealed = True
-        self.snapshots.put(record)
-        self.snapshots.retain_latest()
+    def _quorum(self, certificates: list) -> bool:
+        return self.channel.evaluator().evaluate(SNAPSHOT_POLICY, certificates)
+
+    def _sealed(self, manifest: SnapshotManifest) -> None:
+        """After a seal commits: prune below it, tell the listeners."""
         if self.prune_enabled:
-            self.ledger.blockchain.prune_to(record.manifest.height)
+            self.ledger.blockchain.prune_to(manifest.height)
         for listener in self._snapshot_seal_listeners:
-            listener(self, record)
+            listener(self, manifest)
 
     def latest_sealed_snapshot(self) -> Optional[SnapshotRecord]:
         return self.snapshots.latest_sealed()
+
+    def sealed_snapshot_height(self) -> Optional[int]:
+        """Height of :meth:`latest_sealed_snapshot`, without reading it."""
+        return self.snapshots.latest_sealed_height()
 
     def serve_snapshot(self, msp_id: str) -> Optional[SnapshotPackage]:
         """Serve the latest sealed snapshot, filtered for ``msp_id``."""
@@ -320,8 +336,7 @@ ValidationCostModel` charges service time for; no crypto runs.
         return entry.value_hash if entry else None
 
     def transaction_status(self, tx_id: str) -> Optional[ValidationCode]:
-        found = self.ledger.blockchain.find_transaction(tx_id)
-        return found[1] if found else None
+        return self.ledger.blockchain.transaction_flag(tx_id)
 
     # -- commit observability (throughput benches, runtime assertions) --------
     @property

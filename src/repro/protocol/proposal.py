@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.common.hashing import sha256, sha256_hex
-from repro.common.serialization import canonical_bytes, memo_epoch
+from repro.common.serialization import Memoized, canonical_bytes
 from repro.identity.identity import Certificate
 
 _NONCE_COUNTER = itertools.count(1)
@@ -37,7 +37,7 @@ def reset_nonce_counter() -> None:
 
 
 @dataclass(frozen=True)
-class Proposal:
+class Proposal(Memoized):
     """A transaction proposal (execution-phase request)."""
 
     channel_id: str
@@ -51,7 +51,9 @@ class Proposal:
     @property
     def tx_id(self) -> str:
         """Fabric derives the tx id as ``hash(nonce || creator)``."""
-        return sha256_hex(self.nonce + self.creator.body_bytes())
+        return self._memo(
+            "_tx_id", lambda: sha256_hex(self.nonce + self.creator.body_bytes())
+        )
 
     def header_bytes(self) -> bytes:
         """The proposal content covered by hashes and signatures.
@@ -60,32 +62,22 @@ class Proposal:
         into anything that reaches the ordering service.
         """
         # An N-endorser fan-out serializes the same frozen proposal once
-        # per endorser; stash the canonical form on the instance (the same
-        # memoization pattern as ``ProposalResponsePayload.bytes``) so the
-        # 2nd..Nth dispatch reuses it.  The memo is stamped with the
-        # serialization epoch so ``crypto.clear_caches`` invalidates it.
-        cached = getattr(self, "_header_bytes", None)
-        if cached is None or cached[0] != memo_epoch():
-            value = canonical_bytes(
-                {
-                    "channel_id": self.channel_id,
-                    "chaincode_id": self.chaincode_id,
-                    "function": self.function,
-                    "args": list(self.args),
-                    "creator": self.creator.to_wire(),
-                    "nonce": self.nonce,
-                }
-            )
-            cached = (memo_epoch(), value)
-            object.__setattr__(self, "_header_bytes", cached)
-        return cached[1]
+        # per endorser; the canonical form is memoized on the instance so
+        # the 2nd..Nth dispatch reuses it, stamped with the serialization
+        # epoch so ``crypto.clear_caches`` invalidates it.
+        return self._memo("_header_bytes", lambda: canonical_bytes(
+            {
+                "channel_id": self.channel_id,
+                "chaincode_id": self.chaincode_id,
+                "function": self.function,
+                "args": self.args,
+                "creator": self.creator,
+                "nonce": self.nonce,
+            }
+        ))
 
     def proposal_hash(self) -> bytes:
-        cached = getattr(self, "_proposal_hash", None)
-        if cached is None or cached[0] != memo_epoch():
-            cached = (memo_epoch(), sha256(self.header_bytes()))
-            object.__setattr__(self, "_proposal_hash", cached)
-        return cached[1]
+        return self._memo("_proposal_hash", lambda: sha256(self.header_bytes()))
 
     def simulation_digest(self) -> bytes:
         """Digest of everything that determines the simulation *result*.
@@ -96,21 +88,16 @@ class Proposal:
         peer-side endorsement cache keys read-only evaluates by
         ``(simulation digest, state height)``.
         """
-        cached = getattr(self, "_sim_digest", None)
-        if cached is None or cached[0] != memo_epoch():
-            value = sha256(canonical_bytes(
-                {
-                    "channel_id": self.channel_id,
-                    "chaincode_id": self.chaincode_id,
-                    "function": self.function,
-                    "args": list(self.args),
-                    "creator": self.creator.to_wire(),
-                    "transient": {k: self.transient[k] for k in sorted(self.transient)},
-                }
-            ))
-            cached = (memo_epoch(), value)
-            object.__setattr__(self, "_sim_digest", cached)
-        return cached[1]
+        return self._memo("_sim_digest", lambda: sha256(canonical_bytes(
+            {
+                "channel_id": self.channel_id,
+                "chaincode_id": self.chaincode_id,
+                "function": self.function,
+                "args": self.args,
+                "creator": self.creator,
+                "transient": {k: self.transient[k] for k in sorted(self.transient)},
+            }
+        )))
 
 
 def new_proposal(

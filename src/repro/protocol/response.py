@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 from repro.common.hashing import sha256
-from repro.common.serialization import canonical_bytes, memo_epoch
+from repro.common.serialization import Memoized, canonical_bytes
 from repro.identity.identity import Certificate
 
 if TYPE_CHECKING:  # pragma: no cover - break the ledger<->chaincode import cycle
@@ -71,7 +71,7 @@ class ChaincodeEvent:
 
 
 @dataclass(frozen=True)
-class ProposalResponsePayload:
+class ProposalResponsePayload(Memoized):
     """The signed content of an endorsement; stored verbatim in the tx."""
 
     proposal_hash: bytes
@@ -88,18 +88,19 @@ class ProposalResponsePayload:
         }
 
     def bytes(self) -> bytes:
+        """The canonical bytes endorsers sign (``wire_bytes``)."""
+        return self.wire_bytes()
+
+    def wire_bytes(self) -> bytes:
         # Canonical serialization is the single hottest allocation of
         # block validation: every endorsement check of every peer hashes
         # these bytes.  The payload is deeply frozen, so the serialized
         # form is computed once and stashed on the instance — the 2nd..Nth
         # check (and the 2nd..Nth *peer*, which sees the same object in
-        # this in-process simulator) reuses it.  Epoch-stamped so
-        # ``crypto.clear_caches`` invalidates stashed instances too.
-        cached = getattr(self, "_serialized", None)
-        if cached is None or cached[0] != memo_epoch():
-            cached = (memo_epoch(), canonical_bytes(self.to_wire()))
-            object.__setattr__(self, "_serialized", cached)
-        return cached[1]
+        # this in-process simulator) reuses it, and an envelope that
+        # carries the payload splices it rather than re-encoding it.
+        # Epoch-stamped so ``crypto.clear_caches`` invalidates it.
+        return self._memo("_serialized", lambda: canonical_bytes(self.to_wire()))
 
     def with_hashed_payload(self) -> "ProposalResponsePayload":
         """New Feature 2, generalized: hash every plaintext channel —
@@ -111,7 +112,7 @@ class ProposalResponsePayload:
 
 
 @dataclass(frozen=True)
-class Endorsement:
+class Endorsement(Memoized):
     """An endorser's certificate and its signature over the payload bytes."""
 
     endorser: Certificate
@@ -122,6 +123,12 @@ class Endorsement:
 
     def to_wire(self) -> dict:
         return {"endorser": self.endorser.to_wire(), "signature": self.signature}
+
+    def wire_bytes(self) -> bytes:
+        """``canonical_bytes(self.to_wire())``, the certificate spliced in."""
+        return self._memo("_wire", lambda: canonical_bytes(
+            {"endorser": self.endorser, "signature": self.signature}
+        ))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.common.serialization import canonical_bytes, memo_epoch
+from repro.common.serialization import Memoized, canonical_bytes
 from repro.identity.identity import Certificate
 from repro.protocol.response import Endorsement, ProposalResponsePayload
 
@@ -39,7 +39,7 @@ class ValidationCode(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransactionEnvelope:
+class TransactionEnvelope(Memoized):
     """A signed, endorsed transaction ready for ordering."""
 
     tx_id: str
@@ -60,25 +60,22 @@ class TransactionEnvelope:
 
         Memoized on the (frozen) envelope: every peer re-serializes the
         same envelope to check the creator signature, so the canonical
-        bytes are computed once per envelope per process.
+        bytes are computed once per envelope per process.  The creator,
+        payload and endorsements hold their own encodings, which are
+        spliced in rather than re-encoded.
         """
-        cached = getattr(self, "_serialized", None)
-        if cached is None or cached[0] != memo_epoch():
-            value = canonical_bytes(
-                {
-                    "tx_id": self.tx_id,
-                    "channel_id": self.channel_id,
-                    "chaincode_id": self.chaincode_id,
-                    "creator": self.creator.to_wire(),
-                    "payload": self.payload.to_wire(),
-                    "endorsements": [e.to_wire() for e in self.endorsements],
-                    "function": self.function,
-                    "args": list(self.args),
-                }
-            )
-            cached = (memo_epoch(), value)
-            object.__setattr__(self, "_serialized", cached)
-        return cached[1]
+        return self._memo("_serialized", lambda: canonical_bytes(
+            {
+                "tx_id": self.tx_id,
+                "channel_id": self.channel_id,
+                "chaincode_id": self.chaincode_id,
+                "creator": self.creator,
+                "payload": self.payload,
+                "endorsements": self.endorsements,
+                "function": self.function,
+                "args": self.args,
+            }
+        ))
 
     def with_signature(self, signature: bytes) -> "TransactionEnvelope":
         """This envelope under ``signature``, keeping the encoding memo.

@@ -267,9 +267,9 @@ class TransactionRuntime:
         self._deliver[peer.name] = deliver
         self.bus.register(peer.name, self._peer_handler(peer))
         peer.on_snapshot_seal(self._on_peer_sealed)
-        record = peer.latest_sealed_snapshot()
-        if record is not None:
-            self._sealed_heights[peer.name] = record.manifest.height
+        sealed = peer.sealed_snapshot_height()
+        if sealed is not None:
+            self._sealed_heights[peer.name] = sealed
 
     def join_peer(self, peer: "PeerNode", deliver: Callable[[Block], object]) -> None:
         """Admit a newly created peer, bootstrapping from a snapshot.
@@ -697,9 +697,9 @@ class TransactionRuntime:
         )
 
     # -- snapshot checkpointing ----------------------------------------------
-    def _on_peer_sealed(self, peer: "PeerNode", record) -> None:
+    def _on_peer_sealed(self, peer: "PeerNode", manifest) -> None:
         self._sealed_heights[peer.name] = max(
-            self._sealed_heights.get(peer.name, 0), record.manifest.height
+            self._sealed_heights.get(peer.name, 0), manifest.height
         )
         self._maybe_prune_backlog()
 

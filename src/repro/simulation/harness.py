@@ -361,7 +361,7 @@ def execute(
         # off): sealed snapshots across peers, the orderer's pruned-backlog
         # offset, and how far each peer's own chain prefix was archived.
         "snapshots_sealed": sum(
-            1 for p in sim.all_peers() if p.latest_sealed_snapshot() is not None
+            1 for p in sim.all_peers() if p.sealed_snapshot_height() is not None
         ),
         "backlog_offset": sim.network.orderer.backlog_offset,
         "genesis_offset": max(

@@ -587,15 +587,19 @@ def check_reference_validation(
     replay = replay or ChainReplay(sim)
     violations = []
     for peer in sim.all_peers():
-        for validated in peer.ledger.blockchain.all_blocks():
-            expected = replay.expected.get(validated.number)
+        chain = peer.ledger.blockchain
+        for header, flags in chain.block_heads():
+            expected = replay.expected.get(header.number)
             if expected is None:
                 continue  # height mismatch already reported by block-agreement
-            for tx, got, want in zip(validated.block.transactions, validated.flags, expected):
+            if flags == expected:
+                continue
+            transactions = chain.stored_block(header.number).block.transactions
+            for tx, got, want in zip(transactions, flags, expected):
                 if got is not want:
                     violations.append(Violation(
                         "reference-validation",
-                        f"block {validated.number}: peer flagged {got.value}, "
+                        f"block {header.number}: peer flagged {got.value}, "
                         f"reference says {want.value}",
                         peer=peer.name, tx_id=tx.tx_id,
                     ))
@@ -927,9 +931,9 @@ def state_digest(sim: "SimNetwork") -> str:
     for name in sorted(sim.peers):
         peer = sim.peers[name]
         digest.update(name.encode("utf-8"))
-        for validated in peer.ledger.blockchain.all_blocks():
-            digest.update(validated.block.header.block_hash())
-            for flag in validated.flags:
+        for header, flags in peer.ledger.blockchain.block_heads():
+            digest.update(header.block_hash())
+            for flag in flags:
                 digest.update(flag.name.encode("ascii"))
         for ns in sorted(channel.chaincodes):
             for key, entry in sorted(
@@ -989,7 +993,7 @@ def check_snapshot_equivalence(
     violations = []
     if not sim.config.snapshot_every:
         return violations
-    if not any(p.latest_sealed_snapshot() is not None for p in sim.all_peers()):
+    if not any(p.sealed_snapshot_height() is not None for p in sim.all_peers()):
         return violations  # run too short to seal a checkpoint: nothing to test
     replay = replay or ChainReplay(sim)
 

@@ -3,11 +3,15 @@
 The backends store opaque ``bytes``; these helpers own the framing.
 Versioned entries use a fixed 16-byte header (two little-endian u64s for
 ``(block_num, tx_num)``) followed by the raw value — decoding is a slice,
-not a parse.  Structured records (blocks, transient rwsets, metadata
-maps) go through stdlib ``pickle``; the bytes are peer-local (never
-signed, never compared across peers), so canonical encoding is not
-required — only exact round-tripping, which the durability invariant
-checks byte-for-byte.
+not a parse.  What still goes through stdlib ``pickle`` (``pack_obj``)
+is peer-local and never signed or compared across peers: transient-store
+entries, the prune metadata, and a block's transaction list — the tail
+of a block row, whose header and flags are a ``struct`` framing
+(``ledger/blockchain.py``), encoded once per block however many peers
+store it.  Snapshot records are not pickled at all: the snapshot store
+writes a manifest's signing bytes, ``pack_tables`` rows and one
+canonical row per signature (``ledger/snapshot.py``).  Pickled protocol
+messages carry their fields only — never a memoized encoding.
 
 The WAL's on-disk framing, by contrast, must never execute code while
 decoding — a corrupt or adversarial snapshot file fed to ``pickle.loads``
@@ -114,6 +118,10 @@ class Reader:
 
     def string(self) -> str:
         return self.take(self.u32()).decode("utf-8")
+
+    def rest(self) -> bytes:
+        """Everything not yet taken."""
+        return self.take(len(self._raw) - self._offset)
 
     def done(self) -> bool:
         return self._offset == len(self._raw)

@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import fields, replace
 
 import pytest
 
+from repro.chaincode.contracts import PrivateAssetContract
 from repro.common.errors import LedgerError
 from repro.identity.organization import Organization
 from repro.ledger.block import GENESIS_PREV_HASH, Block, ValidatedBlock
-from repro.ledger.blockchain import Blockchain
+from repro.ledger.blockchain import (
+    BLOCK_MAGIC,
+    NS_BLOCKS,
+    Blockchain,
+    pack_block_row,
+    unpack_block_row,
+)
+from repro.ledger.snapshot import SnapshotManifest
+from repro.network.presets import three_org_network
 from repro.protocol.proposal import new_proposal
 from repro.protocol.response import ChaincodeResponse, Endorsement, ProposalResponsePayload
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 from repro.chaincode.rwset import TxReadWriteSet
+from repro.storage import MemoryBackend
+from repro.storage.codec import PICKLE_MARKER, CodecError
 
 
 def _envelope(tag: str = "tx") -> TransactionEnvelope:
@@ -170,3 +182,112 @@ class TestBlockchain:
         block = Block.create(0, GENESIS_PREV_HASH, (_envelope(),))
         with pytest.raises(LedgerError):
             chain.append(ValidatedBlock(block=block, flags=[]))
+
+
+# ---------------------------------------------------------------------------
+# Storage encodings
+# ---------------------------------------------------------------------------
+def _memoized_messages():
+    """One of each message a peer stores, every memo filled."""
+    org = Organization("Org1MSP")
+    client = org.enroll_client()
+    proposal = new_proposal("ch", "cc", "fn", ["a"], client.certificate)
+    envelope = _envelope("memo")
+    block = Block.create(0, GENESIS_PREV_HASH, (envelope,))
+    manifest = SnapshotManifest(
+        channel_id="ch", height=4, last_block_hash=b"h" * 32, state_hash="ab",
+        collection_digests=(("cc", "PDC1", "cd"),),
+    )
+    for fill in (
+        lambda: proposal.tx_id, proposal.header_bytes, proposal.proposal_hash,
+        envelope.signed_bytes, envelope.payload.bytes, client.certificate.wire_bytes,
+        client.certificate.body_bytes, manifest.signing_bytes, block.stored_transactions,
+    ):
+        fill()
+    return {
+        "envelope": envelope, "payload": envelope.payload, "proposal": proposal,
+        "certificate": client.certificate, "manifest": manifest, "block": block,
+    }
+
+
+class TestStorageHygiene:
+    @pytest.mark.parametrize(
+        "kind", ["envelope", "payload", "proposal", "certificate", "manifest", "block"]
+    )
+    def test_no_memo_reaches_the_pickled_state(self, kind):
+        message = _memoized_messages()[kind]
+        assert any(name.startswith("_") for name in vars(message)), "no memo to drop"
+        raw = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        restored = pickle.loads(raw)
+        assert restored == message
+        assert not [name for name in vars(restored) if name.startswith("_")]
+        # Nowhere in the stream, nested messages included.
+        assert b"_serialized" not in raw and b"_wire" not in raw and b"_stored" not in raw
+
+    def test_one_block_committed_at_every_peer_is_encoded_once(self, monkeypatch):
+        net = three_org_network()
+        net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+        for org in ("Org1MSP", "Org2MSP", "Org3MSP"):
+            net.network.add_peer(org, "peer1")
+        net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+        encoded = []
+        real_dumps = pickle.dumps
+
+        def dumps(obj, *args, **kwargs):
+            encoded.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        net.client_of(1).submit_transaction(
+            net.chaincode_id, "set_private", [net.collection, "k"],
+            transient={"value": b"v"}, endorsing_peers=[net.peer_of(1), net.peer_of(2)],
+        ).raise_for_status()
+        peers = net.network.peers()
+        assert len(peers) == 6 and {p.ledger.height for p in peers} == {1}
+        block = net.network.orderer.delivered_blocks[0]
+        assert sum(1 for obj in encoded if obj is block.transactions) == 1
+        assert not [obj for obj in encoded if isinstance(obj, (Block, ValidatedBlock))]
+
+
+class TestBlockRow:
+    def _validated(self, number: int = 0) -> ValidatedBlock:
+        block = Block.create(number, GENESIS_PREV_HASH, (_envelope("a"), _envelope("b")))
+        return ValidatedBlock(
+            block=block, flags=[ValidationCode.VALID, ValidationCode.MVCC_READ_CONFLICT]
+        )
+
+    def test_header_first_row_decodes_to_the_appended_block(self):
+        validated = self._validated()
+        backend = MemoryBackend()
+        Blockchain(backend).append(validated)
+        raw = backend.get(NS_BLOCKS, f"{0:016d}")
+        header, flags, block = unpack_block_row(raw)
+        assert ValidatedBlock(block=block, flags=flags) == validated
+        assert unpack_block_row(raw, head_only=True) == (validated.block.header, flags, None)
+        # A reopened chain reads the same block back, and its hashes verify.
+        reopened = Blockchain(backend)
+        assert reopened.block(0) == validated and reopened.verify_chain()
+
+    def test_a_decoded_block_keeps_its_storage_encoding(self):
+        raw = pack_block_row(self._validated())
+        _, _, block = unpack_block_row(raw)
+        assert raw.endswith(block.stored_transactions())
+
+    def test_a_block_row_is_never_a_pickle_stream(self):
+        for number in (0, 1, 127, 128, 255, 2 ** 40):
+            raw = pack_block_row(self._validated(number))
+            assert raw.startswith(BLOCK_MAGIC)
+            assert not raw.startswith(PICKLE_MARKER)
+            with pytest.raises(Exception):
+                pickle.loads(raw)
+
+    def test_a_pickled_block_is_not_a_block_row(self):
+        with pytest.raises(CodecError):
+            unpack_block_row(pickle.dumps(self._validated(128)))
+
+    def test_an_unknown_flag_code_is_rejected(self):
+        raw = bytearray(pack_block_row(self._validated()))
+        first_flag = len(BLOCK_MAGIC) + 8 + (4 + 32) * 2 + 4  # number, two hashes, count
+        raw[first_flag] = 250
+        with pytest.raises(CodecError):
+            unpack_block_row(bytes(raw), head_only=True)

@@ -85,6 +85,8 @@ def _rewrite_tip(peer, flip_flag=False, rewrite_tx=None) -> None:
         flags[0] = ValidationCode.MVCC_READ_CONFLICT
     blocks[-1] = ValidatedBlock(block=block, flags=flags)
     chain.all_blocks = lambda: iter(blocks)
+    chain.block_heads = lambda: iter([(v.block.header, v.flags) for v in blocks])
+    chain.stored_block = lambda number: next(v for v in blocks if v.number == number)
 
 
 # -- the seeded defects -------------------------------------------------------

@@ -10,6 +10,7 @@ BTL guarantee that pruning never resurrects purged plaintext.
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -24,14 +25,19 @@ from repro.common.hashing import hash_value
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.ledger.snapshot import (
+    NS_SNAPSHOTS,
     RETAIN_SNAPSHOTS,
+    SnapshotStore,
     bootstrap_from_package,
     verify_package,
 )
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+from repro.peer.node import PeerNode
 from repro.protocol.proposal import reset_nonce_counter
+from repro.storage import WalBackend, WriteBatch, read_through, split_key
+from repro.storage.wal import WAL_FILE
 
 
 CHAINCODE = "pdccc"
@@ -403,26 +409,15 @@ class TestSnapshotLifecycle:
     def test_late_seal_survives_retention(self):
         """A seal arriving after newer unsealed checkpoints exist must not
         be dropped — it is the peer's only serving/bootstrap source."""
-        from repro.ledger.snapshot import SnapshotRecord
-
-        net = _network(snapshot_every=4)
-        _commit_public(net, 4)
-        peer = net.peers()[0]
-        sealed = peer.latest_sealed_snapshot()
-        assert sealed is not None
-        # Newer checkpoints that never reached quorum.
-        for bump in (1, 2, 3):
-            manifest = dataclasses.replace(
-                sealed.manifest, height=sealed.manifest.height + bump
-            )
-            peer.snapshots.put(
-                SnapshotRecord(manifest=manifest, rows=sealed.rows, sealed=False)
-            )
-        assert peer.snapshots.retain_latest() == 1
-        survivor = peer.snapshots.latest_sealed()
-        assert survivor is not None
-        assert survivor.manifest.height == sealed.manifest.height
-        assert peer.serve_snapshot("Org2MSP") is not None
+        net = _network(org_count=5)
+        peer = net.peers_of("Org1MSP")[0]
+        oldest, late, *newer = _checkpoints(net, peer, 4)
+        _seal(net, peer, late)
+        heights = [record.manifest.height for record in peer.snapshots.records()]
+        assert heights == [late.height] + [manifest.height for manifest in newer]
+        assert oldest.height not in heights
+        assert peer.snapshots.latest_sealed().manifest == late
+        assert peer.serve_snapshot("Org2MSP").manifest == late
 
     def test_unsealed_snapshot_is_never_served(self):
         net = _network(snapshot_every=4)
@@ -431,7 +426,9 @@ class TestSnapshotLifecycle:
         record = peer.latest_sealed_snapshot()
         assert record is not None
         record.sealed = False
-        peer.snapshots.put(record)
+        batch = WriteBatch()
+        peer.snapshots.stage_record(batch, record)
+        peer.ledger.commit_batch(batch)
         assert peer.serve_snapshot("Org2MSP") is None
 
     def test_bootstrap_refuses_a_non_empty_ledger(self):
@@ -644,3 +641,278 @@ class TestSimulateFlags:
         ]) == 0
         out = capsys.readouterr().out
         assert "0 failing" in out
+
+
+# ---------------------------------------------------------------------------
+# the store's row layout: manifest, rows, one row per signature, a seal marker
+# ---------------------------------------------------------------------------
+def _rows_of(backend) -> dict:
+    return {ns: dict(backend.range(ns)) for ns in backend.namespaces()}
+
+
+def _wal_peer(net: FabricNetwork, directory):
+    """A WAL-backed copy of org 1's peer, outside the network's gossip,
+    caught up with the chain and holding its own (unsealed) snapshot."""
+    source = net.peers_of("Org1MSP")[0]
+    peer = PeerNode(
+        identity=source.identity, channel=net.channel,
+        backend=WalBackend(directory, compact_every=10**9),
+    )
+    for block in net.orderer.delivered_blocks:
+        peer.deliver_block(block)
+    return peer, peer.produce_snapshot().manifest
+
+
+def _co_sign(net: FabricNetwork, org: int, manifest):
+    signer = net.peers_of(f"Org{org}MSP")[0]
+    return manifest, signer.certificate, signer.identity.sign(manifest.signing_bytes())
+
+
+def _checkpoints(net: FabricNetwork, peer, count: int) -> list:
+    """``count`` snapshots of ``peer``, two blocks apart, each signed only
+    by ``peer`` — unsealed in a five-org network; their manifests."""
+    manifests = []
+    for i in range(count):
+        _commit_public(net, 2, tag=f"c{peer.ledger.height}-")
+        manifests.append(peer.produce_snapshot().manifest)
+    return manifests
+
+
+def _seal(net: FabricNetwork, peer, manifest) -> None:
+    """Deliver the two co-signatures that complete ``manifest``'s quorum."""
+    for org in (2, 3):
+        peer.receive_snapshot_sig(*_co_sign(net, org, manifest))
+
+
+def _under(height: int, keys) -> list:
+    """The snapshot-store keys of ``height``."""
+    return [key for key in keys if split_key(key)[0] == f"{height:016d}"]
+
+
+class TestSnapshotStoreRows:
+    def test_a_signature_receipt_stages_one_small_op(self, monkeypatch):
+        net = _network(org_count=5)  # MAJORITY: three orgs seal
+        _commit_public(net, 2)
+        peer = net.peers_of("Org1MSP")[0]
+        manifest = peer.produce_snapshot().manifest
+        batches = []
+        real_commit = peer.ledger.backend.commit
+        monkeypatch.setattr(
+            peer.ledger.backend, "commit",
+            lambda batch: batches.append(list(batch.ops)) or real_commit(batch),
+        )
+        peer.receive_snapshot_sig(*_co_sign(net, 2, manifest))
+        [ops] = batches
+        [(namespace, key, value)] = ops
+        assert namespace == NS_SNAPSHOTS
+        assert len(key.encode()) + len(value) < 1024
+        record = peer.snapshots.get(manifest.height)
+        assert set(record.signatures) == {peer.name, net.peers_of("Org2MSP")[0].name}
+        assert not record.sealed
+        # The receipt that completes the quorum stages its row and the
+        # seal marker together.
+        peer.receive_snapshot_sig(*_co_sign(net, 3, manifest))
+        assert len(batches) == 2 and len(batches[1]) == 2
+        assert peer.snapshots.get(manifest.height).sealed
+
+    def test_divergent_or_repeated_signatures_write_nothing(self, monkeypatch):
+        net = _network(org_count=5)
+        _commit_public(net, 2)
+        peer = net.peers_of("Org1MSP")[0]
+        manifest = peer.produce_snapshot().manifest
+        peer.receive_snapshot_sig(*_co_sign(net, 2, manifest))
+        batches = []
+        monkeypatch.setattr(peer.ledger.backend, "commit", batches.append)
+        peer.receive_snapshot_sig(*_co_sign(net, 2, manifest))
+        other = dataclasses.replace(manifest, state_hash="0" * 64)
+        peer.receive_snapshot_sig(*_co_sign(net, 3, other))
+        assert batches == []
+
+    def test_a_seal_drops_every_row_of_a_dropped_height_and_nothing_else(self):
+        net = _network(org_count=5)
+        peer = net.peers_of("Org1MSP")[0]
+        oldest, late, *_ = _checkpoints(net, peer, 4)
+        peer.receive_snapshot_sig(*_co_sign(net, 2, oldest))  # a second row
+        peer.receive_snapshot_sig(*_co_sign(net, 2, late))
+        before = _rows_of(peer.ledger.backend)
+        assert len(_under(oldest.height, before[NS_SNAPSHOTS])) == 4
+        peer.receive_snapshot_sig(*_co_sign(net, 3, late))  # the quorum
+        after = _rows_of(peer.ledger.backend)
+        rows, rows_before = after.pop(NS_SNAPSHOTS), before.pop(NS_SNAPSHOTS)
+        assert after == before
+        gone = set(_under(oldest.height, rows_before))
+        added = set(rows) - set(rows_before)
+        assert set(rows) == set(rows_before) - gone | added
+        assert sorted(split_key(key)[1] for key in added) == ["sealed", "sig"]
+        assert sorted(_under(late.height, added)) == sorted(added)
+        assert all(rows[key] == rows_before[key] for key in rows if key not in added)
+
+    def test_a_late_seal_of_a_dropped_height_leaves_no_row(self):
+        """Heights a (unsealed), b (sealed), c and d, then a's quorum: the
+        seal drops a, and neither its last signature nor its marker stays
+        behind without a manifest."""
+        net = _network(org_count=5)
+        peer = net.peers_of("Org1MSP")[0]
+        a, b = _checkpoints(net, peer, 2)
+        _seal(net, peer, b)
+        c, d = _checkpoints(net, peer, 2)
+        _seal(net, peer, a)
+        keys = [key for key, _ in peer.ledger.backend.range(NS_SNAPSHOTS)]
+        assert _under(a.height, keys) == []
+        assert [r.manifest.height for r in peer.snapshots.records()] == [
+            b.height, c.height, d.height,
+        ]
+        assert peer.snapshots.latest_sealed_height() == b.height
+        # A signature arriving after the drop writes nothing either.
+        peer.receive_snapshot_sig(*_co_sign(net, 4, a))
+        assert [key for key, _ in peer.ledger.backend.range(NS_SNAPSHOTS)] == keys
+
+    def _sweep(self, tmp_path, peer, act):
+        """Run ``act``, then recover from every torn prefix of what it wrote:
+        each must come back exactly as before ``act`` or exactly as after."""
+        log = peer.ledger.backend.directory / WAL_FILE
+        before_log, before = log.read_bytes(), _rows_of(peer.ledger.backend)
+        act()
+        full_log, after = log.read_bytes(), _rows_of(peer.ledger.backend)
+        assert full_log.startswith(before_log) and after != before
+        seen = set()
+        for cut in range(len(before_log), len(full_log) + 1):
+            work = tmp_path / f"cut{cut}"
+            work.mkdir()
+            (work / WAL_FILE).write_bytes(full_log[:cut])
+            recovered = WalBackend(work, compact_every=10**9)
+            state = _rows_of(recovered)
+            assert state in (before, after), f"torn at byte {cut}"
+            seen.add(state == after)
+            recovered.crash()
+        assert seen == {False, True}
+        return before, after
+
+    def test_a_signature_receipt_recovers_before_or_after_at_every_byte(self, tmp_path):
+        net = _network(org_count=5)
+        _commit_public(net, 2)
+        peer, manifest = _wal_peer(net, tmp_path / "peer")
+        self._sweep(tmp_path, peer, lambda: peer.receive_snapshot_sig(
+            *_co_sign(net, 2, manifest)
+        ))
+        assert len(peer.snapshots.get(manifest.height).signatures) == 2
+
+    def test_a_seal_recovers_before_or_after_at_every_byte(self, tmp_path):
+        net = _network(org_count=5)
+        _commit_public(net, 2)
+        peer, manifest = _wal_peer(net, tmp_path / "peer")
+        peer.receive_snapshot_sig(*_co_sign(net, 2, manifest))
+        before, after = self._sweep(tmp_path, peer, lambda: peer.receive_snapshot_sig(
+            *_co_sign(net, 3, manifest)
+        ))
+        assert peer.snapshots.latest_sealed_height() == manifest.height
+        marker = [key for key in after[NS_SNAPSHOTS] if key.endswith("sealed")]
+        assert len(marker) == 1 and marker[0] not in before[NS_SNAPSHOTS]
+
+
+class WholeRecordStore(SnapshotStore):
+    """The previous layout: each record one pickled row, read and rewritten
+    whole by every signature and seal — what the row layout must match."""
+
+    @staticmethod
+    def _key(height: int) -> str:
+        return f"{height:016d}"
+
+    def _load(self, height: int, batch=None):
+        raw = read_through(self._ledger.backend, batch, NS_SNAPSHOTS, self._key(height))
+        return pickle.loads(raw) if raw is not None else None
+
+    def _save(self, batch, record) -> None:
+        batch.put(NS_SNAPSHOTS, self._key(record.manifest.height), pickle.dumps(record))
+
+    def _heights(self, kind: str) -> list:
+        return [
+            int(key) for key, raw in self._ledger.backend.range(NS_SNAPSHOTS)
+            if kind == "manifest" or pickle.loads(raw).sealed
+        ]
+
+    def stage_record(self, batch, record) -> None:
+        self._save(batch, dataclasses.replace(record, signatures=dict(record.signatures)))
+        if record.sealed:
+            self._retain(batch, record.manifest.height)
+
+    def get(self, height):
+        return self._load(height)
+
+    def manifest_bytes(self, height):
+        record = self._load(height)
+        return None if record is None else record.manifest.signing_bytes()
+
+    def has_signature(self, height, enrollment_id) -> bool:
+        return enrollment_id in self._load(height).signatures
+
+    def certificates(self, height) -> list:
+        return [certificate for certificate, _ in self._load(height).signatures.values()]
+
+    def is_sealed(self, height) -> bool:
+        return self._load(height).sealed
+
+    def stage_signature(self, batch, height, certificate, signature, seal=False) -> None:
+        record = self._load(height, batch)
+        record.signatures[certificate.enrollment_id] = (certificate, signature)
+        record.sealed = record.sealed or seal
+        self._save(batch, record)
+        if seal:
+            self._retain(batch, height)
+
+    def _retain(self, batch, height) -> None:
+        """After ``height`` seals: drop each whole record but the newest
+        few and the newest sealed one."""
+        heights = sorted(set(self._heights("manifest")) | {height})
+        kept = set(heights[-RETAIN_SNAPSHOTS:]) | {max(self._heights("sealed") + [height])}
+        for dropped in heights:
+            if dropped not in kept:
+                batch.delete(NS_SNAPSHOTS, self._key(dropped))
+
+
+class TestRowLayoutMatchesWholeRecords:
+    def test_every_record_of_a_seeded_wal_run_equals_the_whole_record_store(
+        self, monkeypatch
+    ):
+        from repro.peer import node as node_module
+        from repro.simulation import harness
+        from repro.simulation.config import SimulationConfig
+
+        config = SimulationConfig(
+            seed=5, ops=30, org_count=5, peers_per_org=2,
+            pdc1_members=("Org1MSP", "Org2MSP", "Org3MSP"),
+            workload="mixed", mean_gap=1.0, batch_size=4, jitter=0.2,
+            state_backend="wal", snapshot_every=3, prune=True,
+        )
+        ops, faults = harness.generate(config)
+
+        def run(store_class):
+            monkeypatch.setattr(node_module, "SnapshotStore", store_class)
+            trail = []
+
+            def watched(method):
+                def call(self, *args):
+                    result = method(self, *args)
+                    heights = [r.manifest.height for r in self.snapshots.records()]
+                    trail.append((self.name, [self.snapshots.get(h) for h in heights]))
+                    # No row outlives its height's manifest: ``records()``
+                    # would not show one that did.
+                    stored = {
+                        split_key(key)[0] for key, _ in self.ledger.backend.range(NS_SNAPSHOTS)
+                    }
+                    assert stored == {f"{height:016d}" for height in heights}
+                    return result
+                return call
+
+            for name in ("produce_snapshot", "receive_snapshot_sig"):
+                monkeypatch.setattr(PeerNode, name, watched(getattr(PeerNode, name)))
+            report = harness.execute(config, ops, faults)
+            monkeypatch.undo()
+            assert report.ok, [str(v) for v in report.violations[:3]]
+            return report.stats["state_digest"], trail
+
+        digest, trail = run(SnapshotStore)
+        reference_digest, reference_trail = run(WholeRecordStore)
+        assert digest == reference_digest
+        assert len(trail) > 100 and any(records for _, records in trail)
+        assert trail == reference_trail
