@@ -18,9 +18,6 @@ The shape the grid must show (and gates on):
 * higher arrival rate against the bounded mempool = admission refusals
   absorbed by backoff-and-retry (drops, retries, exhaustions all > 0
   somewhere on the grid);
-* every cell's history is byte-identical between the serial reference
-  executor and the ``process:2`` pool — contention does not break the
-  parallel-equivalence contract;
 * on the hottest (single-warehouse) cells, conflict-aware ordering is
   worth the trouble: a lower on-chain MVCC abort rate, with the waste
   converted into orderer early aborts, at every size — and >= 1.3x the
@@ -42,13 +39,12 @@ from dataclasses import replace
 from repro.common import crypto
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.config import SimulationConfig
-from repro.simulation.harness import compare_reports, execute, generate
+from repro.simulation.harness import execute, generate
 
 from _bench_utils import record, write_bench
 
 #: (warehouses, arrival rate per simulated second) grid cells.
 GRID = [(1, 2.0), (1, 6.0), (2, 2.0), (2, 6.0)]
-PARALLEL_SPEC = "process:2"
 
 #: Committed NewOrders a reordered hot cell needs before its tpmC is a
 #: measurement: below it one NewOrder more or less moves tpmC by more
@@ -76,11 +72,9 @@ def _cell_config(warehouses: int, rate: float, ops: int) -> SimulationConfig:
         workload="tpcc", warehouses=warehouses, districts_per_warehouse=1,
         arrival_rate=rate, bursts=((10.0, 25.0, 3.0),),
         retry_budget=2, mempool_limit=12,
-        executor="serial",
-        # Validation is a service station (0.25 simulated s/tx, identical
-        # under both executors), so a block slot burned on a doomed
-        # transaction costs real simulated time — the waste the
-        # conflict-aware orderer exists to cut.
+        # Validation is a service station (0.25 simulated s/tx), so a
+        # block slot burned on a doomed transaction costs real simulated
+        # time — the waste the conflict-aware orderer exists to cut.
         validate_cost=0.25,
     )
 
@@ -90,20 +84,13 @@ def _run_cell(warehouses: int, rate: float, ops: int, reorder: bool) -> dict:
     cell_ops, faults = generate(config)
 
     started = time.perf_counter()
-    serial = execute(config, cell_ops, faults)
-    parallel = execute(
-        replace(config, executor=PARALLEL_SPEC), cell_ops, faults
-    )
+    report = execute(config, cell_ops, faults)
     wall_s = time.perf_counter() - started
+    assert report.ok, [str(v) for v in report.violations[:5]]
 
-    assert serial.ok, [str(v) for v in serial.violations[:5]]
-    assert parallel.ok, [str(v) for v in parallel.violations[:5]]
-    divergences = compare_reports(serial, parallel)
-    assert not divergences, [str(v) for v in divergences[:5]]
-
-    stats = serial.stats
+    stats = report.stats
     committed_new_orders = sum(
-        1 for o in serial.outcomes
+        1 for o in report.outcomes
         if o.spec.kind == "tpcc_new_order" and o.status is ValidationCode.VALID
     )
     sim_minutes = stats["sim_seconds"] / 60.0
@@ -128,7 +115,6 @@ def _run_cell(warehouses: int, rate: float, ops: int, reorder: bool) -> dict:
         "mempool_drops": stats["mempool_drops"],
         "retry_exhausted": stats["retry_exhausted"],
         "client_errors": stats["client_errors"],
-        "digests_match": serial.stats["state_digest"] == parallel.stats["state_digest"],
         "state_digest": stats["state_digest"][:16],
     }
 
@@ -149,10 +135,9 @@ def test_tpcc_contention_ablation(results_dir):
         for row in rows
     }
 
-    # Every cell made progress and replayed byte-identically on the pool.
+    # Every cell made progress.
     for row in rows:
         assert row["committed_new_orders"] > 0, row
-        assert row["digests_match"], row
         # Sanity ceiling: contention slows the workload down, it must not
         # wedge it — the chain keeps committing transactions throughout.
         assert row["mvcc_abort_rate"] < 0.9, row
@@ -213,7 +198,6 @@ def test_tpcc_contention_ablation(results_dir):
             "retry_budget": 2,
             "burst": [10.0, 25.0, 3.0],
             "validate_cost": 0.25,
-            "parallel_leg": PARALLEL_SPEC,
             "reorder_legs": [False, True],
         },
         "metric": "committed NewOrders per simulated minute (tpmC-style)",

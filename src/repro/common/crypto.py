@@ -31,8 +31,8 @@ are built for the 128-bit challenge; the one 256-bit exponent a key
 sees, its validation's ``y**q``, is two limbs of that table joined by
 128 squarings.  At that price a randomized batch equation has nothing
 left to save, so :func:`verify_batch` settles each signature by the
-single equation; what it adds is the verdict memo, the grouping by key
-and the sharding across the execution backend (docs/architecture.md §9).
+single equation, inline; what it adds is the verdict memo
+(docs/architecture.md §9).
 
 The substitution is documented in DESIGN.md: the attacks and defenses in
 the paper do not depend on the curve, only on unforgeability and public
@@ -87,22 +87,10 @@ _FAST_PATH = True
 _CACHE_ENABLED = True
 
 
-def _retire_worker_pool() -> None:
-    """Make pool workers re-fork with this module's current switches.
-
-    A worker keeps the globals it was forked with.  ``shutdown`` is a
-    no-op on the serial backend; a pool re-forks lazily on its next task.
-    """
-    from repro.runtime.executor import current_backend
-
-    current_backend().shutdown()
-
-
 def set_fast_path(enabled: bool) -> None:
     """Toggle the fixed-base window kernels (test/bench reference hook)."""
     global _FAST_PATH
     _FAST_PATH = bool(enabled)
-    _retire_worker_pool()
 
 
 def fast_path_enabled() -> bool:
@@ -115,7 +103,6 @@ def set_verify_cache(enabled: bool) -> None:
     _CACHE_ENABLED = bool(enabled)
     if not enabled:
         _VERIFY_CACHE.clear()
-    _retire_worker_pool()
 
 
 def verify_cache_enabled() -> bool:
@@ -372,73 +359,6 @@ def generate_keypair(seed: bytes) -> tuple[PrivateKey, PublicKey]:
 # Verifying many signatures in one call
 # ---------------------------------------------------------------------------
 
-#: Below this many memo-missing items a call is settled in-process: the
-#: dispatch would cost more than the split saves.
-_SHARD_MIN_ITEMS = 8
-
-
-def _verify_chunk_task(triples: list) -> tuple[list[bool], dict]:
-    """Worker body: verify one shard of raw ``(y, message, signature)`` triples.
-
-    Returns the per-item verdicts plus the PERF-counter delta the shard
-    produced (merged by the parent only when the shard ran in another
-    process).  Module-level and picklable-payload by construction: the
-    process backend dispatches this exact function.
-    """
-    before = PERF.snapshot()
-    flags = [
-        PublicKey(y)._verify_uncached(message, signature)
-        for y, message, signature in triples
-    ]
-    return flags, PERF.delta_since(before)
-
-
-def _verify_sharded(
-    items: Sequence[tuple[PublicKey, bytes, bytes]],
-) -> Optional[list[bool]]:
-    """One verdict per item, computed across the backend's workers.
-
-    Items are grouped by public key first — a worker that sees all of a
-    key's signatures validates the key and builds its window table once —
-    then the groups are placed by the deterministic LPT plan shared with
-    the cost model.  Returns None (caller verifies in-process) when there
-    are too few items, the backend has one worker, or the plan
-    degenerates to a single shard.
-    """
-    if len(items) < _SHARD_MIN_ITEMS:
-        return None
-    # Function-level import: repro.runtime pulls in the client/gateway
-    # stack, which imports this module.
-    from repro.runtime.executor import current_backend, plan_shards
-
-    backend = current_backend()
-    if not backend.parallel:
-        return None
-    groups: dict[int, list[int]] = {}
-    for i, (public_key, _message, _signature) in enumerate(items):
-        groups.setdefault(public_key.y, []).append(i)
-    group_lists = list(groups.values())  # insertion order: deterministic
-    plan = plan_shards([len(g) for g in group_lists], backend.workers)
-    if len(plan) <= 1:
-        return None
-    shards = [
-        [i for g in shard_bins for i in group_lists[g]] for shard_bins in plan
-    ]
-    outputs = backend.map(
-        _verify_chunk_task,
-        [[(items[i][0].y, items[i][1], items[i][2]) for i in shard] for shard in shards],
-    )
-    verdicts: list = [None] * len(items)
-    for shard, (flags, delta) in zip(shards, outputs):
-        for i, flag in zip(shard, flags):
-            verdicts[i] = flag
-        if backend.remote:
-            # Inline shards already incremented the shared PERF instance;
-            # only cross-process work needs folding back in.
-            PERF.merge(delta)
-    return verdicts
-
-
 def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples in one call.
 
@@ -448,11 +368,6 @@ def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
     is written to the memo, so later ``verify`` calls on the same
     triples are O(1) look-ups.  There is no combined equation (see the
     module docstring).
-
-    When the active :mod:`execution backend <repro.runtime.executor>` has
-    more than one worker, a large enough set of memo misses is sharded
-    across workers (grouped by public key, greedy-LPT placed); verdicts
-    are identical for any worker count.
     """
     results: list = [None] * len(items)
     missing: list[tuple[int, tuple]] = []  # (index, memo key) the memo cannot answer
@@ -461,45 +376,8 @@ def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
         results[i] = _cache_get(key)
         if results[i] is None:
             missing.append((i, key))
-    if missing:
-        todo = [items[i] for i, _key in missing]
-        verdicts = _verify_sharded(todo)
-        if verdicts is None:
-            verdicts = [
-                public_key._verify_uncached(message, signature)
-                for public_key, message, signature in todo
-            ]
-        for (i, key), verdict in zip(missing, verdicts):
-            results[i] = verdict
-            _cache_put(key, verdict)
+    for i, key in missing:
+        public_key, message, signature = items[i]
+        results[i] = public_key._verify_uncached(message, signature)
+        _cache_put(key, results[i])
     return results
-
-
-# ---------------------------------------------------------------------------
-# Offloaded signing
-# ---------------------------------------------------------------------------
-
-def _sign_task(payload: tuple) -> tuple[bytes, dict]:
-    """Worker body: one deterministic Schnorr signature plus PERF delta."""
-    x, message = payload
-    before = PERF.snapshot()
-    signature = PrivateKey(x).sign(message)
-    return signature, PERF.delta_since(before)
-
-
-def sign_with_backend(private_key: PrivateKey, message: bytes) -> bytes:
-    """Sign through the active execution backend.
-
-    Signatures are deterministic (RFC 6979-style nonces), so the bytes
-    are identical wherever the modexp runs; a remote backend ships the
-    exponent + message to a worker and merges the PERF delta back, the
-    serial reference signs inline.
-    """
-    from repro.runtime.executor import current_backend
-
-    backend = current_backend()
-    if not backend.remote:
-        return private_key.sign(message)
-    (signature, delta), = backend.map(_sign_task, [(private_key.x, message)])
-    PERF.merge(delta)
-    return signature

@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 #: Every integer counter on :class:`PerfCounters`, in declaration order.
-#: ``reset``/``snapshot``/``delta_since``/``merge`` all iterate this one
-#: tuple so adding a counter cannot silently miss a bookkeeping path.
+#: ``reset``/``snapshot``/``delta_since`` all iterate this one tuple so
+#: adding a counter cannot silently miss a bookkeeping path.
 _COUNTER_FIELDS = (
     "verify_individual", "verify_cache_hits",
     "modexp_full", "modexp_windowed", "table_builds",
     "vscc_memo_hits", "vscc_memo_misses",
     "endorse_simulations", "endorse_signatures", "endorse_cache_hits",
-    "proposals_sent", "plan_escalations", "plan_timeouts",
-    "plan_failures", "executor_tasks", "executor_remote_tasks",
+    "proposals_sent", "plan_escalations", "plan_timeouts", "plan_failures",
     "reorder_batches", "reorder_displaced", "reorder_max_distance",
     "early_aborts",
     "gossip_pushes", "gossip_batched_payloads", "gossip_digest_rounds",
@@ -64,8 +63,6 @@ class PerfCounters:
     plan_escalations: int = 0      # backup endorsers drafted into a plan
     plan_timeouts: int = 0         # endorsement waves that hit the timeout
     plan_failures: int = 0         # plans that exhausted every endorser
-    executor_tasks: int = 0        # tasks run through an execution backend
-    executor_remote_tasks: int = 0  # of those, dispatched to a worker process
     reorder_batches: int = 0       # batches through the conflict-aware pipeline
     reorder_displaced: int = 0     # emitted txs not at their arrival position
     reorder_max_distance: int = 0  # largest |emitted - arrival| displacement
@@ -94,13 +91,6 @@ class PerfCounters:
             setattr(self, name, 0)
         self.phase_seconds = {}
 
-    # -- cross-process aggregation ------------------------------------------
-    # Worker processes inherit (or rebuild) their own PERF instance; a task
-    # snapshots the counters on entry and ships back the delta it produced,
-    # which the parent merges so ``Tracer.summary(perf=True)`` reports work
-    # done anywhere.  Inline (serial) tasks increment the shared instance
-    # directly and must NOT be merged a second time.
-
     def snapshot(self) -> dict:
         """Copy of the integer counters (``phase_seconds`` excluded)."""
         return {name: getattr(self, name) for name in _COUNTER_FIELDS}
@@ -113,12 +103,6 @@ class PerfCounters:
             if diff:
                 delta[name] = diff
         return delta
-
-    def merge(self, delta: dict) -> None:
-        """Fold a worker's counter delta into this instance."""
-        for name, value in delta.items():
-            if name in _COUNTER_FIELDS and value:
-                setattr(self, name, getattr(self, name) + value)
 
     def as_dict(self, prefix: str = "perf:") -> dict:
         """Flat snapshot, e.g. ``{"perf:modexp_full": 12, ...}``."""
@@ -139,8 +123,6 @@ class PerfCounters:
             f"{prefix}plan_escalations": self.plan_escalations,
             f"{prefix}plan_timeouts": self.plan_timeouts,
             f"{prefix}plan_failures": self.plan_failures,
-            f"{prefix}executor_tasks": self.executor_tasks,
-            f"{prefix}executor_remote_tasks": self.executor_remote_tasks,
             f"{prefix}reorder_batches": self.reorder_batches,
             f"{prefix}reorder_displaced": self.reorder_displaced,
             f"{prefix}reorder_max_distance": self.reorder_max_distance,

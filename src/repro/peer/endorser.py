@@ -193,14 +193,9 @@ class Endorser:
             signed_payload = original_payload
 
         PERF.endorse_signatures += 1
-        # Signing goes through the execution backend: deterministic nonces
-        # make the signature bytes identical whether the 1536-bit modexp
-        # runs inline (serial reference) or in a worker process.
         endorsement = Endorsement(
             endorser=self._identity.certificate,
-            signature=crypto.sign_with_backend(
-                self._identity.private_key, signed_payload.bytes()
-            ),
+            signature=self._identity.private_key.sign(signed_payload.bytes()),
         )
         proposal_response = ProposalResponse(
             payload=signed_payload,

@@ -25,7 +25,7 @@ before evaluating any policy of a PDC transaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from repro.common import crypto
 from repro.common.tracing import PERF
@@ -183,12 +183,11 @@ class Validator:
     def signature_workload(self, block: Block, ledger: PeerLedger) -> list[int]:
         """Per-public-key signature group sizes for this block.
 
-        This is the weight vector the execution backend's shard planner
-        (and the simulated-time :class:`~repro.runtime.executor.\
-ValidationCostModel`) operate on — ``verify_batch`` keeps each key's
-        signatures in one shard, so the group sizes bound the achievable
-        split.  No cryptography runs; only the structural pre-checks the
-        collector itself performs.
+        This is the weight vector the simulated-time
+        :class:`~repro.runtime.executor.ValidationCostModel` plans over —
+        it keeps each key's signatures on one core, so the group sizes
+        bound the achievable split.  No cryptography runs; only the
+        structural pre-checks the collector itself performs.
         """
         groups: dict[int, int] = {}
         for public_key, _message, _signature in self._collect_signature_items(
@@ -427,44 +426,11 @@ ValidationCostModel`) operate on — ``verify_batch`` keeps each key's
 def _settle_signatures(items: list[tuple]) -> None:
     """Settle ``items`` in the shared verdict memo with one ``verify_batch`` call.
 
-    This is the point where a multi-worker execution backend shards a
-    block's crypto.  The pre-pass works only through the memo: with
-    memoization off it would verify everything twice, so it stands down.
+    A block's signature work happens here, in one call before any rule
+    runs, and the per-transaction pipeline reads each verdict back.  The
+    pre-pass works only through the memo: with memoization off it would
+    verify everything twice, so it stands down.
     """
     if len(items) > 1 and crypto.verify_cache_enabled():
         crypto.verify_batch(items)
 
-
-# ---------------------------------------------------------------------------
-# Multi-channel block validation
-# ---------------------------------------------------------------------------
-
-def validate_blocks(
-    jobs: Sequence[tuple[Validator, Block, PeerLedger]],
-) -> list[list[ValidationCode]]:
-    """Validate one block per channel with a single combined signature pass.
-
-    A peer serving several channels (P2 in Fig. 1) receives one block per
-    channel per delivery round; validating them one at a time leaves the
-    execution backend's workers idle between blocks.  This entry point
-    collects every job's signature checks into **one** ``verify_batch``
-    call — which the backend shards across its workers — then runs each
-    job's full validation pipeline *in job order*, where every signature
-    check is already settled in the shared verdict memo.  The flags are
-    therefore byte-identical to calling
-    ``validator.validate_block(block, ledger)`` per job: the combined
-    pass only changes where (and how parallel) the crypto runs, never
-    what any rule decides.
-
-    ``jobs`` is a sequence of ``(validator, block, ledger)`` triples; the
-    per-job flag lists come back in the same order — the deterministic
-    merge point at the block boundary.
-    """
-    _settle_signatures([
-        item
-        for validator, block, ledger in jobs
-        for item in validator._collect_signature_items(block, ledger, None)
-    ])
-    return [
-        validator.validate_block(block, ledger) for validator, block, ledger in jobs
-    ]

@@ -9,25 +9,16 @@ A deterministic, seedable discrete-event scheduler
 transactions can race through endorsement → ordering → delivery
 concurrently.  Attach one with ``network.attach_runtime(seed=...)``.
 
-The package also hosts the pluggable :mod:`execution backends
-<repro.runtime.executor>`: the serial byte-identical reference and the
-``multiprocessing`` pool that CPU-bound crypto offloads through, selected
-via ``REPRO_EXECUTOR`` (``serial`` | ``process[:N]``).
+The package also hosts the :mod:`validation cost model
+<repro.runtime.executor>` that charges a block's validation simulated
+service time over a peer's modelled core count.
 """
 
 from repro.runtime.bus import Endpoint, Message, MessageBus
 from repro.runtime.clock import SimulatedClock
 from repro.runtime.executor import (
-    ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     ValidationCostModel,
-    current_backend,
     plan_shards,
-    reset_backend,
-    resolve_executor_kind,
-    resolve_worker_count,
-    set_backend,
     shard_makespan,
 )
 from repro.runtime.faults import (
@@ -48,26 +39,18 @@ __all__ = [
     "DEFAULT_BATCH_TIMEOUT",
     "Endpoint",
     "EventScheduler",
-    "ExecutionBackend",
     "FaultInjector",
     "LatencyModel",
     "Message",
     "MessageBus",
     "PendingTransaction",
-    "ProcessPoolBackend",
     "ScheduledEvent",
-    "SerialBackend",
     "SimulatedClock",
     "TransactionRuntime",
     "ValidationCostModel",
-    "current_backend",
     "lossy_faults",
     "no_latency",
     "plan_shards",
-    "reset_backend",
-    "resolve_executor_kind",
-    "resolve_worker_count",
-    "set_backend",
     "shard_makespan",
     "wan_latency",
 ]

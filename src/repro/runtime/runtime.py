@@ -478,9 +478,9 @@ class TransactionRuntime:
         The cost model turns validation from an instantaneous call into a
         FIFO service station: each block occupies the peer for its modeled
         service time — ``per_transaction``·txs plus ``per_signature``
-        times the *makespan* of the executor's shard plan over the block's
-        per-key signature groups — so simulated throughput reflects the
-        configured parallelism.  Blocks are scheduled in height order;
+        times the *makespan* of the cost model's shard plan over the
+        block's per-key signature groups — so simulated throughput
+        reflects the modelled parallelism.  Blocks are scheduled in height order;
         the actual validate+commit runs when the station frees up, with
         crash and stale-height guards (a crash or catch-up between
         scheduling and firing just drops the stale event).

@@ -29,13 +29,11 @@ complete bug report.
 from repro.simulation.config import SimulationConfig
 from repro.simulation.faultplan import FaultAction, generate_fault_schedule
 from repro.simulation.harness import (
-    EquivalenceReport,
     SimulationReport,
     build_network,
     compare_reports,
     execute,
     generate,
-    run_parallel_equivalence,
     run_seed,
 )
 from repro.simulation.invariants import RecoveryMonitor, Violation
@@ -43,10 +41,8 @@ from repro.simulation.shrink import ShrinkResult, render_repro_script, shrink_fa
 from repro.simulation.workload import OpSpec, WorkloadGenerator
 
 __all__ = [
-    "EquivalenceReport",
     "SimulationConfig",
     "compare_reports",
-    "run_parallel_equivalence",
     "FaultAction",
     "generate_fault_schedule",
     "OpSpec",

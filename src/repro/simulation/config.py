@@ -8,17 +8,18 @@ into a config; the same seed always yields the same config, and a config
 round-trips through JSON (``to_wire``/``from_wire``) so a failing trace
 can be replayed from a file by a process that never saw the seed — or
 the environment: every setting a run depends on is a field here, and
-only ``state_backend`` and ``executor`` (where work happens, never what
-it computes) take their default from an environment variable.
+only ``state_backend`` (how peers store state, never what they store)
+takes its default from an environment variable.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from repro.runtime.executor import resolve_executor_kind
+from repro.common.errors import ConfigError
 from repro.storage import resolve_backend_kind
 
 
@@ -49,7 +50,9 @@ class SimulationConfig:
     colluding_orgs: tuple = ()  # orgs running the forged-read contract
     plan_rate: float = 0.0  # fraction of ops submitted via endorsement plans
     state_backend: str = "memory"  # peer-ledger storage engine: memory | wal
-    executor: str = "serial"  # execution backend spec: serial | process[:N]
+    # Recorded, no effect: every run verifies and signs inline.  Kept so
+    # traces that carry it still load; only serial | serial:N is accepted.
+    executor: str = "serial"
     extra: dict = field(default_factory=dict)  # forward-compat escape hatch
     # -- the tpcc workload family (defaults keep mixed-workload wire data
     # and older traces loading unchanged) ------------------------------------
@@ -73,9 +76,15 @@ class SimulationConfig:
     # -- peer validation service time: simulated seconds charged per block
     # transaction (0 = instantaneous, the legacy clock).  Nonzero makes
     # chain space cost real time, so committed-as-invalid waste shows up
-    # as throughput, not just as a counter.  Charged identically under
-    # every executor so parallel-equivalence still holds. -------------------
+    # as throughput, not just as a counter. ----------------------------------
     validate_cost: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not re.fullmatch(r"serial(:[1-9][0-9]*)?", self.executor):
+            raise ConfigError(
+                f"executor {self.executor!r} is not serial or serial:N; "
+                "there is no process pool"
+            )
 
     # -- derived helpers -----------------------------------------------------
     def org_ids(self) -> list[str]:
@@ -159,11 +168,6 @@ class SimulationConfig:
             # behaviour, so it is an environment decision (REPRO_STATE_BACKEND
             # or --backend), not part of the seed's randomness.
             state_backend=resolve_backend_kind(),
-            # Likewise not drawn: the execution backend changes where pure
-            # CPU work runs, never what it computes (the parallel-equivalence
-            # invariant enforces exactly that), so it is an environment
-            # decision (REPRO_EXECUTOR or --executor) recorded for replay.
-            executor=resolve_executor_kind(),
         )
 
     @staticmethod
@@ -224,7 +228,6 @@ class SimulationConfig:
             colluding_orgs=(),
             plan_rate=0.0,
             state_backend=resolve_backend_kind(),
-            executor=resolve_executor_kind(),
             workload="tpcc",
             warehouses=rng.randint(1, 3),
             districts_per_warehouse=rng.randint(1, 2),

@@ -27,7 +27,7 @@ from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
-from repro.runtime.executor import ValidationCostModel, pinned_backend
+from repro.runtime.executor import ValidationCostModel
 from repro.runtime.faults import FaultInjector, LatencyModel
 from repro.runtime.runtime import GOSSIP_TOPICS
 from repro.simulation.config import SimulationConfig
@@ -220,16 +220,13 @@ def build_network(config: SimulationConfig) -> SimNetwork:
         topic_base={topic: config.gossip_latency for topic in GOSSIP_TOPICS},
     )
     # A nonzero validate_cost turns peer validation into a FIFO service
-    # station charging per-transaction simulated time.  The worker count
-    # is pinned to 1 so the charge is identical under every executor —
-    # the parallel-equivalence invariant compares byte-level histories,
-    # which must not depend on where crypto happens to run.
+    # station charging per-transaction simulated time only: with no
+    # per-signature term, a block's charge depends on its size and not on
+    # how its signatures group by key.
     validate_cost = None
     if config.validate_cost:
         validate_cost = ValidationCostModel(
-            per_signature=0.0,
-            per_transaction=config.validate_cost,
-            workers=1,
+            per_signature=0.0, per_transaction=config.validate_cost
         )
     network.attach_runtime(
         seed=config.seed,
@@ -282,52 +279,48 @@ def execute(
 
     Every setting the run depends on is a field of ``config`` or
     recorded per op (``OpSpec.use_plan``); nothing in the process
-    environment changes what it computes.  The execution backend is
-    pinned to what the config recorded so a replayed trace runs the
-    mechanism the original did — the parallel-equivalence invariant
-    guarantees the *results* never depend on it.
+    environment changes what it computes.
     """
-    with pinned_backend(config.executor):
-        sim = build_network(config)
-        runtime = sim.network.runtime
-        assert runtime is not None
-        if weaken is not None:
-            WEAKENERS[weaken](sim)
+    sim = build_network(config)
+    runtime = sim.network.runtime
+    assert runtime is not None
+    if weaken is not None:
+        WEAKENERS[weaken](sim)
 
-        monitor = BlockBoundaryMonitor()
-        monitor.attach(sim.all_peers())
-        recovery = RecoveryMonitor(sim.network.channel, sim.network.features)
-        recovery.attach(runtime)
+    monitor = BlockBoundaryMonitor()
+    monitor.attach(sim.all_peers())
+    recovery = RecoveryMonitor(sim.network.channel, sim.network.features)
+    recovery.attach(runtime)
 
-        outcomes = [OpOutcome(spec=spec) for spec in ops]
-        for outcome in outcomes:
-            runtime.scheduler.call_at(outcome.spec.at, _submitter(sim, outcome))
-        for action in fault_actions:
-            runtime.scheduler.call_at(
-                action.at, (lambda a=action: a.apply(runtime)), priority=-1
-            )
+    outcomes = [OpOutcome(spec=spec) for spec in ops]
+    for outcome in outcomes:
+        runtime.scheduler.call_at(outcome.spec.at, _submitter(sim, outcome))
+    for action in fault_actions:
+        runtime.scheduler.call_at(
+            action.at, (lambda a=action: a.apply(runtime)), priority=-1
+        )
 
-        runtime.run()
+    runtime.run()
 
-        # Drive to quiescence: heal everything, repair missed deliveries,
-        # then reconcile private data to a fixpoint.
-        faults = runtime.bus.faults
-        faults.heal()
-        faults.drop_rate = 0.0
-        faults.topic_drop_rates.clear()
-        runtime.bus.latency.jitter = config.jitter
-        caught_up = runtime.catch_up()
-        runtime.run()
-        reconciled = 0
-        for _ in range(10):
-            repaired = sim.network.reconcile_private_data()
-            reconciled += repaired
-            if repaired == 0:
-                break
+    # Drive to quiescence: heal everything, repair missed deliveries,
+    # then reconcile private data to a fixpoint.
+    faults = runtime.bus.faults
+    faults.heal()
+    faults.drop_rate = 0.0
+    faults.topic_drop_rates.clear()
+    runtime.bus.latency.jitter = config.jitter
+    caught_up = runtime.catch_up()
+    runtime.run()
+    reconciled = 0
+    for _ in range(10):
+        repaired = sim.network.reconcile_private_data()
+        reconciled += repaired
+        if repaired == 0:
+            break
 
-        violations = list(monitor.violations)
-        violations.extend(recovery.violations)
-        violations.extend(run_quiescence_checks(sim, outcomes))
+    violations = list(monitor.violations)
+    violations.extend(recovery.violations)
+    violations.extend(run_quiescence_checks(sim, outcomes))
 
     reference = sim.all_peers()[0]
     stats = {
@@ -492,9 +485,7 @@ def _submit_with_retry(
     """Submit one tpcc op through the admission/retry policy.
 
     The retry rng is derived from ``(seed, op index)`` — independent of
-    the execution backend and of every other op, so retried schedules
-    replay byte-identically and the parallel-equivalence invariant keeps
-    holding under backpressure.
+    every other op, so retried schedules replay byte-identically.
     """
     from repro.workload.retry import RetryPolicy, submit_with_retry_async
 
@@ -552,62 +543,34 @@ def run_seed(
 
 
 # ---------------------------------------------------------------------------
-# The parallel-equivalence invariant
+# The gossip-equivalence invariant
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EquivalenceReport:
-    """One seed executed on the serial reference and a parallel backend."""
-
-    config: SimulationConfig
-    ops: list
-    fault_actions: list
-    reference: SimulationReport
-    parallel: SimulationReport
-    violations: list  # equivalence violations only
-
-    @property
-    def ok(self) -> bool:
-        """Equivalent *and* both runs individually clean."""
-        return not self.violations and self.reference.ok and self.parallel.ok
-
-    def summary(self) -> str:
-        verdict = "equivalent" if self.ok else (
-            f"{len(self.violations)} EQUIVALENCE VIOLATIONS"
-            if self.violations else "runs not clean"
-        )
-        return (
-            f"seed={self.config.seed} ops={len(self.ops)} "
-            f"serial={self.reference.stats.get('state_digest', '')[:12]} "
-            f"{self.parallel.config.executor}="
-            f"{self.parallel.stats.get('state_digest', '')[:12]} -> {verdict}"
-        )
-
 
 def compare_reports(
     reference: SimulationReport,
-    parallel: SimulationReport,
-    invariant: str = "parallel-equivalence",
+    other: SimulationReport,
+    *,
+    invariant: str,
 ) -> list:
     """Byte-level comparison of two executions of the same triple."""
     violations = []
     ref_digest = reference.stats.get("state_digest", "")
-    par_digest = parallel.stats.get("state_digest", "")
-    if ref_digest != par_digest:
+    other_digest = other.stats.get("state_digest", "")
+    if ref_digest != other_digest:
         violations.append(Violation(
             invariant,
-            f"state digest diverges: {reference.config.executor}="
-            f"{ref_digest[:16]} vs {parallel.config.executor}={par_digest[:16]}",
+            f"state digest diverges: reference={ref_digest[:16]} "
+            f"vs other={other_digest[:16]}",
         ))
-    if reference.stats.get("blocks") != parallel.stats.get("blocks"):
+    if reference.stats.get("blocks") != other.stats.get("blocks"):
         violations.append(Violation(
             invariant,
             f"block count diverges: {reference.stats.get('blocks')} vs "
-            f"{parallel.stats.get('blocks')}",
+            f"{other.stats.get('blocks')}",
         ))
     # Contention accounting is derived from the committed history (and,
     # for early aborts, from the orderer pipeline that shaped it) — any
-    # divergence means the backends did not see the same conflicts.
+    # divergence means the two runs did not see the same conflicts.
     # Gossip-plane accounting joins the comparison with one carve-out:
     # the two legs of the gossip-equivalence invariant differ in payload
     # packaging *by design* (batched payloads and wire bytes), but the
@@ -619,25 +582,25 @@ def compare_reports(
     if invariant != "gossip-equivalence":
         compared_stats += ("gossip_payloads", "gossip_bytes")
     for stat in compared_stats:
-        if reference.stats.get(stat) != parallel.stats.get(stat):
+        if reference.stats.get(stat) != other.stats.get(stat):
             violations.append(Violation(
                 invariant,
                 f"{stat} diverges: {reference.stats.get(stat)} vs "
-                f"{parallel.stats.get(stat)}",
+                f"{other.stats.get(stat)}",
             ))
     divergent = 0
-    for ref_out, par_out in zip(reference.outcomes, parallel.outcomes):
-        # Retry bookkeeping is part of the observable history: a backend
-        # that made an op retry more (or drop differently) diverged, even
-        # if the final status happens to agree.
+    for ref_out, other_out in zip(reference.outcomes, other.outcomes):
+        # Retry bookkeeping is part of the observable history: a run that
+        # made an op retry more (or drop differently) diverged, even if
+        # the final status happens to agree.
         if (
             ref_out.tx_id, ref_out.status, ref_out.error,
             ref_out.attempts, ref_out.retries, ref_out.drops,
             ref_out.attempt_tx_ids,
         ) != (
-            par_out.tx_id, par_out.status, par_out.error,
-            par_out.attempts, par_out.retries, par_out.drops,
-            par_out.attempt_tx_ids,
+            other_out.tx_id, other_out.status, other_out.error,
+            other_out.attempts, other_out.retries, other_out.drops,
+            other_out.attempt_tx_ids,
         ):
             divergent += 1
             if divergent <= 5:
@@ -645,7 +608,7 @@ def compare_reports(
                     invariant,
                     f"op {ref_out.spec.index} outcome diverges: "
                     f"{ref_out.status}/{ref_out.error!r} vs "
-                    f"{par_out.status}/{par_out.error!r}",
+                    f"{other_out.status}/{other_out.error!r}",
                     tx_id=ref_out.tx_id or "",
                 ))
     if divergent > 5:
@@ -654,60 +617,6 @@ def compare_reports(
         ))
     return violations
 
-
-def run_parallel_equivalence(
-    seed: int,
-    ops: int,
-    workers: int = 4,
-    weaken: Optional[str] = None,
-    workload: str = "mixed",
-    snapshot_every: int = 0,
-    prune: bool = False,
-    reorder: bool = False,
-    gossip_batch: bool = False,
-    anti_entropy_every: float = 0.0,
-) -> EquivalenceReport:
-    """Check the ``parallel-equivalence`` invariant for one seed.
-
-    Generalizes the :class:`ReferenceValidator` pattern from the flag
-    level to the whole execution substrate: the same ``(config, ops,
-    faults)`` triple runs once on the byte-identical serial reference and
-    once on the ``process`` pool, and the two histories must agree on the
-    state digest (block chains + flags + world state + private stores),
-    block count, and every per-op outcome.  Any divergence is a
-    ``parallel-equivalence`` violation carrying both digests — proof that
-    offloading crypto to worker processes changed *where* work ran, never
-    what it computed.
-    """
-    config = replace(
-        SimulationConfig.generate_workload(workload, seed, ops),
-        snapshot_every=snapshot_every,
-        prune=prune,
-        reorder=reorder,
-        gossip_batch=gossip_batch,
-        anti_entropy_every=anti_entropy_every,
-    )
-    ops_list, fault_actions = generate(config)
-    reference = execute(
-        replace(config, executor="serial"), ops_list, fault_actions, weaken=weaken
-    )
-    parallel = execute(
-        replace(config, executor=f"process:{workers}"),
-        ops_list, fault_actions, weaken=weaken,
-    )
-    return EquivalenceReport(
-        config=config,
-        ops=ops_list,
-        fault_actions=fault_actions,
-        reference=reference,
-        parallel=parallel,
-        violations=compare_reports(reference, parallel),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The gossip-equivalence invariant
-# ---------------------------------------------------------------------------
 
 #: Fault kinds whose runtime effect draws from the scheduler's RNG *per
 #: message*.  The two gossip-equivalence legs send different message

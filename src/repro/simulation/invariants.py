@@ -916,15 +916,16 @@ def check_liveness_accounting(sim: "SimNetwork", outcomes: list) -> list:
 
 
 def state_digest(sim: "SimNetwork") -> str:
-    """SHA-256 fingerprint of everything ``parallel-equivalence`` compares.
+    """SHA-256 fingerprint of a run's committed state.
 
     Covers, per peer in name order: the committed block-hash chain with
     per-transaction validation flags, the public world state, the private
     hash store, and the private plaintext store.  Two executions of the
     same ``(config, ops, faults)`` triple must produce identical digests
-    whatever execution backend ran the crypto — byte-identical block
-    chains, world state and tx statuses, compressed into one comparable
-    string that a report can carry and a failing trace can embed.
+    (seed replay), and so must the two legs of gossip-equivalence —
+    byte-identical block chains, world state and tx statuses, compressed
+    into one comparable string that a report can carry and a failing
+    trace can embed.
     """
     digest = hashlib.sha256(b"repro-state-digest")
     channel = sim.network.channel
@@ -987,8 +988,8 @@ def check_snapshot_equivalence(
        purged private data; the hash store alone cannot catch this because
        hashes legitimately outlive the purge).
 
-    The probe is joined outside ``sim.peers``, so the parallel-equivalence
-    state digest and the other quiescence checks are unaffected.
+    The probe is joined outside ``sim.peers``, so the state digest and
+    the other quiescence checks are unaffected.
     """
     violations = []
     if not sim.config.snapshot_every:

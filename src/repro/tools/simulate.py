@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.common.errors import ConfigError
-from repro.runtime.executor import resolve_executor_kind
 from repro.simulation.config import SimulationConfig
 from repro.storage import BACKEND_KINDS
 from repro.simulation.harness import (
@@ -31,21 +29,12 @@ from repro.simulation.harness import (
     execute,
     generate,
     run_gossip_equivalence,
-    run_parallel_equivalence,
 )
 from repro.simulation.shrink import (
     load_trace,
     render_repro_script,
     shrink_failing_run,
 )
-
-
-def _executor_spec(spec: str) -> str:
-    """argparse type: validate an executor spec eagerly."""
-    try:
-        return resolve_executor_kind(spec)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _fast_path_settings(args) -> dict:
@@ -86,9 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backend", choices=list(BACKEND_KINDS), default=None,
                         help="peer-ledger storage engine (default: the "
                              "REPRO_STATE_BACKEND env var, else memory)")
-    parser.add_argument("--executor", type=_executor_spec, default=None,
-                        help="execution backend spec, e.g. serial or process:4 "
-                             "(default: the REPRO_EXECUTOR env var, else serial)")
     parser.add_argument("--snapshot-every", type=int, default=0,
                         help="peer snapshot checkpoint cadence in blocks; "
                              "enables the snapshot-equivalence invariant "
@@ -113,13 +99,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="workload family: the mixed asset/PDC mix, or the "
                              "contended TPC-C-style mix with open-loop arrivals "
                              "and the admission/retry policy (default mixed)")
-    parser.add_argument("--check-equivalence", action="store_true",
-                        help="run every seed twice — serial reference vs "
-                             "process pool — and fail on any byte-level "
-                             "divergence (the parallel-equivalence invariant)")
-    parser.add_argument("--equiv-workers", type=int, default=4,
-                        help="worker count for the parallel leg of "
-                             "--check-equivalence (default 4)")
     parser.add_argument("--check-gossip-equivalence", action="store_true",
                         help="run every seed twice — per-record reference "
                              "dissemination vs the batched fast path, same "
@@ -129,10 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        return _replay(args.replay, args.weaken, args.backend, args.executor)
-
-    if args.check_equivalence:
-        return _check_equivalence(args)
+        return _replay(args.replay, args.weaken, args.backend)
 
     if args.check_gossip_equivalence:
         return _check_gossip_equivalence(args)
@@ -147,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.backend is not None:
             config = dataclasses.replace(config, state_backend=args.backend)
-        if args.executor is not None:
-            config = dataclasses.replace(config, executor=args.executor)
         ops, fault_actions = generate(config)
         report = execute(config, ops, fault_actions, weaken=args.weaken)
         print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
@@ -164,50 +138,6 @@ def main(argv: list[str] | None = None) -> int:
 
     elapsed = time.time() - started
     print(f"{args.seeds} seeds, {failures} failing ({elapsed:.1f}s total)")
-    return 1 if failures else 0
-
-
-def _check_equivalence(args) -> int:
-    """Sweep seeds through the parallel-equivalence invariant.
-
-    A failing seed dumps its (config, ops, faults) triple — replayable
-    with ``--replay`` under either executor — plus the equivalence
-    violations, as ``equivalence-seed{N}.json`` for artifact upload.
-    """
-    failures = 0
-    started = time.time()
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        seed_started = time.time()
-        report = run_parallel_equivalence(
-            seed, args.ops, workers=args.equiv_workers, weaken=args.weaken,
-            workload=args.workload, **_fast_path_settings(args),
-        )
-        print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
-        if report.ok:
-            continue
-        failures += 1
-        for violation in (
-            report.violations
-            + report.reference.violations[:4]
-            + report.parallel.violations[:4]
-        ):
-            print(f"    {violation}")
-        out_dir = args.trace_dir or Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / f"equivalence-seed{seed}.json"
-        trace_path.write_text(json.dumps({
-            "config": report.config.to_wire(),
-            "ops": [op.to_wire() for op in report.ops],
-            "faults": [action.to_wire() for action in report.fault_actions],
-            "violations": [str(v) for v in report.violations],
-            "serial_digest": report.reference.stats.get("state_digest"),
-            "parallel_digest": report.parallel.stats.get("state_digest"),
-            "parallel_executor": report.parallel.config.executor,
-        }, indent=1))
-        print(f"    trace: {trace_path}")
-    elapsed = time.time() - started
-    print(f"{args.seeds} seeds x2 runs, {failures} failing "
-          f"equivalence ({elapsed:.1f}s total)")
     return 1 if failures else 0
 
 
@@ -286,13 +216,10 @@ def _replay(
     path: Path,
     weaken: str | None,
     backend: str | None = None,
-    executor: str | None = None,
 ) -> int:
     config, ops, fault_actions = load_trace(json.loads(path.read_text()))
     if backend is not None:
         config = dataclasses.replace(config, state_backend=backend)
-    if executor is not None:
-        config = dataclasses.replace(config, executor=executor)
     report = execute(config, ops, fault_actions, weaken=weaken)
     print(report.summary())
     for violation in report.violations:

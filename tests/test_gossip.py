@@ -372,6 +372,24 @@ class TestBatchedDissemination:
             assert org3.query_private("pdccc", "PDC1", "k") is None
             assert not org3.ledger.missing_private
 
+    def test_compare_reports_flags_divergence(self):
+        """The comparer behind the gossip-equivalence sweep."""
+        from dataclasses import replace
+
+        from repro.simulation import compare_reports, run_seed
+
+        first = run_seed(9, 25)
+        second = run_seed(9, 25)
+        assert compare_reports(first, second, invariant="gossip-equivalence") == []
+        # Tamper with one side: every difference becomes a typed violation.
+        second.stats["state_digest"] = "0" * 64
+        second.stats["blocks"] = -1
+        second.outcomes[0] = replace(second.outcomes[0], status="tampered")
+        violations = compare_reports(first, second, invariant="gossip-equivalence")
+        assert len(violations) == 3
+        assert all(v.invariant == "gossip-equivalence" for v in violations)
+        assert "vs other=" + "0" * 16 in str(violations[0])
+
     def test_perf_counters_track_gossip_work(self):
         from repro.common.tracing import PERF
 

@@ -96,11 +96,11 @@ class TestChannelIsolation:
 
 
 class TestMultiChannelValidateBlocks:
-    """The combined signature pass over one block per channel."""
+    """Signature workloads of one block per channel."""
 
-    def _blocks_and_observers(self, two_channels):
-        """Commit one block per channel, then enroll fresh observer peers
-        that have not seen them — re-validation targets."""
+    def _jobs(self, two_channels):
+        """Commit one block per channel; pair each with a fresh validator
+        and ledger that have not seen it."""
         net1, net2 = two_channels
         members = [net1.default_peer_for("Org1MSP"), net1.default_peer_for("Org4MSP")]
         net1.client("Org1MSP").submit_transaction(
@@ -113,35 +113,42 @@ class TestMultiChannelValidateBlocks:
         ).raise_for_status()
         block1 = next(net1.peers()[0].ledger.blockchain.blocks()).block
         block2 = next(net2.peers()[0].ledger.blockchain.blocks()).block
-        # Fresh validator+ledger pairs that have never seen the blocks
-        # (a peer added to the network would be caught up immediately).
         from repro.ledger.ledger import PeerLedger
         from repro.peer.validator import Validator
 
-        def job(net, block):
-            # The shared VSCC memo would answer the re-validation from the
-            # committing peers' flags; pin it off so the pipelines (and
-            # their signature checks) actually run.
-            validator = Validator(
-                channel=net.channel, features=net.features, use_shared_memo=False
+        # The shared VSCC memo would answer a re-validation from the
+        # committing peers' flags; pin it off so the pipelines (and their
+        # signature checks) actually run.
+        return [
+            (
+                Validator(
+                    channel=net.channel, features=net.features,
+                    use_shared_memo=False,
+                ),
+                block,
+                PeerLedger(None),
             )
-            return (validator, block, PeerLedger(None))
+            for net, block in ((net1, block1), (net2, block2))
+        ]
 
-        jobs = [job(net1, block1), job(net2, block2)]
-        twins = [job(net1, block1), job(net2, block2)]
-        return jobs, twins
+    def test_workload_reflects_per_key_groups(self, two_channels):
+        for validator, block, ledger in self._jobs(two_channels):
+            groups = validator.signature_workload(block, ledger)
+            assert groups, "committed block must have batchable signatures"
+            items = validator._collect_signature_items(block, ledger, None)
+            assert sum(groups) == len(items)
 
     def test_flags_identical_to_per_job_validation(self, two_channels):
         from repro.common import crypto
         from repro.common.tracing import PERF
-        from repro.peer.validator import validate_blocks
         from repro.protocol.transaction import ValidationCode
 
-        jobs, twins = self._blocks_and_observers(two_channels)
-        crypto.clear_verify_cache()
-        expected = [
-            validator.validate_block(block, ledger)
-            for validator, block, ledger in twins
+        net1, net2 = two_channels
+        jobs = self._jobs(two_channels)
+        # The flags the committing peers recorded are the reference.
+        committed = [
+            list(next(net.peers()[0].ledger.blockchain.blocks()).flags)
+            for net in (net1, net2)
         ]
         signatures = sum(
             len(validator._collect_signature_items(block, ledger, None))
@@ -150,44 +157,27 @@ class TestMultiChannelValidateBlocks:
         assert signatures >= 3  # creator+2 endorsers / creator
         crypto.clear_verify_cache()
         before = PERF.snapshot()
-        combined = validate_blocks(jobs)
-        delta = PERF.delta_since(before)
-        assert combined == expected
-        assert all(
-            flag is ValidationCode.VALID for flags in combined for flag in flags
-        )
-        # All signatures settled by the combined pre-pass, one equation
-        # each: the per-job pipelines (their own pre-pass, then every
-        # rule's check) were left nothing but memo hits.
-        assert delta.get("verify_individual", 0) == signatures
-        assert delta.get("verify_cache_hits", 0) >= 2 * signatures
-
-    def test_workload_reflects_per_key_groups(self, two_channels):
-        jobs, _ = self._blocks_and_observers(two_channels)
-        for validator, block, ledger in jobs:
-            groups = validator.signature_workload(block, ledger)
-            assert groups, "committed block must have batchable signatures"
-            items = validator._collect_signature_items(block, ledger, None)
-            assert sum(groups) == len(items)
-
-    def test_sharded_combined_pass_matches_reference(self, two_channels):
-        """The combined batch through a multi-worker backend still yields
-        the reference flags — the multi-channel face of parallel
-        equivalence."""
-        from repro.common import crypto
-        from repro.peer.validator import validate_blocks
-        from repro.runtime.executor import reset_backend, set_backend
-
-        jobs, twins = self._blocks_and_observers(two_channels)
-        crypto.clear_verify_cache()
-        expected = [
+        flags = [
             validator.validate_block(block, ledger)
-            for validator, block, ledger in twins
+            for validator, block, ledger in jobs
         ]
-        try:
-            set_backend("serial", workers=4)
-            crypto.clear_verify_cache()
-            assert validate_blocks(jobs) == expected
-        finally:
-            reset_backend()
-            crypto.clear_verify_cache()
+        delta = PERF.delta_since(before)
+        assert flags == committed
+        assert all(flag is ValidationCode.VALID for fs in flags for flag in fs)
+        # Each block's pre-pass settles its signatures, one equation each;
+        # every rule's later check is a memo hit.
+        assert delta.get("verify_individual", 0) == signatures
+        assert delta.get("verify_cache_hits", 0) >= signatures
+
+    def test_cost_model_prices_each_channel_block(self, two_channels):
+        from repro.runtime.executor import ValidationCostModel
+
+        for validator, block, ledger in self._jobs(two_channels):
+            groups = validator.signature_workload(block, ledger)
+            tx_count = len(block.transactions)
+            one = ValidationCostModel(workers=1).service_seconds(groups, tx_count)
+            many = ValidationCostModel(workers=len(groups)).service_seconds(
+                groups, tx_count
+            )
+            assert one == 0.25 * tx_count + sum(groups)
+            assert many == 0.25 * tx_count + max(groups)

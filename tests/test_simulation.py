@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.chaincode.contracts import PrivateAssetContract
+from repro.common.errors import ConfigError
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
@@ -147,8 +150,6 @@ class TestSeedReplay:
         config = SimulationConfig.generate(6, 25)
         ops, faults = generate(config)
         direct = execute(config, ops, faults)
-        import json
-
         wire = json.loads(json.dumps({
             "config": config.to_wire(),
             "ops": [o.to_wire() for o in ops],
@@ -183,11 +184,12 @@ RETIRED_VARIABLES = {
     "REPRO_VERIFY_CACHE": "0",
     "REPRO_CRYPTO_FAST": "0",
     "REPRO_EXECUTOR_WORKERS": "3",
+    "REPRO_EXECUTOR": "process:2",
 }
 
-#: The two environment reads ``src/repro`` keeps: where work runs and
-#: where state is stored, never what a run computes.
-ENVIRONMENT_READS = {"runtime/executor.py": 1, "storage/factory.py": 1}
+#: The one environment read ``src/repro`` keeps: where state is stored,
+#: never what a run computes.
+ENVIRONMENT_READS = {"storage/factory.py": 1}
 
 
 def _history(report) -> tuple:
@@ -218,9 +220,9 @@ class TestReplayIsSelfContained:
         monkeypatch.setenv(variable, RETIRED_VARIABLES[variable])
         assert _history(execute(*triple)) == clean
 
-    def test_environment_surface_is_two_reads(self):
+    def test_environment_surface_is_one_read(self):
         """``os.environ`` / ``os.getenv`` / ``os.putenv`` appear in
-        ``src/repro`` only as the two named ``os.environ.get`` reads —
+        ``src/repro`` only as the one named ``os.environ.get`` read —
         the layer cannot grow back unnoticed."""
         names = ("environ", "environb", "getenv", "putenv", "unsetenv")
         root = Path(repro.__file__).parent
@@ -248,6 +250,71 @@ class TestReplayIsSelfContained:
                 ):
                     reads[key] = reads.get(key, 0) + 1
         assert mentions == reads == ENVIRONMENT_READS
+
+    def test_retired_executor_variable_is_not_recorded(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:2")
+        assert SimulationConfig.generate(3, 40).executor == "serial"
+
+    def test_executor_recorded_in_stats_and_wire(self):
+        report = run_seed(2, 15)
+        assert report.stats["executor"] == report.config.executor == "serial"
+        wire = report.config.to_wire()
+        assert wire["executor"] == "serial"
+        assert SimulationConfig.from_wire(wire).executor == "serial"
+
+    def test_a_process_pool_executor_is_refused(self):
+        with pytest.raises(ConfigError):
+            SimulationConfig(seed=1, ops=1, executor="process:2")
+        wire = SimulationConfig(seed=1, ops=1, executor="serial:4").to_wire()
+        with pytest.raises(ConfigError):
+            SimulationConfig.from_wire({**wire, "executor": "process:2"})
+
+    @pytest.mark.parametrize("bad", [
+        "thread", "process", "process:x", "process:0", "pool:2",
+        "serial:0", "serial:x", "serial:", "Serial", "",
+    ])
+    def test_bad_executor_specs_refused(self, bad):
+        with pytest.raises(ConfigError):
+            SimulationConfig(seed=1, ops=1, executor=bad)
+
+    @pytest.mark.parametrize("spec", ["serial", "serial:1", "serial:4"])
+    def test_serial_specs_accepted(self, spec):
+        config = SimulationConfig(seed=1, ops=1, executor=spec)
+        assert SimulationConfig.from_wire(config.to_wire()).executor == spec
+
+    @pytest.mark.parametrize("workload", ["mixed", "tpcc"])
+    def test_every_generator_records_serial(self, workload, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTOR", "process:2")
+        config = SimulationConfig.generate_workload(workload, 5, 20)
+        assert config.executor == "serial"
+
+    def test_recorded_executor_has_no_effect(self, triple, clean):
+        config, ops, faults = triple
+        report = execute(dataclasses.replace(config, executor="serial:4"), ops, faults)
+        assert report.ok, report.summary()
+        assert report.stats["executor"] == "serial:4"
+        assert _history(report) == clean
+
+    def test_replay_refuses_a_process_pool_trace(self, tmp_path):
+        """An old trace recorded under the pool fails loudly instead of
+        silently replaying serial."""
+        from repro.tools.simulate import main
+
+        config = SimulationConfig.generate(3, 10)
+        ops, faults = generate(config)
+        trace = {
+            "config": {**config.to_wire(), "executor": "process:2"},
+            "ops": [o.to_wire() for o in ops],
+            "faults": [f.to_wire() for f in faults],
+            "violations": [],
+        }
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        with pytest.raises(ConfigError, match="process:2"):
+            main(["--replay", str(path)])
+        trace["config"]["executor"] = "serial:2"
+        path.write_text(json.dumps(trace))
+        assert main(["--replay", str(path)]) == 0
 
 
 def _pdc_network(**settings) -> FabricNetwork:
@@ -297,54 +364,6 @@ class TestDifferentlyConfiguredNetworksCoexist:
             assert peer.latest_sealed_snapshot() is None
             assert peer.ledger.blockchain.genesis_offset == 0
         assert {p.ledger.height for p in fast.peers() + plain.peers()} == {7}
-
-
-# ---------------------------------------------------------------------------
-# the parallel-equivalence invariant
-# ---------------------------------------------------------------------------
-class TestParallelEquivalence:
-    def test_process_run_byte_identical_to_serial(self):
-        from repro.simulation import run_parallel_equivalence
-
-        report = run_parallel_equivalence(7, 30, workers=2)
-        assert report.ok, "\n".join(
-            str(v) for v in report.violations
-            + report.reference.violations + report.parallel.violations
-        )
-        assert report.reference.config.executor == "serial"
-        assert report.parallel.config.executor == "process:2"
-        assert (
-            report.reference.stats["state_digest"]
-            == report.parallel.stats["state_digest"]
-        )
-
-    def test_compare_reports_flags_divergence(self):
-        from dataclasses import replace
-
-        from repro.simulation import compare_reports
-
-        first = run_seed(9, 25)
-        second = run_seed(9, 25)
-        assert compare_reports(first, second) == []
-        # Tamper with one side: every difference becomes a typed violation.
-        second.stats["state_digest"] = "0" * 64
-        second.stats["blocks"] = -1
-        second.outcomes[0] = replace(second.outcomes[0], status="tampered")
-        violations = compare_reports(first, second)
-        assert len(violations) == 3
-        assert all(v.invariant == "parallel-equivalence" for v in violations)
-
-    def test_executor_recorded_in_stats_and_wire(self):
-        # generate() records the environment's executor kind (serial unless
-        # REPRO_EXECUTOR pins the suite onto another backend).
-        from repro.runtime.executor import resolve_executor_kind
-
-        expected = resolve_executor_kind()
-        report = run_seed(2, 15)
-        assert report.stats["executor"] == report.config.executor == expected
-        wire = report.config.to_wire()
-        assert wire["executor"] == expected
-        assert SimulationConfig.from_wire(wire).executor == expected
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ from repro.network.network import FabricNetwork
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.config import SimulationConfig
-from repro.simulation.harness import build_network, generate, run_seed
+from repro.simulation.harness import build_network, execute, generate, run_seed
+from repro.simulation.workload import OpSpec
 from repro.workload import (
     BurstWindow,
     OpenLoopGenerator,
@@ -535,3 +536,42 @@ class TestTpccSimulation:
         assert TPCC_CHAINCODE in sim.network.channel.chaincodes
         assert len(sim.all_peers()) == 3
         assert sorted(sim.clients) == ["Org1MSP", "Org2MSP", "Org3MSP"]
+
+    def test_exactly_one_commit_per_conflicting_pair(self):
+        """Two clients race a NewOrder on the same district's hot key:
+        exactly one commits and one aborts on MVCC."""
+        config = SimulationConfig(
+            seed=777, ops=3, org_count=3, peers_per_org=1,
+            pdc1_members=("Org1MSP", "Org2MSP"),
+            chaincode_policy="MAJORITY Endorsement",
+            batch_size=2, batch_timeout=1.0, base_latency=0.3,
+            jitter=0.0, gossip_latency=0.5, attack_weight=0.0,
+            fault_windows=0, mean_gap=1.0,
+            workload="tpcc", warehouses=1, districts_per_warehouse=1,
+            arrival_rate=1.0, retry_budget=0, mempool_limit=0,
+        )
+        common = dict(
+            chaincode_id=TPCC_CHAINCODE, endorsers=("peer0.Org1MSP", "peer0.Org2MSP"),
+            expect_policy_ok=True,
+        )
+        ops = [
+            OpSpec(index=0, at=0.1, kind="tpcc_load",
+                   function="load_warehouse", args=("1", "1", "3", "5"),
+                   client_org="Org1MSP", **common),
+            # Both NewOrders read-modify-write district:1:1 before either
+            # commits; batch_size=2 packs them into one block.
+            OpSpec(index=1, at=10.0, kind="tpcc_new_order",
+                   function="new_order",
+                   args=("", "1", "1", "1", "1", "1", "00001"),
+                   client_org="Org1MSP", **common),
+            OpSpec(index=2, at=10.001, kind="tpcc_new_order",
+                   function="new_order",
+                   args=("", "1", "1", "2", "2", "1", "00002"),
+                   client_org="Org2MSP", **common),
+        ]
+        report = execute(config, ops, [])
+        assert report.ok, [str(v) for v in report.violations[:5]]
+        statuses = sorted(o.status.value for o in report.outcomes[1:])
+        assert statuses == ["MVCC_READ_CONFLICT", "VALID"]
+        assert report.outcomes[0].status is ValidationCode.VALID
+        assert report.stats["mvcc_aborts"] == 1
