@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def bench_runs(default: int = 30) -> int:
@@ -19,9 +16,3 @@ def record(results_dir: Path, name: str, text: str) -> None:
     print()
     print(text)
     (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def write_bench(name: str, payload: dict) -> None:
-    """Write a legacy ablation's committed result, ``BENCH_<name>.json``."""
-    text = json.dumps(payload, indent=1) + "\n"
-    (REPO_ROOT / f"BENCH_{name}.json").write_text(text, encoding="utf-8")

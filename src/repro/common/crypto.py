@@ -80,33 +80,19 @@ def _exponent(digest: bytes) -> int:
 # Fast-path switches and precomputation
 # ---------------------------------------------------------------------------
 
-# Off routes every exponentiation through plain pow() (the naive
-# baseline tests and the ablation bench compare against).
+# Off routes every exponentiation through plain pow(): the reference the
+# window kernels must agree with byte for byte.
 _FAST_PATH = True
-# Off disables (verification-result) memoization.
-_CACHE_ENABLED = True
 
 
 def set_fast_path(enabled: bool) -> None:
-    """Toggle the fixed-base window kernels (test/bench reference hook)."""
+    """Toggle the fixed-base window kernels (the tests' reference hook)."""
     global _FAST_PATH
     _FAST_PATH = bool(enabled)
 
 
 def fast_path_enabled() -> bool:
     return _FAST_PATH
-
-
-def set_verify_cache(enabled: bool) -> None:
-    """Toggle verification-result memoization (test/bench reference hook)."""
-    global _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    if not enabled:
-        _VERIFY_CACHE.clear()
-
-
-def verify_cache_enabled() -> bool:
-    return _CACHE_ENABLED
 
 
 _G_TABLE: Optional[FixedBaseTable] = None
@@ -176,11 +162,11 @@ def clear_caches() -> None:
 def clear_verify_cache() -> None:
     """Drop only the verification-result memo, keeping window tables.
 
-    Benches that replay identical identities across modes must clear the
-    memo between modes (deterministic signatures would let a later mode
-    reuse an earlier mode's verdicts) but should keep the fixed-base
-    tables: they are a one-time substrate cost every mode shares, not
-    part of what any mode ablates.
+    For tests that need the next verdict computed, not recalled — to
+    count verifications, or to check what the equation itself decides:
+    signatures are deterministic, so a verdict memoized earlier in the
+    process would answer a later call without it.  The fixed-base tables
+    are substrate, not verdicts, and stay.
     """
     _VERIFY_CACHE.clear()
 
@@ -207,8 +193,6 @@ def _cache_key(y: int, message: bytes, signature: bytes) -> tuple:
 
 
 def _cache_get(key) -> Optional[bool]:
-    if not _CACHE_ENABLED:
-        return None
     cached = _VERIFY_CACHE.get(key)
     if cached is not None:
         _VERIFY_CACHE.move_to_end(key)
@@ -217,8 +201,6 @@ def _cache_get(key) -> Optional[bool]:
 
 
 def _cache_put(key, value: bool) -> None:
-    if not _CACHE_ENABLED:
-        return
     _VERIFY_CACHE[key] = value
     _VERIFY_CACHE.move_to_end(key)
     if len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
@@ -236,26 +218,23 @@ def independent_verification():
     For oracles that re-check what the pipeline verified (the simulation's
     invariant catalogue): a verdict read back from the pipeline's memo
     confirms nothing.  On entry the verdict memo is emptied — nothing
-    written outside the scope can answer inside it — and memoization is
-    switched on, so each distinct ``(key, message, signature)`` costs
-    exactly one verification however many readers ask.  On exit the
-    enable flag is restored and the memo is emptied again: a run's
+    written outside the scope can answer inside it — so each distinct
+    ``(key, message, signature)`` costs exactly one verification however
+    many readers ask.  On exit the memo is emptied again: a run's
     verdicts die with the run.  Window tables, validated keys and other
     layers' registered caches are substrate, not verdicts, and are left
     alone.  Re-entrant — a nested scope shares the enclosing memo.
     """
-    global _CACHE_ENABLED, _INDEPENDENT
+    global _INDEPENDENT
     if _INDEPENDENT:
         yield
         return
-    was_enabled = _CACHE_ENABLED
     _VERIFY_CACHE.clear()
-    _CACHE_ENABLED = _INDEPENDENT = True
+    _INDEPENDENT = True
     try:
         yield
     finally:
         _INDEPENDENT = False
-        _CACHE_ENABLED = was_enabled
         _VERIFY_CACHE.clear()
 
 

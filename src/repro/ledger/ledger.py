@@ -30,14 +30,12 @@ from repro.ledger.transient_store import TransientStore
 from repro.ledger.world_state import WorldState
 from repro.storage import KVBackend, WriteBatch, compose_key, open_backend, read_through, split_key, write_op
 from repro.storage.codec import (
-    PICKLE_MARKER,
     U64_PAIR_SIZE,
     CodecError,
     Reader,
     pack_private_writes,
     pack_str,
     pack_u64_pair,
-    unpack_obj,
     unpack_private_writes,
     unpack_u64_pair,
 )
@@ -76,7 +74,7 @@ def pack_missing_record(missing: "MissingPrivateData") -> bytes:
 
 
 def unpack_missing_record(raw: bytes) -> MissingPrivateData:
-    """Strictly decode a framed missing-data record (no pickle fallback)."""
+    """Strictly decode a framed missing-data record."""
     if not raw.startswith(MISSING_MAGIC):
         raise CodecError("missing-data record lacks the deterministic-framing magic")
     reader = Reader(raw, len(MISSING_MAGIC))
@@ -89,13 +87,6 @@ def unpack_missing_record(raw: bytes) -> MissingPrivateData:
     return MissingPrivateData(
         tx_id=tx_id, block_num=block_num, namespace=namespace, collection=collection
     )
-
-
-def decode_missing_record(raw: bytes) -> MissingPrivateData:
-    """Decode a peer-local missing row, accepting last release's pickle."""
-    if raw.startswith(PICKLE_MARKER):
-        return unpack_obj(raw)
-    return unpack_missing_record(raw)
 
 
 class PrivateRwsetArchive(MutableMapping):
@@ -141,13 +132,11 @@ class PrivateRwsetArchive(MutableMapping):
 
     @staticmethod
     def decode(raw: bytes):
-        """Decode a peer-local archive row, accepting last release's pickle."""
+        """Decode an archive row; any other framing is a :class:`CodecError`."""
         # Imported here: repro.chaincode pulls in the stub, which imports
         # this module — a top-level import would be circular.
         from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
 
-        if raw.startswith(PICKLE_MARKER):
-            return unpack_obj(raw)
         namespace, collection, writes = unpack_private_writes(raw)
         return PrivateCollectionWrites(
             namespace=namespace,
@@ -220,7 +209,7 @@ class PeerLedger:
         self._missing: dict[tuple[str, str, str], MissingPrivateData] = {}
         self._missing_by_col: dict[tuple[str, str], dict[str, MissingPrivateData]] = {}
         for _, raw in backend.range(NS_MISSING):
-            self._missing_add(decode_missing_record(raw))
+            self._missing_add(unpack_missing_record(raw))
         # BlockToLive expiry index: expiry height -> private keys due then.
         self._expiry_buckets: dict[int, set[tuple[str, str, str]]] = {}
         self._expiry_heap: list[int] = []

@@ -18,30 +18,14 @@ from typing import Iterator, Optional
 from repro.ledger.version import Version
 from repro.storage import KVBackend, MemoryBackend, WriteBatch, compose_key, read_through, write_op
 from repro.storage.codec import (
-    PICKLE_MARKER,
     pack_bytes_map,
     pack_versioned,
     unpack_bytes_map,
-    unpack_obj,
     unpack_versioned,
 )
 
 NS_PUBLIC = "public"
 NS_PUBLIC_META = "public.meta"
-
-
-def decode_metadata(raw: bytes) -> dict:
-    """Decode a metadata row written by this peer (read-compat helper).
-
-    New rows use the deterministic bytes-map framing; rows written by the
-    previous release were pickled.  The pickle fallback exists only for
-    *peer-local* bytes — cross-peer paths (snapshot digests/verification)
-    call :func:`repro.storage.codec.unpack_bytes_map` directly, which
-    rejects pickle outright.
-    """
-    if raw.startswith(PICKLE_MARKER):
-        return unpack_obj(raw)
-    return unpack_bytes_map(raw)
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,7 @@ class WorldState:
     ) -> None:
         composite = compose_key(namespace, key)
         raw = read_through(self._backend, batch, NS_PUBLIC_META, composite)
-        metadata = decode_metadata(raw) if raw is not None else {}
+        metadata = unpack_bytes_map(raw) if raw is not None else {}
         metadata[name] = value
         write_op(self._backend, batch, NS_PUBLIC_META, composite, pack_bytes_map(metadata))
 
@@ -128,7 +112,7 @@ class WorldState:
         raw = self._backend.get(NS_PUBLIC_META, compose_key(namespace, key))
         if raw is None:
             return None
-        return decode_metadata(raw).get(name)
+        return unpack_bytes_map(raw).get(name)
 
     def get_validation_parameter(self, namespace: str, key: str) -> Optional[bytes]:
         """The key-level endorsement policy bytes, if one was ever set."""

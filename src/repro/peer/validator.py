@@ -427,10 +427,8 @@ def _settle_signatures(items: list[tuple]) -> None:
     """Settle ``items`` in the shared verdict memo with one ``verify_batch`` call.
 
     A block's signature work happens here, in one call before any rule
-    runs, and the per-transaction pipeline reads each verdict back.  The
-    pre-pass works only through the memo: with memoization off it would
-    verify everything twice, so it stands down.
+    runs, and the per-transaction pipeline reads each verdict back.
     """
-    if len(items) > 1 and crypto.verify_cache_enabled():
+    if len(items) > 1:
         crypto.verify_batch(items)
 

@@ -233,7 +233,9 @@ class TransactionRuntime:
         network.gossip.batch_transport = self._send_gossip_batch
         network.gossip.snapshot_transport = self._send_snapshot_sig
         # The run seed drives deterministic push-set rotation and the
-        # anti-entropy source rotation — identical across ablation legs.
+        # anti-entropy source rotation, so two runs of one seed that differ
+        # only in how gossip is framed (gossip equivalence) pick the same
+        # targets.
         network.gossip.rotation_seed = seed
         #: Digest-driven anti-entropy loop; ``None`` when the network's
         #: cadence is 0 (the on-demand reconciler remains available).

@@ -18,10 +18,9 @@ decoding — a corrupt or adversarial snapshot file fed to ``pickle.loads``
 is an arbitrary-code-execution primitive.  ``pack_ops``/``unpack_ops``
 and ``pack_tables``/``unpack_tables`` are pure ``struct`` codecs for the
 two WAL payload shapes (a batch's op list and a compacted table
-snapshot).  Both start with a magic prefix whose first byte (``0x01``)
-can never open a protocol-2+ pickle stream (those start with ``0x80``),
-so readers can distinguish the formats for one-release read
-compatibility.
+snapshot).  Every framing starts with a magic prefix, and its decoder
+rejects a payload without it — pickled bytes included — with a
+:class:`CodecError`.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ OPS_MAGIC = b"\x01ROP1"
 TABLES_MAGIC = b"\x01RTB1"
 BYTES_MAP_MAGIC = b"\x01RMM1"
 PRIVATE_WRITES_MAGIC = b"\x01RPW1"
-
-#: First byte of every pickle protocol >= 2 stream (the PROTO opcode) —
-#: how legacy pickle WAL payloads are recognized during the one-release
-#: read-compat window.
-PICKLE_MARKER = b"\x80"
 
 
 class CodecError(ValueError):

@@ -20,11 +20,10 @@ as a fresh snapshot (tmp file + atomic rename) and the log is reset;
 replaying a log that predates the rename is idempotent because ops are
 absolute puts/deletes.
 
-Snapshot and record payloads used to be pickled; decoding them is kept
-for one release as a read-compat fallback (old payloads are recognized
-by pickle's 0x80 protocol marker, which no framed payload starts with).
-Everything newly written uses the ``codec`` struct framing, so a corrupt
-or hostile snapshot file can fail a checksum but never execute code.
+Snapshot and record payloads are read only under the ``codec`` struct
+framing, so a corrupt or hostile snapshot file can fail a checksum but
+never execute code.  A snapshot in any other framing is a
+:class:`StorageError`; a record in any other framing is a corrupt tail.
 
 Stdlib only: ``struct`` + ``zlib.crc32``.  By default commits
 ``flush()`` to the OS (surviving simulated *process* crashes); set
@@ -34,21 +33,13 @@ Stdlib only: ``struct`` + ``zlib.crc32``.  By default commits
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import zlib
 from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.storage.backend import KVBackend, SortedTables, StorageError, WriteBatch
-from repro.storage.codec import (
-    PICKLE_MARKER,
-    TABLES_MAGIC,
-    pack_ops,
-    pack_tables,
-    unpack_ops,
-    unpack_tables,
-)
+from repro.storage.codec import pack_ops, pack_tables, unpack_ops, unpack_tables
 
 SNAPSHOT_FILE = "snapshot.bin"
 SNAPSHOT_TMP = "snapshot.tmp"
@@ -106,14 +97,7 @@ class WalBackend(KVBackend):
             return
         raw = self._snapshot_path.read_bytes()
         try:
-            if raw.startswith(TABLES_MAGIC):
-                self._tables.load(unpack_tables(raw))
-            elif raw.startswith(PICKLE_MARKER):
-                # One-release read compat: snapshots written before the
-                # deterministic framing were pickled.
-                self._tables.load(pickle.loads(raw))
-            else:
-                raise StorageError("unrecognized snapshot framing")
+            self._tables.load(unpack_tables(raw))
         except Exception as exc:
             raise StorageError(
                 f"corrupt snapshot {self._snapshot_path}: {exc}"
@@ -136,11 +120,7 @@ class WalBackend(KVBackend):
             if zlib.crc32(payload) != checksum:
                 break  # corrupt tail
             try:
-                if payload.startswith(PICKLE_MARKER):
-                    # One-release read compat for pre-framing records.
-                    ops = pickle.loads(payload)
-                else:
-                    ops = unpack_ops(payload)
+                ops = unpack_ops(payload)
             except Exception:
                 break
             self._tables.apply(ops)

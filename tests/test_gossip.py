@@ -4,12 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaincode.api import require_args
 from repro.chaincode.contracts import PrivateAssetContract
 from repro.common.errors import ConfigError, GossipError
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+
+
+class _WriteEveryCollection(PrivateAssetContract):
+    """``set_all`` writes one key into every listed collection in one tx."""
+
+    def set_all(self, stub, args):
+        require_args(args, 2, "a key and the collections")
+        key, collections = args
+        for collection in collections.split(","):
+            stub.put_private_data(collection, key, stub.get_transient("value"))
+        return b""
 
 
 def _network(required_peer_count=0, max_peer_count=3, member_orgs=("Org1MSP", "Org2MSP"),
@@ -361,6 +373,30 @@ class TestBatchedDissemination:
         assert net.gossip.pushes - pushes_before == 8
         assert net.gossip.batched_payloads - payloads_before == 4
 
+    def test_batch_cuts_wire_messages_by_the_collection_count(self):
+        """Full fan-out, five member orgs, three endorsers, one tx writing
+        three collections: each endorser reaches each of the 4 other
+        members with one payload instead of three pushes."""
+        collections = ("PDC1", "PDC2", "PDC3")
+        orgs = tuple(f"Org{i}MSP" for i in range(1, 6))
+        gossip = {}
+        for batch in (False, True):
+            _reset_counters()
+            net = _network(max_peer_count=5, member_orgs=orgs, org_count=5,
+                           collections=collections, gossip_batch=batch)
+            net.install_chaincode("pdccc", _WriteEveryCollection())
+            net.client("Org1MSP").submit_transaction(
+                "pdccc", "set_all", ["k", ",".join(collections)],
+                transient={"value": b"v" * 32}, endorsing_peers=net.peers()[:3],
+            ).raise_for_status()
+            gossip[batch] = net.gossip
+        reference, batched = gossip[False], gossip[True]
+        # The same records reach the same peers; only the framing differs.
+        assert reference.pushes == batched.pushes == 3 * 4 * 3
+        assert reference.bytes_sent == batched.bytes_sent
+        assert reference.batched_payloads == 0
+        assert batched.batched_payloads == 3 * 4
+
     def test_batch_commits_the_same_state_as_reference(self):
         reference = self._two_collection_network(gossip_batch=False)
         self._move(reference)
@@ -471,6 +507,33 @@ class TestAntiEntropy:
         assert runtime.anti_entropy.pull_requests >= 1
         assert net.gossip.digest_rounds >= 1
         assert net.gossip.reconcile_pulls == 3
+
+    def _converge_after_blackout(self, gaps):
+        """Open ``gaps`` gaps under a total gossip blackout, heal, and
+        return (sim-s to converge, pull requests sent after the heal)."""
+        from repro.runtime.runtime import GOSSIP_TOPICS
+
+        net, runtime = self._runtime_network(gossip_batch=True)
+        runtime.bus.faults.drop_topics(GOSSIP_TOPICS)
+        self._submit_missed(net, runtime, gaps)
+        runtime.run()
+        org3 = net.peers_of("Org3MSP")[0]
+        assert len(org3.ledger.missing_private) == gaps
+
+        runtime.bus.faults.heal()
+        engine = runtime.anti_entropy
+        engine.reset_backoff()
+        healed_at, pulls_before = runtime.now, engine.pull_requests
+        engine.arm()
+        runtime.run()
+        assert not org3.ledger.missing_private
+        assert net.gossip.reconcile_pulls == gaps
+        return runtime.now - healed_at, engine.pull_requests - pulls_before
+
+    def test_convergence_is_flat_in_gap_count(self):
+        """One digest names every gap and one batched pull ships them all:
+        the round trips, not the backlog, set the clock."""
+        assert self._converge_after_blackout(5) == self._converge_after_blackout(20)
 
     def test_backed_off_sources_retry_when_new_gaps_appear(self):
         """With pull responses also dropped the loop must terminate (the

@@ -288,6 +288,50 @@ class TestSimulationProperties:
         assert report.stats["reorder"] is True
         assert report.stats["reorder_batches"] > 0
 
+    @staticmethod
+    def _hot_cell(rate: float, reorder: bool) -> dict:
+        """One warehouse, one district: every NewOrder read-modify-writes
+        the same ``next_o_id`` key.  Validation is a 0.25 sim-s/tx service
+        station, so a block slot burned on a doomed tx costs real time."""
+        config = SimulationConfig(
+            seed=808, ops=30, org_count=3, peers_per_org=1,
+            pdc1_members=("Org1MSP", "Org2MSP"),
+            chaincode_policy="MAJORITY Endorsement",
+            batch_size=4, batch_timeout=1.0, base_latency=0.3, jitter=0.0,
+            gossip_latency=0.5, attack_weight=0.0, fault_windows=0,
+            mean_gap=round(1.0 / rate, 6),
+            workload="tpcc", warehouses=1, districts_per_warehouse=1,
+            arrival_rate=rate, bursts=((10.0, 25.0, 3.0),),
+            retry_budget=2, mempool_limit=12, validate_cost=0.25,
+            reorder=reorder,
+        )
+        ops, faults = generate(config)
+        report = execute(config, ops, faults)
+        assert report.ok, [str(v) for v in report.violations[:5]]
+        stats = dict(report.stats)
+        new_orders = sum(
+            1 for o in report.outcomes
+            if o.spec.kind == "tpcc_new_order" and o.status is ValidationCode.VALID
+        )
+        stats["tpmC"] = new_orders / (stats["sim_seconds"] / 60.0)
+        stats["mvcc_abort_rate"] = stats["mvcc_aborts"] / (stats["valid"] + stats["invalid"])
+        return stats
+
+    @pytest.mark.parametrize("rate", [2.0, 6.0])
+    def test_hot_cell_trades_chain_aborts_for_early_aborts(self, rate):
+        reference = self._hot_cell(rate, reorder=False)
+        reordered = self._hot_cell(rate, reorder=True)
+        assert reference["mvcc_aborts"] > 0 and reference["early_aborts"] == 0
+        # Contention slows the chain down; it must not wedge it.
+        assert reference["tpmC"] > 0 and reference["mvcc_abort_rate"] < 0.9
+        assert reordered["early_aborts"] > 0
+        assert reordered["mvcc_abort_rate"] < reference["mvcc_abort_rate"]
+        # Committed NewOrders per simulated minute (tpmC-style).
+        assert reordered["tpmC"] >= 1.3 * reference["tpmC"]
+        if rate == 6.0:  # the burst overruns the 12-slot mempool
+            for stats in (reference, reordered):
+                assert stats["retries"] > 0 and stats["mempool_drops"] > 0
+
     def test_simulation_deterministic_with_reorder(self):
         config = dataclasses.replace(
             SimulationConfig.generate_tpcc(3, 40), reorder=True

@@ -256,6 +256,20 @@ class TestPipelinedRuntime:
             assert peer.valid_tx_count == self.LOAD
             assert peer.blocks_committed == self.LOAD // self.BATCH
 
+    def test_depth_one_cuts_one_block_per_tx(self):
+        """One tx in flight at a time: each waits out the batch timer
+        alone, so blocks equal transactions however large the batch."""
+        net = _public_network(batch_size=self.BATCH)
+        runtime = net.attach_runtime(seed=0)
+        client = net.client("Org1MSP")
+        for i in range(5):
+            pending = client.submit_async("assetcc", "create_asset", [f"d{i}", "1"],
+                                          endorsing_peers=[net.peers()[0]])
+            runtime.run()
+            assert pending.result().committed
+        assert net.orderer.blocks_delivered == 5
+        assert runtime.now >= 5 * runtime.batch_timeout
+
     def test_same_seed_reproduces_blocks_and_flags(self):
         _, _, first = self._pipelined_run(seed=11)
         _, _, second = self._pipelined_run(seed=11)

@@ -490,6 +490,24 @@ class TestJoinBootstrap:
         assert probe.ledger.height == net.orderer.delivered_count
         assert probe.ledger.blockchain.genesis_offset > 0
 
+    def test_snapshot_join_replays_a_tail_that_does_not_grow_with_the_chain(self):
+        """Replay-from-genesis delivers every block of history; a snapshot
+        join delivers only the blocks past the sealed height, however long
+        the chain (12 and 42 blocks both end 2 past a seal at cadence 10)."""
+        tails = []
+        for blocks in (12, 42):
+            net = _network(snapshot_every=10)
+            _commit_public(net, blocks)
+            replayed = net.add_peer("Org1MSP", name="replay0")
+            assert replayed.blocks_committed == blocks
+            probe = net.join_peer("Org1MSP", name="probe0")
+            offset = probe.ledger.blockchain.genesis_offset
+            assert probe.ledger.height == blocks
+            assert offset > 0 and probe.blocks_committed == blocks - offset
+            assert _public_state(probe) == _public_state(replayed)
+            tails.append(probe.blocks_committed)
+        assert tails == [2, 2]
+
     def test_join_falls_back_to_replay_without_a_sealed_snapshot(self):
         net = _network(snapshot_every=50)  # cadence never reached
         _commit_public(net, 4)

@@ -194,6 +194,18 @@ class TestWalRecovery:
         # The log only holds the commits since the last compaction.
         assert recovered.replayed_records < 7
 
+    @pytest.mark.parametrize("history", [20, 80])
+    def test_replay_tracks_the_log_and_compaction_empties_it(self, tmp_path, history):
+        backend = WalBackend(tmp_path, compact_every=10**9)
+        for i in range(history):
+            backend.put("ns", f"k{i:05d}", b"x" * 64)
+        recovered = backend.reopen()
+        assert recovered.replayed_records == history
+        recovered.compact()
+        compacted = recovered.reopen()
+        assert compacted.replayed_records == 0
+        assert compacted.count("ns") == history
+
     def test_leftover_snapshot_tmp_is_ignored(self, tmp_path):
         backend = WalBackend(tmp_path)
         backend.put("ns", "k", b"v")
@@ -262,29 +274,31 @@ class TestWalCodec:
         assert not pack_ops(self.OPS).startswith(b"\x80")
         assert not pack_tables({"ns": {"k": b"v"}}).startswith(b"\x80")
 
-    def test_pickled_legacy_snapshot_and_records_still_readable(self, tmp_path):
-        """One-release read compat: a pre-framing directory opens cleanly."""
-        tables = {"ns": {"old": b"snapshot-row"}}
-        (tmp_path / SNAPSHOT_FILE).write_bytes(
-            pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)
+    def test_pickled_legacy_snapshot_and_records_are_rejected(self, tmp_path):
+        """Only the struct framing is read: a pickled snapshot refuses to
+        open, and a pickled record is cut off as a corrupt tail."""
+        snapshot_dir = tmp_path / "snapshot"
+        snapshot_dir.mkdir()
+        (snapshot_dir / SNAPSHOT_FILE).write_bytes(
+            pickle.dumps({"ns": {"old": b"row"}}, protocol=pickle.HIGHEST_PROTOCOL)
         )
+        with pytest.raises(StorageError):
+            WalBackend(snapshot_dir)
+
+        backend = WalBackend(tmp_path / "wal")
+        backend.put("ns", "framed", b"kept")
+        backend.crash()
         record = pickle.dumps(
             [("ns", "logged", b"wal-row")], protocol=pickle.HIGHEST_PROTOCOL
         )
-        (tmp_path / WAL_FILE).write_bytes(
-            _HEADER.pack(len(record), zlib.crc32(record)) + record
-        )
-        backend = WalBackend(tmp_path)
-        assert backend.get("ns", "old") == b"snapshot-row"
-        assert backend.get("ns", "logged") == b"wal-row"
-        assert backend.recovered_torn_bytes == 0
-        # The first write after the upgrade re-frames everything.
-        backend.put("ns", "new", b"framed")
-        backend.compact()
-        assert (tmp_path / SNAPSHOT_FILE).read_bytes().startswith(TABLES_MAGIC)
+        tail = _HEADER.pack(len(record), zlib.crc32(record)) + record
+        with open(tmp_path / "wal" / WAL_FILE, "ab") as fh:
+            fh.write(tail)
         recovered = backend.reopen()
-        assert recovered.get("ns", "old") == b"snapshot-row"
-        assert recovered.get("ns", "new") == b"framed"
+        assert recovered.replayed_records == 1
+        assert recovered.recovered_torn_bytes == len(tail)
+        assert recovered.get("ns", "framed") == b"kept"
+        assert recovered.get("ns", "logged") is None
 
 
 class TestValueCodecs:
@@ -329,7 +343,6 @@ class TestValueCodecs:
     def test_missing_record_round_trip_and_strictness(self):
         from repro.ledger.ledger import (
             MissingPrivateData,
-            decode_missing_record,
             pack_missing_record,
             unpack_missing_record,
         )
@@ -340,15 +353,15 @@ class TestValueCodecs:
         raw = pack_missing_record(record)
         assert not raw.startswith(b"\x80")
         assert unpack_missing_record(raw) == record
-        legacy = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
         with pytest.raises(CodecError):
-            unpack_missing_record(legacy)  # cross-peer path: strict
-        assert decode_missing_record(legacy) == record  # peer-local fallback
+            unpack_missing_record(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))
         for cut in range(len(raw)):
             with pytest.raises(CodecError):
                 unpack_missing_record(raw[:cut])
 
-    def test_legacy_pickled_store_rows_still_decode_locally(self):
+    def test_legacy_pickled_store_rows_are_rejected(self):
+        """Peer-local rows are read under the same strict framings as the
+        rows that travel between peers: a pickled row is a CodecError."""
         from repro.ledger.ledger import (
             MissingPrivateData,
             NS_MISSING,
@@ -375,15 +388,14 @@ class TestValueCodecs:
         ledger.backend.put(
             NS_MISSING, compose_key("tx-9", "cc", "PDC1"), pickle.dumps(missing)
         )
-        assert ledger.world_state.get_metadata("cc", "k", "m") == b"old"
-        assert ledger.committed_private_rwsets[("tx-9", "cc", "PDC1")] == writes
-        ledger.rebuild()
-        assert ledger.missing_private == [missing]
-        # A rewrite upgrades the row to the deterministic framing.
-        ledger.world_state.set_metadata("cc", "k", "m2", b"new")
-        upgraded = ledger.backend.get(NS_PUBLIC_META, compose_key("cc", "k"))
-        assert upgraded.startswith(BYTES_MAP_MAGIC)
-        assert ledger.world_state.get_metadata("cc", "k", "m") == b"old"
+        with pytest.raises(CodecError):
+            ledger.world_state.get_metadata("cc", "k", "m")
+        with pytest.raises(CodecError):
+            ledger.world_state.set_metadata("cc", "k", "m2", b"new")
+        with pytest.raises(CodecError):
+            ledger.committed_private_rwsets[("tx-9", "cc", "PDC1")]
+        with pytest.raises(CodecError):
+            ledger.rebuild()
 
 
 # ---------------------------------------------------------------------------

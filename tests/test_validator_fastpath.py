@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaincode.contracts import PrivateAssetContract
+from repro.chaincode.contracts import AssetContract, PrivateAssetContract
 from repro.common import crypto
 from repro.common.tracing import PERF
 from repro.identity.ca import reset_ca_instance_counter
+from repro.identity.organization import Organization
 from repro.ledger.ledger import PeerLedger
+from repro.network.channel import ChannelConfig
+from repro.network.network import FabricNetwork
 from repro.network.presets import three_org_network
 from repro.peer.validator import Validator
 from repro.protocol.proposal import reset_nonce_counter
@@ -39,6 +42,20 @@ def _network():
     reset_nonce_counter()
     net = three_org_network()
     net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+    return net
+
+
+def _eight_peer_network():
+    reset_ca_instance_counter()
+    reset_nonce_counter()
+    orgs = [Organization(f"Org{i}MSP") for i in range(1, 5)]
+    channel = ChannelConfig(channel_id="valchan", organizations=orgs)
+    channel.deploy_chaincode("assetcc", endorsement_policy="MAJORITY Endorsement")
+    net = FabricNetwork(channel=channel, batch_size=6)
+    for org in orgs:
+        for n in range(2):
+            net.add_peer(org.msp_id, f"peer{n}")
+    net.install_chaincode("assetcc", AssetContract())
     return net
 
 
@@ -122,6 +139,32 @@ class TestSharedVsccMemo:
             for flag in flags
         )
 
+    def test_eight_peers_verify_each_signature_once(self):
+        # 4 orgs x 2 peers, MAJORITY (3 endorsements + the creator's
+        # signature per tx), pipelined into blocks of 6: a tx's signatures
+        # are verified once across all eight peers, and 7 of the 8
+        # validators of every block read the first one's flags.
+        counts = {}
+        for transactions in (6, 12):
+            crypto.clear_caches()
+            net = _eight_peer_network()
+            runtime = net.attach_runtime(seed=0)
+            endorsers = [net.peers_of(f"Org{i}MSP")[0] for i in (1, 2, 3)]
+            PERF.reset()
+            pendings = [
+                net.client("Org1MSP").submit_async(
+                    "assetcc", "create_asset", [f"a{i:05d}", "1"],
+                    endorsing_peers=endorsers,
+                )
+                for i in range(transactions)
+            ]
+            runtime.run()
+            assert all(p.result().committed for p in pendings)
+            assert {peer.ledger.height for peer in net.peers()} == {transactions // 6}
+            assert PERF.vscc_memo_hits == 7 * net.orderer.blocks_delivered
+            counts[transactions] = PERF.verify_individual
+        assert counts[12] - counts[6] == 4 * 6
+
     def test_memo_scoped_per_network(self):
         # Two identical networks produce byte-identical blocks; the memo
         # must not leak flags across them (it is keyed on the channel
@@ -150,8 +193,8 @@ class TestSharedVsccMemo:
         # nothing the pipeline left in the verdict memo answers it, each
         # distinct signature on the chain is verified exactly once, any
         # memo hit is on an entry the scope itself wrote, and the scope
-        # leaves the cache toggle and the per-key window tables as it
-        # found them.
+        # leaves the per-key window tables as it found them and the memo
+        # empty.
         class _Sim:
             def __init__(self, net):
                 self.network = net.network
@@ -182,7 +225,6 @@ class TestSharedVsccMemo:
         assert PERF.verify_cache_hits <= 2 * PERF.verify_individual
         assert PERF.table_builds == 0
         assert len(crypto._KEY_TABLES) == tables
-        assert crypto.verify_cache_enabled()
         assert not crypto._VERIFY_CACHE
 
 
@@ -241,24 +283,6 @@ class TestBatchedPrePass:
         assert len(validator._valid_signers(tx)) == 2
         assert PERF.verify_individual == settled
         assert PERF.verify_cache_hits == 3
-
-    def test_pre_pass_stands_down_without_the_memo(self):
-        # It works only through the verdict memo; with memoization off it
-        # would verify every signature twice.
-        net = _network()
-        _submit(net, "setup-key")
-        validated = next(iter(net.peer_of(1).ledger.blockchain.blocks()))
-        crypto.set_verify_cache(False)
-        try:
-            PERF.reset()
-            flags = Validator(
-                channel=net.network.channel, features=net.network.features,
-                use_shared_memo=False,
-            ).validate_block(validated.block, PeerLedger())
-        finally:
-            crypto.set_verify_cache(True)
-        assert flags == [ValidationCode.VALID]
-        assert PERF.verify_individual == 3
 
     def test_forged_endorsement_rejected_under_batching(self):
         # A wrong-key endorsement signature hidden among valid ones: the
