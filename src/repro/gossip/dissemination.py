@@ -16,22 +16,16 @@ endorser of a write-only transaction holds the plaintext write set it
 produced and disseminates it to the members, which is what makes the
 paper's fake-write injection commit at victim members.
 
-Two wire-level behaviours are settings of the network (§15 of the
-architecture notes):
+One endorsement's private rwsets travel as one payload per target peer,
+covering every collection that target is a member of (§15 of the
+architecture notes).  ``FabricNetwork(anti_entropy_every=N)`` sets the
+cadence (simulated seconds) of the digest-driven anti-entropy loop (see
+``gossip.anti_entropy``); ``0`` disables the loop and leaves pull
+reconciliation on demand only.
 
-* ``FabricNetwork(gossip_batch=True)`` — coalesce every private rwset of
-  one endorsement into a single per-target payload (one message per
-  target instead of one per (collection, target)).  Default off: the
-  reference per-push path stays the baseline, and the
-  ``gossip-equivalence`` invariant pins both paths to byte-identical
-  private state.
-* ``FabricNetwork(anti_entropy_every=N)`` — cadence (simulated seconds)
-  of the digest-driven anti-entropy loop (see ``gossip.anti_entropy``);
-  ``0`` disables the loop and leaves pull reconciliation on demand only.
-
-Independent of both settings, the push set is *rotated* deterministically
-from the run seed: ``eligible[:max_peer_count]`` would always starve the
-same tail peers, which then pay every reconciliation round.
+The push set is *rotated* deterministically from the run seed:
+``eligible[:max_peer_count]`` would always starve the same tail peers,
+which then pay every reconciliation round.
 """
 
 from __future__ import annotations
@@ -50,25 +44,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
     from repro.peer.node import PeerNode
 
-#: Pluggable push transport: (source peer, target peer, tx_id, writes).
+#: Pluggable push transport: (source, target, tx_id, writes tuple).
 #: ``None`` means direct synchronous delivery; the event runtime installs
-#: a transport that schedules the push as a bus message instead, making
-#: gossip-vs-block-delivery races observable.
-GossipTransport = Callable[["PeerNode", "PeerNode", str, PrivateCollectionWrites], None]
-
-#: Pluggable snapshot-signature transport: (source, target, manifest,
-#: certificate, signature).  Same contract as :data:`GossipTransport` —
-#: ``None`` delivers synchronously, the event runtime schedules a bus
-#: message so snapshot attestation races with block delivery and faults.
-SnapshotSigTransport = Callable[
-    ["PeerNode", "PeerNode", "SnapshotManifest", "Certificate", bytes], None
-]
-
-#: Pluggable batched-push transport: (source, target, tx_id, writes tuple).
-#: Installed by the event runtime alongside :data:`GossipTransport`; when
-#: absent, batched payloads deliver synchronously like reference pushes.
+#: a transport that schedules the payload as a bus message instead,
+#: making gossip-vs-block-delivery races observable.
 GossipBatchTransport = Callable[
     ["PeerNode", "PeerNode", str, tuple[PrivateCollectionWrites, ...]], None
+]
+
+#: Pluggable snapshot-signature transport: (source, target, manifest,
+#: certificate, signature).  Same contract as
+#: :data:`GossipBatchTransport`.
+SnapshotSigTransport = Callable[
+    ["PeerNode", "PeerNode", "SnapshotManifest", "Certificate", bytes], None
 ]
 
 
@@ -86,21 +74,19 @@ def payload_bytes(writes: PrivateCollectionWrites) -> int:
 class GossipNetwork:
     """The channel-wide gossip membership view."""
 
-    def __init__(self, channel: "ChannelConfig", batch: bool = False) -> None:
+    def __init__(self, channel: "ChannelConfig") -> None:
         self._channel = channel
         self._peers: list["PeerNode"] = []
-        self.batch_enabled = batch
         #: Seed for deterministic push-set rotation and anti-entropy source
         #: selection; ``attach_runtime`` overwrites it with the run seed.
         self.rotation_seed = 0
-        self.pushes = 0  # per-record dissemination counter (observability)
-        self.batched_payloads = 0  # coalesced wire messages (batch mode)
+        self.pushes = 0  # (collection rwset, target) records pushed
+        self.batched_payloads = 0  # wire messages: one per (endorsement, target)
         self.digest_rounds = 0  # anti-entropy digest exchanges completed
         self.reconcile_pulls = 0  # gaps filled by pull (reconciler + AE)
         self.bytes_sent = 0  # private-rwset + digest wire bytes
         self.snapshot_sigs = 0  # snapshot-signature broadcast counter
         self.snapshot_fetches = 0  # snapshot packages served to bootstrappers
-        self.transport: Optional[GossipTransport] = None
         self.batch_transport: Optional[GossipBatchTransport] = None
         self.snapshot_transport: Optional[SnapshotSigTransport] = None
         self._member_memo: dict[tuple[str, str], tuple["PeerNode", ...]] = {}
@@ -127,8 +113,7 @@ class GossipNetwork:
         """Rotate the eligible list by a seed/tx-derived offset.
 
         Keeps the push *set* a deterministic function of (seed, tx,
-        collection) — identical across the reference and batched paths,
-        which the gossip-equivalence invariant depends on — while
+        collection), so a seed replays to the same targets, while
         spreading the MaxPeerCount cap across members over time instead
         of always starving the same tail.
         """
@@ -165,41 +150,17 @@ class GossipNetwork:
     ) -> int:
         """Push plaintext private writes to collection members.
 
-        Returns the number of per-record pushes performed (a batched
-        payload carrying N collection rwsets counts as N pushes but one
-        wire message); raises :class:`GossipError` when
-        ``RequiredPeerCount`` cannot be met.
-        """
-        if self.batch_enabled:
-            return self._disseminate_batched(endorsing_peer, tx_id, private_writes)
-        pushed = 0
-        for writes in private_writes:
-            size = payload_bytes(writes)
-            for target in self._push_targets(endorsing_peer, tx_id, writes):
-                if self.transport is not None:
-                    self.transport(endorsing_peer, target, tx_id, writes)
-                else:
-                    target.receive_private_data(tx_id, writes)
-                pushed += 1
-                self.pushes += 1
-                self.bytes_sent += size
-                PERF.gossip_pushes += 1
-                PERF.gossip_bytes += size
-        return pushed
+        One payload per target, covering every collection rwset that
+        target receives: the per-destination queues fill while iterating
+        the endorsement's collection rwsets (RequiredPeerCount is enforced
+        per collection) and flush at the end.  Queue order is
+        deterministic: dict insertion order follows the (collection,
+        rotated member) iteration.
 
-    def _disseminate_batched(
-        self,
-        endorsing_peer: "PeerNode",
-        tx_id: str,
-        private_writes: tuple[PrivateCollectionWrites, ...],
-    ) -> int:
-        """One coalesced payload per target, covering every collection.
-
-        The per-destination queues fill while iterating the endorsement's
-        collection rwsets (RequiredPeerCount is still enforced per
-        collection) and flush at the end — one wire message per target.
-        Queue order is deterministic: dict insertion order follows the
-        (collection, rotated member) iteration.
+        Returns the number of (collection rwset, target) records pushed (a
+        payload carrying N rwsets counts as N pushes but one wire
+        message); raises :class:`GossipError` when ``RequiredPeerCount``
+        cannot be met.
         """
         pushed = 0
         queues: dict["PeerNode", list[PrivateCollectionWrites]] = {}

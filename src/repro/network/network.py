@@ -44,14 +44,13 @@ class FabricNetwork:
         features: FrameworkFeatures | None = None,
         orderer_cluster_size: int = 3,
         batch_size: int = 1,
-        disseminate_on_endorsement: bool = True,
         tracer: "Tracer | None" = None,
         state_backend: str | None = None,
         state_dir: str | None = None,
         snapshot_every: int = 0,
         prune: bool = False,
         reorder: bool = False,
-        gossip_batch: bool = False,
+        gossip_batch: bool = True,
         anti_entropy_every: float = 0.0,
     ) -> None:
         self.channel = channel
@@ -68,15 +67,21 @@ class FabricNetwork:
             raise ConfigError(f"snapshot interval must be >= 0, got {snapshot_every}")
         self.snapshot_every = snapshot_every
         self.prune_enabled = prune
-        # Gossip fast path: coalesced per-target dissemination payloads,
-        # and the cadence (simulated seconds) of the digest-driven
-        # anti-entropy loop the runtime schedules (0 = off).
+        # Dissemination always ships one payload per target; the keyword
+        # stays so callers that pass True keep working.
+        if not gossip_batch:
+            raise ConfigError(
+                "gossip_batch must be True: dissemination always sends one "
+                "payload per target"
+            )
+        # Cadence (simulated seconds) of the digest-driven anti-entropy
+        # loop the runtime schedules (0 = off).
         if anti_entropy_every < 0:
             raise ConfigError(
                 f"anti-entropy cadence must be >= 0, got {anti_entropy_every}"
             )
         self.anti_entropy_every = anti_entropy_every
-        self.gossip = GossipNetwork(channel, batch=gossip_batch)
+        self.gossip = GossipNetwork(channel)
         self.reconciler = Reconciler(self.gossip)
         # Conflict-aware ordering: the orderer reorders each cut batch
         # along its conflict graph and early-aborts provably doomed
@@ -88,7 +93,6 @@ class FabricNetwork:
         )
         self._peers: dict[str, PeerNode] = {}
         self._peer_delivery: dict[str, Callable[["Block"], object]] = {}
-        self._disseminate = disseminate_on_endorsement
         self.tracer = tracer
         if reorder and tracer is not None:
             self.orderer.on_early_abort(
@@ -321,12 +325,11 @@ class FabricNetwork:
             self.tracer.record(peer.name, "simulate+endorse", proposal.tx_id)
         if output.private_writes:
             peer.stage_private_writes(proposal.tx_id, output.private_writes)
-            if self._disseminate:
-                pushed = self.gossip.disseminate(peer, proposal.tx_id, output.private_writes)
-                if self.tracer:
-                    self.tracer.record(
-                        peer.name, "gossip-private-rwset", proposal.tx_id, pushes=pushed
-                    )
+            pushed = self.gossip.disseminate(peer, proposal.tx_id, output.private_writes)
+            if self.tracer:
+                self.tracer.record(
+                    peer.name, "gossip-private-rwset", proposal.tx_id, pushes=pushed
+                )
         return output
 
     # -- the ordering + validation phases ------------------------------------------

@@ -144,17 +144,16 @@ class PeerNode:
             self.ledger.transient_store.put(tx_id, writes, self.ledger.height)
 
     def receive_private_data(self, tx_id: str, writes: PrivateCollectionWrites) -> None:
-        """Gossip push handler: store disseminated private data."""
+        """Store one disseminated collection rwset."""
         self.ledger.transient_store.put(tx_id, writes, self.ledger.height)
 
     def receive_private_batch(
         self, tx_id: str, batch: tuple[PrivateCollectionWrites, ...]
     ) -> None:
-        """Batched-gossip handler: one payload, every collection rwset.
+        """Gossip push handler: one payload, every collection rwset.
 
-        Routed through :meth:`receive_private_data` per record so that the
-        per-record handler stays the single delivery seam in both
-        dissemination modes.
+        Routed through :meth:`receive_private_data` per record, the single
+        seam where disseminated plaintext enters the transient store.
         """
         for writes in batch:
             self.receive_private_data(tx_id, writes)

@@ -27,7 +27,7 @@ class LatencyModel:
     ``link_base`` entry for the exact ``(src, dst)`` pair wins outright
     (even when a ``topic_base`` entry also matches), a ``topic_base``
     entry wins over ``base``, and jitter is applied *after* resolution —
-    so e.g. ``gossip-push`` can be made slower than ``deliver-block``
+    so e.g. ``gossip-batch`` can be made slower than ``deliver-block``
     globally while one specific link stays fast.  Samples are clamped at
     ``0.0``; jitter can never produce a negative delay.
     """
@@ -56,7 +56,7 @@ class FaultInjector:
     * :meth:`cut_link` / :meth:`restore_link` — take one directed link
       down entirely (a partition is a set of cut links);
     * :meth:`drop_topic` / :meth:`allow_topic` — suppress one message
-      class, e.g. every ``gossip-push``, leaving delivery intact.
+      class, e.g. every ``gossip-batch``, leaving delivery intact.
 
     Counters record what was injected so tests can assert the fault
     actually fired rather than silently not triggering; ``dropped_by_topic``
@@ -87,7 +87,7 @@ class FaultInjector:
 
     def drop_topics(self, topics) -> None:
         """Suppress a whole family of message classes at once — e.g.
-        every gossip topic, whichever dissemination mode is active."""
+        every gossip topic (``GOSSIP_TOPICS``)."""
         self._dead_topics.update(topics)
 
     def allow_topics(self, topics) -> None:
@@ -126,7 +126,7 @@ def wan_latency(seed_jitter: float = 0.5) -> LatencyModel:
     return LatencyModel(
         base=5.0,
         jitter=seed_jitter,
-        topic_base={"gossip-push": 8.0, "deliver-block": 5.0, "submit": 3.0},
+        topic_base={"gossip-batch": 8.0, "deliver-block": 5.0, "submit": 3.0},
     )
 
 

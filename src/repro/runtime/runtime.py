@@ -19,7 +19,7 @@ bus:
   committed a block the runtime resolves the futures of its
   transactions;
 * **gossip** — private-data dissemination rides the bus as
-  ``gossip-push`` messages, so whether plaintext beats the block to a
+  ``gossip-batch`` messages, so whether plaintext beats the block to a
   member peer is a genuine race governed by the latency model.
 
 Hundreds of transactions can be in flight at once; MVCC conflicts, block
@@ -63,16 +63,15 @@ DEFAULT_BATCH_TIMEOUT = 10.0
 
 TOPIC_SUBMIT = "submit"
 TOPIC_DELIVER = "deliver-block"
-TOPIC_GOSSIP = "gossip-push"
 TOPIC_GOSSIP_BATCH = "gossip-batch"
 TOPIC_ENDORSE = "endorse-proposal"
 TOPIC_ENDORSE_RESULT = "endorse-result"
 TOPIC_SNAPSHOT_SIG = "snapshot-sig"
 
-#: Every topic carrying private-data gossip traffic (dissemination in
-#: both modes plus the anti-entropy exchange) — what a "gossip blackout"
-#: fault window or a gossip latency override should cover.
-GOSSIP_TOPICS = (TOPIC_GOSSIP, TOPIC_GOSSIP_BATCH) + ANTI_ENTROPY_TOPICS
+#: Every topic carrying private-data gossip traffic (dissemination plus
+#: the anti-entropy exchange) — what a "gossip blackout" fault window or
+#: a gossip latency override should cover.
+GOSSIP_TOPICS = (TOPIC_GOSSIP_BATCH,) + ANTI_ENTROPY_TOPICS
 
 ORDERER_ENDPOINT = "orderer"
 CLIENT_SOURCE = "client"
@@ -229,12 +228,10 @@ class TransactionRuntime:
         network.orderer.on_early_abort(self._on_early_abort)
         for peer in network.peers():
             self.register_peer(peer, network.delivery_handler_for(peer))
-        network.gossip.transport = self._send_gossip
         network.gossip.batch_transport = self._send_gossip_batch
         network.gossip.snapshot_transport = self._send_snapshot_sig
         # The run seed drives deterministic push-set rotation and the
-        # anti-entropy source rotation, so two runs of one seed that differ
-        # only in how gossip is framed (gossip equivalence) pick the same
+        # anti-entropy source rotation, so a replayed seed picks the same
         # targets.
         network.gossip.rotation_seed = seed
         #: Digest-driven anti-entropy loop; ``None`` when the network's
@@ -412,9 +409,6 @@ class TransactionRuntime:
                 return
             if message.topic == TOPIC_DELIVER:
                 self._commit_at_peer(peer, message.payload)
-            elif message.topic == TOPIC_GOSSIP:
-                tx_id, writes = message.payload
-                peer.receive_private_data(tx_id, writes)
             elif message.topic == TOPIC_GOSSIP_BATCH:
                 tx_id, batch = message.payload
                 peer.receive_private_batch(tx_id, batch)
@@ -672,15 +666,6 @@ class TransactionRuntime:
         return committed
 
     # -- the gossip plane ----------------------------------------------------
-    def _send_gossip(
-        self,
-        source: "PeerNode",
-        target: "PeerNode",
-        tx_id: str,
-        writes: PrivateCollectionWrites,
-    ) -> None:
-        self.bus.send(source.name, target.name, TOPIC_GOSSIP, (tx_id, writes))
-
     def _send_gossip_batch(
         self,
         source: "PeerNode",

@@ -31,7 +31,6 @@ from repro.simulation.faultplan import FaultAction, generate_fault_schedule
 from repro.simulation.harness import (
     SimulationReport,
     build_network,
-    compare_reports,
     execute,
     generate,
     run_seed,
@@ -42,7 +41,6 @@ from repro.simulation.workload import OpSpec, WorkloadGenerator
 
 __all__ = [
     "SimulationConfig",
-    "compare_reports",
     "FaultAction",
     "generate_fault_schedule",
     "OpSpec",

@@ -64,14 +64,15 @@ class SimulationConfig:
     retry_budget: int = 0  # admission/retry policy budget per logical tx
     mempool_limit: int = 0  # submit-pipeline bound; 0 = unbounded
     # -- fast paths a seed never draws: set by the caller (simulate's
-    # --snapshot-every / --prune / --reorder / --gossip-batch /
-    # --anti-entropy-every), each pinned to the reference behaviour by its
-    # own invariant (snapshot-equivalence, reorder-soundness,
-    # gossip-equivalence) --------------------------------------------------
+    # --snapshot-every / --prune / --reorder / --anti-entropy-every), the
+    # first three pinned to the reference behaviour by their own invariant
+    # (snapshot-equivalence, reorder-soundness) ------------------------------
     snapshot_every: int = 0  # blocks between snapshot manifests; 0 = off
     prune: bool = False  # archive pre-snapshot blocks once sealed
     reorder: bool = False  # reorder batches + early-abort doomed txs
-    gossip_batch: bool = False  # coalesce one endorsement's pushes per target
+    # Recorded, no effect: dissemination always sends one payload per
+    # target.  Kept so callers that set it still load; only True is accepted.
+    gossip_batch: bool = True
     anti_entropy_every: float = 0.0  # digest-loop cadence (sim s); 0 = off
     # -- peer validation service time: simulated seconds charged per block
     # transaction (0 = instantaneous, the legacy clock).  Nonzero makes
@@ -84,6 +85,11 @@ class SimulationConfig:
             raise ConfigError(
                 f"executor {self.executor!r} is not serial or serial:N; "
                 "there is no process pool"
+            )
+        if not self.gossip_batch:
+            raise ConfigError(
+                "gossip_batch must be True: dissemination always sends one "
+                "payload per target"
             )
 
     # -- derived helpers -----------------------------------------------------

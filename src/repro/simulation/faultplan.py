@@ -11,8 +11,8 @@ Window shapes:
 
 * **delivery partition** — cut a subset of ``orderer → peer`` links
   (peers fall behind and later catch up out of order);
-* **gossip blackout** — drop the whole gossip topic family (per-record
-  pushes, batched payloads, anti-entropy digests and pulls) so members
+* **gossip blackout** — drop the whole gossip topic family
+  (dissemination payloads, anti-entropy digests and pulls) so members
   record missing private data; the reconciler must repair it;
 * **gossip link cuts** — cut individual ``peer → peer`` links;
 * **submit loss** — a per-topic drop rate on ``submit`` (envelopes are
@@ -119,11 +119,10 @@ def generate_fault_schedule(
                 actions.append(FaultAction(at=end, kind="restore_link",
                                            src="orderer", dst=name))
         elif shape == "gossip_blackout":
-            # A blackout must silence the gossip plane regardless of
-            # dissemination mode — dropping only the per-record topic
-            # would let the batched leg sail through (and the AE loop
-            # repair gaps mid-blackout), so every gossip-family topic
-            # goes dark for the window.
+            # A blackout must silence the whole gossip plane — dropping
+            # only dissemination would let the AE loop repair gaps
+            # mid-blackout — so every gossip-family topic goes dark for
+            # the window.
             for topic in GOSSIP_TOPICS:
                 actions.append(FaultAction(at=start, kind="drop_topic", topic=topic))
                 actions.append(FaultAction(at=end, kind="allow_topic", topic=topic))

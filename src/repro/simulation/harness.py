@@ -12,7 +12,7 @@ shrinking rely on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.chaincode.contracts.asset_contract import AssetContract
@@ -35,7 +35,6 @@ from repro.simulation.faultplan import generate_fault_schedule
 from repro.simulation.invariants import (
     BlockBoundaryMonitor,
     RecoveryMonitor,
-    Violation,
     run_quiescence_checks,
     state_digest,
 )
@@ -182,7 +181,6 @@ def build_network(config: SimulationConfig) -> SimNetwork:
         snapshot_every=config.snapshot_every,
         prune=config.prune,
         reorder=config.reorder,
-        gossip_batch=config.gossip_batch,
         anti_entropy_every=config.anti_entropy_every,
     )
 
@@ -214,9 +212,8 @@ def build_network(config: SimulationConfig) -> SimNetwork:
     latency = LatencyModel(
         base=config.base_latency,
         jitter=config.jitter,
-        # Every gossip-family topic — per-record pushes, batched payloads
-        # and the anti-entropy exchange — shares the gossip latency, so
-        # the dissemination mode never changes per-message timing.
+        # Every gossip-family topic — dissemination payloads and the
+        # anti-entropy exchange — shares the gossip latency.
         topic_base={topic: config.gossip_latency for topic in GOSSIP_TOPICS},
     )
     # A nonzero validate_cost turns peer validation into a FIFO service
@@ -367,10 +364,9 @@ def execute(
             1 for o in outcomes
             if o.error is not None and o.error.startswith("RetryExhaustedError")
         ),
-        # Gossip-plane accounting: per-record pushes (mode-independent),
-        # coalesced wire payloads (batch mode only), anti-entropy digest
-        # exchanges, pull repairs through either path, and wire bytes.
-        "gossip_batch": config.gossip_batch,
+        # Gossip-plane accounting: (collection rwset, target) records
+        # pushed, wire payloads, anti-entropy digest exchanges, pull
+        # repairs through either path, and wire bytes.
         "gossip_pushes": sim.network.gossip.pushes,
         "gossip_payloads": sim.network.gossip.batched_payloads,
         "gossip_digest_rounds": sim.network.gossip.digest_rounds,
@@ -540,169 +536,3 @@ def run_seed(
     config = SimulationConfig.generate_workload(workload, seed, ops)
     ops_list, fault_actions = generate(config)
     return execute(config, ops_list, fault_actions, weaken=weaken)
-
-
-# ---------------------------------------------------------------------------
-# The gossip-equivalence invariant
-# ---------------------------------------------------------------------------
-
-def compare_reports(
-    reference: SimulationReport,
-    other: SimulationReport,
-    *,
-    invariant: str,
-) -> list:
-    """Byte-level comparison of two executions of the same triple."""
-    violations = []
-    ref_digest = reference.stats.get("state_digest", "")
-    other_digest = other.stats.get("state_digest", "")
-    if ref_digest != other_digest:
-        violations.append(Violation(
-            invariant,
-            f"state digest diverges: reference={ref_digest[:16]} "
-            f"vs other={other_digest[:16]}",
-        ))
-    if reference.stats.get("blocks") != other.stats.get("blocks"):
-        violations.append(Violation(
-            invariant,
-            f"block count diverges: {reference.stats.get('blocks')} vs "
-            f"{other.stats.get('blocks')}",
-        ))
-    # Contention accounting is derived from the committed history (and,
-    # for early aborts, from the orderer pipeline that shaped it) — any
-    # divergence means the two runs did not see the same conflicts.
-    # Gossip-plane accounting joins the comparison with one carve-out:
-    # the two legs of the gossip-equivalence invariant differ in payload
-    # packaging *by design* (batched payloads and wire bytes), but the
-    # per-record push count and the anti-entropy repair work must still
-    # agree — same records pushed, same gaps pulled.
-    compared_stats = ("mvcc_within_block", "mvcc_cross_block", "early_aborts",
-                      "gossip_pushes", "gossip_digest_rounds",
-                      "gossip_reconcile_pulls")
-    if invariant != "gossip-equivalence":
-        compared_stats += ("gossip_payloads", "gossip_bytes")
-    for stat in compared_stats:
-        if reference.stats.get(stat) != other.stats.get(stat):
-            violations.append(Violation(
-                invariant,
-                f"{stat} diverges: {reference.stats.get(stat)} vs "
-                f"{other.stats.get(stat)}",
-            ))
-    divergent = 0
-    for ref_out, other_out in zip(reference.outcomes, other.outcomes):
-        # Retry bookkeeping is part of the observable history: a run that
-        # made an op retry more (or drop differently) diverged, even if
-        # the final status happens to agree.
-        if (
-            ref_out.tx_id, ref_out.status, ref_out.error,
-            ref_out.attempts, ref_out.retries, ref_out.drops,
-            ref_out.attempt_tx_ids,
-        ) != (
-            other_out.tx_id, other_out.status, other_out.error,
-            other_out.attempts, other_out.retries, other_out.drops,
-            other_out.attempt_tx_ids,
-        ):
-            divergent += 1
-            if divergent <= 5:
-                violations.append(Violation(
-                    invariant,
-                    f"op {ref_out.spec.index} outcome diverges: "
-                    f"{ref_out.status}/{ref_out.error!r} vs "
-                    f"{other_out.status}/{other_out.error!r}",
-                    tx_id=ref_out.tx_id or "",
-                ))
-    if divergent > 5:
-        violations.append(Violation(
-            invariant, f"... and {divergent - 5} more divergent outcomes"
-        ))
-    return violations
-
-
-#: Fault kinds whose runtime effect draws from the scheduler's RNG *per
-#: message*.  The two gossip-equivalence legs send different message
-#: counts by design, so any per-message draw would desynchronize the
-#: shared RNG stream and every later jittered/iid-dropped event with it —
-#: a schedule divergence that has nothing to do with gossip semantics.
-#: Deterministic faults (cut links, dead topics, crash windows) stay.
-_RNG_FAULT_KINDS = ("topic_rate", "drop_rate", "jitter")
-
-
-@dataclass
-class GossipEquivalenceReport:
-    """One seed executed on the reference and the batched gossip path."""
-
-    config: SimulationConfig
-    ops: list
-    fault_actions: list
-    reference: SimulationReport
-    batched: SimulationReport
-    violations: list  # equivalence violations only
-
-    @property
-    def ok(self) -> bool:
-        """Equivalent *and* both runs individually clean."""
-        return not self.violations and self.reference.ok and self.batched.ok
-
-    def summary(self) -> str:
-        verdict = "equivalent" if self.ok else (
-            f"{len(self.violations)} EQUIVALENCE VIOLATIONS"
-            if self.violations else "runs not clean"
-        )
-        return (
-            f"seed={self.config.seed} ops={len(self.ops)} "
-            f"reference={self.reference.stats.get('state_digest', '')[:12]} "
-            f"batched={self.batched.stats.get('state_digest', '')[:12]} "
-            f"payloads={self.batched.stats.get('gossip_payloads', 0)} "
-            f"vs pushes={self.reference.stats.get('gossip_pushes', 0)} "
-            f"-> {verdict}"
-        )
-
-
-def run_gossip_equivalence(
-    seed: int,
-    ops: int,
-    workload: str = "mixed",
-    anti_entropy_every: float = 4.0,
-) -> GossipEquivalenceReport:
-    """Check the ``gossip-equivalence`` invariant for one seed.
-
-    The same ``(config, ops, faults)`` triple runs twice — per-push
-    reference dissemination vs batched per-target payloads — with the
-    anti-entropy loop at the same cadence in both legs, and the two
-    histories must agree byte-for-byte: state digest (which covers every
-    peer's private plaintext, hashes and versions), block count, per-op
-    outcomes, and the mode-independent gossip accounting (records
-    pushed, digest rounds, pull repairs).
-
-    Jitter is forced to zero and RNG-drawing fault kinds are filtered
-    from the schedule (see :data:`_RNG_FAULT_KINDS`): both draw from the
-    scheduler RNG once per message, and the legs differ in message count
-    by design.  Everything else — deterministic partitions, dead gossip
-    topics, crash/restart windows, latency asymmetries — applies to both
-    legs identically.
-    """
-    config = SimulationConfig.generate_workload(workload, seed, ops)
-    config = replace(
-        config,
-        jitter=0.0,
-        gossip_batch=False,
-        anti_entropy_every=anti_entropy_every,
-    )
-    ops_list, fault_actions = generate(config)
-    fault_actions = [
-        action for action in fault_actions if action.kind not in _RNG_FAULT_KINDS
-    ]
-    reference = execute(config, ops_list, fault_actions)
-    batched = execute(
-        replace(config, gossip_batch=True), ops_list, fault_actions
-    )
-    return GossipEquivalenceReport(
-        config=config,
-        ops=ops_list,
-        fault_actions=fault_actions,
-        reference=reference,
-        batched=batched,
-        violations=compare_reports(
-            reference, batched, invariant="gossip-equivalence"
-        ),
-    )

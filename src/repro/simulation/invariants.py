@@ -922,10 +922,9 @@ def state_digest(sim: "SimNetwork") -> str:
     per-transaction validation flags, the public world state, the private
     hash store, and the private plaintext store.  Two executions of the
     same ``(config, ops, faults)`` triple must produce identical digests
-    (seed replay), and so must the two legs of gossip-equivalence —
-    byte-identical block chains, world state and tx statuses, compressed
-    into one comparable string that a report can carry and a failing
-    trace can embed.
+    (seed replay) — byte-identical block chains, world state and tx
+    statuses, compressed into one comparable string that a report can
+    carry and a failing trace can embed.
     """
     digest = hashlib.sha256(b"repro-state-digest")
     channel = sim.network.channel

@@ -111,7 +111,10 @@ class Reader:
         return _U32.unpack(self.take(_U32.size))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string is not valid UTF-8: {exc}") from exc
 
     def rest(self) -> bytes:
         """Everything not yet taken."""

@@ -39,7 +39,13 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.storage.backend import KVBackend, SortedTables, StorageError, WriteBatch
-from repro.storage.codec import pack_ops, pack_tables, unpack_ops, unpack_tables
+from repro.storage.codec import (
+    CodecError,
+    pack_ops,
+    pack_tables,
+    unpack_ops,
+    unpack_tables,
+)
 
 SNAPSHOT_FILE = "snapshot.bin"
 SNAPSHOT_TMP = "snapshot.tmp"
@@ -98,7 +104,7 @@ class WalBackend(KVBackend):
         raw = self._snapshot_path.read_bytes()
         try:
             self._tables.load(unpack_tables(raw))
-        except Exception as exc:
+        except CodecError as exc:
             raise StorageError(
                 f"corrupt snapshot {self._snapshot_path}: {exc}"
             ) from exc
@@ -121,7 +127,7 @@ class WalBackend(KVBackend):
                 break  # corrupt tail
             try:
                 ops = unpack_ops(payload)
-            except Exception:
+            except CodecError:
                 break
             self._tables.apply(ops)
             self.replayed_records += 1

@@ -24,12 +24,7 @@ from pathlib import Path
 
 from repro.simulation.config import SimulationConfig
 from repro.storage import BACKEND_KINDS
-from repro.simulation.harness import (
-    WEAKENERS,
-    execute,
-    generate,
-    run_gossip_equivalence,
-)
+from repro.simulation.harness import WEAKENERS, execute, generate
 from repro.simulation.shrink import (
     load_trace,
     render_repro_script,
@@ -43,9 +38,7 @@ def _fast_path_settings(args) -> dict:
         "snapshot_every": args.snapshot_every,
         "prune": args.prune,
         "reorder": args.reorder,
-        "gossip_batch": args.gossip_batch,
-        # None = flag not given (--check-gossip-equivalence then picks 4).
-        "anti_entropy_every": args.anti_entropy_every or 0.0,
+        "anti_entropy_every": args.anti_entropy_every,
     }
 
 
@@ -88,30 +81,17 @@ def main(argv: list[str] | None = None) -> int:
                              "along its conflict graph and early-abort "
                              "provably doomed transactions; enables the "
                              "reorder-soundness invariant (default: off)")
-    parser.add_argument("--gossip-batch", action="store_true",
-                        help="batched gossip fast path: coalesce each "
-                             "endorsement's private rwsets into one payload "
-                             "per target peer (default: off)")
-    parser.add_argument("--anti-entropy-every", type=float, default=None,
+    parser.add_argument("--anti-entropy-every", type=float, default=0.0,
                         help="digest-driven anti-entropy cadence in simulated "
                              "seconds; 0 disables the loop (default: off)")
     parser.add_argument("--workload", choices=["mixed", "tpcc"], default="mixed",
                         help="workload family: the mixed asset/PDC mix, or the "
                              "contended TPC-C-style mix with open-loop arrivals "
                              "and the admission/retry policy (default mixed)")
-    parser.add_argument("--check-gossip-equivalence", action="store_true",
-                        help="run every seed twice — per-record reference "
-                             "dissemination vs the batched fast path, same "
-                             "anti-entropy cadence — and fail on any "
-                             "byte-level divergence (the gossip-equivalence "
-                             "invariant)")
     args = parser.parse_args(argv)
 
     if args.replay is not None:
         return _replay(args.replay, args.weaken, args.backend)
-
-    if args.check_gossip_equivalence:
-        return _check_gossip_equivalence(args)
 
     failures = 0
     started = time.time()
@@ -138,51 +118,6 @@ def main(argv: list[str] | None = None) -> int:
 
     elapsed = time.time() - started
     print(f"{args.seeds} seeds, {failures} failing ({elapsed:.1f}s total)")
-    return 1 if failures else 0
-
-
-def _check_gossip_equivalence(args) -> int:
-    """Sweep seeds through the gossip-equivalence invariant.
-
-    A failing seed dumps its (config, ops, faults) triple plus both
-    digests and the violations as ``gossip-equivalence-seed{N}.json``
-    for artifact upload; the trace replays with ``--replay`` under
-    either dissemination mode.
-    """
-    every = args.anti_entropy_every if args.anti_entropy_every is not None else 4.0
-    failures = 0
-    started = time.time()
-    for seed in range(args.seed_base, args.seed_base + args.seeds):
-        seed_started = time.time()
-        report = run_gossip_equivalence(
-            seed, args.ops, workload=args.workload, anti_entropy_every=every,
-        )
-        print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
-        if report.ok:
-            continue
-        failures += 1
-        for violation in (
-            report.violations
-            + report.reference.violations[:4]
-            + report.batched.violations[:4]
-        ):
-            print(f"    {violation}")
-        out_dir = args.trace_dir or Path(".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / f"gossip-equivalence-seed{seed}.json"
-        trace_path.write_text(json.dumps({
-            "config": report.config.to_wire(),
-            "ops": [op.to_wire() for op in report.ops],
-            "faults": [action.to_wire() for action in report.fault_actions],
-            "violations": [str(v) for v in report.violations],
-            "reference_digest": report.reference.stats.get("state_digest"),
-            "batched_digest": report.batched.stats.get("state_digest"),
-            "anti_entropy_every": every,
-        }, indent=1))
-        print(f"    trace: {trace_path}")
-    elapsed = time.time() - started
-    print(f"{args.seeds} seeds x2 runs, {failures} failing "
-          f"gossip-equivalence ({elapsed:.1f}s total)")
     return 1 if failures else 0
 
 

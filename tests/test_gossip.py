@@ -25,7 +25,7 @@ class _WriteEveryCollection(PrivateAssetContract):
 
 
 def _network(required_peer_count=0, max_peer_count=3, member_orgs=("Org1MSP", "Org2MSP"),
-             org_count=3, disseminate=True, btl=0, collections=("PDC1",), **net_kwargs):
+             org_count=3, btl=0, collections=("PDC1",), **net_kwargs):
     orgs = [Organization(f"Org{i}MSP") for i in range(1, org_count + 1)]
     channel = ChannelConfig(channel_id="gossipchannel", organizations=orgs)
     members = ", ".join(f"'{o}.member'" for o in member_orgs)
@@ -43,8 +43,7 @@ def _network(required_peer_count=0, max_peer_count=3, member_orgs=("Org1MSP", "O
             for name in collections
         ],
     )
-    net = FabricNetwork(channel=channel, disseminate_on_endorsement=disseminate,
-                        **net_kwargs)
+    net = FabricNetwork(channel=channel, **net_kwargs)
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("pdccc", PrivateAssetContract())
@@ -194,7 +193,7 @@ class TestReconciliationUnderFaults:
         endorsers = [net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]]
         client = net.client("Org1MSP")
 
-        runtime.bus.faults.drop_topics(("gossip-push", "gossip-batch"))
+        runtime.bus.faults.drop_topic("gossip-batch")
         for i in range(4):
             client.submit_async(
                 "pdccc", "set_private", ["PDC1", f"k{i}"],
@@ -230,7 +229,7 @@ class TestReconciliationUnderFaults:
         org2 = net.peers_of("Org2MSP")[0]
         client = net.client("Org1MSP")
 
-        runtime.bus.faults.drop_topics(("gossip-push", "gossip-batch"))
+        runtime.bus.faults.drop_topic("gossip-batch")
         client.submit_async("pdccc", "set_private", ["PDC1", "k"],
                             transient={"value": b"old"}, endorsing_peers=endorsers)
         runtime.run()
@@ -253,7 +252,7 @@ class TestReconciliationUnderFaults:
         org2 = net.peers_of("Org2MSP")[0]
         client = net.client("Org1MSP")
 
-        runtime.bus.faults.drop_topics(("gossip-push", "gossip-batch"))
+        runtime.bus.faults.drop_topic("gossip-batch")
         client.submit_async("pdccc", "set_private", ["PDC1", "k"],
                             transient={"value": b"S"}, endorsing_peers=endorsers)
         runtime.run()
@@ -330,7 +329,7 @@ class TestRotation:
 
 
 class TestBatchedDissemination:
-    """The ``gossip_batch=True`` fast path: one payload per target."""
+    """Dissemination ships one payload per target."""
 
     def _two_collection_network(self, **kwargs):
         _reset_counters()
@@ -356,81 +355,89 @@ class TestBatchedDissemination:
         ).raise_for_status()
         return counters
 
-    def test_batch_disabled_by_default(self):
-        net = self._two_collection_network()
-        assert net.gossip.batch_enabled is False
-        self._move(net)
-        assert net.gossip.batched_payloads == 0
-        assert net.gossip.pushes > 0
+    def test_default_network_batches(self):
+        """The default network and ``gossip_batch=True`` are one path."""
+        counts = []
+        for kwargs in ({}, {"gossip_batch": True}):
+            net = self._two_collection_network(**kwargs)
+            self._move(net)
+            gossip = net.gossip
+            counts.append((gossip.pushes, gossip.batched_payloads, gossip.bytes_sent))
+        assert counts[0] == counts[1]
+        pushes, payloads, _ = counts[0]
+        assert payloads < pushes
+
+    def test_per_record_gossip_is_refused(self):
+        with pytest.raises(ConfigError, match="gossip_batch"):
+            _network(gossip_batch=False)
 
     def test_batch_coalesces_one_payload_per_target(self):
         """A two-collection endorsement ships ONE wire message per target
         (2 records each) instead of one message per (collection, target)."""
-        net = self._two_collection_network(gossip_batch=True)
+        net = self._two_collection_network()
         pushes_before, payloads_before = self._move(net)
         # Each of the 2 endorsers pushes both collection rwsets to the
         # 2 other members: 8 per-record pushes but only 4 payloads.
         assert net.gossip.pushes - pushes_before == 8
         assert net.gossip.batched_payloads - payloads_before == 4
 
+    def test_one_collection_sends_one_payload_per_target(self):
+        """With one collection rwset a payload carries one record, so the
+        wire count equals the record count: one message per target, as
+        many as one message per (collection, target) would send."""
+        from repro.runtime import LatencyModel
+
+        _reset_counters()
+        net = _network(member_orgs=("Org1MSP", "Org2MSP", "Org3MSP"))
+        runtime = net.attach_runtime(seed=5, latency=LatencyModel(base=1.0))
+        endorsers = [net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]]
+        net.client("Org1MSP").submit_async(
+            "pdccc", "set_private", ["PDC1", "k"],
+            transient={"value": b"S"}, endorsing_peers=endorsers,
+        )
+        runtime.run()
+        # Each of the 2 endorsers reaches the 2 other members.
+        assert net.gossip.pushes == net.gossip.batched_payloads == 4
+        assert runtime.bus.topic_counts["gossip-batch"] == 4
+
     def test_batch_cuts_wire_messages_by_the_collection_count(self):
         """Full fan-out, five member orgs, three endorsers, one tx writing
         three collections: each endorser reaches each of the 4 other
         members with one payload instead of three pushes."""
+        from repro.storage.codec import pack_private_writes
+
         collections = ("PDC1", "PDC2", "PDC3")
         orgs = tuple(f"Org{i}MSP" for i in range(1, 6))
-        gossip = {}
-        for batch in (False, True):
-            _reset_counters()
-            net = _network(max_peer_count=5, member_orgs=orgs, org_count=5,
-                           collections=collections, gossip_batch=batch)
-            net.install_chaincode("pdccc", _WriteEveryCollection())
-            net.client("Org1MSP").submit_transaction(
-                "pdccc", "set_all", ["k", ",".join(collections)],
-                transient={"value": b"v" * 32}, endorsing_peers=net.peers()[:3],
-            ).raise_for_status()
-            gossip[batch] = net.gossip
-        reference, batched = gossip[False], gossip[True]
-        # The same records reach the same peers; only the framing differs.
-        assert reference.pushes == batched.pushes == 3 * 4 * 3
-        assert reference.bytes_sent == batched.bytes_sent
-        assert reference.batched_payloads == 0
-        assert batched.batched_payloads == 3 * 4
+        _reset_counters()
+        net = _network(max_peer_count=5, member_orgs=orgs, org_count=5,
+                       collections=collections)
+        net.install_chaincode("pdccc", _WriteEveryCollection())
+        net.client("Org1MSP").submit_transaction(
+            "pdccc", "set_all", ["k", ",".join(collections)],
+            transient={"value": b"v" * 32}, endorsing_peers=net.peers()[:3],
+        ).raise_for_status()
+        assert net.gossip.pushes == 3 * 4 * 3
+        assert net.gossip.batched_payloads == 3 * 4
+        # The wire carries each record's archive framing, nothing more.
+        record_bytes = sum(
+            len(pack_private_writes("pdccc", name, [("k", b"v" * 32, False)]))
+            for name in collections
+        )
+        assert net.gossip.bytes_sent == 3 * 4 * record_bytes
 
-    def test_batch_commits_the_same_state_as_reference(self):
-        reference = self._two_collection_network(gossip_batch=False)
-        self._move(reference)
-        batched = self._two_collection_network(gossip_batch=True)
-        self._move(batched)
-        for net in (reference, batched):
-            org3 = net.peers_of("Org3MSP")[0]
-            assert org3.query_private("pdccc", "PDC2", "k") == b"S"
-            assert org3.query_private("pdccc", "PDC1", "k") is None
-            assert not org3.ledger.missing_private
-
-    def test_compare_reports_flags_divergence(self):
-        """The comparer behind the gossip-equivalence sweep."""
-        from dataclasses import replace
-
-        from repro.simulation import compare_reports, run_seed
-
-        first = run_seed(9, 25)
-        second = run_seed(9, 25)
-        assert compare_reports(first, second, invariant="gossip-equivalence") == []
-        # Tamper with one side: every difference becomes a typed violation.
-        second.stats["state_digest"] = "0" * 64
-        second.stats["blocks"] = -1
-        second.outcomes[0] = replace(second.outcomes[0], status="tampered")
-        violations = compare_reports(first, second, invariant="gossip-equivalence")
-        assert len(violations) == 3
-        assert all(v.invariant == "gossip-equivalence" for v in violations)
-        assert "vs other=" + "0" * 16 in str(violations[0])
+    def test_batch_commits_the_moved_state(self):
+        net = self._two_collection_network()
+        self._move(net)
+        org3 = net.peers_of("Org3MSP")[0]
+        assert org3.query_private("pdccc", "PDC2", "k") == b"S"
+        assert org3.query_private("pdccc", "PDC1", "k") is None
+        assert not org3.ledger.missing_private
 
     def test_perf_counters_track_gossip_work(self):
         from repro.common.tracing import PERF
 
         before = PERF.snapshot()
-        net = self._two_collection_network(gossip_batch=True)
+        net = self._two_collection_network()
         self._move(net)
         delta = PERF.delta_since(before)
         assert delta.get("gossip_pushes", 0) == net.gossip.pushes
@@ -443,7 +450,7 @@ class TestBatchedDissemination:
 
     def test_batch_respects_required_peer_count(self):
         _reset_counters()
-        net = _network(required_peer_count=3, gossip_batch=True)
+        net = _network(required_peer_count=3)
         p1 = net.peers_of("Org1MSP")[0]
         with pytest.raises(GossipError):
             net.request_endorsement(
@@ -475,7 +482,7 @@ class TestAntiEntropy:
         """Commit ``count`` PDC writes whose dissemination is blacked out."""
         endorsers = [net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]]
         client = net.client("Org1MSP")
-        runtime.bus.faults.drop_topics(("gossip-push", "gossip-batch"))
+        runtime.bus.faults.drop_topic("gossip-batch")
         for i in range(offset, offset + count):
             client.submit_async(
                 "pdccc", "set_private", ["PDC1", f"k{i}"],
@@ -513,7 +520,7 @@ class TestAntiEntropy:
         return (sim-s to converge, pull requests sent after the heal)."""
         from repro.runtime.runtime import GOSSIP_TOPICS
 
-        net, runtime = self._runtime_network(gossip_batch=True)
+        net, runtime = self._runtime_network()
         runtime.bus.faults.drop_topics(GOSSIP_TOPICS)
         self._submit_missed(net, runtime, gaps)
         runtime.run()

@@ -155,11 +155,11 @@ class TestMessageBus:
 
     def test_fault_drop_topic(self):
         faults = FaultInjector()
-        faults.drop_topic("gossip-push")
+        faults.drop_topic("gossip-batch")
         scheduler, bus = self._bus(faults=faults)
         seen = []
         bus.register("dst", lambda m: seen.append(m.topic))
-        assert bus.send("a", "dst", "gossip-push", None) is None
+        assert bus.send("a", "dst", "gossip-batch", None) is None
         bus.send("a", "dst", "deliver-block", None)
         scheduler.run()
         assert seen == ["deliver-block"]
@@ -400,11 +400,7 @@ class TestScheduledGossip:
             net.chaincode_id, "set_private", [net.collection, "g"],
             transient={"value": b"42"}, endorsing_peers=endorsers,
         )
-        # Whichever dissemination mode is active, the plaintext rode the bus.
-        assert (
-            runtime.bus.topic_counts.get("gossip-push", 0)
-            + runtime.bus.topic_counts.get("gossip-batch", 0)
-        ) >= 1
+        assert runtime.bus.topic_counts.get("gossip-batch", 0) >= 1
         runtime.run()
         assert pending.result().committed
         # Plaintext reached both member peers through scheduled messages.
@@ -436,7 +432,7 @@ class TestScheduledGossip:
         net.install_chaincode("pdccc", PrivateAssetContract())
 
         faults = FaultInjector()
-        faults.drop_topics(("gossip-push", "gossip-batch"))
+        faults.drop_topic("gossip-batch")
         net.attach_runtime(seed=0, faults=faults)
         peer1, peer2 = net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]
         result = net.client("Org2MSP").submit_transaction(

@@ -269,6 +269,17 @@ class TestReplayIsSelfContained:
         with pytest.raises(ConfigError):
             SimulationConfig.from_wire({**wire, "executor": "process:2"})
 
+    def test_per_record_gossip_is_refused(self):
+        assert SimulationConfig(seed=1, ops=1).gossip_batch is True
+        with pytest.raises(ConfigError, match="gossip_batch"):
+            SimulationConfig(seed=1, ops=1, gossip_batch=False)
+
+    def test_per_record_gossip_trace_is_refused(self):
+        wire = SimulationConfig.generate(3, 10).to_wire()
+        assert SimulationConfig.from_wire(wire).gossip_batch is True
+        with pytest.raises(ConfigError, match="gossip_batch"):
+            SimulationConfig.from_wire({**wire, "gossip_batch": False})
+
     @pytest.mark.parametrize("bad", [
         "thread", "process", "process:x", "process:0", "pool:2",
         "serial:0", "serial:x", "serial:", "Serial", "",
@@ -341,9 +352,7 @@ class TestDifferentlyConfiguredNetworksCoexist:
         """Settings are constructor arguments, so two networks in one
         process hold different ones — what a process-global environment
         could not express."""
-        fast = _pdc_network(
-            reorder=True, gossip_batch=True, snapshot_every=5, prune=True
-        )
+        fast = _pdc_network(reorder=True, snapshot_every=5, prune=True)
         plain = _pdc_network()
         for i in range(7):  # driven alternately, one transaction each
             for net in (fast, plain):
@@ -355,8 +364,6 @@ class TestDifferentlyConfiguredNetworksCoexist:
 
         assert fast.orderer.reorderer is not None
         assert plain.orderer.reorderer is None
-        assert fast.gossip.batched_payloads > 0
-        assert plain.gossip.batched_payloads == 0 and plain.gossip.pushes > 0
         for peer in fast.peers():
             assert peer.latest_sealed_snapshot().manifest.height == 5
             assert peer.ledger.blockchain.genesis_offset > 0  # pruned below it

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import pickle
 import shutil
+import struct
 import zlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.chaincode.contracts import AssetContract
 from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
@@ -396,6 +399,65 @@ class TestValueCodecs:
             ledger.committed_private_rwsets[("tx-9", "cc", "PDC1")]
         with pytest.raises(CodecError):
             ledger.rebuild()
+
+
+#: Every struct-framed decoder, keyed by its magic prefix.
+FRAMED_DECODERS = {
+    OPS_MAGIC: unpack_ops,
+    TABLES_MAGIC: unpack_tables,
+    BYTES_MAP_MAGIC: unpack_bytes_map,
+    PRIVATE_WRITES_MAGIC: unpack_private_writes,
+}
+
+
+def _u32(value: int) -> bytes:
+    return struct.pack("<I", value)
+
+
+#: Framing-shaped noise: small counts and lengths, tag bytes, and bytes
+#: that are not UTF-8, so the decoders get past the magic and the
+#: length checks instead of failing at the first u32.
+_FRAME_NOISE = st.lists(
+    st.one_of(
+        st.binary(max_size=8),
+        st.integers(min_value=0, max_value=6).map(_u32),
+        st.sampled_from([b"\x00", b"\x01", b"\xff", b"\xc3\x28"]),
+    ),
+    max_size=12,
+).map(b"".join)
+
+
+def _decodes_or_codec_error(raw: bytes) -> None:
+    for unpack in FRAMED_DECODERS.values():
+        try:
+            unpack(raw)
+        except CodecError:
+            pass
+
+
+class TestDecodersFailTyped:
+    """Any byte string decodes or raises :class:`CodecError`, nothing else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, raw):
+        _decodes_or_codec_error(raw)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        magic=st.sampled_from(sorted(FRAMED_DECODERS)),
+        body=_FRAME_NOISE,
+        sealed=st.booleans(),
+    )
+    @example(magic=OPS_MAGIC, body=_u32(1) + _u32(1) + b"\xff", sealed=False)
+    @example(magic=TABLES_MAGIC, body=_u32(1) + _u32(1) + b"\xff", sealed=True)
+    @example(magic=BYTES_MAP_MAGIC, body=_u32(1) + _u32(1) + b"\xff", sealed=False)
+    @example(magic=PRIVATE_WRITES_MAGIC, body=_u32(1) + b"\xff", sealed=False)
+    def test_magic_then_arbitrary_bytes(self, magic, body, sealed):
+        raw = magic + body
+        if sealed:  # a valid trailing crc32 lets unpack_tables parse the body
+            raw += _u32(zlib.crc32(raw))
+        _decodes_or_codec_error(raw)
 
 
 # ---------------------------------------------------------------------------
