@@ -112,15 +112,23 @@ class SnapshotManifest(Memoized):
 
     @classmethod
     def from_signing_bytes(cls, raw: bytes) -> "SnapshotManifest":
-        """Inverse of :meth:`signing_bytes`."""
-        doc = from_canonical_bytes(raw)
-        return cls(
-            channel_id=doc["channel"],
-            height=doc["height"],
-            last_block_hash=doc["last_block_hash"],
-            state_hash=doc["state_hash"],
-            collection_digests=tuple(tuple(entry) for entry in doc["collections"]),
-        )
+        """Inverse of :meth:`signing_bytes`; anything else raises
+        :class:`SnapshotError` — only the bytes it would sign decode."""
+        try:
+            doc = from_canonical_bytes(raw)
+            manifest = cls(
+                channel_id=doc["channel"],
+                height=doc["height"],
+                last_block_hash=doc["last_block_hash"],
+                state_hash=doc["state_hash"],
+                collection_digests=tuple(tuple(entry) for entry in doc["collections"]),
+            )
+            canonical = manifest.signing_bytes()
+        except (TypeError, KeyError, ValueError, RecursionError) as exc:
+            raise SnapshotError(f"malformed snapshot manifest: {exc!r}") from exc
+        if canonical != raw:
+            raise SnapshotError("snapshot manifest bytes are not its signing bytes")
+        return manifest
 
 
 @dataclass

@@ -27,38 +27,37 @@ ValidationCode.ORDERER_EARLY_ABORT` to the client, which re-endorses
    block space or validation work.
 
 Soundness is the hard part, and it is enforced two ways.  First, the
-pipeline only aborts a transaction that its *shadow oracle* predicts
-doomed both in the emitted order **and** in the original arrival order
-(arrival-order doom is what makes the abort indistinguishable from the
-post-commit abort the un-reordered system would have produced; a
-transaction that some order could save is never aborted, it is merely
-ordered or left on-chain as invalid).  Second, the ``reorder-soundness``
+pipeline only aborts a transaction that its *shadow* of the committed
+state predicts doomed both in the emitted order **and** in the original
+arrival order (arrival-order doom is what makes the abort
+indistinguishable from the post-commit abort the un-reordered system
+would have produced; a transaction that some order could save is never
+aborted, it is merely ordered or left on-chain as invalid).  Second, the ``reorder-soundness``
 simulation invariant (:mod:`repro.simulation.invariants`) re-validates
 every aborted transaction with the independent ``ReferenceValidator``
 in arrival order and fails the run on any false abort, and checks every
 emitted block is a permutation of its non-aborted input.
 
-The shadow oracle mirrors the full validator pipeline — duplicate tx-id,
-channel/chaincode, creator certificate + signature, response status,
-endorsement-policy selection (including committed key-level
-``VALIDATION_PARAMETER`` policies, tracked from the shadow's own
-metadata view) and the MVCC/phantom version rules — because a
-structurally invalid transaction must never advance the shadow state.
+The shadow asks the peer's own :class:`~repro.peer.validator.Validator`
+for every flag, so the orderer and the peers share one definition of it.
 All predictions are pure functions of the envelope bytes and the shadow,
 so the pipeline is deterministic: the cycle-break tie uses a seeded
-hash of the tx id (never Python's randomized ``hash``), which keeps
-serial and process-pool executions byte-identical.
+hash of the tx id (never Python's randomized ``hash``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.common.tracing import PERF
 from repro.ledger.version import Version
+from repro.ledger.world_state import WorldState
+from repro.peer.validator import Validator, in_range, range_fresh
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,6 +69,8 @@ _CONFLICT_FLAGS = (
     ValidationCode.MVCC_READ_CONFLICT,
     ValidationCode.PHANTOM_READ_CONFLICT,
 )
+#: The flags of a transaction that passes every structural check.
+_CANDIDATE_FLAGS = _CONFLICT_FLAGS + (ValidationCode.VALID,)
 
 #: ``scope`` classification of a committed MVCC/phantom abort.
 SCOPE_WITHIN_BLOCK = "within-block"
@@ -95,17 +96,14 @@ class _TxProfile:
         self.writes: set = set()       # (ns, key)
         self.hashed_reads: list = []   # ((ns, col, key_hash), Version | None)
         self.hashed_writes: set = set()  # (ns, col, key_hash)
-        self.ranges: list = []         # (ns, start, end, ((key, version), ...))
+        self.ranges: list = []         # (ns, RangeQueryInfo)
         for ns in tx.payload.results.namespaces:
             for read in ns.reads:
                 self.reads.append(((ns.namespace, read.key), read.version))
             for write in ns.writes:
                 self.writes.add((ns.namespace, write.key))
             for query in ns.range_queries:
-                self.ranges.append((
-                    ns.namespace, query.start_key, query.end_key,
-                    tuple((r.key, r.version) for r in query.reads),
-                ))
+                self.ranges.append((ns.namespace, query))
             for col in ns.collections:
                 for hashed in col.hashed_reads:
                     self.hashed_reads.append((
@@ -125,13 +123,11 @@ class _TxProfile:
         for key, _version in self.hashed_reads:
             if key in other.hashed_writes:
                 return True
-        for ns, start, end, _recorded in self.ranges:
-            for write_ns, key in other.writes:
-                if write_ns != ns:
-                    continue
-                if key >= start and (not end or key < end):
-                    return True
-        return False
+        return any(
+            write_ns == ns and in_range(query, key)
+            for ns, query in self.ranges
+            for write_ns, key in other.writes
+        )
 
     def writes_overlap(self, other: "_TxProfile") -> bool:
         return bool(
@@ -161,6 +157,61 @@ def _tiebreak(tx_id: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The shadow state
+# ---------------------------------------------------------------------------
+
+class _Written(NamedTuple):
+    """The last committed write of a key: ``version`` is ``None`` for a
+    delete (a tombstone), ``block`` is the block that wrote it."""
+
+    version: Optional[Version]
+    block: int
+
+
+class _Shadow:
+    """The committed state the peers will hold, as the validator reads it.
+
+    Not a :class:`~repro.ledger.ledger.PeerLedger`: a committed ledger
+    drops a deleted key, and with it the block number early-abort timing
+    needs, so a deleted key stays here as a tombstone.  The peer
+    :class:`~repro.peer.validator.Validator` reads it through the five
+    calls it makes on a ledger, and through nothing else.
+    """
+
+    def __init__(self) -> None:
+        self.public: dict = {}   # (ns, key) -> _Written
+        self.private: dict = {}  # (ns, col, key_hash) -> _Written
+        self.meta: dict = {}     # (ns, key) -> {metadata name: bytes}
+        self.tx_ids: set = set()
+        self.blockchain = SimpleNamespace(has_transaction=self.tx_ids.__contains__)
+        self.world_state = SimpleNamespace(
+            get_version=self._public_version,
+            get_validation_parameter=self._validation_parameter,
+            items=self._live_items,
+        )
+        self.private_hashes = SimpleNamespace(get_version=self._private_version)
+
+    def _public_version(self, namespace: str, key: str) -> Optional[Version]:
+        written = self.public.get((namespace, key))
+        return written.version if written else None
+
+    def _private_version(
+        self, namespace: str, collection: str, key_hash: bytes
+    ) -> Optional[Version]:
+        written = self.private.get((namespace, collection, key_hash))
+        return written.version if written else None
+
+    def _validation_parameter(self, namespace: str, key: str) -> Optional[bytes]:
+        return self.meta.get((namespace, key), {}).get(WorldState.VALIDATION_PARAMETER)
+
+    def _live_items(self, namespace: str):
+        """``(key, written)`` of the namespace's live keys, in key order."""
+        for (ns, key), written in sorted(self.public.items()):
+            if ns == namespace and written.version is not None:
+                yield key, written
+
+
+# ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
 
@@ -169,27 +220,18 @@ class ReorderPipeline:
 
     Stateful: the *shadow* tracks the committed world exactly as the
     peers will see it — every predicted-VALID write of every emitted
-    block advances ``(ns, key) -> (Version, writing block)`` maps (a
-    deleted key keeps a tombstone so a later conflict can still be
-    attributed to the deleting block), plus the committed key-level
-    metadata the endorsement-policy rules consult and the set of
-    committed tx ids for duplicate detection.  Because the orderer is a
-    single total order over batches, the shadow at batch *N* equals the
-    committed state at height *N* — which is what makes the early-abort
-    prediction exact rather than heuristic.
+    block advances it, together with the committed key-level metadata
+    the endorsement-policy rules consult and the committed tx ids for
+    duplicate detection.  Because the orderer is a single total order
+    over batches, the shadow at batch *N* equals the committed state at
+    height *N* — which is what makes the early-abort prediction exact
+    rather than heuristic.
     """
 
     def __init__(self, channel: "ChannelConfig", features: "FrameworkFeatures") -> None:
-        self._channel = channel
-        self._features = features
-        self._evaluator = channel.evaluator()
-        # (ns, key) -> (Version | None, block_num): None = deleted (tombstone).
-        self._public: dict = {}
-        # (ns, col, key_hash) -> (Version | None, block_num).
-        self._private: dict = {}
-        # (ns, key) -> {metadata name: bytes} — for key-level policies.
-        self._meta: dict = {}
-        self._seen_tx: set = set()
+        # Its own instance: nothing done to a peer's validator reaches it.
+        self._validator = Validator(channel, features)
+        self._shadow = _Shadow()
         #: Audit trail consumed by the ``reorder-soundness`` invariant.
         self.records: list[BatchRecord] = []
         # Lifetime totals (mirrored into the process-wide PERF counters).
@@ -220,34 +262,32 @@ class ReorderPipeline:
     def _process(self, batch: tuple, next_block_number: int) -> tuple[tuple, list]:
         profiles = [_TxProfile(tx, i) for i, tx in enumerate(batch)]
 
-        # Candidates are transactions that pass every structural check
-        # (anything else commits with its structural flag, in arrival
-        # order, and must not influence the conflict graph).  A tx id
-        # duplicated inside the batch is structural too: which occurrence
-        # survives is an ordering artifact, so neither is reordered.
-        in_batch_counts: dict = {}
-        for profile in profiles:
-            in_batch_counts[profile.tx.tx_id] = (
-                in_batch_counts.get(profile.tx.tx_id, 0) + 1
-            )
-        candidates = [
-            p for p in profiles
-            if in_batch_counts[p.tx.tx_id] == 1
-            and self._structural_flag(p.tx) is None
-        ]
-        candidate_ids = {p.tx.tx_id for p in candidates}
-        tail = [p for p in profiles if p.tx.tx_id not in candidate_ids]
-
         # Doom in *arrival* order: the flags the un-reordered block would
         # have carried.  Only arrival-doomed transactions are abortable —
         # aborting anything else would change an outcome some client
         # legitimately observed as VALID.
-        arrival_flags = self._predict_sequence([p.tx for p in profiles])
+        arrival_flags = self._predict(batch)
         arrival_doomed = {
-            profiles[i].tx.tx_id
-            for i, flag in enumerate(arrival_flags)
+            tx.tx_id
+            for tx, flag in zip(batch, arrival_flags)
             if flag in _CONFLICT_FLAGS
         }
+
+        # Candidates are transactions that pass every structural check
+        # (anything else commits with its structural flag, in arrival
+        # order, and must not influence the conflict graph).  The
+        # structural checks precede the conflict checks and ignore
+        # in-block writes, so for a tx id unique in the batch its arrival
+        # flag tells.  A tx id duplicated inside the batch is structural
+        # too: which occurrence survives is an ordering artifact, so
+        # neither is reordered.
+        in_batch_counts = Counter(tx.tx_id for tx in batch)
+        candidates = [
+            p for p, flag in zip(profiles, arrival_flags)
+            if in_batch_counts[p.tx.tx_id] == 1 and flag in _CANDIDATE_FLAGS
+        ]
+        candidate_ids = {p.tx.tx_id for p in candidates}
+        tail = [p for p in profiles if p.tx.tx_id not in candidate_ids]
 
         ordered = self._topological_order(candidates)
         trial = [p.tx for p in ordered] + [p.tx for p in tail]
@@ -255,7 +295,7 @@ class ReorderPipeline:
         # Doom in the *emitted* order; doomed-in-both get aborted.  An
         # invalid transaction contributes no block writes, so removing
         # the aborted ones cannot change any survivor's flag.
-        trial_flags = self._predict_sequence(trial)
+        trial_flags = self._predict(trial)
         aborted: list = []
         emitted: list = []
         for tx, flag in zip(trial, trial_flags):
@@ -275,7 +315,7 @@ class ReorderPipeline:
         block_number = next_block_number if emitted else None
         # The definitive prediction runs on the final sequence so shadow
         # versions carry the true (block, position) heights, then applies.
-        final_flags = self._predict_sequence(emitted)
+        final_flags = self._predict(emitted)
         if block_number is not None:
             self._apply_sequence(emitted, final_flags, block_number)
 
@@ -396,168 +436,11 @@ class ReorderPipeline:
                         queue.append(source)
         return alive
 
-    # -- the shadow oracle ---------------------------------------------------
-    def _predict_sequence(self, transactions: list) -> list:
+    # -- predictions over the shadow ------------------------------------------
+    def _predict(self, transactions) -> list:
         """The flags the peers will assign to this sequence (no state change)."""
-        flags: list = []
-        block_writes: set = set()
-        block_private: set = set()
-        block_tx_ids: set = set()
-        for tx in transactions:
-            flag = self._structural_flag(tx, block_tx_ids)
-            if flag is None:
-                flag = self._conflict_flag(tx, block_writes, block_private)
-            flags.append(flag)
-            block_tx_ids.add(tx.tx_id)
-            if flag is ValidationCode.VALID:
-                for ns in tx.payload.results.namespaces:
-                    for write in ns.writes:
-                        block_writes.add((ns.namespace, write.key))
-                    for col in ns.collections:
-                        for hashed in col.hashed_writes:
-                            block_private.add(
-                                (ns.namespace, col.collection, hashed.key_hash)
-                            )
-        return flags
+        return self._validator.flags_for(transactions, self._shadow)
 
-    def _structural_flag(
-        self, tx: TransactionEnvelope, block_tx_ids: Optional[set] = None
-    ) -> Optional[ValidationCode]:
-        """The non-MVCC flag this transaction will carry, or None if clean.
-
-        Mirrors the validator's check order exactly — a stale read behind
-        a bad signature must be flagged for the signature, so such a
-        transaction is never early-abort material.
-        """
-        if tx.tx_id in self._seen_tx or (block_tx_ids and tx.tx_id in block_tx_ids):
-            return ValidationCode.DUPLICATE_TXID
-        if tx.channel_id != self._channel.channel_id:
-            return ValidationCode.INVALID_OTHER
-        if not self._channel.chaincodes.get(tx.chaincode_id):
-            return ValidationCode.INVALID_OTHER
-        if not self._channel.msp_registry.validate_certificate(tx.creator):
-            return ValidationCode.BAD_CREATOR_SIGNATURE
-        if not tx.verify_creator_signature():
-            return ValidationCode.BAD_CREATOR_SIGNATURE
-        if not tx.payload.response.ok:
-            return ValidationCode.BAD_RESPONSE_STATUS
-        if not self._policies_ok(tx):
-            return ValidationCode.ENDORSEMENT_POLICY_FAILURE
-        return None
-
-    def _conflict_flag(
-        self, tx: TransactionEnvelope, block_writes: set, block_private: set
-    ) -> ValidationCode:
-        """MVCC + phantom verdict against shadow state and in-block writes."""
-        for ns in tx.payload.results.namespaces:
-            for read in ns.reads:
-                if (ns.namespace, read.key) in block_writes:
-                    return ValidationCode.MVCC_READ_CONFLICT
-                if self._shadow_version(ns.namespace, read.key) != read.version:
-                    return ValidationCode.MVCC_READ_CONFLICT
-            for col in ns.collections:
-                for hashed in col.hashed_reads:
-                    full = (ns.namespace, col.collection, hashed.key_hash)
-                    if full in block_private:
-                        return ValidationCode.MVCC_READ_CONFLICT
-                    entry = self._private.get(full)
-                    committed = entry[0] if entry else None
-                    if committed != hashed.version:
-                        return ValidationCode.MVCC_READ_CONFLICT
-        for ns in tx.payload.results.namespaces:
-            for query in ns.range_queries:
-                if not self._range_fresh(ns.namespace, query, block_writes):
-                    return ValidationCode.PHANTOM_READ_CONFLICT
-        return ValidationCode.VALID
-
-    def _shadow_version(self, namespace: str, key: str) -> Optional[Version]:
-        entry = self._public.get((namespace, key))
-        return entry[0] if entry else None
-
-    def _range_fresh(self, namespace: str, query, block_writes: set) -> bool:
-        current = []
-        for (ns, key), (version, _block) in sorted(self._public.items()):
-            if ns != namespace or version is None:
-                continue
-            if key < query.start_key or (query.end_key and key >= query.end_key):
-                continue
-            current.append((key, version))
-        if current != [(r.key, r.version) for r in query.reads]:
-            return False
-        for write_ns, key in block_writes:
-            if write_ns != namespace:
-                continue
-            if key >= query.start_key and (
-                not query.end_key or key < query.end_key
-            ):
-                return False
-        return True
-
-    def _policies_ok(self, tx: TransactionEnvelope) -> bool:
-        """The endorsement-policy verdict, with key policies from the shadow."""
-        definition = self._channel.chaincode(tx.chaincode_id)
-        results = tx.payload.results
-        payload_bytes = tx.payload.bytes()
-        signers = []
-        for endorsement in tx.endorsements:
-            if not self._channel.msp_registry.validate_certificate(
-                endorsement.endorser
-            ):
-                continue
-            if endorsement.verify(payload_bytes):
-                signers.append(endorsement.endorser)
-
-        touched = results.collections_touched()
-        if touched and self._features.filter_nonmember_endorsements:
-            member_orgs: Optional[set] = None
-            for namespace, name in touched:
-                orgs = self._channel.collection(namespace, name).member_orgs()
-                member_orgs = orgs if member_orgs is None else member_orgs & orgs
-            signers = [c for c in signers if c.msp_id in (member_orgs or set())]
-
-        need_chaincode = False
-        extra: list = []
-        if results.is_read_only:
-            need_chaincode = True
-            if self._features.collection_policy_on_reads:
-                for namespace, name in sorted(touched):
-                    config = self._channel.collection(namespace, name)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-        else:
-            for ns in results.namespaces:
-                for write in ns.writes:
-                    key_policy = self._key_policy(ns.namespace, write.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for meta in ns.metadata_writes:
-                    key_policy = self._key_policy(ns.namespace, meta.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for col in ns.collections:
-                    if not col.hashed_writes:
-                        continue
-                    config = self._channel.collection(ns.namespace, col.collection)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-                    else:
-                        need_chaincode = True
-
-        if need_chaincode and not self._evaluator.evaluate(
-            definition.endorsement_policy, signers
-        ):
-            return False
-        return all(self._evaluator.evaluate(text, signers) for text in extra)
-
-    def _key_policy(self, namespace: str, key: str) -> Optional[str]:
-        value = self._meta.get((namespace, key), {}).get("VALIDATION_PARAMETER")
-        return value.decode("utf-8") if value is not None else None
-
-    # -- conflict attribution ----------------------------------------------
     def _conflict_block(
         self, tx: TransactionEnvelope, trial: list, trial_flags: list,
         next_block_number: int,
@@ -584,43 +467,35 @@ class ReorderPipeline:
                         block_private.add(
                             (ns.namespace, col.collection, hashed.key_hash)
                         )
+        shadow = self._shadow
         latest: Optional[int] = None
         for ns in tx.payload.results.namespaces:
             for read in ns.reads:
                 full = (ns.namespace, read.key)
                 if full in block_writes:
                     return next_block_number
-                entry = self._public.get(full)
-                committed = entry[0] if entry else None
-                if committed != read.version and entry is not None:
-                    latest = entry[1] if latest is None else max(latest, entry[1])
+                written = shadow.public.get(full)
+                if written is not None and written.version != read.version:
+                    latest = written.block if latest is None else max(latest, written.block)
             for col in ns.collections:
                 for hashed in col.hashed_reads:
                     full = (ns.namespace, col.collection, hashed.key_hash)
                     if full in block_private:
                         return next_block_number
-                    entry = self._private.get(full)
-                    committed = entry[0] if entry else None
-                    if committed != hashed.version and entry is not None:
-                        latest = entry[1] if latest is None else max(latest, entry[1])
+                    written = shadow.private.get(full)
+                    if written is not None and written.version != hashed.version:
+                        latest = written.block if latest is None else max(latest, written.block)
             for query in ns.range_queries:
-                if not self._range_fresh(ns.namespace, query, block_writes):
-                    in_block = any(
-                        write_ns == ns.namespace
-                        and key >= query.start_key
-                        and (not query.end_key or key < query.end_key)
-                        for write_ns, key in block_writes
-                    )
-                    if in_block:
-                        return next_block_number
-                    for (shadow_ns, key), (_version, block) in self._public.items():
-                        if shadow_ns != ns.namespace:
-                            continue
-                        if key < query.start_key or (
-                            query.end_key and key >= query.end_key
-                        ):
-                            continue
-                        latest = block if latest is None else max(latest, block)
+                if range_fresh(ns.namespace, query, shadow.world_state, block_writes):
+                    continue
+                if any(
+                    write_ns == ns.namespace and in_range(query, key)
+                    for write_ns, key in block_writes
+                ):
+                    return next_block_number
+                for (shadow_ns, key), written in shadow.public.items():
+                    if shadow_ns == ns.namespace and in_range(query, key):
+                        latest = written.block if latest is None else max(latest, written.block)
         return latest
 
     # -- shadow maintenance --------------------------------------------------
@@ -628,8 +503,9 @@ class ReorderPipeline:
         self, transactions: list, flags: list, block_number: int
     ) -> None:
         """Advance the shadow exactly as the peers' committers will."""
+        shadow = self._shadow
         for tx_num, (tx, flag) in enumerate(zip(transactions, flags)):
-            self._seen_tx.add(tx.tx_id)
+            shadow.tx_ids.add(tx.tx_id)
             if flag is not ValidationCode.VALID:
                 continue
             version = Version(block_number, tx_num)
@@ -637,21 +513,20 @@ class ReorderPipeline:
                 for write in ns.writes:
                     full = (ns.namespace, write.key)
                     if write.is_delete:
-                        self._public[full] = (None, block_number)
-                        self._meta.pop(full, None)
+                        shadow.public[full] = _Written(None, block_number)
+                        shadow.meta.pop(full, None)
                     else:
-                        self._public[full] = (version, block_number)
+                        shadow.public[full] = _Written(version, block_number)
                 for meta in ns.metadata_writes:
-                    self._meta.setdefault(
+                    shadow.meta.setdefault(
                         (ns.namespace, meta.key), {}
                     )[meta.name] = meta.value
                 for col in ns.collections:
                     for hashed in col.hashed_writes:
                         full = (ns.namespace, col.collection, hashed.key_hash)
-                        if hashed.is_delete:
-                            self._private[full] = (None, block_number)
-                        else:
-                            self._private[full] = (version, block_number)
+                        shadow.private[full] = _Written(
+                            None if hashed.is_delete else version, block_number
+                        )
 
     # -- accounting ----------------------------------------------------------
     def _account(self, batch: tuple, emitted: list, aborted: list) -> None:
@@ -701,16 +576,11 @@ def conflict_scopes(transactions, flags) -> dict:
             within = any(key in block_writes for key, _v in profile.reads) or any(
                 key in block_private for key, _v in profile.hashed_reads
             )
-            if not within:
-                for ns, start, end, _recorded in profile.ranges:
-                    for write_ns, key in block_writes:
-                        if write_ns != ns:
-                            continue
-                        if key >= start and (not end or key < end):
-                            within = True
-                            break
-                    if within:
-                        break
+            within = within or any(
+                write_ns == ns and in_range(query, key)
+                for ns, query in profile.ranges
+                for write_ns, key in block_writes
+            )
             scopes[tx.tx_id] = SCOPE_WITHIN_BLOCK if within else SCOPE_CROSS_BLOCK
         elif flag is ValidationCode.VALID:
             for ns in tx.payload.results.namespaces:

@@ -25,8 +25,9 @@ before evaluating any policy of a PDC transaction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.chaincode.rwset import RangeQueryInfo
 from repro.common import crypto
 from repro.common.tracing import PERF
 from repro.core.defense.features import FrameworkFeatures
@@ -127,7 +128,7 @@ class Validator:
         self._payload_bytes = {}
         try:
             self._prewarm_signatures(block, ledger)
-            return self._validate_block_inner(block, ledger)
+            return self.flags_for(block.transactions, ledger)
         finally:
             self._payload_bytes = None
 
@@ -196,15 +197,24 @@ class Validator:
             groups[public_key.y] = groups.get(public_key.y, 0) + 1
         return list(groups.values())
 
-    def _validate_block_inner(
-        self, block: Block, ledger: PeerLedger
+    def flags_for(
+        self, transactions: Iterable[TransactionEnvelope], ledger: PeerLedger
     ) -> list[ValidationCode]:
+        """The flag each transaction gets as one block on top of ``ledger``.
+
+        The rule loop :meth:`validate_block` runs, without its memo or
+        signature pre-pass; ``ledger`` is only read.  Any object answering
+        the same five reads will do — ``blockchain.has_transaction``,
+        ``world_state.get_version`` / ``get_validation_parameter`` /
+        ``items`` and ``private_hashes.get_version`` — which is how the
+        conflict-aware orderer predicts flags over its shadow state.
+        """
         flags: list[ValidationCode] = []
         block_writes: set[tuple[str, str]] = set()
         block_private_writes: set[tuple[str, str, bytes]] = set()
         seen_tx_ids: set[str] = set()
 
-        for tx in block.transactions:
+        for tx in transactions:
             flag = self._validate_transaction(
                 tx, ledger, block_writes, block_private_writes, seen_tx_ids
             )
@@ -403,24 +413,39 @@ class Validator:
         simulation — including by earlier transactions in this block — is
         a phantom read.
         """
-        for ns in tx.payload.results.namespaces:
-            for query in ns.range_queries:
-                current: list[tuple[str, Version]] = []
-                for key, entry in ledger.world_state.items(ns.namespace):
-                    if key < query.start_key or (query.end_key and key >= query.end_key):
-                        continue
-                    current.append((key, entry.version))
-                recorded = [(r.key, r.version) for r in query.reads]
-                if current != recorded:
-                    return False
-                # Earlier transactions in this same block may have written
-                # (inserted, updated or deleted) keys inside the range.
-                for write_ns, key in block_writes:
-                    if write_ns != ns.namespace:
-                        continue
-                    if key >= query.start_key and (not query.end_key or key < query.end_key):
-                        return False
-        return True
+        return all(
+            range_fresh(ns.namespace, query, ledger.world_state, block_writes)
+            for ns in tx.payload.results.namespaces
+            for query in ns.range_queries
+        )
+
+
+def in_range(query: RangeQueryInfo, key: str) -> bool:
+    """Is ``key`` inside the range query's ``[start_key, end_key)``?"""
+    return key >= query.start_key and (not query.end_key or key < query.end_key)
+
+
+def range_fresh(
+    namespace: str, query: RangeQueryInfo, world_state, block_writes: Iterable
+) -> bool:
+    """Does one recorded range query still read what it read at simulation?
+
+    The range is re-scanned in ``world_state`` and compared with the
+    recorded ``(key, version)`` reads; a key in range among
+    ``block_writes`` — inserted, updated or deleted by an earlier valid
+    transaction of the same block — is a phantom too.
+    """
+    current = [
+        (key, entry.version)
+        for key, entry in world_state.items(namespace)
+        if in_range(query, key)
+    ]
+    if current != [(r.key, r.version) for r in query.reads]:
+        return False
+    return not any(
+        write_ns == namespace and in_range(query, key)
+        for write_ns, key in block_writes
+    )
 
 
 def _settle_signatures(items: list[tuple]) -> None:

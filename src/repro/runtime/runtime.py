@@ -450,36 +450,19 @@ class TransactionRuntime:
         self._drain_inbound(peer)
 
     def _drain_inbound(self, peer: "PeerNode") -> int:
-        """Commit (or schedule) every in-order block; returns blocks taken.
+        """Commit or schedule every in-order block; returns blocks taken.
 
-        Without a cost model the commit happens inline, exactly as the
-        event arrives — the byte-identical legacy path.  With one, each
-        block instead passes through the peer's validation service
-        station (:meth:`_drain_inbound_timed`).
-        """
-        if self.validate_cost is not None:
-            return self._drain_inbound_timed(peer)
-        buffer = self._inbound.setdefault(peer.name, {})
-        taken = 0
-        while peer.ledger.blockchain.height in buffer:
-            block = buffer.pop(peer.ledger.blockchain.height)
-            self._deliver[peer.name](block)
-            self._note_committed(block)
-            taken += 1
-        return taken
-
-    def _drain_inbound_timed(self, peer: "PeerNode") -> int:
-        """Schedule ready blocks through the peer's validation station.
-
-        The cost model turns validation from an instantaneous call into a
-        FIFO service station: each block occupies the peer for its modeled
-        service time — ``per_transaction``·txs plus ``per_signature``
-        times the *makespan* of the cost model's shard plan over the
-        block's per-key signature groups — so simulated throughput
-        reflects the modelled parallelism.  Blocks are scheduled in height order;
-        the actual validate+commit runs when the station frees up, with
-        crash and stale-height guards (a crash or catch-up between
-        scheduling and firing just drops the stale event).
+        Without a cost model a block commits inline, exactly as the event
+        arrives.  With one, validation is a FIFO service station instead
+        of an instantaneous call: each block occupies the peer for its
+        modeled service time — ``per_transaction``·txs plus
+        ``per_signature`` times the *makespan* of the cost model's shard
+        plan over the block's per-key signature groups — so simulated
+        throughput reflects the modelled parallelism.  Blocks are
+        scheduled in height order; the actual validate+commit runs when
+        the station frees up, with crash and stale-height guards (a crash
+        or catch-up between scheduling and firing just drops the stale
+        event).
         """
         buffer = self._inbound.setdefault(peer.name, {})
         name = peer.name
@@ -489,6 +472,12 @@ class TransactionRuntime:
         taken = 0
         while height in buffer:
             block = buffer.pop(height)
+            taken += 1
+            if self.validate_cost is None:
+                self._deliver[name](block)
+                self._note_committed(block)
+                height = peer.ledger.blockchain.height
+                continue
             service = self.validate_cost.service_seconds(
                 peer.validation_workload(block), len(block.transactions)
             )
@@ -500,7 +489,6 @@ class TransactionRuntime:
                 self._busy_until[name] - self.now,
                 lambda p=peer, b=block: self._finish_timed_commit(p, b),
             )
-            taken += 1
         return taken
 
     def _finish_timed_commit(self, peer: "PeerNode", block: Block) -> None:
@@ -613,10 +601,8 @@ class TransactionRuntime:
         # the minimum sealed height across peers, so a recovered height
         # below the offset means the peer's durable state predates every
         # retained block — rebuild it from a snapshot, then replay the tail.
-        buffer = self._inbound.setdefault(name, {})
-        height = peer.ledger.blockchain.height
         try:
-            backlog = self.network.orderer.blocks_since(height)
+            self._refill_from_orderer(peer)
         except PrunedBacklogError:
             package = self.network.gossip.fetch_snapshot(
                 peer, min_height=self.network.orderer.backlog_offset
@@ -625,14 +611,11 @@ class TransactionRuntime:
                 raise
             peer.ledger.reset_stores()
             bootstrap_from_package(peer.ledger, package, peer.channel)
-            height = peer.ledger.blockchain.height
             if tracer:
-                tracer.record(name, "peer-snapshot-bootstrap", height=height)
-            backlog = self.network.orderer.blocks_since(height)
-        for block in backlog:
-            if block.header.number >= height:
-                buffer.setdefault(block.header.number, block)
-        self._drain_inbound(peer)
+                tracer.record(
+                    name, "peer-snapshot-bootstrap", height=peer.ledger.blockchain.height
+                )
+            self._refill_from_orderer(peer)
 
     def crashed_peers(self) -> set[str]:
         return set(self._crashed)
@@ -651,19 +634,25 @@ class TransactionRuntime:
         for name, peer in self._peers.items():
             if name in self._crashed:
                 continue  # a down peer cannot reconnect; restart it first
-            buffer = self._inbound.setdefault(name, {})
-            before = max(
-                peer.ledger.blockchain.height, self._scheduled_height.get(name, 0)
-            )
-            for block in self.network.orderer.blocks_since(before):
-                number = block.header.number
-                if number >= before and number not in buffer:
-                    buffer[number] = block
-            # With a cost model the drain *schedules* commits rather than
-            # performing them, so count what the drain took, not a height
-            # delta (the height moves when the scheduled events fire).
-            committed += self._drain_inbound(peer)
+            committed += self._refill_from_orderer(peer)
         return committed
+
+    def _refill_from_orderer(self, peer: "PeerNode") -> int:
+        """Buffer the orderer's blocks past the peer's cursor and drain them.
+
+        Returns the blocks the drain took.  With a cost model the drain
+        *schedules* commits rather than performing them, so this counts
+        what it took, not a height delta (the height moves when the
+        scheduled events fire).  Raises :class:`PrunedBacklogError` before
+        touching the buffer when the cursor predates the pruned backlog.
+        """
+        buffer = self._inbound.setdefault(peer.name, {})
+        cursor = max(
+            peer.ledger.blockchain.height, self._scheduled_height.get(peer.name, 0)
+        )
+        for block in self.network.orderer.blocks_since(cursor):
+            buffer.setdefault(block.header.number, block)
+        return self._drain_inbound(peer)
 
     # -- the gossip plane ----------------------------------------------------
     def _send_gossip_batch(

@@ -5,7 +5,8 @@ is reordered along its conflict graph and transactions whose reads are
 provably stale — doomed in both the emitted order AND the arrival
 order — are aborted before they occupy chain space.  These tests pin the
 client-visible contract (early-abort status on the sync and retry
-paths), the pipeline's structural properties (permutation, bounded
+paths, never in place of a structural flag), the pipeline's structural
+properties (permutation, bounded
 displacement, determinism) and the :meth:`BlockCutter.flush` regression.
 """
 
@@ -16,10 +17,12 @@ import random
 
 import pytest
 
-from repro.chaincode.contracts import AssetContract
+from repro.chaincode.contracts import AssetContract, PrivateAssetContract
+from repro.core.defense.features import FrameworkFeatures
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
+from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.orderer.block_cutter import BlockCutter
 from repro.protocol.proposal import reset_nonce_counter
@@ -29,21 +32,44 @@ from repro.simulation.harness import execute, generate
 from repro.workload import RetryPolicy, submit_with_retry_async
 
 
-def _asset_network(batch_size: int = 1) -> FabricNetwork:
-    """Three orgs, one public asset chaincode, reordering ON."""
+ANY_ORG = "OR('Org1MSP.member', 'Org2MSP.member', 'Org3MSP.member')"
+ORG1_AND_ORG2 = "AND('Org1MSP.peer', 'Org2MSP.peer')"
+
+
+def _asset_network(
+    batch_size: int = 1,
+    *,
+    policy: str = ANY_ORG,
+    collection_policy: str | None = None,
+    features: FrameworkFeatures | None = None,
+) -> FabricNetwork:
+    """Three orgs, a public asset chaincode under ``policy`` and a PDC
+    chaincode (``PDC1`` = Org1 + Org2, collection-level endorsement
+    policy ``collection_policy``), reordering ON."""
     reset_nonce_counter()
     reset_ca_instance_counter()
     orgs = [Organization(f"Org{i}MSP") for i in (1, 2, 3)]
     channel = ChannelConfig(channel_id="reorderchan", organizations=orgs)
+    channel.deploy_chaincode("assetcc", endorsement_policy=policy)
     channel.deploy_chaincode(
-        "assetcc",
-        endorsement_policy="OR('Org1MSP.member', 'Org2MSP.member', "
-                           "'Org3MSP.member')",
+        "pdccc",
+        endorsement_policy=ANY_ORG,
+        collections=[CollectionConfig(
+            name="PDC1",
+            policy="OR('Org1MSP.member', 'Org2MSP.member')",
+            required_peer_count=0,
+            max_peer_count=3,
+            endorsement_policy=collection_policy,
+        )],
     )
-    net = FabricNetwork(channel=channel, batch_size=batch_size, reorder=True)
+    net = FabricNetwork(
+        channel=channel, batch_size=batch_size, reorder=True,
+        features=features or FrameworkFeatures.original(),
+    )
     for org in orgs:
         net.add_peer(org.msp_id)
     net.install_chaincode("assetcc", AssetContract())
+    net.install_chaincode("pdccc", PrivateAssetContract())
     return net
 
 
@@ -190,6 +216,124 @@ class TestEarlyAbortRetryPath:
         assert net.orderer.early_abort_info(aborted) is not None
         # Both increments applied exactly once.
         assert net.peers()[0].query_public("assetcc", "asset:hot") == b"107"
+
+
+# ---------------------------------------------------------------------------
+# An early abort never takes the place of a structural verdict
+# ---------------------------------------------------------------------------
+
+def _endorse_now(net, chaincode_id, function, args, endorsers):
+    """An envelope endorsed against the current state, to submit later."""
+    client = net.client("Org1MSP")
+    proposal = client._proposal(chaincode_id, function, args)
+    responses = [net.request_endorsement(p, proposal).response for p in endorsers]
+    return client.assemble(proposal, responses)
+
+
+def _stale_duplicate(defect: bool):
+    net = _asset_network()
+    org1 = net.peers_of("Org1MSP")
+    net.client("Org1MSP").submit_transaction(
+        "assetcc", "create_asset", ["k", "10"], endorsing_peers=org1
+    ).raise_for_status()
+    first = _endorse_now(net, "assetcc", "add_to_asset", ["k", "1"], org1)
+    stale = first if defect else _endorse_now(
+        net, "assetcc", "add_to_asset", ["k", "2"], org1
+    )
+    # Its own write already moved the key past the version it read.
+    net.submit_envelope(first).raise_for_status()
+    return net, stale, ValidationCode.DUPLICATE_TXID
+
+
+def _stale_chaincode_policy(defect: bool):
+    net = _asset_network(policy=ORG1_AND_ORG2)
+    both = net.peers_of("Org1MSP") + net.peers_of("Org2MSP")
+    client = net.client("Org1MSP")
+    client.submit_transaction(
+        "assetcc", "create_asset", ["k", "10"], endorsing_peers=both
+    ).raise_for_status()
+    stale = _endorse_now(
+        net, "assetcc", "add_to_asset", ["k", "1"], both[:1] if defect else both
+    )
+    client.submit_transaction(
+        "assetcc", "add_to_asset", ["k", "5"], endorsing_peers=both
+    ).raise_for_status()
+    return net, stale, ValidationCode.ENDORSEMENT_POLICY_FAILURE
+
+
+def _stale_key_policy(defect: bool):
+    net = _asset_network()
+    both = net.peers_of("Org1MSP") + net.peers_of("Org2MSP")
+    client = net.client("Org1MSP")
+    client.submit_transaction(
+        "assetcc", "create_asset", ["k", "10"], endorsing_peers=both
+    ).raise_for_status()
+    client.submit_transaction(
+        "assetcc", "set_asset_policy", ["k", ORG1_AND_ORG2], endorsing_peers=both
+    ).raise_for_status()
+    stale = _endorse_now(
+        net, "assetcc", "add_to_asset", ["k", "1"], both[:1] if defect else both
+    )
+    client.submit_transaction(
+        "assetcc", "add_to_asset", ["k", "5"], endorsing_peers=both
+    ).raise_for_status()
+    return net, stale, ValidationCode.ENDORSEMENT_POLICY_FAILURE
+
+
+def _stale_collection_read_policy(defect: bool):
+    # Feature 1 puts the collection-level policy on a read-only PDC
+    # transaction; without it the chaincode-level OR is all that applies.
+    features = FrameworkFeatures.defended() if defect else FrameworkFeatures.original()
+    net = _asset_network(collection_policy=ORG1_AND_ORG2, features=features)
+    both = net.peers_of("Org1MSP") + net.peers_of("Org2MSP")
+    client = net.client("Org1MSP")
+
+    def write(value: bytes) -> None:
+        client.submit_transaction(
+            "pdccc", "set_private", ["PDC1", "k"], transient={"value": value},
+            endorsing_peers=both,
+        ).raise_for_status()
+
+    write(b"12")
+    stale = _endorse_now(net, "pdccc", "get_private", ["PDC1", "k"], both[:1])
+    write(b"13")
+    return net, stale, ValidationCode.ENDORSEMENT_POLICY_FAILURE
+
+
+STALE_WITH_DEFECT = {
+    "duplicate-tx-id": _stale_duplicate,
+    "chaincode-policy": _stale_chaincode_policy,
+    "key-level-policy": _stale_key_policy,
+    "collection-read-policy": _stale_collection_read_policy,
+}
+
+
+class TestStructuralVerdictBeatsEarlyAbort:
+    """A stale envelope with a structural defect is no early-abort
+    material: every peer flags it for the defect, as it would without a
+    conflict-aware orderer.  The orderer learns what a peer accepts only
+    from the peer's validator, so each case pins one rule that a private
+    copy inside the orderer could get wrong."""
+
+    @pytest.mark.parametrize("defect", sorted(STALE_WITH_DEFECT))
+    def test_commits_with_the_structural_flag(self, defect):
+        net, stale, flag = STALE_WITH_DEFECT[defect](defect=True)
+        result = net.submit_envelope(stale)
+        assert result.status is not ValidationCode.ORDERER_EARLY_ABORT
+        assert net.orderer.early_abort_info(stale.tx_id) is None
+        for peer in net.peers():
+            flags = [
+                f for tx, f in peer.ledger.blockchain.all_transactions()
+                if tx.tx_id == stale.tx_id
+            ]
+            assert flags[-1] is flag, peer.name
+
+    @pytest.mark.parametrize("defect", sorted(STALE_WITH_DEFECT))
+    def test_without_the_defect_it_is_early_aborted(self, defect):
+        net, stale, _flag = STALE_WITH_DEFECT[defect](defect=False)
+        result = net.submit_envelope(stale)
+        assert result.status is ValidationCode.ORDERER_EARLY_ABORT
+        assert _tx_occurrences(net, stale.tx_id) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.simulation import (
     generate_fault_schedule,
     run_seed,
 )
-from repro.simulation.harness import build_network, execute, generate
+from repro.simulation.harness import WEAKENERS, build_network, execute, generate
 from repro.simulation.invariants import (
     check_gossip_convergence,
     check_pdc_privacy,
@@ -377,12 +377,27 @@ class TestDifferentlyConfiguredNetworksCoexist:
 # teeth: a sabotaged validator must be caught and shrunk small
 # ---------------------------------------------------------------------------
 class TestWeakenedValidator:
-    def test_skipping_policy_check_fails_seeds(self):
-        failing = [
-            seed for seed in range(1, 6)
-            if not run_seed(seed, SWEEP_OPS, weaken="skip-endorsement-policy").ok
-        ]
+    @pytest.mark.parametrize("reorder", [False, True])
+    def test_skipping_policy_check_fails_seeds(self, reorder):
+        failing = []
+        for seed in range(1, 6):
+            config = dataclasses.replace(
+                SimulationConfig.generate(seed, SWEEP_OPS), reorder=reorder
+            )
+            ops, faults = generate(config)
+            if not execute(config, ops, faults, weaken="skip-endorsement-policy").ok:
+                failing.append(seed)
         assert failing, "weakened validator went undetected"
+
+    def test_weakening_reaches_the_peers_only(self):
+        # The reordering orderer predicts flags with a validator of its
+        # own; a weakened peer must not weaken that prediction too.
+        config = dataclasses.replace(SimulationConfig.generate(1, SWEEP_OPS), reorder=True)
+        sim = build_network(config)
+        WEAKENERS["skip-endorsement-policy"](sim)
+        patched = "_check_endorsement_policies"
+        assert all(patched in vars(peer._validator) for peer in sim.all_peers())
+        assert patched not in vars(sim.network.orderer.reorderer._validator)
 
     def test_failure_shrinks_to_a_tiny_trace(self):
         # Seed 2 is the first pinned seed whose stream carries an op endorsed

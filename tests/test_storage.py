@@ -9,6 +9,7 @@ test proving the durability invariant actually bites.
 
 from __future__ import annotations
 
+import json
 import pickle
 import shutil
 import struct
@@ -20,10 +21,13 @@ from hypothesis import strategies as st
 
 from repro.chaincode.contracts import AssetContract
 from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
+from repro.common.errors import SnapshotError
 from repro.common.hashing import hash_key, hash_value
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
+from repro.ledger.blockchain import BLOCK_MAGIC, unpack_block_row
 from repro.ledger.ledger import PeerLedger
+from repro.ledger.snapshot import SnapshotManifest
 from repro.ledger.transient_store import TransientStore
 from repro.ledger.version import Version
 from repro.network.channel import ChannelConfig
@@ -427,6 +431,28 @@ _FRAME_NOISE = st.lists(
 ).map(b"".join)
 
 
+_MANIFEST = SnapshotManifest(
+    channel_id="mychannel",
+    height=7,
+    last_block_hash=b"\x01" * 32,
+    state_hash="ab" * 32,
+    collection_digests=(("cc", "PDC1", "cd" * 32),),
+)
+_MANIFEST_BYTES = _MANIFEST.signing_bytes()
+
+#: JSON documents shaped like a manifest: its field names (and the
+#: canonical encoder's bytes tag) holding arbitrary JSON values.
+_MANIFEST_DOCS = st.dictionaries(
+    st.sampled_from(sorted(json.loads(_MANIFEST_BYTES)) + ["$b"]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.sampled_from(["$b", "x"]), children, max_size=2),
+        max_leaves=6,
+    ),
+)
+
+
 def _decodes_or_codec_error(raw: bytes) -> None:
     for unpack in FRAMED_DECODERS.values():
         try:
@@ -436,7 +462,9 @@ def _decodes_or_codec_error(raw: bytes) -> None:
 
 
 class TestDecodersFailTyped:
-    """Any byte string decodes or raises :class:`CodecError`, nothing else."""
+    """Any byte string decodes or raises the decoder's typed error —
+    :class:`CodecError`, or :class:`SnapshotError` for the manifest —
+    nothing else."""
 
     @settings(max_examples=200, deadline=None)
     @given(raw=st.binary(max_size=64))
@@ -458,6 +486,42 @@ class TestDecodersFailTyped:
         if sealed:  # a valid trailing crc32 lets unpack_tables parse the body
             raw += _u32(zlib.crc32(raw))
         _decodes_or_codec_error(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=64),
+        _FRAME_NOISE.map(lambda body: BLOCK_MAGIC + body),
+        _FRAME_NOISE.map(lambda body: BLOCK_MAGIC + b"\x00" * 8 + body),
+    ))
+    @example(raw=BLOCK_MAGIC + b"\x00" * 8 + _u32(0) + _u32(0) + _u32(1) + b"\xff")
+    def test_block_row_head(self, raw):
+        try:
+            unpack_block_row(raw, head_only=True)
+        except CodecError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=64),
+        _MANIFEST_DOCS.map(lambda doc: json.dumps(doc).encode("utf-8")),
+        st.tuples(st.integers(0, len(_MANIFEST_BYTES) - 1), st.binary(max_size=3)).map(
+            lambda edit: _MANIFEST_BYTES[:edit[0]] + edit[1] + _MANIFEST_BYTES[edit[0] + 1:]
+        ),
+    ))
+    @example(raw=b"[]")
+    @example(raw=b'{"channel": 1}')
+    @example(raw=b"\xff")
+    @example(raw=_MANIFEST_BYTES.replace(b'"height":7', b'"height":7.0'))
+    def test_snapshot_manifest(self, raw):
+        try:
+            manifest = SnapshotManifest.from_signing_bytes(raw)
+        except SnapshotError:
+            return
+        assert manifest.signing_bytes() == raw
+
+    def test_snapshot_manifest_round_trips(self):
+        manifest = SnapshotManifest.from_signing_bytes(_MANIFEST_BYTES)
+        assert manifest == _MANIFEST
 
 
 # ---------------------------------------------------------------------------
