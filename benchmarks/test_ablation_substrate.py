@@ -11,44 +11,17 @@ import time
 
 import pytest
 
-from repro.chaincode.contracts import PrivateAssetContract
 from repro.common.crypto import generate_keypair
-from repro.identity.organization import Organization
-from repro.network.channel import ChannelConfig
-from repro.network.collection import CollectionConfig
-from repro.network.network import FabricNetwork
+from repro.network.presets import wide_member_network
 from repro.orderer.service import OrderingService
 
 from _bench_utils import record
 
 
-def _wide_member_network(max_peer_count: int, member_count: int = 5) -> FabricNetwork:
-    orgs = [Organization(f"Org{i}MSP") for i in range(1, member_count + 1)]
-    channel = ChannelConfig(channel_id="fanout", organizations=orgs)
-    members = ", ".join(f"'{o.msp_id}.member'" for o in orgs)
-    channel.deploy_chaincode(
-        "pdccc",
-        endorsement_policy="MAJORITY Endorsement",
-        collections=[
-            CollectionConfig(
-                name="PDC1",
-                policy=f"OR({members})",
-                required_peer_count=0,
-                max_peer_count=max_peer_count,
-            )
-        ],
-    )
-    net = FabricNetwork(channel=channel)
-    for org in orgs:
-        net.add_peer(org.msp_id)
-    net.install_chaincode("pdccc", PrivateAssetContract())
-    return net
-
-
 class TestGossipFanout:
     @pytest.mark.parametrize("max_peer_count", [0, 1, 2, 4])
     def test_push_count_tracks_fanout(self, max_peer_count):
-        net = _wide_member_network(max_peer_count)
+        net = wide_member_network(max_peer_count).network
         endorsers = net.peers()[:3]
         net.client("Org1MSP").submit_transaction(
             "pdccc", "set_private", ["PDC1", "k"],
@@ -62,7 +35,7 @@ class TestGossipFanout:
         lines = ["Ablation — gossip fan-out vs immediate durability (5 member orgs)",
                  f"{'MaxPeerCount':>12} {'pushes':>8} {'members missing data':>22}"]
         for max_peer_count in (0, 1, 2, 4):
-            net = _wide_member_network(max_peer_count)
+            net = wide_member_network(max_peer_count).network
             net.client("Org1MSP").submit_transaction(
                 "pdccc", "set_private", ["PDC1", "k"],
                 transient={"value": b"v"}, endorsing_peers=net.peers()[:3],

@@ -3,7 +3,8 @@
 Measures, per transaction, the two latencies the paper reports:
 
 * **execution latency** — steps 1-5 of Fig. 2: proposal creation,
-  chaincode simulation at each endorser, endorsement signing, and the
+  chaincode simulation at each endorser, endorsement signing, the
+  endorsers' gossip push of private writes to collection members, and the
   client-side response checks (where New Feature 2 adds one SHA-256 and
   one extra comparison per endorser);
 * **validation latency** — steps 13-18 at one committing peer: signature
@@ -28,6 +29,7 @@ from typing import Callable, Optional, Sequence
 from repro.chaincode.contracts import ConstrainedPrivateAssetContract
 from repro.core.defense.features import FrameworkFeatures
 from repro.network.presets import TestNetwork, three_org_network
+from repro.peer.node import PeerNode
 
 COLLECTION_POLICY = "AND('Org1MSP.peer', 'Org2MSP.peer')"
 TX_TYPES = ("read", "write", "delete")
@@ -84,14 +86,15 @@ class _ValidationTimer:
 
     Setup traffic (seeding keys for delete runs) must not pollute the
     validation statistics, so the timer records samples only between
-    :meth:`arm` and :meth:`disarm`.
+    :meth:`arm` and :meth:`disarm`.  It wraps the peer's ``deliver_block``
+    before the network carries any traffic: the runtime takes each
+    peer's delivery handler when it is built, on first use.
     """
 
-    def __init__(self, net: TestNetwork, stats: LatencyStats) -> None:
+    def __init__(self, peer: PeerNode, stats: LatencyStats) -> None:
         self._stats = stats
         self._armed = False
-        victim = net.peer_of(2)
-        original = victim.deliver_block
+        original = peer.deliver_block
 
         def timed(block):
             start = time.perf_counter()
@@ -100,13 +103,7 @@ class _ValidationTimer:
                 self._stats.add(time.perf_counter() - start)
             return result
 
-        victim.deliver_block = timed  # type: ignore[method-assign]
-        # Delivery handlers captured the bound method at add_peer time;
-        # swap in the timed wrapper.
-        handlers = net.network.orderer._delivery_handlers
-        for i, handler in enumerate(handlers):
-            if getattr(handler, "__self__", None) is victim:
-                handlers[i] = timed
+        peer.deliver_block = timed  # type: ignore[method-assign]
 
     def arm(self) -> None:
         self._armed = True
@@ -131,7 +128,7 @@ class LatencyCell:
         self.result = TxLatency(
             framework=framework_label or features.describe(), tx_type=tx_type
         )
-        self._timer = _ValidationTimer(net, self.result.validation)
+        self._timer = _ValidationTimer(net.peer_of(2), self.result.validation)
         self._client = net.client_of(1)
         self._endorsers = [net.peer_of(1), net.peer_of(2)]
         # A read target that exists for every run.
@@ -166,6 +163,9 @@ class LatencyCell:
         ]
         client._check_consistency(proposal, responses)
         envelope = client.assemble(proposal, responses)
+        # The endorsers' gossip pushes are messages on the bus; delivering
+        # them (and staging the plaintext at members) is execution work.
+        net.network.runtime.run()
         self.result.execution.add(time.perf_counter() - start)
 
         self._timer.arm()

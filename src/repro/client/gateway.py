@@ -18,12 +18,17 @@ hands the client the original plaintext (Fig. 4, steps 6-7).
 Endorsement collection is **plan-based** by default (the Fabric Gateway
 model): when the caller does not pin ``endorsing_peers``, the gateway
 computes a minimal endorser set from the chaincode's endorsement policy,
-contacts only that set (in parallel sim-time when an event runtime is
-attached), completes as soon as the collected responses satisfy every
-policy validation will apply, and escalates to backup endorsers on
-failure or timeout.  ``endorsement_plan=False`` on a call restores the
-sequential endorse-everywhere path for that call (attack code and the
-sequential reference use it).
+sends the proposals as parallel ``endorse-proposal`` messages on the
+network's event runtime, completes as soon as the collected responses
+satisfy every policy validation will apply, and escalates to backup
+endorsers on failure or timeout (:mod:`repro.runtime.endorse`).  A pinned
+endorser set, or ``endorsement_plan=False`` on a call, endorses at every
+listed peer instead — one direct request/response call per peer, as in
+Fabric's SDK, which does not ride the bus (attack code and the retry
+path use it).  Either way the envelope is ordered and validated on the
+runtime:
+:meth:`Gateway.submit_transaction` is :meth:`Gateway.submit_async` plus
+``run_until_committed``.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from repro.common import crypto
 from repro.common.errors import (
     EndorsementError,
-    EndorsementPlanExhaustedError,
-    EndorsementTimeoutError,
     ProposalResponseMismatchError,
     TransactionInvalidError,
 )
@@ -134,20 +137,15 @@ class Gateway:
         plan-based collection explicitly; by default a plan is used only
         when no explicit endorser set is pinned (an explicit set keeps
         the exact endorse-everyone semantics attack code depends on).
+        The event loop runs until this transaction resolves; a plan that
+        cannot complete raises its typed
+        :class:`~repro.common.errors.EndorsementError` here.
         """
-        if self._use_plan(endorsing_peers, endorsement_plan) and (
-            self._network.runtime is not None
-        ):
-            pending = self.submit_async(
-                chaincode_id, function, args, transient=transient,
-                endorsing_peers=endorsing_peers, endorsement_plan=endorsement_plan,
-            )
-            return self._network.runtime.run_until_committed(pending)
-        envelope, payload = self._endorse_and_assemble(
-            chaincode_id, function, args, transient, endorsing_peers,
-            endorsement_plan=endorsement_plan,
+        pending = self.submit_async(
+            chaincode_id, function, args, transient=transient,
+            endorsing_peers=endorsing_peers, endorsement_plan=endorsement_plan,
         )
-        return self._network.submit_envelope(envelope, client_payload=payload)
+        return self._network.runtime.run_until_committed(pending)
 
     def submit_async(
         self,
@@ -167,22 +165,19 @@ class Gateway:
         :class:`~repro.common.errors.EndorsementError` if the plan cannot
         complete.  Otherwise endorsement stays a synchronous
         request/response round (as in Fabric's gateway) and the assembled
-        envelope is enqueued on the runtime.  Requires
-        ``network.attach_runtime()``.
+        envelope is enqueued on the runtime.
         """
-        runtime = self._network.runtime
-        if runtime is not None and self._use_plan(endorsing_peers, endorsement_plan):
+        if self._use_plan(endorsing_peers, endorsement_plan):
             peers = self._plan_candidates(endorsing_peers)
             if not peers:
                 raise EndorsementError("no endorsing peers supplied")
             proposal = self._proposal(chaincode_id, function, args, transient)
             plan = self._build_plan(chaincode_id, peers)
-            return runtime.endorse_async(
+            return self._network.runtime.endorse_async(
                 self, proposal, plan, timeout=ENDORSEMENT_TIMEOUT
             )
         envelope, payload = self._endorse_and_assemble(
-            chaincode_id, function, args, transient, endorsing_peers,
-            endorsement_plan=endorsement_plan,
+            chaincode_id, function, args, transient, endorsing_peers
         )
         return self._network.submit_envelope_async(envelope, client_payload=payload)
 
@@ -193,29 +188,16 @@ class Gateway:
         args: Sequence[str],
         transient: Optional[Mapping[str, bytes]],
         endorsing_peers: Optional[Sequence["PeerNode"]],
-        endorsement_plan: Optional[bool] = None,
     ) -> tuple[TransactionEnvelope, bytes]:
-        """Steps 1-7 of Fig. 2: endorse, check, assemble, sign.
+        """Steps 1-7 of Fig. 2 without a plan: endorse, check, assemble, sign.
 
-        The synchronous path: with planning active the endorsers are still
-        contacted one at a time (there is no bus to parallelize over), but
-        collection stops at a satisfying quorum and escalates through the
-        backups on failure — the same plan semantics as the fan-out path.
+        Every listed endorser (default: one peer per organization) is
+        asked in turn.
         """
-        use_plan = self._use_plan(endorsing_peers, endorsement_plan)
-        peers = (
-            self._plan_candidates(endorsing_peers)
-            if use_plan
-            else list(endorsing_peers or self._network.default_endorsers())
-        )
+        peers = list(endorsing_peers or self._network.default_endorsers())
         if not peers:
             raise EndorsementError("no endorsing peers supplied")
         proposal = self._proposal(chaincode_id, function, args, transient)
-
-        if use_plan:
-            plan = self._build_plan(chaincode_id, peers)
-            return self._endorse_with_plan_sync(proposal, plan)
-
         responses: list[ProposalResponse] = []
         for peer in peers:
             PERF.proposals_sent += 1
@@ -274,55 +256,6 @@ class Gateway:
             certs,
             responses[0].payload,
         )
-
-    def _endorse_with_plan_sync(
-        self, proposal: Proposal, plan: EndorsementPlan
-    ) -> tuple[TransactionEnvelope, bytes]:
-        """Plan collection without a runtime: sequential, early-quorum."""
-        responses: list[ProposalResponse] = []
-        failures: list[EndorsementError] = []
-
-        def satisfied() -> bool:
-            return bool(responses) and self._quorum_satisfied(proposal, responses)
-
-        remaining = list(plan.candidates)
-        primary_left = len(plan.primary)
-        while remaining and not satisfied():
-            peer = remaining.pop(0)
-            escalation = primary_left <= 0
-            primary_left -= 1
-            PERF.proposals_sent += 1
-            if escalation:
-                PERF.plan_escalations += 1
-            try:
-                output = self._network.request_endorsement(peer, proposal)
-            except EndorsementError as exc:
-                failures.append(exc)
-            else:
-                responses.append(output.response)
-
-        if satisfied() or (not failures and responses):
-            # Either a satisfying quorum, or every candidate endorsed OK
-            # and the pool cannot satisfy the policy — submit anyway and
-            # let validation reject (legacy endorse-everywhere semantics
-            # the §IV-A attack probes rely on).
-            return self._finalize_endorsement(proposal, responses)
-        PERF.plan_failures += 1
-        timeouts_only = bool(failures) and all(
-            isinstance(exc, EndorsementTimeoutError) for exc in failures
-        )
-        error_cls = (
-            EndorsementTimeoutError if timeouts_only else EndorsementPlanExhaustedError
-        )
-        error = error_cls(
-            f"endorsement plan for transaction {proposal.tx_id} exhausted all "
-            f"{plan.size} candidate endorsers without a satisfying quorum"
-        )
-        for exc in failures:
-            response = getattr(exc, "response", None)
-            if response is not None:
-                error.response = response  # type: ignore[attr-defined]
-        raise error from (failures[-1] if failures else None)
 
     def _finalize_endorsement(
         self, proposal: Proposal, responses: list[ProposalResponse]

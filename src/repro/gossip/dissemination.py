@@ -26,12 +26,16 @@ reconciliation on demand only.
 The push set is *rotated* deterministically from the run seed:
 ``eligible[:max_peer_count]`` would always starve the same tail peers,
 which then pay every reconciliation round.
+
+Every push is a message on the event runtime's bus, so whether the
+plaintext beats the block to a member peer is a race the latency model
+decides.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
 from repro.common.errors import GossipError
@@ -44,20 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
     from repro.peer.node import PeerNode
 
-#: Pluggable push transport: (source, target, tx_id, writes tuple).
-#: ``None`` means direct synchronous delivery; the event runtime installs
-#: a transport that schedules the payload as a bus message instead,
-#: making gossip-vs-block-delivery races observable.
-GossipBatchTransport = Callable[
-    ["PeerNode", "PeerNode", str, tuple[PrivateCollectionWrites, ...]], None
-]
-
-#: Pluggable snapshot-signature transport: (source, target, manifest,
-#: certificate, signature).  Same contract as
-#: :data:`GossipBatchTransport`.
-SnapshotSigTransport = Callable[
-    ["PeerNode", "PeerNode", "SnapshotManifest", "Certificate", bytes], None
-]
+#: Bus topics of the two pushes; the runtime's peer handler dispatches on
+#: them.
+TOPIC_GOSSIP_BATCH = "gossip-batch"
+TOPIC_SNAPSHOT_SIG = "snapshot-sig"
 
 
 def payload_bytes(writes: PrivateCollectionWrites) -> int:
@@ -72,10 +66,17 @@ def payload_bytes(writes: PrivateCollectionWrites) -> int:
 
 
 class GossipNetwork:
-    """The channel-wide gossip membership view."""
+    """The channel-wide gossip membership view.
 
-    def __init__(self, channel: "ChannelConfig") -> None:
+    ``send(source, target, topic, payload)`` puts one message on the bus
+    (:meth:`~repro.runtime.bus.MessageBus.send` over peer names).
+    """
+
+    def __init__(
+        self, channel: "ChannelConfig", send: Callable[[str, str, str, Any], object]
+    ) -> None:
         self._channel = channel
+        self._send = send
         self._peers: list["PeerNode"] = []
         #: Seed for deterministic push-set rotation and anti-entropy source
         #: selection; ``attach_runtime`` overwrites it with the run seed.
@@ -87,12 +88,14 @@ class GossipNetwork:
         self.bytes_sent = 0  # private-rwset + digest wire bytes
         self.snapshot_sigs = 0  # snapshot-signature broadcast counter
         self.snapshot_fetches = 0  # snapshot packages served to bootstrappers
-        self.batch_transport: Optional[GossipBatchTransport] = None
-        self.snapshot_transport: Optional[SnapshotSigTransport] = None
         self._member_memo: dict[tuple[str, str], tuple["PeerNode", ...]] = {}
 
     def register_peer(self, peer: "PeerNode") -> None:
         self._peers.append(peer)
+        self._member_memo.clear()
+
+    def unregister_peer(self, peer: "PeerNode") -> None:
+        self._peers.remove(peer)
         self._member_memo.clear()
 
     def peers(self) -> list["PeerNode"]:
@@ -173,10 +176,7 @@ class GossipNetwork:
         for target, records in queues.items():
             batch = tuple(records)
             size = sum(payload_bytes(writes) for writes in batch)
-            if self.batch_transport is not None:
-                self.batch_transport(endorsing_peer, target, tx_id, batch)
-            else:
-                target.receive_private_batch(tx_id, batch)
+            self._send(endorsing_peer.name, target.name, TOPIC_GOSSIP_BATCH, (tx_id, batch))
             self.batched_payloads += 1
             self.bytes_sent += size
             PERF.gossip_batched_payloads += 1
@@ -196,10 +196,10 @@ class GossipNetwork:
         for target in self._peers:
             if target is source:
                 continue
-            if self.snapshot_transport is not None:
-                self.snapshot_transport(source, target, manifest, certificate, signature)
-            elif not target.crashed:
-                target.receive_snapshot_sig(manifest, certificate, signature)
+            self._send(
+                source.name, target.name, TOPIC_SNAPSHOT_SIG,
+                (manifest, certificate, signature),
+            )
             sent += 1
             self.snapshot_sigs += 1
         return sent

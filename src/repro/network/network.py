@@ -4,7 +4,8 @@
 attack/defense experiments) interact with.  It owns the wiring of Fig. 1:
 organizations contribute peers and clients, peers register with the gossip
 layer and with block delivery, and the ordering service turns submitted
-envelopes into blocks every peer validates independently.
+envelopes into blocks every peer validates independently.  Every message
+between them rides one event runtime, :attr:`FabricNetwork.runtime`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.common.tracing import PERF, Tracer
 from repro.core.defense.features import FrameworkFeatures
 from repro.gossip.dissemination import GossipNetwork
 from repro.gossip.reconciler import Reconciler
-from repro.ledger.snapshot import bootstrap_from_package
 from repro.network.channel import ChannelConfig
 from repro.orderer.reorder import ReorderPipeline, conflict_scopes
 from repro.orderer.service import OrderingService
@@ -81,7 +81,10 @@ class FabricNetwork:
                 f"anti-entropy cadence must be >= 0, got {anti_entropy_every}"
             )
         self.anti_entropy_every = anti_entropy_every
-        self.gossip = GossipNetwork(channel)
+        # The runtime is looked up per message: it may be built later.
+        self.gossip = GossipNetwork(
+            channel, send=lambda *message: self.runtime.bus.send(*message)
+        )
         self.reconciler = Reconciler(self.gossip)
         # Conflict-aware ordering: the orderer reorders each cut batch
         # along its conflict graph and early-aborts provably doomed
@@ -92,7 +95,6 @@ class FabricNetwork:
             reorderer=ReorderPipeline(channel, self.features) if reorder else None,
         )
         self._peers: dict[str, PeerNode] = {}
-        self._peer_delivery: dict[str, Callable[["Block"], object]] = {}
         self.tracer = tracer
         if reorder and tracer is not None:
             self.orderer.on_early_abort(
@@ -101,12 +103,12 @@ class FabricNetwork:
                     reason=reason, conflict_block=conflict_block,
                 )
             )
-        self.runtime: "TransactionRuntime | None" = None
+        self._runtime: "TransactionRuntime | None" = None
 
     # -- topology ------------------------------------------------------------
     def _build_peer(
         self, msp_id: str, name: str, features: FrameworkFeatures | None
-    ) -> tuple[PeerNode, Callable[["Block"], object]]:
+    ) -> PeerNode:
         """Enroll, construct and gossip-register a peer (no delivery yet)."""
         org = self.channel.organization(msp_id)
         identity = org.enroll_peer(name)
@@ -130,9 +132,7 @@ class FabricNetwork:
                 source, manifest, cert, sig
             )
         )
-        handler = self._build_delivery_handler(peer)
-        self._peer_delivery[peer.name] = handler
-        return peer, handler
+        return peer
 
     def add_peer(
         self,
@@ -140,12 +140,14 @@ class FabricNetwork:
         name: str = "peer0",
         features: FrameworkFeatures | None = None,
     ) -> PeerNode:
-        """Create a peer for ``msp_id`` and wire it into gossip + delivery."""
-        peer, handler = self._build_peer(msp_id, name, features)
-        if self.runtime is not None:
-            self.runtime.register_peer(peer, handler)
-        else:
-            self.orderer.register_delivery(handler)
+        """Create a peer for ``msp_id`` and wire it into gossip + delivery.
+
+        A peer added after traffic catches up on the orderer's backlog
+        now; before traffic, the runtime registers it when it is built.
+        """
+        peer = self._build_peer(msp_id, name, features)
+        if self._runtime:
+            self._admit(peer, self._runtime.register_peer)
         return peer
 
     def join_peer(
@@ -163,23 +165,35 @@ class FabricNetwork:
         :class:`~repro.common.errors.PrunedBacklogError` if the backlog no
         longer reaches back to genesis).
         """
-        peer, handler = self._build_peer(msp_id, name, features)
-        if self.runtime is not None:
-            self.runtime.join_peer(peer, handler)
-            return peer
-        if self.snapshot_every:
-            package = self.gossip.fetch_snapshot(
-                peer, min_height=self.orderer.backlog_offset
-            )
-            if package is not None and package.manifest.height > peer.ledger.height:
-                bootstrap_from_package(peer.ledger, package, self.channel)
-        for block in self.orderer.blocks_since(peer.ledger.height):
-            handler(block)
-        self.orderer.register_delivery(handler, replay=False)
+        runtime = self.runtime
+        peer = self._build_peer(msp_id, name, features)
+        self._admit(peer, runtime.join_peer)
         return peer
 
-    def _build_delivery_handler(self, peer: PeerNode) -> Callable[["Block"], object]:
-        """The (optionally traced) block-delivery callable for one peer."""
+    def _admit(
+        self,
+        peer: PeerNode,
+        register: Callable[[PeerNode, Callable[["Block"], object]], None],
+    ) -> None:
+        """Hand a built peer to the runtime.  A refused peer (a pruned
+        backlog) is unbuilt, or gossip would push to it with no bus
+        endpoint."""
+        try:
+            register(peer, self.delivery_handler_for(peer))
+        except Exception:
+            del self._peers[peer.name]
+            self.gossip.unregister_peer(peer)
+            peer.ledger.backend.close()
+            raise
+
+    def delivery_handler_for(self, peer: PeerNode) -> Callable[["Block"], object]:
+        """The (optionally traced) block-delivery callable for ``peer``.
+
+        The runtime asks for it when the peer registers, and an untraced
+        handler is the peer's ``deliver_block`` at that moment.
+        """
+        if self._peers.get(peer.name) is not peer:
+            raise ConfigError(f"peer {peer.name!r} is not part of this network")
         if self.tracer is None:
             return peer.deliver_block
 
@@ -198,13 +212,16 @@ class FabricNetwork:
 
         return traced_delivery
 
-    def delivery_handler_for(self, peer: PeerNode) -> Callable[["Block"], object]:
-        try:
-            return self._peer_delivery[peer.name]
-        except KeyError:
-            raise ConfigError(f"peer {peer.name!r} is not part of this network") from None
-
     # -- the event-driven runtime ---------------------------------------------
+    @property
+    def runtime(self) -> "TransactionRuntime":
+        """The event runtime every message of this network rides.
+
+        :meth:`attach_runtime` configures it; a network that never calls
+        it gets one with the defaults on first use.
+        """
+        return self._runtime or self.attach_runtime()
+
     def attach_runtime(
         self,
         seed: int = 0,
@@ -214,24 +231,28 @@ class FabricNetwork:
         mempool_limit: int | None = None,
         validate_cost=None,
     ) -> "TransactionRuntime":
-        """Switch this network onto the event-driven transaction runtime.
+        """Build this network's event runtime with the given settings.
 
-        Afterwards gossip pushes and block deliveries travel as scheduled
-        messages, ``submit_async`` pipelines transactions, and the
-        synchronous ``submit_transaction`` becomes a thin wrapper that
-        runs the event loop until its own commit.  Attach the runtime
-        *after* adding peers but before submitting traffic.
+        Gossip pushes, endorsement proposals and block deliveries travel
+        as scheduled messages; ``submit_async`` pipelines transactions and
+        the synchronous ``submit_transaction`` runs the event loop until
+        its own commit.  Call it once, after adding peers and before any
+        traffic: the first traffic builds the runtime with these defaults,
+        and attaching after that raises :class:`ConfigError`.
 
         ``mempool_limit`` bounds transactions in flight (default:
         unbounded); ``validate_cost`` attaches a
         :class:`~repro.runtime.executor.ValidationCostModel` charging each
         block's validation its simulated service time.
         """
-        if self.runtime is not None:
-            raise ConfigError("a runtime is already attached to this network")
+        if self._runtime:
+            raise ConfigError(
+                "this network already has a runtime: attach_runtime() must "
+                "be called once, before any traffic"
+            )
         from repro.runtime.runtime import DEFAULT_BATCH_TIMEOUT, TransactionRuntime
 
-        runtime = TransactionRuntime(
+        self._runtime = TransactionRuntime(
             self,
             seed=seed,
             latency=latency,
@@ -242,8 +263,7 @@ class FabricNetwork:
             mempool_limit=mempool_limit,
             validate_cost=validate_cost,
         )
-        self.runtime = runtime
-        return runtime
+        return self._runtime
 
     def peer(self, name: str) -> PeerNode:
         try:
@@ -340,54 +360,23 @@ class FabricNetwork:
 
         The returned status is the flag computed by the peers — honest
         peers always agree because validation is deterministic over the
-        same block and (converged) state.
-
-        With a runtime attached this is the synchronous compatibility
-        wrapper: the envelope is enqueued like any async submission and
-        the event loop runs until its commit resolves (so it pays the
-        batch timeout instead of force-flushing a one-transaction block).
+        same block and (converged) state — or ``ORDERER_EARLY_ABORT``.
+        The envelope is enqueued like any async submission and the event
+        loop runs until its commit resolves, so a partial batch pays the
+        batch timeout in simulated time.
         """
-        if self.tracer:
-            self.tracer.record(
-                "client", "assemble+submit", envelope.tx_id,
-                endorsements=len(envelope.endorsements),
-            )
-        if self.runtime is not None:
-            pending = self.runtime.submit(envelope, client_payload)
-            return self.runtime.run_until_committed(pending)
-        self.orderer.submit(envelope)
-        self.orderer.flush()
-        if self.orderer.early_abort_info(envelope.tx_id) is not None:
-            # Early-aborted envelopes never reach a block, so no peer has
-            # a status for them — the orderer's verdict is the outcome.
-            return SubmitResult(
-                tx_id=envelope.tx_id,
-                status=ValidationCode.ORDERER_EARLY_ABORT,
-                payload=client_payload,
-                envelope=envelope,
-            )
-        status = self.status_of(envelope.tx_id)
-        return SubmitResult(
-            tx_id=envelope.tx_id,
-            status=status,
-            payload=client_payload,
-            envelope=envelope,
-        )
+        pending = self.submit_envelope_async(envelope, client_payload)
+        return self.runtime.run_until_committed(pending)
 
     def submit_envelope_async(
         self, envelope: TransactionEnvelope, client_payload: bytes = b""
     ) -> "PendingTransaction":
         """Enqueue an assembled envelope on the runtime; returns a future.
 
-        The pipelined counterpart of :meth:`submit_envelope` — requires an
-        attached runtime and does *not* advance the event loop, so many
-        transactions can be put in flight before any block is cut.
+        The pipelined counterpart of :meth:`submit_envelope`: it does *not*
+        advance the event loop, so many transactions can be put in flight
+        before any block is cut.
         """
-        if self.runtime is None:
-            raise ConfigError(
-                "submit_envelope_async needs an event runtime — "
-                "call network.attach_runtime() first"
-            )
         if self.tracer:
             self.tracer.record(
                 "client", "assemble+submit", envelope.tx_id,

@@ -7,6 +7,8 @@ Three presets reproduce the paper's experimental setups:
   (the default and, per the GitHub study, by far the most common policy).
 * :func:`five_org_network` — adds org4 and org5 with the chaincode-level
   ``2OutOf(org1..org5)`` policy of §V-A5.
+* :func:`wide_member_network` — every org a PDC1 member, the gossip
+  fan-out ablation's network.
 * any preset accepts ``collection_policy`` to add the §V-A6
   collection-level ``AND(org1, org2)`` policy, and ``features`` to run on
   the defended (modified) framework.
@@ -20,13 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.chaincode.contracts import PrivateAssetContract
 from repro.client.gateway import Gateway
 from repro.core.defense.features import FrameworkFeatures
+from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.peer.node import PeerNode
+from repro.protocol.proposal import reset_nonce_counter
 
 CHAINCODE = "pdccc"
 COLLECTION = "PDC1"
@@ -95,8 +100,8 @@ def three_org_network(
     """The §V-A prototype: 3 orgs, PDC1 = {org1, org2}, MAJORITY policy.
 
     ``batch_size`` feeds the orderer's block cutter; it only matters once
-    an event runtime pipelines submissions (the synchronous path flushes
-    per transaction regardless).
+    submissions are pipelined (a lone synchronous submit into a larger
+    batch is cut by the batch timeout, in simulated time).
     """
     return _build(
         org_count=3,
@@ -106,6 +111,28 @@ def three_org_network(
         features=features or FrameworkFeatures.original(),
         batch_size=batch_size,
     )
+
+
+def wide_member_network(max_peer_count: int, member_count: int = 5) -> TestNetwork:
+    """Every org a PDC1 member, so ``MaxPeerCount`` alone sets the fan-out.
+
+    Tx ids, and with them the seeded push rotation, come from
+    process-global counters; they are reset here so the push targets do
+    not depend on what ran earlier in the process.
+    """
+    reset_ca_instance_counter()
+    reset_nonce_counter()
+    net = _build(
+        org_count=member_count,
+        member_org_nums=tuple(range(1, member_count + 1)),
+        chaincode_policy="MAJORITY Endorsement",
+        collection_policy=None,
+        features=FrameworkFeatures.original(),
+        required_peer_count=0,
+        max_peer_count=max_peer_count,
+    )
+    net.network.install_chaincode(CHAINCODE, PrivateAssetContract())
+    return net
 
 
 def five_org_network(

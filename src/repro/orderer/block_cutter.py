@@ -1,8 +1,9 @@
 """The block cutter: batching envelopes into block-sized groups.
 
 Orderers "collect a pre-defined number of transactions or wait a
-pre-defined time" (Section II-B2) before cutting a block.  Time is modeled
-in ticks of the ordering loop.
+pre-defined time" (Section II-B2) before cutting a block.  The cutter
+cuts on size; the wait is the event runtime's batch-timeout timer, which
+flushes the partial batch when it fires.
 """
 
 from __future__ import annotations
@@ -12,17 +13,14 @@ from dataclasses import dataclass, field
 from repro.protocol.transaction import TransactionEnvelope
 
 DEFAULT_BATCH_SIZE = 10
-DEFAULT_BATCH_TIMEOUT_TICKS = 2
 
 
 @dataclass
 class BlockCutter:
-    """Accumulates envelopes; cuts on size or timeout."""
+    """Accumulates envelopes; cuts on size or when flushed."""
 
     batch_size: int = DEFAULT_BATCH_SIZE
-    batch_timeout_ticks: int = DEFAULT_BATCH_TIMEOUT_TICKS
     _pending: list[TransactionEnvelope] = field(default_factory=list)
-    _ticks_waiting: int = 0
 
     def add(self, envelope: TransactionEnvelope) -> list[tuple[TransactionEnvelope, ...]]:
         """Add an envelope; returns zero or more cut batches.
@@ -37,16 +35,6 @@ class BlockCutter:
             batches.append(self._cut(self.batch_size))
         return batches
 
-    def tick(self) -> list[tuple[TransactionEnvelope, ...]]:
-        """Advance the batch timer; cut on expiry."""
-        if not self._pending:
-            self._ticks_waiting = 0
-            return []
-        self._ticks_waiting += 1
-        if self._ticks_waiting >= self.batch_timeout_ticks:
-            return [self._cut()]
-        return []
-
     def flush(self) -> list[tuple[TransactionEnvelope, ...]]:
         """Force-cut whatever is pending, draining in ``batch_size`` batches.
 
@@ -59,20 +47,11 @@ class BlockCutter:
             batches.append(self._cut(self.batch_size))
         return batches
 
-    def _cut(self, count: int | None = None) -> tuple[TransactionEnvelope, ...]:
-        if count is None or count >= len(self._pending):
-            batch = tuple(self._pending)
-            self._pending = []
-        else:
-            batch = tuple(self._pending[:count])
-            self._pending = self._pending[count:]
-        self._ticks_waiting = 0
+    def _cut(self, count: int) -> tuple[TransactionEnvelope, ...]:
+        batch = tuple(self._pending[:count])
+        self._pending = self._pending[count:]
         return batch
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def peek_pending(self) -> tuple[TransactionEnvelope, ...]:
-        """The accumulated-but-uncut envelopes (observability only)."""
-        return tuple(self._pending)

@@ -5,7 +5,7 @@ transaction content** (Section II-B2) — a property the paper's attacks
 rely on: a fabricated-but-well-formed transaction is ordered like any
 other.  Each cut batch is replicated through the Raft cluster; once the
 cluster commits it, the service seals it into a hash-chained block and
-delivers it to every registered peer.
+hands it to every registered delivery handler.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ class OrderingService:
         self,
         cluster_size: int = 3,
         batch_size: int = 10,
-        batch_timeout_ticks: int = 2,
         raft_rng: Optional[random.Random] = None,
         reorderer: Optional[Any] = None,
     ) -> None:
-        self._cutter = BlockCutter(batch_size=batch_size, batch_timeout_ticks=batch_timeout_ticks)
+        self._cutter = BlockCutter(batch_size=batch_size)
         self._cluster = RaftCluster(
             size=cluster_size, on_commit=self._on_raft_commit, rng=raft_rng
         )
@@ -139,14 +138,14 @@ class OrderingService:
         return count
 
     def register_delivery(self, handler: BlockDeliveryHandler, replay: bool = True) -> None:
-        """Subscribe a peer's ``deliver_block`` to new blocks.
+        """Subscribe ``handler`` to new blocks.
 
         With ``replay`` (the default) blocks already ordered are replayed
-        first — archived prefix included — so a peer joining the channel
-        late catches up from block 0; Fabric's deliver service behaves
-        the same way.  The event runtime's dispatcher registers with
-        ``replay=False``: the peers it fans out to already received the
-        backlog directly.
+        first — archived prefix included — so a consumer joining late
+        catches up from block 0; Fabric's deliver service behaves the
+        same way.  The event runtime's dispatcher registers with
+        ``replay=False``: it fans each new block out to the peers, which
+        catch up on the backlog through :meth:`blocks_since`.
         """
         if replay:
             for block in self._archived_blocks:
@@ -154,10 +153,6 @@ class OrderingService:
             for block in self._delivered_blocks:
                 handler(block)
         self._delivery_handlers.append(handler)
-
-    def clear_delivery_handlers(self) -> None:
-        """Drop every subscriber (used when a runtime takes over delivery)."""
-        self._delivery_handlers.clear()
 
     # -- ordering phase -----------------------------------------------------
     def submit(self, envelope: TransactionEnvelope) -> None:
@@ -167,13 +162,8 @@ class OrderingService:
         for batch in self._cutter.add(envelope):
             self._process_batch(batch)
 
-    def tick(self) -> None:
-        """Advance batch timers (cuts on timeout)."""
-        for batch in self._cutter.tick():
-            self._process_batch(batch)
-
     def flush(self) -> None:
-        """Cut and order whatever is pending — used to finish a scenario."""
+        """Cut and order whatever is pending (the batch timeout's action)."""
         for batch in self._cutter.flush():
             self._process_batch(batch)
 

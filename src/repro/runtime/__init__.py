@@ -4,10 +4,11 @@ A deterministic, seedable discrete-event scheduler
 (:class:`EventScheduler`), a message bus with per-link queues
 (:class:`MessageBus`), pluggable latency/fault models
 (:class:`LatencyModel`, :class:`FaultInjector`), and the
-:class:`TransactionRuntime` that rewires a
-:class:`~repro.network.network.FabricNetwork` onto them so hundreds of
+:class:`TransactionRuntime` that runs a
+:class:`~repro.network.network.FabricNetwork` on them so hundreds of
 transactions can race through endorsement → ordering → delivery
-concurrently.  Attach one with ``network.attach_runtime(seed=...)``.
+concurrently.  Every network has one; configure it with
+``network.attach_runtime(seed=...)`` before any traffic.
 
 The package also hosts the :mod:`validation cost model
 <repro.runtime.executor>` that charges a block's validation simulated

@@ -1,7 +1,7 @@
 """Parallel endorsement collection over the message bus (Fabric Gateway).
 
-The sequential gateway contacts endorsers one blocking call at a time.
-With a runtime attached, :meth:`TransactionRuntime.endorse_async` instead
+Without a plan the gateway contacts endorsers one blocking call at a
+time.  With one, :meth:`TransactionRuntime.endorse_async` instead
 dispatches the plan's opening wave as ``endorse-proposal`` messages — so
 the endorsers simulate in parallel simulated time — and an
 :class:`EndorsementCollector` gathers the ``endorse-result`` replies:

@@ -1,15 +1,18 @@
-"""The event-driven transaction runtime: pipelined submit/order/deliver.
+"""The event-driven transaction runtime: the one engine every network runs on.
 
-The seed simulator ran Fig. 2 as one synchronous call chain — submit an
-envelope, flush the orderer, read the flag — so exactly one transaction
-was ever in flight and ``batch_size`` never mattered.
-:class:`TransactionRuntime` decouples the three phases onto the message
-bus:
+Fig. 2 is a set of messages — client → endorsers → orderer → peers, with
+gossip between peers — and :class:`TransactionRuntime` carries each of
+them on the message bus:
 
-* **submit** — :meth:`Gateway.submit_async` endorses and assembles as
-  before (endorsement is a synchronous client RPC round in Fabric too),
-  then posts the envelope on the ``client → orderer`` link and returns a
-  :class:`PendingTransaction` future;
+* **endorse** — with an endorsement plan, proposals go out as
+  ``endorse-proposal`` messages and an
+  :class:`~repro.runtime.endorse.EndorsementCollector` gathers the
+  replies; with a pinned endorser set and no plan,
+  :meth:`Gateway.submit_async` asks each endorser in turn (a synchronous
+  request/response round, as in Fabric's SDK);
+* **submit** — the assembled envelope is posted on the ``client →
+  orderer`` link and the caller holds a :class:`PendingTransaction`
+  future;
 * **order** — the orderer consumes envelopes from its inbox, cutting
   blocks by batch *size* immediately and by batch *timeout* via a
   scheduler timer armed when the first envelope of a batch arrives;
@@ -18,24 +21,28 @@ bus:
   validates + commits when the message arrives, and once every peer has
   committed a block the runtime resolves the futures of its
   transactions;
-* **gossip** — private-data dissemination rides the bus as
-  ``gossip-batch`` messages, so whether plaintext beats the block to a
-  member peer is a genuine race governed by the latency model.
+* **gossip** — private-data dissemination and snapshot signatures ride
+  the bus as ``gossip-batch`` / ``snapshot-sig`` messages, so whether
+  plaintext beats the block to a member peer is a genuine race governed
+  by the latency model.
 
 Hundreds of transactions can be in flight at once; MVCC conflicts, block
 packing, and gossip/delivery races all emerge from the schedule.  With a
 fixed seed the schedule — and therefore every block and every validation
 flag — is exactly reproducible.
 
-The synchronous API stays available: with a runtime attached,
-``submit_transaction`` becomes ``submit_async`` + ``run_until_committed``.
+Every :class:`~repro.network.network.FabricNetwork` has one:
+``network.attach_runtime(...)`` configures it before any traffic, and a
+network that never calls it gets one with the defaults on first use.
+The synchronous API is a wrapper over it: ``submit_transaction`` and
+``submit_envelope`` submit, then
+:meth:`TransactionRuntime.run_until_committed`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.chaincode.rwset import PrivateCollectionWrites
 from repro.client.gateway import SubmitResult
 from repro.common.errors import (
     ConfigError,
@@ -45,6 +52,7 @@ from repro.common.errors import (
     SchedulerError,
 )
 from repro.gossip.anti_entropy import ANTI_ENTROPY_TOPICS, AntiEntropyEngine
+from repro.gossip.dissemination import TOPIC_GOSSIP_BATCH, TOPIC_SNAPSHOT_SIG
 from repro.ledger.block import Block
 from repro.ledger.snapshot import bootstrap_from_package
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
@@ -63,10 +71,8 @@ DEFAULT_BATCH_TIMEOUT = 10.0
 
 TOPIC_SUBMIT = "submit"
 TOPIC_DELIVER = "deliver-block"
-TOPIC_GOSSIP_BATCH = "gossip-batch"
 TOPIC_ENDORSE = "endorse-proposal"
 TOPIC_ENDORSE_RESULT = "endorse-result"
-TOPIC_SNAPSHOT_SIG = "snapshot-sig"
 
 #: Every topic carrying private-data gossip traffic (dissemination plus
 #: the anti-entropy exchange) — what a "gossip blackout" fault window or
@@ -158,7 +164,7 @@ class _BlockProgress:
 
 
 class TransactionRuntime:
-    """Owns the scheduler + bus and rewires a network onto them."""
+    """Owns the scheduler + bus and runs a network on them."""
 
     def __init__(
         self,
@@ -220,16 +226,13 @@ class TransactionRuntime:
 
         self.bus.register(ORDERER_ENDPOINT, self._on_orderer_message)
         self.bus.register(GATEWAY_ENDPOINT, self._on_gateway_message)
-        # Take over block delivery: the dispatcher fans each cut block out
-        # onto per-peer links instead of calling peers inline.  No replay —
-        # already-delivered blocks reached the peers synchronously.
-        network.orderer.clear_delivery_handlers()
+        # Block delivery: the dispatcher fans each cut block out onto
+        # per-peer links.  No replay — registering a peer pulls the
+        # backlog it is missing through the orderer's cursor.
         network.orderer.register_delivery(self._dispatch_block, replay=False)
         network.orderer.on_early_abort(self._on_early_abort)
         for peer in network.peers():
             self.register_peer(peer, network.delivery_handler_for(peer))
-        network.gossip.batch_transport = self._send_gossip_batch
-        network.gossip.snapshot_transport = self._send_snapshot_sig
         # The run seed drives deterministic push-set rotation and the
         # anti-entropy source rotation, so a replayed seed picks the same
         # targets.
@@ -253,7 +256,7 @@ class TransactionRuntime:
 
     # -- topology ------------------------------------------------------------
     def register_peer(self, peer: "PeerNode", deliver: Callable[[Block], object]) -> None:
-        """Give ``peer`` an inbox; late joiners catch up synchronously.
+        """Give ``peer`` an inbox; a peer behind the orderer catches up now.
 
         The catch-up pulls only the blocks past the peer's current height
         through the orderer's cursor — O(missed blocks), not O(chain).  A
@@ -653,24 +656,6 @@ class TransactionRuntime:
         for block in self.network.orderer.blocks_since(cursor):
             buffer.setdefault(block.header.number, block)
         return self._drain_inbound(peer)
-
-    # -- the gossip plane ----------------------------------------------------
-    def _send_gossip_batch(
-        self,
-        source: "PeerNode",
-        target: "PeerNode",
-        tx_id: str,
-        batch: tuple[PrivateCollectionWrites, ...],
-    ) -> None:
-        self.bus.send(source.name, target.name, TOPIC_GOSSIP_BATCH, (tx_id, batch))
-
-    def _send_snapshot_sig(
-        self, source: "PeerNode", target: "PeerNode", manifest, certificate, signature
-    ) -> None:
-        self.bus.send(
-            source.name, target.name, TOPIC_SNAPSHOT_SIG,
-            (manifest, certificate, signature),
-        )
 
     # -- snapshot checkpointing ----------------------------------------------
     def _on_peer_sealed(self, peer: "PeerNode", manifest) -> None:

@@ -280,7 +280,6 @@ def execute(
     """
     sim = build_network(config)
     runtime = sim.network.runtime
-    assert runtime is not None
     if weaken is not None:
         WEAKENERS[weaken](sim)
 

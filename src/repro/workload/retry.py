@@ -117,8 +117,6 @@ def submit_with_retry_async(
     and ``on_final`` fires exactly once when the outcome is settled.
     """
     runtime = network.runtime
-    if runtime is None:
-        raise ReproError("submit_with_retry_async needs an attached runtime")
     policy = policy or RetryPolicy()
     rng = rng or random.Random("retry")
     handle = RetryHandle()
@@ -147,8 +145,7 @@ def submit_with_retry_async(
         handle.attempts += 1
         try:
             envelope, payload = client._endorse_and_assemble(  # noqa: SLF001
-                chaincode_id, function, list(args), transient,
-                endorsing_peers, endorsement_plan=False,
+                chaincode_id, function, list(args), transient, endorsing_peers
             )
         except ReproError as exc:
             finish(error=exc)

@@ -254,13 +254,18 @@ class TestPlanEscalationRobustness:
         assert PERF.plan_failures == 1
         assert PERF.plan_escalations == 1
 
-    def test_sync_plan_exhaustion_without_runtime(self):
-        """The sequential plan path raises the same typed error."""
+    def test_sync_plan_exhaustion_arrives_through_the_collector(self):
+        """The synchronous submit runs its plan on the runtime's collector
+        and raises the collector's typed error."""
         net = _majority_network()
         for peer in net.peers()[1:]:
             peer._endorser._chaincodes.pop("assetcc")  # noqa: SLF001
-        with pytest.raises(EndorsementPlanExhaustedError):
+        with pytest.raises(EndorsementPlanExhaustedError) as excinfo:
             net.client("Org1MSP").submit_transaction("assetcc", "create_asset", ["z", "1"])
+        assert set(excinfo.value.failures) == {  # type: ignore[attr-defined]
+            "peer0.Org2MSP",
+            "peer0.Org3MSP",
+        }
 
 
 # ---------------------------------------------------------------------------

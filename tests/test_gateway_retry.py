@@ -74,7 +74,7 @@ class TestSubmitWithRetry:
     def test_gives_up_after_max_attempts(self, network):
         """Perpetual contention: retry returns the last conflicted result."""
         client, endorsers = self._seed(network)
-        original = network.submit_envelope
+        original = network.submit_envelope_async
 
         def always_preempt(envelope, client_payload=b""):
             if envelope.function == "add_private":
@@ -85,7 +85,7 @@ class TestSubmitWithRetry:
                 ).raise_for_status()
             return original(envelope, client_payload)
 
-        network.submit_envelope = always_preempt
+        network.submit_envelope_async = always_preempt
         result = client.submit_with_retry(
             "pdccc", "add_private", ["PDC1", "n", "5"],
             endorsing_peers=endorsers, max_attempts=2,

@@ -11,6 +11,7 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+from repro.network.presets import wide_member_network
 
 
 class _WriteEveryCollection(PrivateAssetContract):
@@ -82,6 +83,7 @@ class TestDissemination:
             ),
         )
         assert output.private_writes
+        net.runtime.run()  # the pushes ride the bus
         # Members received the plaintext into their transient stores.
         for org in ("Org1MSP", "Org2MSP"):
             peer = net.peers_of(org)[0]
@@ -113,6 +115,33 @@ class TestDissemination:
         net = _network()
         members = net.gossip.member_peers("pdccc", "PDC1")
         assert {p.msp_id for p in members} == {"Org1MSP", "Org2MSP"}
+
+
+class TestPushTargetsIgnorePriorTraffic:
+    """The push set is a function of the run seed and the tx id, and tx
+    ids come from process-global counters: the fan-out ablation's network
+    pushes to the same members whatever ran earlier in the process."""
+
+    @staticmethod
+    def _holders_at_commit(max_peer_count: int) -> list[str]:
+        """Peers holding the plaintext when the block commits: the three
+        endorsers plus their push targets (the rest record a gap)."""
+        net = wide_member_network(max_peer_count).network
+        net.client("Org1MSP").submit_transaction(
+            "pdccc", "set_private", ["PDC1", "k"],
+            transient={"value": b"v"}, endorsing_peers=net.peers()[:3],
+        ).raise_for_status()
+        return sorted(p.name for p in net.peers() if not p.ledger.missing_private)
+
+    @pytest.mark.parametrize("max_peer_count", [1, 2])
+    def test_same_targets_alone_and_after_other_traffic(self, max_peer_count):
+        alone = self._holders_at_commit(max_peer_count)
+        other = _network()
+        other.client("Org1MSP").submit_transaction(
+            "pdccc", "set_private", ["PDC1", "elsewhere"],
+            transient={"value": b"w"}, endorsing_peers=other.peers()[:2],
+        ).raise_for_status()
+        assert self._holders_at_commit(max_peer_count) == alone
 
 
 class TestReconciliation:
@@ -313,6 +342,7 @@ class TestRotation:
                     "pdccc", "set_private", ["PDC1", f"k{i}"], {"value": b"v"}
                 ),
             )
+            net.runtime.run()  # the push rides the bus
             got = [p.name for p in others
                    if len(p.ledger.transient_store) > before[p.name]]
             assert len(got) == 1  # the cap admits exactly one target

@@ -175,6 +175,7 @@ class TestPrivateDataWorkflow:
         public_network.orderer.submit(envelopes[0])
         public_network.orderer.submit(envelopes[1])
         public_network.orderer.flush()
+        public_network.runtime.run()  # deliver the cut block
         peer = public_network.peers_of("Org1MSP")[0]
         flags = [peer.transaction_status(e.tx_id) for e in envelopes]
         assert flags == [ValidationCode.VALID, ValidationCode.MVCC_READ_CONFLICT]

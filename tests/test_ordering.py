@@ -44,17 +44,9 @@ class TestBlockCutter:
         batches = cutter.add(_envelope("2"))
         assert len(batches) == 1 and len(batches[0]) == 2
 
-    def test_cut_on_timeout(self):
-        cutter = BlockCutter(batch_size=10, batch_timeout_ticks=2)
-        cutter.add(_envelope())
-        assert cutter.tick() == []
-        batches = cutter.tick()
-        assert len(batches) == 1 and len(batches[0]) == 1
-
-    def test_timer_resets_when_empty(self):
-        cutter = BlockCutter(batch_size=10, batch_timeout_ticks=1)
-        assert cutter.tick() == []
-        assert cutter.tick() == []
+    # The batch timeout is the runtime's scheduler timer, which flushes
+    # the cutter: tests/test_runtime.py::TestPipelinedRuntime::
+    # test_partial_batch_cut_by_timeout.
 
     def test_flush(self):
         cutter = BlockCutter(batch_size=10)
@@ -100,14 +92,6 @@ class TestOrderingService:
         service.submit(_envelope("a"))
         assert received == []
         service.flush()
-        assert len(received) == 1
-
-    def test_tick_timeout_cuts(self):
-        service = OrderingService(cluster_size=1, batch_size=10, batch_timeout_ticks=1)
-        received: list[Block] = []
-        service.register_delivery(received.append)
-        service.submit(_envelope("a"))
-        service.tick()
         assert len(received) == 1
 
     def test_content_not_validated(self):

@@ -170,6 +170,7 @@ class TestValidatorThroughPipeline:
         peer = network.peers_of("Org1MSP")[0]
         network.orderer.submit(envelope)
         network.orderer.flush()
+        network.runtime.run()  # deliver the cut block
         validated = list(peer.ledger.blockchain.blocks())[-1]
         assert validated.flags == [ValidationCode.DUPLICATE_TXID]
 

@@ -133,6 +133,7 @@ class TestPhantomProtection:
         net.orderer.submit(insert)
         net.orderer.submit(parked_scan)
         net.orderer.flush()
+        net.runtime.run()  # deliver the cut block
         peer = net.peers_of("Org1MSP")[0]
         assert peer.transaction_status(insert.tx_id) is ValidationCode.VALID
         assert peer.transaction_status(parked_scan.tx_id) is ValidationCode.PHANTOM_READ_CONFLICT

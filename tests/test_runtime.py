@@ -310,12 +310,33 @@ class TestPipelinedRuntime:
         with pytest.raises(SchedulerError):
             pending.result()
 
-    def test_submit_async_requires_runtime(self):
-        net = _public_network(batch_size=10)
-        client = net.client("Org1MSP")
+    def test_unattached_network_commits_through_the_bus(self):
+        """A network that never calls attach_runtime() runs on the default
+        runtime: the synchronous submit rides the bus, and the plaintext
+        push reaches the member that did not endorse before the block."""
+        net = three_org_network()
+        net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+        result = net.client_of(1).submit_transaction(
+            net.chaincode_id, "set_private", [net.collection, "k"],
+            transient={"value": b"v"},
+            endorsing_peers=[net.peer_of(1), net.peer_of(3)],
+        )
+        assert result.committed
+        bus = net.network.runtime.bus
+        assert bus.messages_sent > 0
+        assert bus.topic_counts["gossip-batch"] == 3
+        assert bus.topic_counts["deliver-block"] == 3
+        member = net.peer_of(2)
+        assert member.query_private(net.chaincode_id, net.collection, "k") == b"v"
+        assert not member.ledger.missing_private
+
+    def test_attach_after_the_default_runtime_carried_traffic_rejected(self):
+        net = _public_network(batch_size=1)
+        net.client("Org1MSP").submit_transaction(
+            "assetcc", "create_asset", ["x", "1"], endorsing_peers=[net.peers()[0]]
+        ).raise_for_status()
         with pytest.raises(ConfigError):
-            client.submit_async("assetcc", "create_asset", ["x", "1"],
-                                endorsing_peers=[net.peers()[0]])
+            net.attach_runtime(seed=1)
 
     def test_double_attach_rejected(self):
         net = _public_network(batch_size=10)

@@ -94,6 +94,8 @@ def _commit_public(net: FabricNetwork, count: int, tag: str = "a", endorsers=Non
             "assetcc", "create_asset", [f"{tag}{i:04d}", str(i)],
             endorsing_peers=endorsers or _endorsers(net),
         ).raise_for_status()
+    # The manifest signatures the commits broadcast are still on the bus.
+    net.runtime.run()
 
 
 def _commit_private(net: FabricNetwork, key: str, value: bytes) -> None:
@@ -102,6 +104,7 @@ def _commit_private(net: FabricNetwork, key: str, value: bytes) -> None:
         transient={"value": value},
         endorsing_peers=[net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]],
     ).raise_for_status()
+    net.runtime.run()
 
 
 def _public_state(peer) -> dict:
@@ -475,20 +478,27 @@ class TestJoinBootstrap:
         assert entry is not None
         assert entry.value_hash == hash_value(b"secret-1")
 
-    def test_sync_add_peer_replays_from_the_orderer_archive(self):
-        """Without a runtime the deliver service replays archived blocks,
-        so a full-history join still works over a pruned hot backlog —
-        only the O(missed) cursor (the runtime path) refuses it."""
+    def test_add_peer_over_a_pruned_backlog_steers_to_join(self):
+        """A full-replay add reads the orderer's O(missed) cursor, which
+        stops at the pruned offset; the refused peer leaves no trace, so
+        later commits (and their snapshot-signature broadcasts) never
+        address it, and the snapshot-aware join serves the same backlog
+        with bounded history."""
         net = _network(snapshot_every=4, prune=True)
         _commit_public(net, 6)
         net.orderer.prune_delivered(4)
-        late = net.add_peer("Org1MSP", name="latecomer0")
-        assert late.ledger.height == net.orderer.delivered_count
-        assert late.ledger.blockchain.full_history_available
-        # The snapshot-aware join serves the same backlog with bounded history.
+        before = [peer.name for peer in net.peers()]
+        with pytest.raises(PrunedBacklogError):
+            net.add_peer("Org1MSP", name="latecomer0")
+        assert [peer.name for peer in net.peers()] == before
+        assert [peer.name for peer in net.gossip.peers()] == before
+        _commit_public(net, 6, tag="b")  # seals at 8 and 12 broadcast sigs
+        assert not any("latecomer0" in peer.name for peer in net.peers())
         probe = net.join_peer("Org1MSP", name="probe0")
         assert probe.ledger.height == net.orderer.delivered_count
         assert probe.ledger.blockchain.genesis_offset > 0
+        late = net.join_peer("Org1MSP", name="latecomer0")
+        assert late.ledger.height == net.orderer.delivered_count
 
     def test_snapshot_join_replays_a_tail_that_does_not_grow_with_the_chain(self):
         """Replay-from-genesis delivers every block of history; a snapshot

@@ -50,6 +50,7 @@ class TestFig2Sequence:
             "send-proposal", "simulate+endorse",       # endorser 1
             "send-proposal", "simulate+endorse",       # endorser 2
             "assemble+submit",                          # client -> orderer
+            "enqueue-envelope",                         # orderer inbox
             "validate+commit", "validate+commit", "validate+commit",  # 3 peers
         ]
         assert "gossip-private-rwset" not in actions
@@ -67,7 +68,7 @@ class TestFig2Sequence:
         assert actions == [
             "send-proposal", "simulate+endorse", "gossip-private-rwset",
             "send-proposal", "simulate+endorse", "gossip-private-rwset",
-            "assemble+submit",
+            "assemble+submit", "enqueue-envelope",
             "validate+commit", "validate+commit", "validate+commit",
         ]
 
