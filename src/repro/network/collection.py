@@ -13,18 +13,12 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.common.errors import ConfigError
-from repro.policy.ast import PolicyNode
 from repro.policy.parser import parse_policy
 
 
 @lru_cache(maxsize=1024)
-def _parsed_policy(text: str) -> PolicyNode:
-    return parse_policy(text)
-
-
-@lru_cache(maxsize=1024)
 def _member_orgs(policy_text: str) -> frozenset:
-    return frozenset(_parsed_policy(policy_text).msp_ids())
+    return frozenset(parse_policy(policy_text).msp_ids())
 
 
 @dataclass(frozen=True)
@@ -63,20 +57,12 @@ class CollectionConfig:
         if self.endorsement_policy is not None:
             parse_policy(self.endorsement_policy)
 
-    def membership_policy(self) -> PolicyNode:
-        return _parsed_policy(self.policy)
-
     def member_orgs(self) -> set[str]:
         """MSP ids of the organizations that hold the original data."""
         return set(_member_orgs(self.policy))
 
     def is_member_org(self, msp_id: str) -> bool:
         return msp_id in self.member_orgs()
-
-    def endorsement_policy_node(self) -> Optional[PolicyNode]:
-        if self.endorsement_policy is None:
-            return None
-        return parse_policy(self.endorsement_policy)
 
     def to_json_dict(self) -> dict:
         """Render as the on-disk collection-config JSON format."""

@@ -243,7 +243,7 @@ class FabricNetwork:
         ``mempool_limit`` bounds transactions in flight (default:
         unbounded); ``validate_cost`` attaches a
         :class:`~repro.runtime.executor.ValidationCostModel` charging each
-        block's validation its simulated service time.
+        block's validation ``per_transaction`` sim-s per transaction.
         """
         if self._runtime:
             raise ConfigError(

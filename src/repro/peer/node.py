@@ -93,9 +93,6 @@ class PeerNode:
     def certificate(self) -> Certificate:
         return self.identity.certificate
 
-    def is_collection_member(self, chaincode_id: str, collection: str) -> bool:
-        return self.channel.collection(chaincode_id, collection).is_member_org(self.msp_id)
-
     # -- chaincode installation ----------------------------------------------
     def install_chaincode(self, name: str, contract: Chaincode) -> None:
         """Install (or replace) this peer's implementation of ``name``.
@@ -107,9 +104,6 @@ class PeerNode:
         if not self.channel.chaincodes.get(name):
             raise ConfigError(f"chaincode {name!r} is not deployed on {self.channel.channel_id!r}")
         self._chaincodes[name] = contract
-
-    def installed_chaincodes(self) -> list[str]:
-        return sorted(self._chaincodes)
 
     # -- crash / recovery -----------------------------------------------------
     def crash(self) -> None:
@@ -278,14 +272,6 @@ class PeerNode:
             return None
         return filter_package_for(record, self.channel, msp_id)
 
-    def validation_workload(self, block: Block) -> list[int]:
-        """Per-key signature group sizes of validating ``block`` here.
-
-        The weight vector the runtime's :class:`~repro.runtime.executor.\
-ValidationCostModel` charges service time for; no crypto runs.
-        """
-        return self._validator.signature_workload(block, self.ledger)
-
     # -- reconciliation ----------------------------------------------------------
     def serve_private_data(
         self, tx_id: str, namespace: str, collection: str
@@ -305,21 +291,6 @@ ValidationCostModel` charges service time for; no crypto runs.
             if writes is not None:
                 responses.append((tx_id, namespace, collection, writes))
         return responses
-
-    def private_digest(
-        self, scopes: tuple[tuple[str, str], ...]
-    ) -> dict[tuple[str, str], tuple[str, ...]]:
-        """Sorted tx ids with an archived private rwset, per scope."""
-        return {
-            (namespace, collection): tuple(
-                sorted(
-                    self.ledger.committed_private_rwsets.tx_ids_for(
-                        namespace, collection
-                    )
-                )
-            )
-            for namespace, collection in scopes
-        }
 
     # -- queries (used by applications, tests and the leakage analysis) -------
     def query_public(self, chaincode_id: str, key: str) -> Optional[bytes]:

@@ -181,22 +181,6 @@ class Validator:
                     )
         return items
 
-    def signature_workload(self, block: Block, ledger: PeerLedger) -> list[int]:
-        """Per-public-key signature group sizes for this block.
-
-        This is the weight vector the simulated-time
-        :class:`~repro.runtime.executor.ValidationCostModel` plans over —
-        it keeps each key's signatures on one core, so the group sizes
-        bound the achievable split.  No cryptography runs; only the
-        structural pre-checks the collector itself performs.
-        """
-        groups: dict[int, int] = {}
-        for public_key, _message, _signature in self._collect_signature_items(
-            block, ledger, None
-        ):
-            groups[public_key.y] = groups.get(public_key.y, 0) + 1
-        return list(groups.values())
-
     def flags_for(
         self, transactions: Iterable[TransactionEnvelope], ledger: PeerLedger
     ) -> list[ValidationCode]:

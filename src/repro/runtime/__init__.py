@@ -11,17 +11,13 @@ concurrently.  Every network has one; configure it with
 ``network.attach_runtime(seed=...)`` before any traffic.
 
 The package also hosts the :mod:`validation cost model
-<repro.runtime.executor>` that charges a block's validation simulated
-service time over a peer's modelled core count.
+<repro.runtime.executor>` that charges a block's validation
+``per_transaction`` simulated seconds per transaction.
 """
 
 from repro.runtime.bus import Endpoint, Message, MessageBus
 from repro.runtime.clock import SimulatedClock
-from repro.runtime.executor import (
-    ValidationCostModel,
-    plan_shards,
-    shard_makespan,
-)
+from repro.runtime.executor import ValidationCostModel
 from repro.runtime.faults import (
     FaultInjector,
     LatencyModel,
@@ -51,7 +47,5 @@ __all__ = [
     "ValidationCostModel",
     "lossy_faults",
     "no_latency",
-    "plan_shards",
-    "shard_makespan",
     "wan_latency",
 ]

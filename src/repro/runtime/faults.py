@@ -90,10 +90,6 @@ class FaultInjector:
         every gossip topic (``GOSSIP_TOPICS``)."""
         self._dead_topics.update(topics)
 
-    def allow_topics(self, topics) -> None:
-        for topic in topics:
-            self._dead_topics.discard(topic)
-
     def heal(self) -> None:
         """Restore every link and topic (random drops keep applying)."""
         self._dead_links.clear()

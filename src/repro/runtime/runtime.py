@@ -187,8 +187,9 @@ class TransactionRuntime:
         #: Submissions refused by the mempool bound.
         self.mempool_rejections = 0
         #: Optional simulated-time model charging each block's validation
-        #: its service time (see :class:`ValidationCostModel`); ``None``
-        #: keeps commits instantaneous — the byte-identical legacy path.
+        #: ``per_transaction`` sim-s per transaction, served FIFO per peer
+        #: (see :meth:`_drain_inbound`); ``None`` commits each block the
+        #: moment it arrives.
         self.validate_cost = validate_cost
         self.transactions_submitted = 0
         self.transactions_resolved = 0
@@ -456,16 +457,14 @@ class TransactionRuntime:
         """Commit or schedule every in-order block; returns blocks taken.
 
         Without a cost model a block commits inline, exactly as the event
-        arrives.  With one, validation is a FIFO service station instead
-        of an instantaneous call: each block occupies the peer for its
-        modeled service time — ``per_transaction``·txs plus
-        ``per_signature`` times the *makespan* of the cost model's shard
-        plan over the block's per-key signature groups — so simulated
-        throughput reflects the modelled parallelism.  Blocks are
-        scheduled in height order; the actual validate+commit runs when
-        the station frees up, with crash and stale-height guards (a crash
-        or catch-up between scheduling and firing just drops the stale
-        event).
+        arrives.  With one, validation is a per-peer FIFO service station
+        instead of an instantaneous call: each block occupies the peer for
+        ``per_transaction``·txs simulated seconds, starting when the block
+        arrives or when the previous block's service ends, whichever is
+        later.  Blocks are scheduled in height order; the actual
+        validate+commit runs when the service ends, with crash and
+        stale-height guards (a crash or catch-up between scheduling and
+        firing just drops the stale event).
         """
         buffer = self._inbound.setdefault(peer.name, {})
         name = peer.name
@@ -481,9 +480,7 @@ class TransactionRuntime:
                 self._note_committed(block)
                 height = peer.ledger.blockchain.height
                 continue
-            service = self.validate_cost.service_seconds(
-                peer.validation_workload(block), len(block.transactions)
-            )
+            service = self.validate_cost.service_seconds(len(block.transactions))
             start = max(self.now, self._busy_until.get(name, 0.0))
             self._busy_until[name] = start + service
             height += 1
@@ -696,7 +693,3 @@ class TransactionRuntime:
                 "drained first (a fault model may have dropped its messages)"
             )
         return pending.result()
-
-    def run_until_idle(self, max_events: int = DEFAULT_MAX_EVENTS) -> int:
-        """Alias of :meth:`run` — the queue holds no perpetual timers."""
-        return self.run(max_events=max_events)

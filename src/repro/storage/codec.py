@@ -60,11 +60,6 @@ def unpack_versioned(raw: bytes) -> tuple[bytes, Version]:
     return raw[_VERSION.size :], Version(block_num, tx_num)
 
 
-def unpack_version(raw: bytes) -> Version:
-    block_num, tx_num = _VERSION.unpack_from(raw)
-    return Version(block_num, tx_num)
-
-
 def pack_u64_pair(first: int, second: int) -> bytes:
     return _PAIR.pack(first, second)
 

@@ -96,7 +96,7 @@ class TestChannelIsolation:
 
 
 class TestMultiChannelValidateBlocks:
-    """Signature workloads of one block per channel."""
+    """Re-validating one committed block per channel from scratch."""
 
     def _jobs(self, two_channels):
         """Commit one block per channel; pair each with a fresh validator
@@ -131,13 +131,6 @@ class TestMultiChannelValidateBlocks:
             for net, block in ((net1, block1), (net2, block2))
         ]
 
-    def test_workload_reflects_per_key_groups(self, two_channels):
-        for validator, block, ledger in self._jobs(two_channels):
-            groups = validator.signature_workload(block, ledger)
-            assert groups, "committed block must have batchable signatures"
-            items = validator._collect_signature_items(block, ledger, None)
-            assert sum(groups) == len(items)
-
     def test_flags_identical_to_per_job_validation(self, two_channels):
         from repro.common import crypto
         from repro.common.tracing import PERF
@@ -169,15 +162,60 @@ class TestMultiChannelValidateBlocks:
         assert delta.get("verify_individual", 0) == signatures
         assert delta.get("verify_cache_hits", 0) >= signatures
 
-    def test_cost_model_prices_each_channel_block(self, two_channels):
-        from repro.runtime.executor import ValidationCostModel
+    def test_each_channel_station_prices_its_own_block(self, two_channels):
+        """A channel's runtime charges each of its blocks, at every peer,
+        that channel's price times the block's size."""
+        from repro.runtime import LatencyModel, ValidationCostModel
 
-        for validator, block, ledger in self._jobs(two_channels):
-            groups = validator.signature_workload(block, ledger)
-            tx_count = len(block.transactions)
-            one = ValidationCostModel(workers=1).service_seconds(groups, tx_count)
-            many = ValidationCostModel(workers=len(groups)).service_seconds(
-                groups, tx_count
+        net1, net2 = two_channels
+        members = [net1.default_peer_for("Org1MSP"), net1.default_peer_for("Org4MSP")]
+        drives = (
+            (net1, 0.5, lambda: [
+                net1.client("Org1MSP").submit_async(
+                    "s1", "set_private", ["PDC1", "k"],
+                    transient={"value": b"v"}, endorsing_peers=members,
+                )
+            ]),
+            (net2, 1.5, lambda: [
+                net2.client("Org2MSP").submit_async(
+                    "s2", "create_asset", [f"a{i}", "5"],
+                    endorsing_peers=[net2.default_peer_for("Org2MSP")],
+                )
+                for i in range(3)
+            ]),
+        )
+        for net, per_tx, submit in drives:
+            runtime = net.attach_runtime(
+                seed=1, latency=LatencyModel(base=1.0),
+                validate_cost=ValidationCostModel(per_transaction=per_tx),
             )
-            assert one == 0.25 * tx_count + sum(groups)
-            assert many == 0.25 * tx_count + max(groups)
+            arrivals = {}
+            commits = []
+            receive = runtime._commit_at_peer
+
+            def record_arrival(peer, block, runtime=runtime, receive=receive,
+                               arrivals=arrivals):
+                arrivals[(peer.name, block.header.number)] = runtime.now
+                receive(peer, block)
+
+            runtime._commit_at_peer = record_arrival
+            for peer in net.peers():
+                peer.on_commit(lambda p, v, runtime=runtime, commits=commits:
+                               commits.append((p.name, v.block, runtime.now)))
+            pendings = submit()
+            runtime.run()
+            assert all(p.result().status.name == "VALID" for p in pendings)
+            assert sorted(arrivals) == sorted(
+                (name, block.header.number) for name, block, _ in commits
+            )
+            assert {name for name, _, _ in commits} == {p.name for p in net.peers()}
+            for peer in net.peers():
+                # FIFO: a block starts when it arrives or when the block
+                # ahead of it is done, whichever is later.
+                free = 0.0
+                for name, block, at in commits:
+                    if name != peer.name:
+                        continue
+                    start = max(arrivals[(name, block.header.number)], free)
+                    free = start + per_tx * len(block.transactions)
+                    assert at == free

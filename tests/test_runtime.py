@@ -28,6 +28,7 @@ from repro.runtime import (
     LatencyModel,
     MessageBus,
     TransactionRuntime,
+    ValidationCostModel,
 )
 
 
@@ -484,6 +485,158 @@ class TestScheduledGossip:
         # The other peers did commit; only the cut-off peer is behind.
         assert net.peer_of(1).blocks_committed == 1
         assert net.peer_of(3).blocks_committed == 0
+
+
+# ---------------------------------------------------------------------------
+# the validation station (cost model on)
+# ---------------------------------------------------------------------------
+class TestValidationStation:
+    """Each peer validates blocks one at a time, ``per_transaction``
+    sim-s per transaction, in height order."""
+
+    PER_TX = 0.5
+
+    def _station(self, batch_size: int, per_tx: float | None = PER_TX):
+        """A network whose blocks arrive at every peer at sim-t 2.0, with
+        each peer's block arrivals and commits recorded.  ``per_tx=None``
+        attaches no cost model (the inline path)."""
+        reset_nonce_counter()
+        reset_ca_instance_counter()
+        net = _public_network(batch_size=batch_size)
+        cost = None if per_tx is None else ValidationCostModel(per_transaction=per_tx)
+        runtime = net.attach_runtime(
+            seed=3, latency=LatencyModel(base=1.0), validate_cost=cost,
+        )
+        arrivals: dict[tuple[str, int], float] = {}
+        commits: list[tuple[str, int, float]] = []
+        receive = runtime._commit_at_peer
+
+        def record_arrival(peer, block):
+            arrivals[(peer.name, block.header.number)] = runtime.now
+            receive(peer, block)
+
+        runtime._commit_at_peer = record_arrival
+        for peer in net.peers():
+            peer.on_commit(
+                lambda p, v: commits.append((p.name, v.block.header.number, runtime.now))
+            )
+        return net, runtime, arrivals, commits
+
+    def _submit(self, net, count: int, endorsers: int = 1, first: int = 0) -> list:
+        client = net.client("Org1MSP")
+        endorsing = net.peers()[:endorsers]
+        return [
+            client.submit_async("assetcc", "create_asset", [f"v{i}", "1"],
+                                endorsing_peers=endorsing)
+            for i in range(first, first + count)
+        ]
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_block_commits_per_transaction_times_size_after_arrival(self, size):
+        net, runtime, arrivals, commits = self._station(batch_size=size)
+        pendings = self._submit(net, size)
+        runtime.run()
+        assert all(p.result().status is ValidationCode.VALID for p in pendings)
+        assert sorted((name, n) for name, n, _ in commits) == sorted(arrivals)
+        done = 2.0 + self.PER_TX * size
+        for name, number, at in commits:
+            # An idle station starts the block the moment it arrives.
+            assert at == arrivals[(name, number)] + self.PER_TX * size == done
+        assert all(p.committed_at == done for p in pendings)
+
+    @pytest.mark.parametrize("endorsers", [1, 2])
+    def test_charge_ignores_how_many_signatures_a_transaction_carries(
+        self, endorsers
+    ):
+        # Two endorsements per transaction double the block's signatures
+        # but not its service time.
+        net, runtime, arrivals, commits = self._station(batch_size=4)
+        pendings = self._submit(net, 4, endorsers=endorsers)
+        runtime.run()
+        block = next(net.peers()[0].ledger.blockchain.blocks()).block
+        assert {len(tx.endorsements) for tx in block.transactions} == {endorsers}
+        assert all(p.result().status is ValidationCode.VALID for p in pendings)
+        assert [at for _, _, at in commits] == [2.0 + self.PER_TX * 4] * 2
+
+    def test_idle_station_starts_a_late_block_at_its_arrival(self):
+        net, runtime, arrivals, commits = self._station(batch_size=2)
+        self._submit(net, 2)
+        runtime.run()
+        assert [at for _, _, at in commits] == [3.0, 3.0]
+        runtime.scheduler.run_for(10.0)  # the stations sit idle
+        late = self._submit(net, 2, first=2)
+        runtime.run()
+        assert all(p.result().status is ValidationCode.VALID for p in late)
+        for peer in net.peers():
+            arrived = arrivals[(peer.name, 1)]
+            assert arrived > 3.0 + 10.0
+            # Served from its arrival, not from the old busy-until time.
+            assert (peer.name, 1, arrived + self.PER_TX * 2) in commits
+
+    def test_zero_price_commits_like_the_inline_path(self):
+        runs = []
+        for per_tx in (None, 0.0):
+            net, runtime, arrivals, commits = self._station(
+                batch_size=2, per_tx=per_tx
+            )
+            self._submit(net, 6)
+            runtime.run()
+            runs.append((commits, _chain_shape(net)))
+        (inline, inline_chain), (timed, timed_chain) = runs
+        assert len(inline) == 6  # three blocks at each of two peers
+        assert sorted(timed) == sorted(inline)
+        assert {at for _, _, at in timed} == {2.0}
+        assert timed_chain == inline_chain
+
+    def test_back_to_back_blocks_queue_fifo(self):
+        net, runtime, arrivals, commits = self._station(batch_size=2)
+        self._submit(net, 6)
+        runtime.run()
+        for peer in net.peers():
+            mine = [(n, at) for name, n, at in commits if name == peer.name]
+            assert [n for n, _ in mine] == [0, 1, 2]
+            # All three blocks arrive together; each waits for the one
+            # ahead of it, so commits are one service time (1.0) apart.
+            assert {arrivals[(peer.name, n)] for n, _ in mine} == {2.0}
+            assert [at for _, at in mine] == [3.0, 4.0, 5.0]
+
+    def test_crash_before_firing_drops_the_block_until_restart(self):
+        net, runtime, arrivals, commits = self._station(batch_size=4)
+        pendings = self._submit(net, 4)
+        victim = net.peers()[1].name
+        runtime.scheduler.run_until(lambda: (victim, 0) in arrivals)
+        runtime.crash_peer(victim)  # the station holds block 0, not yet fired
+        runtime.run()
+        assert runtime.crash_drops == 1
+        assert [n for name, n, _ in commits if name == victim] == []
+        assert not any(p.done for p in pendings)  # one peer has not committed
+        runtime.restart_peer(victim)
+        restarted = runtime.now
+        runtime.run()
+        assert [(n, at) for name, n, at in commits if name == victim] == [
+            (0, restarted + self.PER_TX * 4)
+        ]
+        assert all(p.result().status is ValidationCode.VALID for p in pendings)
+        assert runtime.crash_drops == 1
+
+    def test_refill_makes_the_later_timed_event_a_no_op(self):
+        net, runtime, arrivals, commits = self._station(batch_size=4)
+        pendings = self._submit(net, 4)
+        victim = net.peers()[1]
+        runtime.scheduler.run_until(lambda: (victim.name, 0) in arrivals)
+        # A crash and an immediate restart: the restart's refill schedules
+        # block 0 again, behind the event scheduled before the crash.
+        runtime.crash_peer(victim.name)
+        runtime.restart_peer(victim.name)
+        runtime.run()
+        # The first event commits the block; the refill's finds it
+        # committed and does nothing.
+        assert [(n, at) for name, n, at in commits if name == victim.name] == [
+            (0, arrivals[(victim.name, 0)] + self.PER_TX * 4)
+        ]
+        assert victim.blocks_committed == 1
+        assert runtime.crash_drops == 0
+        assert all(p.result().status is ValidationCode.VALID for p in pendings)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+from repro.runtime.executor import ValidationCostModel
 from repro.simulation import (
     SimulationConfig,
     Violation,
@@ -371,6 +372,23 @@ class TestDifferentlyConfiguredNetworksCoexist:
             assert peer.latest_sealed_snapshot() is None
             assert peer.ledger.blockchain.genesis_offset == 0
         assert {p.ledger.height for p in fast.peers() + plain.peers()} == {7}
+
+
+class TestValidateCostSetting:
+    @pytest.mark.parametrize("validate_cost", [0.0, 0.25])
+    def test_validate_cost_prices_each_transaction_only(self, validate_cost):
+        """``validate_cost`` is the per-transaction price of the peers'
+        validation station; ``0.0`` leaves validation inline."""
+        config = dataclasses.replace(
+            SimulationConfig.generate(1, SWEEP_OPS), validate_cost=validate_cost
+        )
+        model = build_network(config).network.runtime.validate_cost
+        if not validate_cost:
+            assert model is None
+            return
+        assert model == ValidationCostModel(per_transaction=validate_cost)
+        assert (model.per_signature, model.workers) == (0.0, 1)
+        assert model.service_seconds(4) == 4 * validate_cost
 
 
 # ---------------------------------------------------------------------------
