@@ -70,7 +70,7 @@ class PerfCounters:
     gossip_pushes: int = 0         # per-record private-rwset pushes
     gossip_batched_payloads: int = 0  # coalesced per-target gossip messages
     gossip_digest_rounds: int = 0  # anti-entropy digest exchanges completed
-    gossip_reconcile_pulls: int = 0  # gaps filled by pull (reconciler + AE)
+    gossip_reconcile_pulls: int = 0  # gaps filled by anti-entropy pulls
     gossip_bytes: int = 0          # private-rwset + digest wire bytes
     phase_seconds: dict = field(default_factory=dict)  # phase -> seconds
 

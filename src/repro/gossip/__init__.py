@@ -1,6 +1,5 @@
 """Gossip layer: private data dissemination and reconciliation."""
 
 from repro.gossip.dissemination import GossipNetwork
-from repro.gossip.reconciler import Reconciler
 
-__all__ = ["GossipNetwork", "Reconciler"]
+__all__ = ["GossipNetwork"]

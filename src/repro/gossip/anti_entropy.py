@@ -1,14 +1,16 @@
-"""Digest-driven anti-entropy for private data (the gossip fast path).
+"""Digest-driven anti-entropy: the private-data repair engine.
 
-On-demand reconciliation (:mod:`repro.gossip.reconciler`) probes member
-peers synchronously, outside the event runtime — gaps heal, but the
-repair traffic is invisible to the latency and fault models.  This
-module runs the same repair *on the bus*: peers with recorded gaps
-periodically exchange compact per-collection digests of committed
-private data and pull every repairable gap from one source in a single
-batched request.  Four topics ride the message bus, so per-topic drops,
-latency and crash windows apply to reconciliation traffic exactly as
-they do to dissemination:
+A member peer that missed the gossip push (dissemination capped by
+``MaxPeerCount``, or the peer was down) commits the block *without* the
+original private data and records the gap.  This engine pulls the
+committed private rwset from another member peer, re-verifies it against
+the on-chain hashes, and applies it — mirroring Fabric's pvtdata
+reconciliation loop.  The repair runs *on the bus*: peers with recorded
+gaps exchange compact per-collection digests of committed private data
+and pull every repairable gap from one source in a single batched
+request.  Four topics ride the message bus, so per-topic drops, latency
+and crash windows apply to reconciliation traffic exactly as they do to
+dissemination:
 
 * ``gossip-digest-request`` — requester → source: the (namespace,
   collection) scopes the requester has gaps in;
@@ -17,7 +19,8 @@ they do to dissemination:
 * ``gossip-pull-request`` — requester → source: one batched list of
   every (tx, namespace, collection) gap the digest can repair;
 * ``gossip-pull-response`` — source → requester: the plaintext rwsets,
-  applied under the reconciler's hash/staleness/BTL rules.
+  applied under the hash/staleness/BTL rules of
+  :func:`apply_pulled_rwset`.
 
 Scheduling is cooperative with the drain-to-idle runtime: the tick timer
 re-arms only while some requester still initiates work, and a
@@ -28,18 +31,24 @@ so the loop always terminates once the system quiesces — finite gaps and
 finite sources bound the total number of fruitless requests.  Source
 choice rotates deterministically from the run seed and round number, so
 repair load spreads instead of hammering the first member peer.
+:meth:`AntiEntropyEngine.sweep` is the on-demand form of the same loop
+(``FabricNetwork.reconcile_private_data``): it runs rounds to a fixpoint
+whether or not the periodic timer is on.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
+from repro.common.hashing import hash_key
 from repro.common.tracing import PERF
 from repro.gossip.dissemination import payload_bytes
-from repro.gossip.reconciler import LocateMemo, apply_pulled_rwset
+from repro.ledger.version import Version
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.chaincode.rwset import PrivateCollectionWrites
+    from repro.ledger.ledger import MissingPrivateData
     from repro.peer.node import PeerNode
     from repro.runtime.runtime import TransactionRuntime
 
@@ -66,6 +75,102 @@ def _digest_bytes(digest: tuple) -> int:
     return total
 
 
+#: Per-response memo of ``tx_id -> (hashed namespace rwset, (block, tx))``
+#: — or ``None`` when the tx cannot be located at the repairing peer.
+LocateMemo = dict
+
+
+def _locate_tx(peer: "PeerNode", tx_id: str, memo: LocateMemo):
+    """Find ``tx_id``'s rwset + position at ``peer``, memoized per response.
+
+    Works after pruning too: ``find_transaction``/``locate_transaction``
+    fall back to the peer's archived-history index once the block itself
+    is gone.
+    """
+    if tx_id in memo:
+        return memo[tx_id]
+    located = peer.ledger.blockchain.find_transaction(tx_id)
+    entry = None
+    if located is not None:
+        tx, _flag = located
+        location = peer.ledger.blockchain.locate_transaction(tx_id)
+        if location is not None:
+            entry = (tx.payload.results, location)
+    memo[tx_id] = entry
+    return entry
+
+
+def apply_pulled_rwset(
+    peer: "PeerNode",
+    missing: "MissingPrivateData",
+    plaintext: "PrivateCollectionWrites",
+    memo: LocateMemo,
+) -> bool:
+    """Verify and apply one pulled private rwset at ``peer``.
+
+    Never trusts the pulled data: it must match the on-chain hashes of
+    the recorded tx.  Each write then passes the staleness rule (the
+    committed *hash* store must still point at this tx's version — a
+    later tx overwriting or deleting the key wins), and a collection
+    whose BlockToLive already expired by apply time is resolved
+    *without* writing plaintext — repairing a gap must never resurrect
+    data every member has purged.
+
+    Returns True when the gap was dealt with (the missing record is
+    resolved), False when this plaintext cannot repair it.
+    """
+    entry = _locate_tx(peer, missing.tx_id, memo)
+    if entry is None:
+        return False
+    results, (block_num, tx_num) = entry
+    ns_set = results.namespace(missing.namespace)
+    if ns_set is None:
+        return False
+    hashed_col = ns_set.collection(missing.collection)
+    if hashed_col is None:
+        return False
+    if not plaintext.matches_hashes(hashed_col):
+        return False
+
+    config = peer.channel.collection(missing.namespace, missing.collection)
+    btl = config.block_to_live
+    expired = bool(btl) and peer.ledger.height >= block_num + btl + 1
+    version = Version(block_num, tx_num)
+    if not expired:
+        for write in plaintext.writes:
+            # Staleness check (as in Fabric's reconciler): only apply a
+            # pulled write while the committed *hash* store still points
+            # at this transaction's version.  A later transaction may
+            # have overwritten or deleted the key since the gap was
+            # recorded — applying the old write then would resurrect
+            # deleted data or roll the plaintext back behind the hashes.
+            current = peer.ledger.private_hashes.get_version(
+                missing.namespace, missing.collection, hash_key(write.key)
+            )
+            if write.is_delete:
+                if current is None:
+                    peer.ledger.private_data.delete(
+                        missing.namespace, missing.collection, write.key
+                    )
+            elif current == version:
+                peer.ledger.private_data.put(
+                    missing.namespace, missing.collection, write.key,
+                    write.value or b"", version,
+                )
+                peer.ledger.note_private_commit(
+                    missing.namespace,
+                    missing.collection,
+                    write.key,
+                    block_num,
+                    btl=btl,
+                )
+        peer.ledger.committed_private_rwsets[
+            (missing.tx_id, missing.namespace, missing.collection)
+        ] = plaintext
+    peer.ledger.resolve_missing(missing.tx_id, missing.namespace, missing.collection)
+    return True
+
+
 class AntiEntropyEngine:
     """Periodic digest exchange + batched multi-gap pulls over the bus."""
 
@@ -79,10 +184,8 @@ class AntiEntropyEngine:
         self.gossip = runtime.network.gossip
         self.every = every
         self.max_source_attempts = max_source_attempts
-        self.rounds = 0  # tick firings
-        self.digest_rounds = 0  # digest exchanges completed (requester side)
+        self.rounds = 0  # initiation rounds (timer ticks and sweep rounds)
         self.pull_requests = 0  # batched multi-gap pulls sent
-        self.fills = 0  # gaps repaired through the loop
         self._armed = False
         #: Fruitless digest requests per (requester, source) — the backoff
         #: state.  Reset by fills and by new gaps at the requester.
@@ -113,17 +216,38 @@ class AntiEntropyEngine:
         self._attempts.clear()
         self._last_gaps.clear()
 
+    def sweep(self) -> int:
+        """Repair every gap the live peers can repair; returns the fills.
+
+        Each pass forgets the backoff state and runs initiation rounds,
+        running the runtime to idle after each (so anything else pending
+        runs too), while some requester still sends a digest request;
+        passes repeat until one fills nothing.  Crashed peers neither
+        request nor serve, and a dropped topic just makes every source
+        back off, so the sweep ends either way.
+        """
+        start = self.gossip.reconcile_pulls
+        while True:
+            before = self.gossip.reconcile_pulls
+            self.reset_backoff()
+            while self._round():
+                self.runtime.run()
+            if self.gossip.reconcile_pulls == before:
+                return before - start
+
     def _tick(self) -> None:
         self._armed = False
+        if self._round():
+            self.arm()
+
+    def _round(self) -> bool:
+        """One digest request per live peer with gaps; True if any went out."""
         self.rounds += 1
         initiated = False
         for peer in self.runtime.network.peers():
-            if peer.crashed:
-                continue
-            if self._initiate(peer):
+            if not peer.crashed and self._initiate(peer):
                 initiated = True
-        if initiated:
-            self.arm()
+        return initiated
 
     def _initiate(self, peer: "PeerNode") -> bool:
         """Send one digest request for ``peer`` if it has repairable gaps."""
@@ -163,7 +287,7 @@ class AntiEntropyEngine:
             None,
         )
         if source is None:
-            return False  # every source backed off; quiescence repair remains
+            return False  # every source backed off until new gaps or a sweep
         key = (peer.name, source.name)
         self._attempts[key] = self._attempts.get(key, 0) + 1
         self.runtime.bus.send(
@@ -206,7 +330,6 @@ class AntiEntropyEngine:
 
     def _on_digest(self, peer: "PeerNode", payload) -> None:
         source_name, digest = payload
-        self.digest_rounds += 1
         self.gossip.digest_rounds += 1
         PERF.gossip_digest_rounds += 1
         gaps = peer.ledger.missing_by_collection()
@@ -248,6 +371,5 @@ class AntiEntropyEngine:
                 self.gossip.reconcile_pulls += 1
                 PERF.gossip_reconcile_pulls += 1
         if filled:
-            self.fills += filled
             self._attempts[(peer.name, source_name)] = 0
             self.arm()  # remaining gaps may repair from other sources

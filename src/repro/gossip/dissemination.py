@@ -20,8 +20,8 @@ One endorsement's private rwsets travel as one payload per target peer,
 covering every collection that target is a member of (§15 of the
 architecture notes).  ``FabricNetwork(anti_entropy_every=N)`` sets the
 cadence (simulated seconds) of the digest-driven anti-entropy loop (see
-``gossip.anti_entropy``); ``0`` disables the loop and leaves pull
-reconciliation on demand only.
+``gossip.anti_entropy``); ``0`` turns the periodic timer off, and gaps
+repair only when ``FabricNetwork.reconcile_private_data`` sweeps.
 
 The push set is *rotated* deterministically from the run seed:
 ``eligible[:max_peer_count]`` would always starve the same tail peers,
@@ -84,7 +84,7 @@ class GossipNetwork:
         self.pushes = 0  # (collection rwset, target) records pushed
         self.batched_payloads = 0  # wire messages: one per (endorsement, target)
         self.digest_rounds = 0  # anti-entropy digest exchanges completed
-        self.reconcile_pulls = 0  # gaps filled by pull (reconciler + AE)
+        self.reconcile_pulls = 0  # gaps filled by anti-entropy pulls
         self.bytes_sent = 0  # private-rwset + digest wire bytes
         self.snapshot_sigs = 0  # snapshot-signature broadcast counter
         self.snapshot_fetches = 0  # snapshot packages served to bootstrappers

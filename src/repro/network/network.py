@@ -19,7 +19,6 @@ from repro.common.errors import ConfigError, EndorsementError
 from repro.common.tracing import PERF, Tracer
 from repro.core.defense.features import FrameworkFeatures
 from repro.gossip.dissemination import GossipNetwork
-from repro.gossip.reconciler import Reconciler
 from repro.network.channel import ChannelConfig
 from repro.orderer.reorder import ReorderPipeline, conflict_scopes
 from repro.orderer.service import OrderingService
@@ -85,7 +84,6 @@ class FabricNetwork:
         self.gossip = GossipNetwork(
             channel, send=lambda *message: self.runtime.bus.send(*message)
         )
-        self.reconciler = Reconciler(self.gossip)
         # Conflict-aware ordering: the orderer reorders each cut batch
         # along its conflict graph and early-aborts provably doomed
         # transactions.
@@ -399,5 +397,6 @@ class FabricNetwork:
 
     # -- maintenance --------------------------------------------------------------
     def reconcile_private_data(self) -> int:
-        """Run one reconciliation sweep; returns the number of repairs."""
-        return self.reconciler.reconcile_all()
+        """Repair private-data gaps over the bus to a fixpoint; returns the
+        number of gaps resolved (see ``AntiEntropyEngine.sweep``)."""
+        return self.runtime.anti_entropy.sweep()

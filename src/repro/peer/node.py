@@ -273,12 +273,6 @@ class PeerNode:
         return filter_package_for(record, self.channel, msp_id)
 
     # -- reconciliation ----------------------------------------------------------
-    def serve_private_data(
-        self, tx_id: str, namespace: str, collection: str
-    ) -> Optional[PrivateCollectionWrites]:
-        """Serve a committed private rwset to a reconciling member peer."""
-        return self.ledger.committed_private_rwsets.get((tx_id, namespace, collection))
-
     def serve_private_batch(
         self, requests: tuple[tuple[str, str, str], ...]
     ) -> list[tuple[str, str, str, PrivateCollectionWrites]]:

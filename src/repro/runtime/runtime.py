@@ -238,13 +238,11 @@ class TransactionRuntime:
         # anti-entropy source rotation, so a replayed seed picks the same
         # targets.
         network.gossip.rotation_seed = seed
-        #: Digest-driven anti-entropy loop; ``None`` when the network's
-        #: cadence is 0 (the on-demand reconciler remains available).
-        self.anti_entropy: Optional[AntiEntropyEngine] = None
-        every = getattr(network, "anti_entropy_every", 0.0)
-        if every:
-            self.anti_entropy = AntiEntropyEngine(self, every)
-            self.anti_entropy.arm()
+        #: The private-data repair engine.  Its periodic timer fires every
+        #: ``anti_entropy_every`` sim-s (0 = no timer: repair runs only
+        #: when ``FabricNetwork.reconcile_private_data`` sweeps).
+        self.anti_entropy = AntiEntropyEngine(self, network.anti_entropy_every)
+        self.anti_entropy.arm()
 
     # -- introspection -------------------------------------------------------
     @property
@@ -417,8 +415,7 @@ class TransactionRuntime:
                 tx_id, batch = message.payload
                 peer.receive_private_batch(tx_id, batch)
             elif message.topic in ANTI_ENTROPY_TOPICS:
-                if self.anti_entropy is not None:
-                    self.anti_entropy.on_message(peer, message)
+                self.anti_entropy.on_message(peer, message)
             elif message.topic == TOPIC_SNAPSHOT_SIG:
                 manifest, certificate, signature = message.payload
                 peer.receive_snapshot_sig(manifest, certificate, signature)
@@ -501,10 +498,9 @@ class TransactionRuntime:
         self._note_committed(block)
 
     def _note_committed(self, block: Block) -> None:
-        if self.anti_entropy is not None:
-            # A commit may have recorded fresh gaps; make sure a tick is
-            # pending to discover them (no-op while one already is).
-            self.anti_entropy.arm()
+        # A commit may have recorded fresh gaps; make sure a tick is
+        # pending to discover them (no-op while one already is).
+        self.anti_entropy.arm()
         progress = self._blocks.get(block.header.number)
         if progress is None:  # pragma: no cover - defensive
             return

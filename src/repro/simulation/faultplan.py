@@ -13,7 +13,7 @@ Window shapes:
   (peers fall behind and later catch up out of order);
 * **gossip blackout** — drop the whole gossip topic family
   (dissemination payloads, anti-entropy digests and pulls) so members
-  record missing private data; the reconciler must repair it;
+  record missing private data; anti-entropy must repair it;
 * **gossip link cuts** — cut individual ``peer → peer`` links;
 * **submit loss** — a per-topic drop rate on ``submit`` (envelopes are
   lost before ordering; their futures never resolve, and the liveness

@@ -307,12 +307,7 @@ def execute(
     runtime.bus.latency.jitter = config.jitter
     caught_up = runtime.catch_up()
     runtime.run()
-    reconciled = 0
-    for _ in range(10):
-        repaired = sim.network.reconcile_private_data()
-        reconciled += repaired
-        if repaired == 0:
-            break
+    reconciled = sim.network.reconcile_private_data()
 
     violations = list(monitor.violations)
     violations.extend(recovery.violations)

@@ -998,9 +998,7 @@ def check_snapshot_equivalence(
     replay = replay or ChainReplay(sim)
 
     probe = sim.network.join_peer(replay.source.msp_id, name="probe0")
-    for _ in range(10):
-        if sim.network.reconcile_private_data() == 0:
-            break
+    sim.network.reconcile_private_data()
 
     orderer = sim.network.orderer
     if probe.ledger.height != orderer.delivered_count:

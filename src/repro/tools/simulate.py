@@ -82,8 +82,9 @@ def main(argv: list[str] | None = None) -> int:
                              "provably doomed transactions; enables the "
                              "reorder-soundness invariant (default: off)")
     parser.add_argument("--anti-entropy-every", type=float, default=0.0,
-                        help="digest-driven anti-entropy cadence in simulated "
-                             "seconds; 0 disables the loop (default: off)")
+                        help="cadence of the periodic anti-entropy timer in "
+                             "simulated seconds; 0 = no timer, gaps repair "
+                             "only in the quiescence sweep (default: 0)")
     parser.add_argument("--workload", choices=["mixed", "tpcc"], default="mixed",
                         help="workload family: the mixed asset/PDC mix, or the "
                              "contended TPC-C-style mix with open-loop arrivals "

@@ -190,14 +190,14 @@ class TestReconciliation:
             transient={"value": b"S"}, endorsing_peers=[p1, p2],
         )
         net.reconcile_private_data()
-        assert extra.serve_private_data(result.tx_id, "pdccc", "PDC1") is not None
+        assert extra.serve_private_batch(((result.tx_id, "pdccc", "PDC1"),))
 
 
 class TestReconciliationUnderFaults:
     """Reconciliation repairing gossip lost to injected faults.
 
     These drive the event runtime: gossip pushes travel as scheduled
-    messages, a fault injector eats them, and the reconciler must repair
+    messages, a fault injector eats them, and the repair engine must fix
     exactly the gaps the faults created — without rolling committed
     state backwards (the staleness rule).
     """
@@ -272,6 +272,90 @@ class TestReconciliationUnderFaults:
         net.reconcile_private_data()
         assert not org2.ledger.missing_private
         assert org2.query_private("pdccc", "PDC1", "k") == b"new"
+
+    @pytest.fixture(params=["memory", "wal"])
+    def gapped(self, request, tmp_path):
+        """Org1 and Org2 are members, MaxPeerCount=0: an extra Org1 peer
+        that did not endorse records a gap for the one private write."""
+        from repro.runtime import FaultInjector
+
+        _reset_counters()
+        net = _network(max_peer_count=0, state_backend=request.param,
+                       state_dir=str(tmp_path))
+        runtime = net.attach_runtime(seed=5, faults=FaultInjector())
+        sources = [net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]]
+        extra = net.add_peer("Org1MSP", "peer1")
+        net.install_chaincode("pdccc", PrivateAssetContract(), peers=[extra])
+        net.client("Org1MSP").submit_transaction(
+            "pdccc", "set_private", ["PDC1", "k"],
+            transient={"value": b"S"}, endorsing_peers=sources,
+        ).raise_for_status()
+        assert len(extra.ledger.missing_private) == 1
+        return net, runtime, sources, extra
+
+    def test_crashed_sources_serve_nothing(self, gapped):
+        """A dead process holds the plaintext but cannot serve it: with
+        every member source down the gap stays recorded until restart."""
+        net, runtime, sources, extra = gapped
+        for source in sources:
+            runtime.crash_peer(source.name)
+        assert net.reconcile_private_data() == 0
+        assert len(extra.ledger.missing_private) == 1
+        assert extra.query_private("pdccc", "PDC1", "k") is None
+
+        for source in sources:
+            runtime.restart_peer(source.name)
+        assert net.reconcile_private_data() == 1
+        assert not extra.ledger.missing_private
+        assert extra.query_private("pdccc", "PDC1", "k") == b"S"
+
+    def test_crashed_requester_is_not_written(self, gapped):
+        """A down requester neither asks nor applies: nothing reaches its
+        closed stores, and the gap repairs once it is back."""
+        net, runtime, _sources, extra = gapped
+        runtime.crash_peer(extra.name)
+        assert net.reconcile_private_data() == 0
+
+        runtime.restart_peer(extra.name)
+        assert len(extra.ledger.missing_private) == 1
+        assert extra.query_private("pdccc", "PDC1", "k") is None
+        assert net.reconcile_private_data() == 1
+        assert extra.query_private("pdccc", "PDC1", "k") == b"S"
+
+    def test_dropped_repair_topic_ends_the_sweep_empty(self, gapped):
+        """With pull responses dropped every source backs off: the sweep
+        returns 0 instead of looping, and repairs once the topic heals."""
+        from repro.gossip.anti_entropy import TOPIC_AE_PULL_RESPONSE
+
+        net, runtime, _sources, extra = gapped
+        runtime.bus.faults.drop_topic(TOPIC_AE_PULL_RESPONSE)
+        assert net.reconcile_private_data() == 0
+        assert runtime.anti_entropy.pull_requests >= 1
+        assert runtime.bus.messages_dropped >= 1
+        assert len(extra.ledger.missing_private) == 1
+
+        runtime.bus.faults.heal()
+        assert net.reconcile_private_data() == 1
+        assert not extra.ledger.missing_private
+
+    def test_one_sweep_reaches_the_fixpoint(self, gapped):
+        """Gaps at two peers over several blocks: one call repairs them
+        all, so a second call finds nothing."""
+        net, runtime, sources, extra = gapped
+        other = net.add_peer("Org2MSP", "peer1")
+        net.install_chaincode("pdccc", PrivateAssetContract(), peers=[other])
+        for i in range(3):
+            net.client("Org1MSP").submit_transaction(
+                "pdccc", "set_private", ["PDC1", f"k{i}"],
+                transient={"value": f"v{i}".encode()}, endorsing_peers=sources,
+            ).raise_for_status()
+        gaps = len(extra.ledger.missing_private) + len(other.ledger.missing_private)
+        assert gaps == 8  # four PDC blocks, no push reaches either peer
+        assert net.reconcile_private_data() == gaps
+        assert net.reconcile_private_data() == 0
+        for peer in (extra, other):
+            assert not peer.ledger.missing_private
+            assert peer.query_private("pdccc", "PDC1", "k2") == b"v2"
 
     def test_reconcile_does_not_resurrect_deleted_keys(self):
         """Regression: reconciling a missed write of a since-deleted key
@@ -520,9 +604,25 @@ class TestAntiEntropy:
                 endorsing_peers=endorsers,
             )
 
-    def test_disabled_cadence_means_no_engine(self):
-        _net, runtime = self._runtime_network(every=0.0)
-        assert runtime.anti_entropy is None
+    def test_disabled_cadence_means_no_timer(self):
+        """Cadence 0 arms no periodic timer: the run sends no digest
+        traffic and leaves the gaps, and reconcile_private_data() still
+        repairs them over the bus."""
+        from repro.gossip.anti_entropy import (
+            ANTI_ENTROPY_TOPICS,
+            TOPIC_AE_DIGEST_REQUEST,
+        )
+
+        net, runtime = self._runtime_network(every=0.0)
+        self._submit_missed(net, runtime, 3)
+        runtime.run()
+        org3 = net.peers_of("Org3MSP")[0]
+        assert len(org3.ledger.missing_private) == 3
+        assert not any(runtime.bus.topic_counts.get(t) for t in ANTI_ENTROPY_TOPICS)
+
+        assert net.reconcile_private_data() == 3
+        assert runtime.bus.topic_counts[TOPIC_AE_DIGEST_REQUEST] >= 1
+        assert not org3.ledger.missing_private
 
     def test_negative_cadence_rejected(self):
         with pytest.raises(ConfigError):
@@ -540,7 +640,6 @@ class TestAntiEntropy:
         assert not org3.ledger.missing_private
         for i in range(3):
             assert org3.query_private("pdccc", "PDC1", f"k{i}") == f"v{i}".encode()
-        assert runtime.anti_entropy.fills == 3
         assert runtime.anti_entropy.pull_requests >= 1
         assert net.gossip.digest_rounds >= 1
         assert net.gossip.reconcile_pulls == 3

@@ -282,5 +282,7 @@ class TestCommitter:
             "pdccc", "set_private", ["PDC1", "k"],
             transient={"value": b"S"}, endorsing_peers=endorsers,
         )
-        archived = endorsers[0].serve_private_data(result.tx_id, "pdccc", "PDC1")
-        assert archived is not None and archived.writes[0].value == b"S"
+        [(tx_id, _, _, archived)] = endorsers[0].serve_private_batch(
+            ((result.tx_id, "pdccc", "PDC1"),)
+        )
+        assert tx_id == result.tx_id and archived.writes[0].value == b"S"
