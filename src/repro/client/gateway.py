@@ -310,9 +310,10 @@ class Gateway:
         client additionally recomputes ``hash(payload)`` and checks it is
         what the endorser actually signed (Fig. 4, step 6).
 
-        Signatures are checked through :func:`crypto.verify_batch`, which
-        leaves every verdict in the shared memo for the validators; the
-        first bad endorsement (in response order) is reported.
+        Signatures are checked through :func:`crypto.verify_batch`, one
+        ``verify`` per endorsement, which leaves every verdict in the
+        shared memo for the validators; the first bad endorsement (in
+        response order) is reported.
         """
         reference = responses[0].payload.bytes()
         for response in responses:

@@ -30,8 +30,8 @@ the short ``k`` of ``p`` allows instead of a generic ``% p``.  Key tables
 are built for the 128-bit challenge; the one 256-bit exponent a key
 sees, its validation's ``y**q``, is two limbs of that table joined by
 128 squarings.  At that price a randomized batch equation has nothing
-left to save, so :func:`verify_batch` settles each signature by the
-single equation, inline; what it adds is the verdict memo
+left to save, so :func:`verify_batch` is one :meth:`PublicKey.verify`
+per item, and every verdict goes through the one verdict memo
 (docs/architecture.md §9).
 
 The substitution is documented in DESIGN.md: the attacks and defenses in
@@ -341,22 +341,9 @@ def generate_keypair(seed: bytes) -> tuple[PrivateKey, PublicKey]:
 def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples in one call.
 
-    Returns one boolean per item, the one :meth:`PublicKey.verify` would
-    return: items the verdict memo knows are answered from it, every
-    other item is decided by the same single equation, and its verdict
-    is written to the memo, so later ``verify`` calls on the same
-    triples are O(1) look-ups.  There is no combined equation (see the
-    module docstring).
+    One :meth:`PublicKey.verify` per item, in order, so each verdict is
+    the one ``verify`` would return and a triple repeated inside the call
+    is verified once, then recalled.  There is no combined equation (see
+    the module docstring).
     """
-    results: list = [None] * len(items)
-    missing: list[tuple[int, tuple]] = []  # (index, memo key) the memo cannot answer
-    for i, (public_key, message, signature) in enumerate(items):
-        key = _cache_key(public_key.y, message, signature)
-        results[i] = _cache_get(key)
-        if results[i] is None:
-            missing.append((i, key))
-    for i, key in missing:
-        public_key, message, signature = items[i]
-        results[i] = public_key._verify_uncached(message, signature)
-        _cache_put(key, results[i])
-    return results
+    return [public_key.verify(message, signature) for public_key, message, signature in items]

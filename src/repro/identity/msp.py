@@ -20,9 +20,11 @@ class MSPRegistry:
     def __init__(self) -> None:
         self._authorities: dict[str, CertificateAuthority] = {}
         # Certificate validation is pure (the CA root key never changes
-        # after registration), so results are memoised — Fabric's MSP
-        # caches deserialized identities the same way.
-        self._validation_cache: dict[tuple, bool] = {}
+        # after registration), so results are memoised by the frozen
+        # certificate itself — Fabric's MSP caches deserialized identities
+        # the same way.  A certificate whose CA is not registered yet is
+        # rejected without caching, so it validates once the CA joins.
+        self._validation_cache: dict[Certificate, bool] = {}
 
     def register(self, authority: CertificateAuthority) -> None:
         if authority.msp_id in self._authorities:
@@ -40,17 +42,10 @@ class MSPRegistry:
         authority = self._authorities.get(certificate.msp_id)
         if authority is None:
             return False
-        cache_key = (
-            certificate.msp_id,
-            certificate.enrollment_id,
-            certificate.role,
-            certificate.public_key.y,
-            certificate.issuer_signature,
-        )
-        cached = self._validation_cache.get(cache_key)
+        cached = self._validation_cache.get(certificate)
         if cached is None:
             cached = authority.validate(certificate)
-            self._validation_cache[cache_key] = cached
+            self._validation_cache[certificate] = cached
         return cached
 
     def satisfies_principal(self, certificate: Certificate, msp_id: str, role: Role) -> bool:

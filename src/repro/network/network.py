@@ -383,17 +383,18 @@ class FabricNetwork:
         return self.runtime.submit(envelope, client_payload)
 
     def status_of(self, tx_id: str) -> ValidationCode:
-        """The validation flag peers agree on for a committed transaction."""
-        statuses = set()
-        for peer in self._peers.values():
-            status = peer.transaction_status(tx_id)
+        """The validation flag of a committed transaction.
+
+        Every peer is asked once and the first that committed it answers,
+        in registration order.  Peers that disagree are not this layer's
+        call: the simulation's invariants (``block-agreement``,
+        ``reference-validation``, ``vscc-memo``) report the divergence.
+        """
+        statuses = [peer.transaction_status(tx_id) for peer in self._peers.values()]
+        for status in statuses:
             if status is not None:
-                statuses.add(status)
-        if not statuses:
-            raise EndorsementError(f"transaction {tx_id} was never committed to any peer")
-        if len(statuses) > 1:  # pragma: no cover - would indicate a simulator bug
-            raise EndorsementError(f"peers disagree on tx {tx_id}: {statuses}")
-        return statuses.pop()
+                return status
+        raise EndorsementError(f"transaction {tx_id} was never committed to any peer")
 
     # -- maintenance --------------------------------------------------------------
     def reconcile_private_data(self) -> int:

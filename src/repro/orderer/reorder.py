@@ -293,11 +293,14 @@ class ReorderPipeline:
         trial = [p.tx for p in ordered] + [p.tx for p in tail]
 
         # Doom in the *emitted* order; doomed-in-both get aborted.  An
-        # invalid transaction contributes no block writes, so removing
-        # the aborted ones cannot change any survivor's flag.
+        # aborted transaction is invalid, so it contributes no block
+        # writes, and its tx id is unique in the batch: removing it cannot
+        # change any survivor's flag, and the survivors' trial flags are
+        # the ones the peers will assign to the emitted block.
         trial_flags = self._predict(trial)
         aborted: list = []
         emitted: list = []
+        emitted_flags: list = []
         for tx, flag in zip(trial, trial_flags):
             if (
                 flag in _CONFLICT_FLAGS
@@ -311,13 +314,11 @@ class ReorderPipeline:
                 ))
             else:
                 emitted.append(tx)
+                emitted_flags.append(flag)
 
         block_number = next_block_number if emitted else None
-        # The definitive prediction runs on the final sequence so shadow
-        # versions carry the true (block, position) heights, then applies.
-        final_flags = self._predict(emitted)
         if block_number is not None:
-            self._apply_sequence(emitted, final_flags, block_number)
+            self._apply_sequence(emitted, emitted_flags, block_number)
 
         self._account(batch, emitted, aborted)
         self.records.append(BatchRecord(

@@ -21,6 +21,13 @@ they reproduce Fabric's ``validator_keylevel.go`` behaviour:
 
 The supplemental defense filters endorsements from PDC non-member orgs
 before evaluating any policy of a PDC transaction.
+
+One rule loop, :meth:`Validator.flags_for`, computes every flag: a
+peer's block validation behind the shared VSCC memo, and the
+conflict-aware orderer's predictions.  Each signature and certificate
+is looked up as a rule reaches it, through the process-wide verdict
+memo and the MSP registry's cache; nothing is settled ahead of the
+rules.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.chaincode.rwset import RangeQueryInfo
-from repro.common import crypto
 from repro.common.tracing import PERF
 from repro.core.defense.features import FrameworkFeatures
 from repro.identity.identity import Certificate
@@ -77,18 +83,6 @@ class Validator:
         self._evaluator = channel.evaluator()
         # False is for oracles: validate afresh, never read or feed the memo.
         self._use_shared_memo = use_shared_memo
-        # Per-channel certificate-validation memo: the MSP registry
-        # already caches CA checks, but it keys by a 5-field tuple built
-        # per call; this memo keys by the certificate object and so costs
-        # one set probe on the (very) hot validation path.  Only
-        # *positive* results are memoized: an MSP can be registered on
-        # the channel after this validator is built, so a rejection must
-        # be re-checked, while a certificate once valid stays valid (the
-        # registry has no revocation).
-        self._cert_memo: set[Certificate] = set()
-        # Per-block context: payload bytes computed once per envelope
-        # per block-validation pass (see _prewarm_signatures).
-        self._payload_bytes: Optional[dict[str, bytes]] = None
 
     # -- block-level entry point ------------------------------------------
     def validate_block(self, block: Block, ledger: PeerLedger) -> list[ValidationCode]:
@@ -102,8 +96,8 @@ class Validator:
         peer already computed for this exact block (same channel, same
         feature flags — the block hash pins the chain prefix and hence the
         pre-block state), it is returned without re-running any checks.
-        Otherwise all of the block's signature checks are collected into
-        one ``verify_batch`` call before the per-transaction rules run.
+        Otherwise :meth:`flags_for` computes it: each signature is
+        looked up once, by the rule that needs it.
         """
         memo: Optional[dict] = None
         memo_key = None
@@ -114,7 +108,7 @@ class Validator:
             if hit is not None:
                 PERF.vscc_memo_hits += 1
                 return list(hit)
-        flags = self._validate_block_fresh(block, ledger)
+        flags = self.flags_for(block.transactions, ledger)
         if memo is not None:
             PERF.vscc_memo_misses += 1
             if len(memo) >= _SHARED_VSCC_MAX_BLOCKS:  # pragma: no cover - backstop
@@ -122,76 +116,18 @@ class Validator:
             memo[memo_key] = tuple(flags)
         return flags
 
-    def _validate_block_fresh(
-        self, block: Block, ledger: PeerLedger
-    ) -> list[ValidationCode]:
-        self._payload_bytes = {}
-        try:
-            self._prewarm_signatures(block, ledger)
-            return self.flags_for(block.transactions, ledger)
-        finally:
-            self._payload_bytes = None
-
-    def _prewarm_signatures(self, block: Block, ledger: PeerLedger) -> None:
-        """Collect the block's signature checks into one ``verify_batch`` call.
-
-        The per-transaction pipeline below then finds each ``verify``
-        already answered; validation *decisions* are taken by exactly the
-        same rules in the same order either way.
-        """
-        _settle_signatures(
-            self._collect_signature_items(block, ledger, self._payload_bytes)
-        )
-
-    def _collect_signature_items(
-        self, block: Block, ledger: PeerLedger, payload_bytes_out: Optional[dict]
-    ) -> list[tuple]:
-        """The block's ``(public_key, message, signature)`` checks.
-
-        Only transactions that survive the cheap structural pre-checks
-        (duplicate tx-id, channel, chaincode, certificate validity,
-        response status) contribute — anything else short-circuits before
-        its signatures are ever consulted.  Serialized payload bytes are
-        stashed in ``payload_bytes_out`` (when given) for reuse by the
-        per-transaction pipeline.
-        """
-        items: list[tuple] = []
-        seen: set[str] = set()
-        for tx in block.transactions:
-            eligible = (
-                tx.tx_id not in seen
-                and not ledger.blockchain.has_transaction(tx.tx_id)
-                and tx.channel_id == self._channel.channel_id
-                and bool(self._channel.chaincodes.get(tx.chaincode_id))
-                and self._certificate_valid(tx.creator)
-            )
-            seen.add(tx.tx_id)
-            if not eligible:
-                continue
-            items.append((tx.creator.public_key, tx.signed_bytes(), tx.signature))
-            if not tx.payload.response.ok:
-                continue
-            payload_bytes = tx.payload.bytes()
-            if payload_bytes_out is not None:
-                payload_bytes_out[tx.tx_id] = payload_bytes
-            for endorsement in tx.endorsements:
-                if self._certificate_valid(endorsement.endorser):
-                    items.append(
-                        (endorsement.endorser.public_key, payload_bytes, endorsement.signature)
-                    )
-        return items
-
     def flags_for(
         self, transactions: Iterable[TransactionEnvelope], ledger: PeerLedger
     ) -> list[ValidationCode]:
         """The flag each transaction gets as one block on top of ``ledger``.
 
-        The rule loop :meth:`validate_block` runs, without its memo or
-        signature pre-pass; ``ledger`` is only read.  Any object answering
-        the same five reads will do — ``blockchain.has_transaction``,
-        ``world_state.get_version`` / ``get_validation_parameter`` /
-        ``items`` and ``private_hashes.get_version`` — which is how the
-        conflict-aware orderer predicts flags over its shadow state.
+        The rule loop :meth:`validate_block` runs behind its memo, and the
+        only place a flag is computed; ``ledger`` is only read.  Any object
+        answering the same five reads will do —
+        ``blockchain.has_transaction``, ``world_state.get_version`` /
+        ``get_validation_parameter`` / ``items`` and
+        ``private_hashes.get_version`` — which is how the conflict-aware
+        orderer predicts flags over its shadow state.
         """
         flags: list[ValidationCode] = []
         block_writes: set[tuple[str, str]] = set()
@@ -215,18 +151,6 @@ class Validator:
                             )
         return flags
 
-    _CERT_MEMO_MAX = 8192  # backstop; distinct valid certs per channel are few
-
-    def _certificate_valid(self, certificate: Certificate) -> bool:
-        if certificate in self._cert_memo:
-            return True
-        valid = self._channel.msp_registry.validate_certificate(certificate)
-        if valid:
-            if len(self._cert_memo) >= self._CERT_MEMO_MAX:  # pragma: no cover
-                self._cert_memo.clear()
-            self._cert_memo.add(certificate)
-        return valid
-
     # -- per-transaction pipeline ------------------------------------------
     def _validate_transaction(
         self,
@@ -242,7 +166,7 @@ class Validator:
             return ValidationCode.INVALID_OTHER
         if not self._channel.chaincodes.get(tx.chaincode_id):
             return ValidationCode.INVALID_OTHER
-        if not self._certificate_valid(tx.creator):
+        if not self._channel.msp_registry.validate_certificate(tx.creator):
             return ValidationCode.BAD_CREATOR_SIGNATURE
         if not tx.verify_creator_signature():
             return ValidationCode.BAD_CREATOR_SIGNATURE
@@ -263,14 +187,10 @@ class Validator:
         Invalid signatures are dropped rather than failing the transaction
         — they simply do not count towards any policy, as in Fabric.
         """
-        cached_bytes = self._payload_bytes
-        if cached_bytes is not None and tx.tx_id in cached_bytes:
-            payload_bytes = cached_bytes[tx.tx_id]
-        else:
-            payload_bytes = tx.payload.bytes()
+        payload_bytes = tx.payload.bytes()
         signers = []
         for endorsement in tx.endorsements:
-            if not self._certificate_valid(endorsement.endorser):
+            if not self._channel.msp_registry.validate_certificate(endorsement.endorser):
                 continue
             if endorsement.verify(payload_bytes):
                 signers.append(endorsement.endorser)
@@ -430,14 +350,4 @@ def range_fresh(
         write_ns == namespace and in_range(query, key)
         for write_ns, key in block_writes
     )
-
-
-def _settle_signatures(items: list[tuple]) -> None:
-    """Settle ``items`` in the shared verdict memo with one ``verify_batch`` call.
-
-    A block's signature work happens here, in one call before any rule
-    runs, and the per-transaction pipeline reads each verdict back.
-    """
-    if len(items) > 1:
-        crypto.verify_batch(items)
 

@@ -580,29 +580,37 @@ def check_block_agreement(sim: "SimNetwork") -> list:
     return violations
 
 
+def _flag_divergences(sim: "SimNetwork", wanted: dict, invariant: str, detail: str) -> list:
+    """One violation per flag any peer committed that ``wanted`` (block
+    number -> flags) contradicts; ``detail`` formats ``got`` / ``want``."""
+    violations = []
+    for peer in sim.all_peers():
+        chain = peer.ledger.blockchain
+        for header, flags in chain.block_heads():
+            want_flags = wanted.get(header.number)
+            if want_flags is None or flags == want_flags:
+                continue  # a height mismatch is block-agreement's to report
+            transactions = chain.stored_block(header.number).block.transactions
+            for tx, got, want in zip(transactions, flags, want_flags):
+                if got is not want:
+                    violations.append(Violation(
+                        invariant,
+                        f"block {header.number}: "
+                        + detail.format(got=got.value, want=want.value),
+                        peer=peer.name, tx_id=tx.tx_id,
+                    ))
+    return violations
+
+
 def check_reference_validation(
     sim: "SimNetwork", replay: Optional[ChainReplay] = None
 ) -> list:
     """Compare every peer's flags and final state with the reference replay."""
     replay = replay or ChainReplay(sim)
-    violations = []
-    for peer in sim.all_peers():
-        chain = peer.ledger.blockchain
-        for header, flags in chain.block_heads():
-            expected = replay.expected.get(header.number)
-            if expected is None:
-                continue  # height mismatch already reported by block-agreement
-            if flags == expected:
-                continue
-            transactions = chain.stored_block(header.number).block.transactions
-            for tx, got, want in zip(transactions, flags, expected):
-                if got is not want:
-                    violations.append(Violation(
-                        "reference-validation",
-                        f"block {header.number}: peer flagged {got.value}, "
-                        f"reference says {want.value}",
-                        peer=peer.name, tx_id=tx.tx_id,
-                    ))
+    violations = _flag_divergences(
+        sim, replay.expected, "reference-validation",
+        "peer flagged {got}, reference says {want}",
+    )
     for peer in sim.all_peers():
         violations.extend(
             peer_state_violations(sim.network.channel, peer, replay.state)
@@ -807,22 +815,14 @@ def check_vscc_memo_agreement(
     peer computed for an identical block (``validator.py``'s shared
     memo).  The flags :class:`ChainReplay`'s memo-free production
     validator computed from independently verified signatures must match
-    what the peers committed; any divergence means the memo or the
+    what *every* peer committed — the peers that read the memo as much as
+    the one that filled it; any divergence means the memo or the
     verification cache changed an outcome.
     """
-    replay = replay or ChainReplay(sim)
-    violations = []
-    for validated in replay.blocks:
-        fresh = replay.production[validated.number]
-        for tx, got, want in zip(validated.block.transactions, validated.flags, fresh):
-            if got is not want:
-                violations.append(Violation(
-                    "vscc-memo",
-                    f"block {validated.number}: committed flag {got.value} "
-                    f"but memo-free re-validation says {want.value}",
-                    peer=replay.source.name, tx_id=tx.tx_id,
-                ))
-    return violations
+    return _flag_divergences(
+        sim, (replay or ChainReplay(sim)).production, "vscc-memo",
+        "committed flag {got} but memo-free re-validation says {want}",
+    )
 
 
 def check_endorsement_plan(

@@ -239,6 +239,48 @@ class TestEverySabotageIsCaughtByName:
         assert hits, [str(v) for v in report.violations]
         assert "memo-free re-validation says VALID" in hits[0].detail
 
+    def test_memo_divergence_between_peers_is_reported_not_raised(self, monkeypatch):
+        # The first committer's listener flips the shared memo entry it
+        # just stored, so the peers validating the block after it read a
+        # flag no rule computed.  The run must complete — resolving a
+        # client's status does not judge peers — and every reader must be
+        # named by the invariants, ``vscc-memo`` included.
+        config = replace(
+            SimulationConfig.generate(SEED, OPS), fault_windows=0, jitter=0.0
+        )
+        ops, faults = generate(config)
+        real_build = harness.build_network
+        seen = {}
+
+        def build(config):
+            sim = real_build(config)
+            first = sim.all_peers()[0]
+            memo = _shared_memo_for(sim.network.channel)
+
+            def flip(peer, validated):
+                if "number" in seen or validated.flags[0] is not VALID:
+                    return
+                key = (validated.block.header.block_hash(), peer.features)
+                memo[key] = (ValidationCode.MVCC_READ_CONFLICT,) + memo[key][1:]
+                seen["number"] = validated.number
+
+            first.on_commit(flip)
+            seen["sim"] = sim
+            return sim
+
+        monkeypatch.setattr(harness, "build_network", build)
+        report = execute(config, ops, faults)
+        sim, number = seen["sim"], seen["number"]
+        readers = {
+            peer.name for peer in sim.all_peers()
+            if peer.ledger.blockchain.stored_block(number).flags[0]
+            is ValidationCode.MVCC_READ_CONFLICT
+        }
+        assert readers and sim.all_peers()[0].name not in readers
+        for invariant in ("block-agreement", "reference-validation", "vscc-memo"):
+            named = {v.peer for v in report.violations if v.invariant == invariant}
+            assert readers <= named, (invariant, [str(v) for v in report.violations])
+
 
 # -- the oracle must not trust the cache under test ---------------------------
 

@@ -25,6 +25,7 @@ from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.orderer.block_cutter import BlockCutter
+from repro.peer.validator import Validator
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.config import SimulationConfig
@@ -401,6 +402,61 @@ class TestPipelineProperties:
             for r in records2
         ]
         assert trail1 == trail2
+
+
+    def test_applies_the_survivors_trial_flags(self):
+        # Two predictions per batch, arrival order and trial order; the
+        # survivors' trial flags are what the shadow applies.  The batch
+        # holds an RMW race (two early aborts), a reader moved ahead of
+        # the writer of its key and a duplicate tx id (a non-VALID
+        # survivor).  ``_apply_sequence`` is the batch's only write to
+        # the shadow, so at its call the shadow is still the pre-batch one.
+        net = _asset_network(batch_size=6)
+        runtime = net.attach_runtime(seed=1, batch_timeout=2.0)
+        endorsers = net.default_endorsers()[:1]
+        client = net.client("Org1MSP")
+        load = client.submit_async(
+            "assetcc", "create_asset", ["hot", "0"], endorsing_peers=endorsers
+        )
+        runtime.run()
+        pipeline = net.orderer.reorderer
+        predictions = []
+        predict = pipeline._validator.flags_for
+
+        def counted(transactions, ledger):
+            predictions.append(len(transactions))
+            return predict(transactions, ledger)
+
+        pipeline._validator.flags_for = counted
+        fresh = Validator(net.channel, net.features)
+        applied = []
+        apply = pipeline._apply_sequence
+
+        def recorded(transactions, flags, block_number):
+            applied.append((list(flags), fresh.flags_for(transactions, pipeline._shadow)))
+            apply(transactions, flags, block_number)
+
+        pipeline._apply_sequence = recorded
+        batches, displaced, aborts = (
+            pipeline.batches, pipeline.displaced, pipeline.early_aborts
+        )
+        for function, args in (
+            ("add_to_asset", ["hot", "1"]),
+            ("read_asset", ["hot"]),
+            ("add_to_asset", ["hot", "2"]),
+            ("add_to_asset", ["hot", "3"]),
+            ("create_asset", ["cold", "1"]),
+        ):
+            client.submit_async("assetcc", function, args, endorsing_peers=endorsers)
+        net.submit_envelope_async(load.result().envelope)
+        runtime.run()
+        assert pipeline.batches == batches + 1
+        assert pipeline.displaced > displaced
+        assert pipeline.early_aborts == aborts + 2
+        assert predictions == [6, 6]
+        [(flags, reference)] = applied
+        assert flags == reference
+        assert ValidationCode.DUPLICATE_TXID in flags
 
 
 # ---------------------------------------------------------------------------

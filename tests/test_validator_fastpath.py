@@ -1,10 +1,10 @@
-"""The block-validation fast path: pre-pass, memoization, escape hatches.
+"""The block-validation fast path: memoization and escape hatches.
 
-Covers the three layers of the fast path at the validator level:
+Covers the layers of the fast path at the validator level:
 
 * serialized-bytes memoization on frozen protocol objects;
-* the signature pre-pass (equivalence with validation without it,
-  including blocks hiding a forged endorsement);
+* one rule loop on a memo miss (each signature verified once, a block
+  hiding a forged endorsement rejected);
 * the shared VSCC memo (2nd..Nth peer reuses flags; a
   ``Validator(use_shared_memo=False)`` validates afresh; the simulation
   invariant checker confirms the memo never changes a validation flag).
@@ -23,7 +23,7 @@ from repro.ledger.ledger import PeerLedger
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
 from repro.network.presets import three_org_network
-from repro.peer.validator import Validator
+from repro.peer.validator import Validator, _shared_memo_for
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.simulation.harness import run_seed
@@ -219,9 +219,9 @@ class TestSharedVsccMemo:
         PERF.reset()
         assert check_vscc_memo_agreement(_Sim(net)) == []
         assert PERF.verify_individual == len(triples)
-        # The reference validator, the production validator's pre-pass
-        # and its rules ask for the same triples: every hit is a later
-        # reader of a verdict the scope computed.
+        # The reference validator and the production validator's rules
+        # ask for the same triples: every hit is a later reader of a
+        # verdict the scope computed.
         assert PERF.verify_cache_hits <= 2 * PERF.verify_individual
         assert PERF.table_builds == 0
         assert len(crypto._KEY_TABLES) == tables
@@ -230,64 +230,43 @@ class TestSharedVsccMemo:
 
 class TestCertificateMemo:
     def test_late_msp_registration_not_cached_as_rejection(self):
-        # Only positive results are memoized: a certificate presented
-        # before its MSP is registered on the channel is rejected, but
-        # must become valid once the CA registers — a permanent negative
-        # memo would diverge from the uncached path.
+        # The registry caches CA checks, but not the rejection of a
+        # certificate whose CA is not registered yet: presented before its
+        # MSP joins the channel it is rejected, and valid once the CA
+        # registers — a permanent negative entry would diverge from the
+        # uncached path.
         from repro.identity.ca import CertificateAuthority
         from repro.identity.roles import Role
 
         net = _network()
-        validator = net.peer_of(1)._validator
+        registry = net.network.channel.msp_registry
         late_ca = CertificateAuthority("LateOrgMSP", seed=b"late-org")
         certificate = late_ca.enroll("late-peer", Role.PEER).certificate
-        assert not validator._certificate_valid(certificate)
-        net.network.channel.msp_registry.register(late_ca)
-        assert validator._certificate_valid(certificate)
-        # Now memoized positively: no registry call on the second probe.
-        assert certificate in validator._cert_memo
+        assert not registry.validate_certificate(certificate)
+        registry.register(late_ca)
+        assert registry.validate_certificate(certificate)
 
 
-class TestBatchedPrePass:
-    def test_batched_and_unbatched_flags_agree(self, monkeypatch):
-        flags_by_mode = {}
-        for mode in ("pre-pass", "none"):
-            if mode == "none":
-                monkeypatch.setattr(
-                    Validator, "_prewarm_signatures", lambda self, block, ledger: None
-                )
-            crypto.clear_caches()
-            net = _without_shared_memo(_network())
-            for i in range(3):
-                _submit(net, f"batch-{i}")
-            flags_by_mode[mode] = [
-                tuple(v.flags)
-                for v in net.peer_of(1).ledger.blockchain.blocks()
-            ]
-        assert flags_by_mode["pre-pass"] == flags_by_mode["none"]
-
-    def test_prewarm_settles_signatures_in_cache(self):
+class TestOneValidationPath:
+    def test_fresh_validation_verifies_each_signature_once(self):
+        # A memo miss runs the rule loop, which looks each signature up
+        # once, at the rule that needs it.
         net = _network()
         _submit(net, "setup-key")
         validated = next(iter(net.peer_of(1).ledger.blockchain.blocks()))
         validator = net.peer_of(1)._validator
+        _shared_memo_for(net.network.channel).clear()
         crypto.clear_verify_cache()
         PERF.reset()
-        validator._prewarm_signatures(validated.block, PeerLedger())
-        settled = PERF.verify_individual
-        assert settled == 3  # creator + two endorsers
-        # The per-transaction pipeline's verify() calls are answered from
-        # the memo the pre-pass populated.
-        tx = validated.block.transactions[0]
-        assert tx.verify_creator_signature()
-        assert len(validator._valid_signers(tx)) == 2
-        assert PERF.verify_individual == settled
-        assert PERF.verify_cache_hits == 3
+        flags = validator.validate_block(validated.block, PeerLedger())
+        assert flags == [ValidationCode.VALID]
+        assert PERF.verify_individual == 3  # creator + two endorsers
+        assert PERF.verify_cache_hits == 0
 
-    def test_forged_endorsement_rejected_under_batching(self):
-        # A wrong-key endorsement signature hidden among valid ones: the
-        # pre-pass settles it False, and the policy check then sees too
-        # few valid signers — same as without the pre-pass.
+    def test_forged_endorsement_rejected(self):
+        # A wrong-key endorsement signature hidden among valid ones: it
+        # verifies False, and the policy check then sees too few valid
+        # signers.
         from dataclasses import replace
 
         net = _network()
