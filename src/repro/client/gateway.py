@@ -239,14 +239,19 @@ class Gateway:
         return plan_endorsement(evaluator, policy, candidates)
 
     def _quorum_satisfied(
-        self, proposal: Proposal, responses: Sequence[ProposalResponse]
+        self,
+        proposal: Proposal,
+        responses: Sequence[ProposalResponse],
+        source: "PeerNode",
     ) -> bool:
         """Do the collected responses satisfy every applicable policy?
 
         Checked against the policies validation will actually apply —
-        derived from the first response's read/write set — so an early
-        quorum can never commit a transaction the full endorser set could
-        not (policy evaluation is monotone in the signer set).
+        derived from the first response's read/write set, with key-level
+        policies read from the committed state of ``source``, the peer
+        that produced it — so an early quorum can never commit a
+        transaction the full endorser set could not (policy evaluation is
+        monotone in the signer set).
         """
         certs = [r.endorsement.endorser for r in responses]
         return applied_policies_satisfied(
@@ -255,6 +260,7 @@ class Gateway:
             proposal.chaincode_id,
             certs,
             responses[0].payload,
+            source.ledger.world_state.get_validation_parameter,
         )
 
     def _finalize_endorsement(

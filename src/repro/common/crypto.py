@@ -77,23 +77,8 @@ def _exponent(digest: bytes) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fast-path switches and precomputation
+# Precomputation
 # ---------------------------------------------------------------------------
-
-# Off routes every exponentiation through plain pow(): the reference the
-# window kernels must agree with byte for byte.
-_FAST_PATH = True
-
-
-def set_fast_path(enabled: bool) -> None:
-    """Toggle the fixed-base window kernels (the tests' reference hook)."""
-    global _FAST_PATH
-    _FAST_PATH = bool(enabled)
-
-
-def fast_path_enabled() -> bool:
-    return _FAST_PATH
-
 
 _G_TABLE: Optional[FixedBaseTable] = None
 
@@ -117,17 +102,11 @@ def _g_table() -> FixedBaseTable:
 
 
 def _g_pow(exponent: int) -> int:
-    if _FAST_PATH:
-        return _g_table().pow(exponent)
-    PERF.modexp_full += 1
-    return pow(G, exponent, P)
+    return _g_table().pow(exponent)
 
 
 def _y_pow(y: int, exponent: int) -> int:
-    if _FAST_PATH:
-        return _KEY_TABLES.powmod(y, exponent)
-    PERF.modexp_full += 1
-    return pow(y, exponent, P)
+    return _KEY_TABLES.powmod(y, exponent)
 
 
 #: Cache clearers registered by other layers (proposal-serialization

@@ -38,8 +38,9 @@ _COUNTER_FIELDS = (
 class PerfCounters:
     """Crypto / validation perf counters (process-wide, see :data:`PERF`).
 
-    ``modexp_full`` counts plain ``pow()`` calls;
-    ``modexp_windowed`` counts table-accelerated fixed-base evaluations.
+    ``modexp_windowed`` counts table-accelerated fixed-base evaluations;
+    ``modexp_full``, for plain ``pow()`` calls, stays zero, since every
+    exponentiation is a table look-up.
     ``verify_*`` splits signature checks by how they were satisfied, and
     ``vscc_memo_*`` tracks the shared block-validation memo.  The
     ``endorse_*``/``proposals_sent``/``plan_*`` counters instrument the

@@ -9,7 +9,6 @@ from repro.core.attacks.collusion import (
 from repro.core.attacks.fake_read import run_fake_read_injection
 from repro.core.attacks.ops import (
     ColludingPrivateAssetContract,
-    expected_policy_ok,
     favourable_endorsers,
     nonsatisfying_endorsers,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "install_constrained_contracts",
     "seed_private_value",
     "ColludingPrivateAssetContract",
-    "expected_policy_ok",
     "favourable_endorsers",
     "nonsatisfying_endorsers",
     "run_fake_read_injection",

@@ -4,32 +4,22 @@ The scripted drivers (``fake_read``/``fake_write``/``scenarios``) replay
 the paper's §V experiments one at a time on a fixed preset.  The
 deterministic simulation subsystem (:mod:`repro.simulation`) instead
 interleaves *attack operations* with honest traffic on arbitrarily shaped
-networks.  That needs three reusable pieces:
+networks.  On top of the spec-level policy oracle
+(:func:`repro.policy.planner.expected_policy_ok`) that needs two reusable
+pieces:
 
-* :func:`expected_policy_ok` — a **spec-level oracle** for the
-  policy-selection rules of ``validator_keylevel.go`` (Section II-B3 and
-  Use Case 2): given which parts of the state a transaction touches and
-  which certificates endorsed it, decide whether validation *should*
-  accept it.  The simulator uses this both to label generated operations
-  with their expected outcome and, independently, inside the invariant
-  checkers — so a validator bug shows up as a disagreement.
 * :func:`favourable_endorsers` — the §IV-A degree of freedom: a client
   picks an endorser set that satisfies the *chaincode-level* policy while
   excluding a victim organization (possibly using PDC non-members, who
   happily endorse write-only PDC transactions — Use Case 1).
 * :func:`nonsatisfying_endorsers` — an endorser set that fails the
   applicable policy, for probing that validation actually rejects it.
-
-Key-level ("state-based") endorsement policies are intentionally outside
-this oracle: the simulated workloads never commit validation parameters,
-so the applicable policies are fully determined by the chaincode and
-collection definitions.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.chaincode.api import require_args
 from repro.chaincode.contracts.pdc_contract import PrivateAssetContract
@@ -37,6 +27,7 @@ from repro.chaincode.stub import ChaincodeStub
 from repro.common.errors import ChaincodeError
 from repro.core.defense.features import FrameworkFeatures
 from repro.identity.identity import Certificate
+from repro.policy.planner import expected_policy_ok, satisfying_prefix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.channel import ChannelConfig
@@ -66,90 +57,24 @@ class ColludingPrivateAssetContract(PrivateAssetContract):
         return self._fake_value
 
 
-def expected_policy_ok(
-    channel: "ChannelConfig",
-    features: FrameworkFeatures,
-    chaincode_id: str,
-    certs: Sequence[Certificate],
-    *,
-    read_only: bool,
-    has_public_writes: bool,
-    collections_written: Iterable[str] = (),
-    collections_touched: Iterable[str] = (),
-) -> bool:
-    """Spec-level answer to "does this endorser set satisfy validation?".
-
-    Mirrors the policy-*selection* rules (not the implementation) of the
-    validator: read-only transactions consult only the chaincode-level
-    policy (plus, under New Feature 1, the collection-level policies of
-    collections read); writes consult the collection-level policy per
-    written collection when one is defined, falling back to the
-    chaincode-level policy; the supplemental defense first discards
-    endorsements from organizations that are not members of every touched
-    collection.
-    """
-    evaluator = channel.evaluator()
-    definition = channel.chaincode(chaincode_id)
-    touched = sorted(set(collections_touched) | set(collections_written))
-    signers = list(certs)
-
-    if touched and features.filter_nonmember_endorsements:
-        member_orgs: Optional[set] = None
-        for name in touched:
-            orgs = channel.collection(chaincode_id, name).member_orgs()
-            member_orgs = orgs if member_orgs is None else member_orgs & orgs
-        signers = [c for c in signers if c.msp_id in (member_orgs or set())]
-
-    chaincode_policy_needed = False
-    extra_policies: list[str] = []
-
-    if read_only:
-        chaincode_policy_needed = True
-        if features.collection_policy_on_reads:
-            for name in touched:
-                config = channel.collection(chaincode_id, name)
-                if config.endorsement_policy is not None:
-                    extra_policies.append(config.endorsement_policy)
-    else:
-        if has_public_writes:
-            chaincode_policy_needed = True
-        for name in sorted(set(collections_written)):
-            config = channel.collection(chaincode_id, name)
-            if config.endorsement_policy is not None:
-                extra_policies.append(config.endorsement_policy)
-            else:
-                chaincode_policy_needed = True
-
-    if chaincode_policy_needed and not evaluator.evaluate(
-        definition.endorsement_policy, signers
-    ):
-        return False
-    for policy_text in extra_policies:
-        if not evaluator.evaluate(policy_text, signers):
-            return False
-    return True
-
-
-def _certificates(peers: Sequence["PeerNode"]) -> list[Certificate]:
-    return [p.certificate for p in peers]
-
-
 def _policy_ok_for(
     channel: "ChannelConfig",
     features: FrameworkFeatures,
     chaincode_id: str,
-    peers: Sequence["PeerNode"],
-    collections_written: Iterable[str],
+    certs: Sequence[Certificate],
+    collection: str,
 ) -> bool:
+    """The oracle's verdict on a write-only PDC transaction to ``collection``."""
+    written = ((chaincode_id, collection),)
     return expected_policy_ok(
         channel,
         features,
         chaincode_id,
-        _certificates(peers),
+        certs,
         read_only=False,
         has_public_writes=False,
-        collections_written=tuple(collections_written),
-        collections_touched=tuple(collections_written),
+        collections_written=written,
+        collections_touched=written,
     )
 
 
@@ -176,12 +101,11 @@ def favourable_endorsers(
             by_org.setdefault(peer.msp_id, peer)
     candidates = [by_org[msp] for msp in sorted(by_org)]
     rng.shuffle(candidates)
-    chosen: list["PeerNode"] = []
-    for peer in candidates:
-        chosen.append(peer)
-        if _policy_ok_for(channel, features, chaincode_id, chosen, [collection]):
-            return chosen
-    return None
+    chosen, ok = satisfying_prefix(
+        candidates,
+        lambda certs: _policy_ok_for(channel, features, chaincode_id, certs, collection),
+    )
+    return chosen if ok else None
 
 
 def nonsatisfying_endorsers(
@@ -205,6 +129,7 @@ def nonsatisfying_endorsers(
             continue
         for _ in range(attempts):
             chosen = rng.sample(pool, size)
-            if not _policy_ok_for(channel, features, chaincode_id, chosen, [collection]):
+            certs = [p.certificate for p in chosen]
+            if not _policy_ok_for(channel, features, chaincode_id, certs, collection):
                 return chosen
     return None

@@ -74,6 +74,7 @@ class EndorsementCollector:
         # envelope's endorsement tuple feeds signed bytes), so responses
         # are always re-sorted into plan-candidate order.
         self._order = {peer.name: i for i, peer in enumerate(plan.candidates)}
+        self._peers = {peer.name: peer for peer in plan.candidates}
         self._backups: list["PeerNode"] = list(plan.backups)
         self._responses: dict[str, "ProposalResponse"] = {}
         self._failures: dict[str, EndorsementError] = {}
@@ -116,15 +117,14 @@ class EndorsementCollector:
             self._responses[peer_name] = outcome.response
         self._check_progress()
 
-    def _ordered_responses(self) -> list["ProposalResponse"]:
-        return [
-            self._responses[name]
-            for name in sorted(self._responses, key=self._order.__getitem__)
-        ]
-
     def _check_progress(self) -> None:
-        responses = self._ordered_responses()
-        if responses and self._gateway._quorum_satisfied(self._proposal, responses):
+        names = sorted(self._responses, key=self._order.__getitem__)
+        responses = [self._responses[name] for name in names]
+        # The first response supplies the read/write set, so its peer's
+        # committed state supplies the key-level policies.
+        if responses and self._gateway._quorum_satisfied(
+            self._proposal, responses, self._peers[names[0]]
+        ):
             self._finish(responses)
             return
         if self._outstanding:

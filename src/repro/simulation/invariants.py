@@ -78,6 +78,8 @@ from repro.common import crypto
 from repro.common.hashing import hash_value
 from repro.common.serialization import canonical_bytes, clear_serialization_memos
 from repro.ledger.version import Version
+from repro.ledger.world_state import WorldState
+from repro.policy.planner import applied_policies_satisfied
 from repro.protocol.transaction import ValidationCode
 from repro.runtime.runtime import TOPIC_SUBMIT
 
@@ -272,15 +274,17 @@ class ReferenceValidator:
 
     Deliberately shares no code with :class:`repro.peer.validator.Validator`
     beyond the policy evaluator: rules are re-derived from the paper's
-    Section II-B3 / III-B description, so an implementation bug in the
-    production validator (or a deliberately weakened one) disagrees with
-    this oracle and surfaces as a ``reference-validation`` violation.
+    Section II-B3 / III-B description, and the policy-selection rule is
+    the spec-level oracle of :mod:`repro.policy.planner` — the one the
+    client's early-quorum test and the workload generators trust — so an
+    implementation bug in the production validator (or a deliberately
+    weakened one), or in that oracle, disagrees and surfaces as a
+    ``reference-validation`` violation.
     """
 
     def __init__(self, channel: "ChannelConfig", features) -> None:
         self._channel = channel
         self._features = features
-        self._evaluator = channel.evaluator()
         self.state = _ModelState()
 
     # -- block-level ----------------------------------------------------------
@@ -347,60 +351,13 @@ class ReferenceValidator:
         return certs
 
     def _policies_ok(self, tx) -> bool:
-        definition = self._channel.chaincode(tx.chaincode_id)
-        results = tx.payload.results
-        signers = self._signers(tx)
-        touched = results.collections_touched()
+        return applied_policies_satisfied(
+            self._channel, self._features, tx.chaincode_id,
+            self._signers(tx), tx.payload, self._key_policy,
+        )
 
-        if touched and self._features.filter_nonmember_endorsements:
-            member_orgs: Optional[set] = None
-            for namespace, name in touched:
-                orgs = self._channel.collection(namespace, name).member_orgs()
-                member_orgs = orgs if member_orgs is None else member_orgs & orgs
-            signers = [c for c in signers if c.msp_id in (member_orgs or set())]
-
-        need_chaincode = False
-        extra: list = []
-        if results.is_read_only:
-            need_chaincode = True
-            if self._features.collection_policy_on_reads:
-                for namespace, name in sorted(touched):
-                    config = self._channel.collection(namespace, name)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-        else:
-            for ns in results.namespaces:
-                for write in ns.writes:
-                    key_policy = self._key_policy(ns.namespace, write.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for meta in ns.metadata_writes:
-                    key_policy = self._key_policy(ns.namespace, meta.key)
-                    if key_policy is not None:
-                        extra.append(key_policy)
-                    else:
-                        need_chaincode = True
-                for col in ns.collections:
-                    if not col.hashed_writes:
-                        continue
-                    config = self._channel.collection(ns.namespace, col.collection)
-                    if config.endorsement_policy is not None:
-                        extra.append(config.endorsement_policy)
-                    else:
-                        need_chaincode = True
-
-        if need_chaincode and not self._evaluator.evaluate(
-            definition.endorsement_policy, signers
-        ):
-            return False
-        return all(self._evaluator.evaluate(text, signers) for text in extra)
-
-    def _key_policy(self, namespace: str, key: str) -> Optional[str]:
-        meta = self.state.meta.get((namespace, key), {})
-        value = meta.get("VALIDATION_PARAMETER")
-        return value.decode("utf-8") if value is not None else None
+    def _key_policy(self, namespace: str, key: str) -> Optional[bytes]:
+        return self.state.meta.get((namespace, key), {}).get(WorldState.VALIDATION_PARAMETER)
 
     def _versions_ok(self, tx, block_writes, block_private) -> bool:
         for ns in tx.payload.results.namespaces:
@@ -476,8 +433,8 @@ class ChainReplay:
     one fresh production validator — shared memo pinned off —
     re-validates against a fresh ledger advanced with the
     *committed* flags, so one divergence cannot cascade (``production``);
-    and the keys VALID transactions put under a key-level policy are
-    collected (``governed``).
+    and the key-level policies committed before the block are recorded
+    (``key_policies``).
 
     The walk runs inside :func:`crypto.independent_verification`: the two
     validators stay separate oracles, each applying its own rules to its
@@ -496,7 +453,7 @@ class ChainReplay:
         self.blocks = list(source.ledger.blockchain.all_blocks())
         self.expected: dict = {}       # block number -> reference flags
         self.production: dict = {}     # block number -> memo-free production flags
-        self.governed: set = set()     # (namespace, key) under a key-level policy
+        self.key_policies: dict = {}   # block number -> {(ns, key): policy bytes} before it
         self.arrival_flags: dict = {}  # reorder record index -> arrival-order flags
         pipeline = getattr(sim.network.orderer, "reorderer", None)
         self.records = list(pipeline.records) if pipeline is not None else []
@@ -524,14 +481,14 @@ class ChainReplay:
             for validated in self.blocks:
                 block, number = validated.block, validated.number
                 judge(due.pop(number, ()))
+                self.key_policies[number] = {
+                    key: meta[WorldState.VALIDATION_PARAMETER]
+                    for key, meta in self.state.meta.items()
+                    if WorldState.VALIDATION_PARAMETER in meta
+                }
                 self.expected[number] = reference.expected_flags(block)
                 self.production[number] = validator.validate_block(block, ledger)
                 committer.commit_block(block, list(validated.flags), ledger)
-                for tx in validated.valid_transactions():
-                    for ns in tx.payload.results.namespaces:
-                        for meta in ns.metadata_writes:
-                            if meta.name == "VALIDATION_PARAMETER":
-                                self.governed.add((ns.namespace, meta.key))
             # Records past the source's tip (or after the last block).
             for batches in (*due.values(), waiting):
                 judge(batches)
@@ -837,30 +794,21 @@ def check_endorsement_plan(
     widening the certificate set to the full default endorser pool must
     not flip the verdict (policy evaluation is monotone in the signer
     set — more signatures can never invalidate a quorum, which is why an
-    early quorum commits exactly what full endorsement would).  Keys
-    governed by committed key-level ``VALIDATION_PARAMETER`` policies are
-    outside the client-visible oracle (and outside the plan path's
-    completion test) and are skipped.
+    early quorum commits exactly what full endorsement would).  Key-level
+    policies are those committed before the transaction's block.
     """
-    from repro.policy.planner import applied_policies_satisfied
-
     replay = replay or ChainReplay(sim)
     violations = []
     channel = sim.network.channel
     features = sim.network.features
     full_pool = [p.certificate for p in sim.network.default_endorsers()]
     for validated in replay.blocks:
+        policies = replay.key_policies[validated.number]
+        key_policy = lambda namespace, key: policies.get((namespace, key))
         for tx in validated.valid_transactions():
-            if any(
-                (ns.namespace, write.key) in replay.governed
-                for ns in tx.payload.results.namespaces
-                for writes in (ns.writes, ns.metadata_writes)
-                for write in writes
-            ):
-                continue
             certs = [e.endorser for e in tx.endorsements]
             if not applied_policies_satisfied(
-                channel, features, tx.chaincode_id, certs, tx.payload
+                channel, features, tx.chaincode_id, certs, tx.payload, key_policy
             ):
                 violations.append(Violation(
                     "endorsement-plan",
@@ -871,7 +819,8 @@ def check_endorsement_plan(
                 ))
                 continue
             if not applied_policies_satisfied(
-                channel, features, tx.chaincode_id, certs + full_pool, tx.payload
+                channel, features, tx.chaincode_id, certs + full_pool, tx.payload,
+                key_policy,
             ):
                 violations.append(Violation(
                     "endorsement-plan",

@@ -8,7 +8,7 @@ own, so a list of specs replays identically, and the shrinker can delete
 specs one by one without disturbing the rest of the schedule.
 
 Each spec also carries ``expect_policy_ok``: the generation-time verdict
-of the spec-level policy oracle (:func:`repro.core.attacks.ops
+of the spec-level policy oracle (:func:`repro.policy.planner
 .expected_policy_ok`).  At quiescence the invariant layer holds the
 validator to it — a transaction endorsed by a non-satisfying set that
 commits ``VALID`` (or vice versa) is an invariant violation, which is
@@ -28,11 +28,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.attacks.ops import (
-    expected_policy_ok,
-    favourable_endorsers,
-    nonsatisfying_endorsers,
-)
+from repro.core.attacks.ops import favourable_endorsers, nonsatisfying_endorsers
+from repro.policy.planner import expected_policy_ok, satisfying_prefix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simulation.config import SimulationConfig
@@ -316,21 +313,17 @@ class WorkloadGenerator:
         if not orgs:
             return (), False
         rng.shuffle(orgs)
-        chosen: list = []
-        peers: list = []
-        satisfied = False
-        for org in orgs:
-            chosen.append(org)
-            peers.append(self._peer_for(org))
-            if expected_policy_ok(
-                self._channel, self._features, self._active_chaincode,
-                [p.certificate for p in peers],
+        chaincode = self._active_chaincode
+        written = [(chaincode, c) for c in collections_written]
+        touched = [(chaincode, c) for c in collections_touched]
+        peers, satisfied = satisfying_prefix(
+            (self._peer_for(org) for org in orgs),
+            lambda certs: expected_policy_ok(
+                self._channel, self._features, chaincode, certs,
                 read_only=read_only, has_public_writes=has_public_writes,
-                collections_written=collections_written,
-                collections_touched=collections_touched,
-            ):
-                satisfied = True
-                break
+                collections_written=written, collections_touched=touched,
+            ),
+        )
         return tuple(p.name for p in peers), satisfied
 
     def _peer_for(self, org: str):
@@ -494,7 +487,7 @@ class WorkloadGenerator:
         expect = expected_policy_ok(
             self._channel, self._features, PDC_CHAINCODE, certs,
             read_only=True, has_public_writes=False,
-            collections_touched=("PDC1",),
+            collections_touched=((PDC_CHAINCODE, "PDC1"),),
         )
         key = rng.choice(self._model.private["PDC1"])
         return OpSpec(

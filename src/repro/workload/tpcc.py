@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.chaincode.api import Chaincode, require_args
 from repro.chaincode.stub import ChaincodeStub
 from repro.common.errors import ChaincodeError
-from repro.core.attacks.ops import expected_policy_ok
+from repro.policy.planner import expected_policy_ok, satisfying_prefix
 from repro.simulation.workload import OpSpec
 from repro.workload.loadgen import OpenLoopGenerator
 
@@ -312,16 +312,16 @@ class TpccWorkloadGenerator:
         if not orgs:
             return (), False
         rng.shuffle(orgs)
-        peers: list = []
-        for org in orgs:
-            peers.append(rng.choice(self._sim.peers_of(org)))
-            if expected_policy_ok(
-                self._channel, self._features, TPCC_CHAINCODE,
-                [p.certificate for p in peers],
+        written = [(TPCC_CHAINCODE, c) for c in collections_written]
+        touched = [(TPCC_CHAINCODE, c) for c in collections_touched]
+        peers, satisfied = satisfying_prefix(
+            (rng.choice(self._sim.peers_of(org)) for org in orgs),
+            lambda certs: expected_policy_ok(
+                self._channel, self._features, TPCC_CHAINCODE, certs,
                 read_only=read_only,
                 has_public_writes=not read_only,
-                collections_written=collections_written,
-                collections_touched=collections_touched,
-            ):
-                return tuple(p.name for p in peers), True
-        return tuple(p.name for p in peers), False
+                collections_written=written,
+                collections_touched=touched,
+            ),
+        )
+        return tuple(p.name for p in peers), satisfied

@@ -31,7 +31,7 @@ from repro.network.collection import CollectionConfig
 from repro.peer.validator import _shared_memo_for
 from repro.protocol.transaction import ValidationCode
 from repro.simulation import SimulationConfig, harness, invariants
-from repro.simulation.harness import execute, generate
+from repro.simulation.harness import SimNetwork, execute, generate
 
 VALID = ValidationCode.VALID
 # Seed 1 at 16 ops: five orgs under MAJORITY (three signatures), ten
@@ -379,3 +379,43 @@ class TestOneIndependentReplay:
         assert spent.get("verify_individual", 0) == len(verified)
         assert spent.get("table_builds", 0) == 0
         assert not crypto._VERIFY_CACHE
+
+
+class TestGovernedWritesAreJudged:
+    """``endorsement-plan`` holds key-level-governed writes to the key
+    policy committed before their block, not only to the chaincode's."""
+
+    KEY_POLICY = "AND('Org1MSP.peer', 'Org2MSP.peer')"
+
+    def _governed_chain(self, net) -> SimNetwork:
+        client = net.client("Org1MSP")
+        org1, org2, org3 = (net.peers_of(f"Org{i}MSP")[0] for i in (1, 2, 3))
+        for function, args, endorsers in (
+            ("create_asset", ["gold", "100"], [org1, org2]),
+            ("set_asset_policy", ["gold", self.KEY_POLICY], [org1, org2]),
+            ("update_asset", ["gold", "200"], [org1, org2, org3]),
+        ):
+            client.submit_transaction(
+                "assetcc", function, args, endorsing_peers=endorsers
+            ).raise_for_status()
+        return SimNetwork(
+            config=None, network=net,
+            peers={p.name: p for p in net.peers()}, clients={},
+        )
+
+    def test_a_governed_chain_is_clean(self, public_network):
+        sim = self._governed_chain(public_network)
+        assert invariants.check_endorsement_plan(sim, []) == []
+
+    def test_endorsements_missing_the_key_policy_fire(self, public_network):
+        sim = self._governed_chain(public_network)
+        # {org1, org3} still meets the chaincode MAJORITY, not AND(org1, org2).
+        _rewrite_tip(
+            sim.all_peers()[0],
+            rewrite_tx=lambda tx: replace(tx, endorsements=tuple(
+                e for e in tx.endorsements if e.endorser.msp_id != "Org2MSP"
+            )),
+        )
+        hits = invariants.check_endorsement_plan(sim, [])
+        assert [v.invariant for v in hits] == ["endorsement-plan"]
+        assert "does not satisfy" in hits[0].detail

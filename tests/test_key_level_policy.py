@@ -9,9 +9,14 @@ policy only*, the same asymmetry the PDC fake-read attack exploits.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from repro.common.errors import EndorsementError
+from repro.common.tracing import PERF
+from repro.peer.validator import Validator
+from repro.policy.planner import applied_policies_satisfied
 from repro.protocol.transaction import ValidationCode
 
 KEY_POLICY = "AND('Org1MSP.peer', 'Org2MSP.peer')"
@@ -145,3 +150,76 @@ class TestKeyLevelValidation:
         proposal = client._proposal("assetcc", "set_asset_policy", ["gold", KEY_POLICY])
         output = net.request_endorsement(endorsers[0], proposal)
         assert not output.response.payload.results.is_read_only
+
+
+class TestPlanPathReadsKeyPolicies:
+    def test_plan_escalates_until_the_key_policy_is_met(self, secured):
+        """The plan's opening wave {org1, org3} meets the chaincode MAJORITY
+        but not gold's AND(org1, org2): the early-quorum test reads the key
+        policy from the first responder's state and escalates to org2."""
+        net, client, _ = secured
+        pool = [net.peers_of(f"Org{i}MSP")[0] for i in (1, 3, 2)]
+        before = PERF.snapshot()
+        result = client.submit_transaction(
+            "assetcc", "update_asset", ["gold", "200"],
+            endorsing_peers=pool, endorsement_plan=True,
+        )
+        assert result.status is ValidationCode.VALID
+        assert len(result.envelope.endorsements) == 3
+        assert PERF.delta_since(before).get("plan_escalations") == 1
+
+
+# Every endorsing-org subset, in a fixed order.
+SUBSETS = [
+    orgs
+    for size in (1, 2, 3)
+    for orgs in combinations(("Org1MSP", "Org2MSP", "Org3MSP"), size)
+]
+
+
+class TestOracleAgreesWithValidator:
+    """The spec-level oracle against the production validator, row by row.
+
+    For each transaction shape and every subset of endorsing orgs, the
+    oracle — fed the first endorser's committed state — and a memo-free
+    ``Validator`` must give the same endorsement verdict.
+    """
+
+    ROWS = {
+        "governed public write": ("update_asset", ["gold", "7"]),
+        "governed metadata write": ("set_asset_policy", ["gold", "OR('Org3MSP.peer')"]),
+        "governed and ungoverned writes": ("transfer_asset", ["gold", "silver"]),
+        "ungoverned public write": ("update_asset", ["plain", "7"]),
+        "read of a governed key": ("read_asset", ["gold"]),
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_verdicts_agree_on_every_endorser_subset(self, secured, row):
+        net, client, _ = secured
+        client.submit_transaction(
+            "assetcc", "create_asset", ["plain", "1"],
+            endorsing_peers=net.default_endorsers()[:2],
+        ).raise_for_status()
+        function, args = self.ROWS[row]
+        validator = Validator(net.channel, net.features, use_shared_memo=False)
+        verdicts = []
+        for orgs in SUBSETS:
+            peers = [net.peers_of(org)[0] for org in orgs]
+            proposal = client._proposal("assetcc", function, args)
+            responses = [net.request_endorsement(p, proposal).response for p in peers]
+            envelope = client.assemble(proposal, responses)
+            oracle = applied_policies_satisfied(
+                net.channel, net.features, "assetcc",
+                [r.endorsement.endorser for r in responses],
+                responses[0].payload,
+                peers[0].ledger.world_state.get_validation_parameter,
+            )
+            flag = validator.flags_for([envelope], peers[0].ledger)[0]
+            assert flag in (ValidationCode.VALID, ValidationCode.ENDORSEMENT_POLICY_FAILURE)
+            assert oracle == (flag is ValidationCode.VALID), (row, orgs)
+            verdicts.append(oracle)
+        # Each row separates the subsets: some pass, some fail.
+        assert True in verdicts and False in verdicts
+        if row.startswith("governed"):
+            # MAJORITY holds for {org1, org3}; the key policy does not.
+            assert not verdicts[SUBSETS.index(("Org1MSP", "Org3MSP"))]
