@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python -m pytest benchmarks/test_clock.py -q     # a few seconds
 
-One ``--scale 0.1`` round: the timers see every target, the table's rows
-sum to no more than the round (the targets never call one another, and a
-timer counts only outermost calls), and every swapped binding is put back.
+One ``--scale 0.15`` round (a 0.1 round decodes nothing, so the
+``from_canonical_bytes`` row would read 0): the timers see every target,
+the table's rows sum to no more than the round (the targets never call
+one another, and a timer counts only outermost calls), and every swapped
+binding is put back.
 """
 
 from __future__ import annotations
@@ -34,19 +36,17 @@ def wal_scratch(tmp_path, monkeypatch):
 
 
 def test_rows_sum_to_no_more_than_the_round(wal_scratch):
-    import pickle
-
     from repro.common import serialization
     from workloads import WORKLOADS
 
-    originals = (serialization.canonical_bytes, pickle.dumps, pickle.loads)
-    ops = max(12, round(WORKLOADS["pdc_faults"].ops * 0.1))
+    originals = (serialization.canonical_bytes, serialization.from_canonical_bytes)
+    ops = round(WORKLOADS["pdc_faults"].ops * 0.15)
     measured = clock.clock_round("pdc_faults", sub_seed=700, ops=ops)
     rows = measured["rows"]
     assert set(rows) == {label for label, _, _ in clock.TARGETS}
     assert all(calls > 0 for _, calls in rows.values()), rows
     assert sum(seconds for seconds, _ in rows.values()) <= measured["run_wall_s"]
-    assert (serialization.canonical_bytes, pickle.dumps, pickle.loads) == originals
+    assert (serialization.canonical_bytes, serialization.from_canonical_bytes) == originals
 
 
 def test_the_command_prints_the_table(wal_scratch):

@@ -23,6 +23,11 @@ from typing import Optional
 
 from repro.common.hashing import hash_key, hash_value
 from repro.ledger.version import Version
+from repro.storage.codec import pack_private_writes, unpack_private_writes
+
+
+def _version_from_wire(wire: Optional[dict]) -> Optional[Version]:
+    return Version.from_wire(wire) if wire is not None else None
 
 
 @dataclass(frozen=True)
@@ -35,6 +40,10 @@ class KVRead:
     def to_wire(self) -> dict:
         return {"key": self.key, "version": self.version.to_wire() if self.version else None}
 
+    @classmethod
+    def from_wire(cls, wire: dict) -> "KVRead":
+        return cls(key=wire["key"], version=_version_from_wire(wire["version"]))
+
 
 @dataclass(frozen=True)
 class KVWrite:
@@ -46,6 +55,10 @@ class KVWrite:
 
     def to_wire(self) -> dict:
         return {"key": self.key, "value": self.value, "is_delete": self.is_delete}
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "KVWrite":
+        return cls(key=wire["key"], value=wire["value"], is_delete=wire["is_delete"])
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,10 @@ class KVReadHash:
             "version": self.version.to_wire() if self.version else None,
         }
 
+    @classmethod
+    def from_wire(cls, wire: dict) -> "KVReadHash":
+        return cls(key_hash=wire["key_hash"], version=_version_from_wire(wire["version"]))
+
 
 @dataclass(frozen=True)
 class KVWriteHash:
@@ -81,6 +98,14 @@ class KVWriteHash:
             "value_hash": self.value_hash,
             "is_delete": self.is_delete,
         }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "KVWriteHash":
+        return cls(
+            key_hash=wire["key_hash"],
+            value_hash=wire["value_hash"],
+            is_delete=wire["is_delete"],
+        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +123,10 @@ class KVMetadataWrite:
 
     def to_wire(self) -> dict:
         return {"key": self.key, "name": self.name, "value": self.value}
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "KVMetadataWrite":
+        return cls(key=wire["key"], name=wire["name"], value=wire["value"])
 
 
 @dataclass(frozen=True)
@@ -122,6 +151,14 @@ class RangeQueryInfo:
             "reads": [r.to_wire() for r in self.reads],
         }
 
+    @classmethod
+    def from_wire(cls, wire: dict) -> "RangeQueryInfo":
+        return cls(
+            start_key=wire["start_key"],
+            end_key=wire["end_key"],
+            reads=tuple(KVRead.from_wire(r) for r in wire["reads"]),
+        )
+
 
 @dataclass(frozen=True)
 class HashedCollectionRWSet:
@@ -137,6 +174,14 @@ class HashedCollectionRWSet:
             "hashed_reads": [r.to_wire() for r in self.hashed_reads],
             "hashed_writes": [w.to_wire() for w in self.hashed_writes],
         }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "HashedCollectionRWSet":
+        return cls(
+            collection=wire["collection"],
+            hashed_reads=tuple(KVReadHash.from_wire(r) for r in wire["hashed_reads"]),
+            hashed_writes=tuple(KVWriteHash.from_wire(w) for w in wire["hashed_writes"]),
+        )
 
     @property
     def has_writes(self) -> bool:
@@ -168,6 +213,19 @@ class NamespaceRWSet:
             "metadata_writes": [m.to_wire() for m in self.metadata_writes],
         }
 
+    @classmethod
+    def from_wire(cls, wire: dict) -> "NamespaceRWSet":
+        return cls(
+            namespace=wire["namespace"],
+            reads=tuple(KVRead.from_wire(r) for r in wire["reads"]),
+            writes=tuple(KVWrite.from_wire(w) for w in wire["writes"]),
+            collections=tuple(HashedCollectionRWSet.from_wire(c) for c in wire["collections"]),
+            range_queries=tuple(RangeQueryInfo.from_wire(q) for q in wire["range_queries"]),
+            metadata_writes=tuple(
+                KVMetadataWrite.from_wire(m) for m in wire["metadata_writes"]
+            ),
+        )
+
     def collection(self, name: str) -> Optional[HashedCollectionRWSet]:
         for col in self.collections:
             if col.collection == name:
@@ -183,6 +241,11 @@ class TxReadWriteSet:
 
     def to_wire(self) -> dict:
         return {"namespaces": [ns.to_wire() for ns in self.namespaces]}
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "TxReadWriteSet":
+        """Inverse of :meth:`to_wire`, as is every ``from_wire`` here."""
+        return cls(namespaces=tuple(NamespaceRWSet.from_wire(ns) for ns in wire["namespaces"]))
 
     def namespace(self, name: str) -> Optional[NamespaceRWSet]:
         for ns in self.namespaces:
@@ -228,6 +291,26 @@ class PrivateCollectionWrites:
             "collection": self.collection,
             "writes": [w.to_wire() for w in self.writes],
         }
+
+    def to_bytes(self) -> bytes:
+        """The storage framing (:func:`~repro.storage.codec.pack_private_writes`)
+        of the private-rwset archive and the transient store."""
+        return pack_private_writes(
+            self.namespace, self.collection, [(w.key, w.value, w.is_delete) for w in self.writes]
+        )
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "PrivateCollectionWrites":
+        """Inverse of :meth:`to_bytes`; any other framing is a ``CodecError``."""
+        namespace, collection, writes = unpack_private_writes(raw)
+        return cls(
+            namespace=namespace,
+            collection=collection,
+            writes=tuple(
+                KVWrite(key=key, value=value, is_delete=is_delete)
+                for key, value, is_delete in writes
+            ),
+        )
 
     def matches_hashes(self, hashed: HashedCollectionRWSet) -> bool:
         """Verify these plaintext writes against their on-chain hashes.

@@ -109,13 +109,10 @@ def _emit_other(obj: Any, out: Callable[[str], None]) -> None:
         _emit(to_wire(), out)
 
 
-def _decode(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        if set(obj.keys()) == {_BYTES_TAG}:
-            return base64.b64decode(obj[_BYTES_TAG])
-        return {k: _decode(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode(v) for v in obj]
+def _decode_object(obj: dict) -> Any:
+    """``json`` object hook: a lone ``__b64__`` tag is a ``bytes`` value."""
+    if len(obj) == 1 and _BYTES_TAG in obj:
+        return base64.b64decode(obj[_BYTES_TAG])
     return obj
 
 
@@ -136,7 +133,7 @@ def canonical_bytes(obj: Any) -> bytes:
 
 def from_canonical_bytes(data: bytes) -> Any:
     """Inverse of :func:`canonical_bytes` (modulo tuples becoming lists)."""
-    return _decode(json.loads(data.decode("utf-8")))
+    return json.loads(data.decode("utf-8"), object_hook=_decode_object)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +165,13 @@ class Memoized:
 
     A memo is an ``_``-prefixed instance attribute holding ``(epoch,
     value)``, written past the frozen ``__setattr__``; equality and
-    hashing see only the dataclass fields.  Memos never reach storage:
-    pickling keeps the fields and drops every ``_``-prefixed attribute.
-    A message whose ``to_wire()`` is encoded often also defines
-    ``wire_bytes()`` — that encoding, memoized — which
-    :func:`canonical_bytes` splices wherever the message appears.
+    hashing see only the dataclass fields.  Memos never reach storage on
+    their own: a stored message is its canonical encoding, and a decoder
+    that rebuilds one from those bytes may prime the matching memo with
+    them (``TransactionEnvelope.from_signed_bytes``).  A message whose
+    ``to_wire()`` is encoded often also defines ``wire_bytes()`` — that
+    encoding, memoized — which :func:`canonical_bytes` splices wherever
+    the message appears.
     """
 
     __slots__ = ()
@@ -184,9 +183,6 @@ class Memoized:
         value = compute()
         self.__dict__[name] = (_MEMO_EPOCH, value)
         return value
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 def _register_with_crypto() -> None:

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.chaincode.rwset import PrivateCollectionWrites
 from repro.common.errors import GossipError
 from repro.common.tracing import PERF
-from repro.storage.codec import pack_private_writes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.identity.identity import Certificate
@@ -56,13 +55,7 @@ TOPIC_SNAPSHOT_SIG = "snapshot-sig"
 
 def payload_bytes(writes: PrivateCollectionWrites) -> int:
     """Wire size of one collection rwset (the archive framing)."""
-    return len(
-        pack_private_writes(
-            writes.namespace,
-            writes.collection,
-            [(w.key, w.value, w.is_delete) for w in writes.writes],
-        )
-    )
+    return len(writes.to_bytes())
 
 
 class GossipNetwork:

@@ -8,14 +8,25 @@ to its chain.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.common.hashing import chain_hash, sha256
 from repro.common.serialization import Memoized
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
-from repro.storage.codec import pack_obj, unpack_obj
+from repro.storage.codec import CodecError, Reader
 
 GENESIS_PREV_HASH = b"\x00" * 32
+
+#: Magic prefix of a block's stored transaction list.
+TXS_MAGIC = b"\x01RTX1"
+
+_U32 = struct.Struct("<I")
+
+
+def _data_hash(signed: Iterable[tuple[bytes, bytes]]) -> bytes:
+    return sha256(b"".join(sha256(sha256(body) + signature) for body, signature in signed))
 
 
 @dataclass(frozen=True)
@@ -41,21 +52,46 @@ class Block(Memoized):
     def stored_transactions(self) -> bytes:
         """The transaction list's storage encoding, made once per process.
 
-        Every peer stores the block the orderer cut — in this in-process
-        simulator the same object — so the one encoding is shared by all
-        of their block rows (and by a re-validating oracle's).  Not
-        epoch-stamped: it is not a canonical encoding, only the pickled
-        fields, and a block never changes.
+        ``TXS_MAGIC | count | (len | signed bytes | len | signature)...``:
+        each envelope as the bytes :meth:`data_hash_of` hashed, so what a
+        peer stores is what the orderer hashed.  Every peer stores the
+        block the orderer cut — in this in-process simulator the same
+        object — so every peer's backend holds this one ``bytes`` object.
+        Not epoch-stamped: canonical bytes never change, nor does a block.
         """
         stored = self.__dict__.get("_stored")
         if stored is None:
-            stored = self.__dict__["_stored"] = pack_obj(self.transactions)
+            out = [TXS_MAGIC, _U32.pack(len(self.transactions))]
+            for tx in self.transactions:
+                signed = tx.signed_bytes()
+                out += (_U32.pack(len(signed)), signed, _U32.pack(len(tx.signature)), tx.signature)
+            stored = self.__dict__["_stored"] = b"".join(out)
         return stored
 
     @classmethod
     def from_storage(cls, header: BlockHeader, stored: bytes) -> "Block":
-        """Rebuild a block from :meth:`stored_transactions` bytes."""
-        block = cls(header=header, transactions=unpack_obj(stored))
+        """Rebuild a block from :meth:`stored_transactions` bytes.
+
+        The bytes must hash to ``header.data_hash`` before any envelope is
+        decoded; every failure is a :class:`CodecError`.
+        """
+        if not stored.startswith(TXS_MAGIC):
+            raise CodecError("transaction list lacks its framing magic")
+        reader = Reader(stored, len(TXS_MAGIC))
+        signed = [(reader.take(reader.u32()), reader.take(reader.u32()))
+                  for _ in range(reader.u32())]
+        if not reader.done():
+            raise CodecError("trailing bytes after the framed transaction list")
+        if _data_hash(signed) != header.data_hash:
+            raise CodecError(f"block {header.number}'s transactions miss its data hash")
+        try:
+            transactions = tuple(
+                TransactionEnvelope.from_signed_bytes(body, signature)
+                for body, signature in signed
+            )
+        except (TypeError, KeyError, ValueError, AttributeError, RecursionError) as exc:
+            raise CodecError(f"malformed envelope in block {header.number}: {exc!r}") from exc
+        block = cls(header=header, transactions=transactions)
         block.__dict__["_stored"] = stored
         return block
 
@@ -68,9 +104,7 @@ class Block(Memoized):
         signature, and the fixed-width prefix keeps the pair unambiguous
         — so hashing a block re-encodes nothing an envelope already holds.
         """
-        return sha256(
-            b"".join(sha256(sha256(tx.signed_bytes()) + tx.signature) for tx in transactions)
-        )
+        return _data_hash((tx.signed_bytes(), tx.signature) for tx in transactions)
 
     @classmethod
     def create(

@@ -5,30 +5,28 @@ the paper's PDC-leakage "attack" does: a non-member peer needs no protocol
 violation at all, it simply parses the transactions it already stores
 (Section IV-B).
 
-Blocks persist in the ``blocks`` backend namespace (zero-padded decimal
-block numbers, so lexicographic order is commit order) and are mirrored
-in an in-memory list rebuilt on open — reads never hit the codec.  The
-integrity checks in :meth:`append` run *before* anything is staged, so a
-bad block can never contaminate an atomic batch.
-
-A block row is header first: ``BLOCK_MAGIC | number | prev hash | data
-hash | flags | transactions``.  The transactions are the block's shared
-storage encoding (:meth:`Block.stored_transactions`), made once per
-process however many peers store the block; everything before them is a
-``struct`` framing, so a reader that needs only a block's hash and flags
-(:meth:`Blockchain.block_heads`, :meth:`Blockchain.transaction_flag`)
-never decodes an envelope.  The magic's first byte (``0x01``) can never
-open a pickle stream, whatever the block number.
+A block persists as two rows under one key (its zero-padded decimal
+number, so lexicographic order is commit order), staged in one batch,
+and is mirrored in an in-memory list rebuilt on open — reads never hit
+the codec.  The integrity checks in :meth:`append` run *before* anything
+is staged, so a bad block can never contaminate an atomic batch.  The
+*head row* (``blocks``) is ``BLOCK_MAGIC | number | prev hash | data
+hash | flags``, sealed with a crc32; :meth:`Blockchain.block_heads` and
+:meth:`Blockchain.transaction_flag` read nothing else.  The *tail row*
+(``blocks.txs``) is :meth:`Block.stored_transactions`: each envelope's
+signed bytes and signature, the bytes the data hash covers, made once
+per process — every in-process peer's backend holds the same object.
 
 A chain may carry a *pruned prefix*: blocks below ``genesis_offset`` have
 been archived (moved to the cold ``blocks.archive`` namespace, never
 deleted) or were never transferred at all for a snapshot-bootstrapped
-peer.  The prune metadata records ``(offset, anchor_hash, archive_base)``
-so numbering and hash-chain checks still verify — the first live block
-must carry ``prev_hash == anchor_hash``, the hash of the last pruned
-block as attested by the snapshot manifest.  ``archive_base`` is the
-lowest block number the archive actually holds: ``0`` for a peer that
-pruned its own full history (archive intact), ``offset`` for a
+peer.  Pruning moves head rows only; tail rows stay where they are.  The
+prune metadata (a sealed ``struct`` row) records ``(offset, anchor_hash,
+archive_base)`` so numbering and hash-chain checks still verify — the
+first live block must carry ``prev_hash == anchor_hash``, the hash of the
+last pruned block as attested by the snapshot manifest.  ``archive_base``
+is the lowest block number the archive actually holds: ``0`` for a peer
+that pruned its own full history (archive intact), ``offset`` for a
 bootstrapped peer that never saw the prefix.
 """
 
@@ -40,17 +38,19 @@ from typing import Iterator, Optional
 from repro.common.errors import LedgerError
 from repro.ledger.block import GENESIS_PREV_HASH, Block, BlockHeader, ValidatedBlock
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
-from repro.storage import KVBackend, MemoryBackend, WriteBatch, write_op
-from repro.storage.codec import CodecError, Reader, pack_obj, unpack_obj
+from repro.storage import KVBackend, MemoryBackend, WriteBatch
+from repro.storage.codec import CodecError, Reader, seal, unseal
 
 NS_BLOCKS = "blocks"
 NS_BLOCKS_ARCHIVE = "blocks.archive"
+NS_BLOCKS_TXS = "blocks.txs"
 NS_BLOCKS_META = "blocks.meta"
 
 _PRUNE_META_KEY = "prune"
 
-#: Magic prefix of a block row (first byte 0x01: never a pickle stream).
+#: Magic prefixes of a block's head row and of the prune metadata.
 BLOCK_MAGIC = b"\x01RBK1"
+PRUNE_META_MAGIC = b"\x01RPM1"
 
 _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
@@ -64,27 +64,23 @@ def _block_key(number: int) -> str:
 
 
 def pack_block_row(validated: ValidatedBlock) -> bytes:
-    """Frame a validated block as ``header | flags | transactions``."""
+    """Frame a validated block's head row: ``header | flags``, sealed."""
     header = validated.block.header
-    return b"".join((
+    return seal(b"".join((
         BLOCK_MAGIC,
         _U64.pack(header.number),
         _U32.pack(len(header.prev_hash)), header.prev_hash,
         _U32.pack(len(header.data_hash)), header.data_hash,
         _U32.pack(len(validated.flags)),
         bytes(_FLAG_INDEX[flag] for flag in validated.flags),
-        validated.block.stored_transactions(),
-    ))
+    )))
 
 
-def unpack_block_row(
-    raw: bytes, head_only: bool = False
-) -> tuple[BlockHeader, list[ValidationCode], Optional[Block]]:
-    """``(header, flags, block)`` of a block row; ``block`` is ``None``
-    under ``head_only``, which stops before the transactions."""
+def unpack_block_row(raw: bytes) -> tuple[BlockHeader, list[ValidationCode]]:
+    """``(header, flags)`` of a head row."""
     if not raw.startswith(BLOCK_MAGIC):
         raise CodecError("block row lacks the block-framing magic")
-    reader = Reader(raw, len(BLOCK_MAGIC))
+    reader = Reader(unseal(raw, "block row"), len(BLOCK_MAGIC))
     number = _U64.unpack(reader.take(_U64.size))[0]
     prev_hash = reader.take(reader.u32())
     data_hash = reader.take(reader.u32())
@@ -92,15 +88,29 @@ def unpack_block_row(
         flags = [_FLAG_CODES[index] for index in reader.take(reader.u32())]
     except IndexError:
         raise CodecError("block row carries an unknown validation code") from None
-    header = BlockHeader(number=number, prev_hash=prev_hash, data_hash=data_hash)
-    if head_only:
-        return header, flags, None
-    return header, flags, Block.from_storage(header, reader.rest())
+    if not reader.done():
+        raise CodecError("trailing bytes after the framed block row")
+    return BlockHeader(number=number, prev_hash=prev_hash, data_hash=data_hash), flags
 
 
-def _decode_block(raw: bytes) -> ValidatedBlock:
-    _, flags, block = unpack_block_row(raw)
-    return ValidatedBlock(block=block, flags=flags)
+def pack_prune_meta(offset: int, anchor: bytes, archive_base: int) -> bytes:
+    """Frame the prune metadata ``(offset, anchor hash, archive base)``."""
+    return seal(b"".join((
+        PRUNE_META_MAGIC, _U64.pack(offset), _U32.pack(len(anchor)), anchor,
+        _U64.pack(archive_base),
+    )))
+
+
+def unpack_prune_meta(raw: bytes) -> tuple[int, bytes, int]:
+    if not raw.startswith(PRUNE_META_MAGIC):
+        raise CodecError("prune metadata lacks its framing magic")
+    reader = Reader(unseal(raw, "prune metadata"), len(PRUNE_META_MAGIC))
+    offset = _U64.unpack(reader.take(_U64.size))[0]
+    anchor = reader.take(reader.u32())
+    archive_base = _U64.unpack(reader.take(_U64.size))[0]
+    if not reader.done():
+        raise CodecError("trailing bytes after the framed prune metadata")
+    return offset, anchor, archive_base
 
 
 class Blockchain:
@@ -113,7 +123,7 @@ class Blockchain:
         self._archive_base = 0
         raw = self._backend.get(NS_BLOCKS_META, _PRUNE_META_KEY)
         if raw is not None:
-            self._offset, self._anchor, self._archive_base = unpack_obj(raw)
+            self._offset, self._anchor, self._archive_base = unpack_prune_meta(raw)
         self._blocks: list[ValidatedBlock] = []
         self._tx_index: dict[str, tuple[int, int]] = {}
         # The tx index must cover the archived prefix too: the validator's
@@ -121,10 +131,18 @@ class Blockchain:
         # a reopen after prune_to() would otherwise accept replayed tx ids
         # from pruned history.  Archived blocks are decoded once here for
         # their ids and locations only — they are not kept in memory.
-        for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
-            self._index_transactions(_decode_block(raw))
-        for _, raw in self._backend.range(NS_BLOCKS):
-            self._cache(_decode_block(raw))
+        for key, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
+            self._index_transactions(self._decode_block(key, raw))
+        for key, raw in self._backend.range(NS_BLOCKS):
+            self._cache(self._decode_block(key, raw))
+
+    def _decode_block(self, key: str, head: bytes) -> ValidatedBlock:
+        """The block whose head row is ``head``, with its tail row."""
+        header, flags = unpack_block_row(head)
+        tail = self._backend.get(NS_BLOCKS_TXS, key)
+        if tail is None:
+            raise CodecError(f"block {header.number} has no transaction row")
+        return ValidatedBlock(block=Block.from_storage(header, tail), flags=flags)
 
     def _index_transactions(self, validated: ValidatedBlock) -> None:
         block = validated.block
@@ -154,19 +172,16 @@ class Blockchain:
     def _stage_prune_meta(
         self, batch: WriteBatch, offset: int, anchor: bytes, archive_base: int
     ) -> None:
-        batch.put(
-            NS_BLOCKS_META,
-            _PRUNE_META_KEY,
-            pack_obj((offset, anchor, archive_base)),
-        )
+        batch.put(NS_BLOCKS_META, _PRUNE_META_KEY, pack_prune_meta(offset, anchor, archive_base))
 
     def prune_to(self, height: int) -> int:
         """Archive every block below ``height``; returns the count moved.
 
-        Archiving is a move, not a delete: the raw block bytes land in the
-        cold ``blocks.archive`` namespace, so audits can still replay the
-        full history while the hot chain (and its indexes) stay bounded.
-        The move plus the prune metadata commit in one atomic batch.
+        Archiving is a move, not a delete: the head rows land in the cold
+        ``blocks.archive`` namespace (the tail rows stay in ``blocks.txs``),
+        so audits can still replay the full history while the hot chain
+        (and its indexes) stay bounded.  The move plus the prune metadata
+        commit in one atomic batch.
         """
         target = min(height, self.height)
         if target <= self._offset:
@@ -238,14 +253,15 @@ class Blockchain:
             raise LedgerError(f"block {block.header.number} has a corrupted data hash")
         if len(validated.flags) != len(block.transactions):
             raise LedgerError("validated block must carry one flag per transaction")
-        write_op(
-            self._backend,
-            batch,
-            NS_BLOCKS,
-            _block_key(block.header.number),
-            pack_block_row(validated),
-            on_commit=lambda: self._cache(validated),
-        )
+        own_batch = batch is None
+        if own_batch:
+            batch = WriteBatch()
+        key = _block_key(block.header.number)
+        batch.put(NS_BLOCKS, key, pack_block_row(validated))
+        batch.put(NS_BLOCKS_TXS, key, block.stored_transactions())
+        batch.on_commit(lambda: self._cache(validated))
+        if own_batch:
+            self._backend.commit(batch)
 
     def block(self, number: int) -> ValidatedBlock:
         index = number - self._offset
@@ -264,8 +280,8 @@ class Blockchain:
 
     def archived_blocks(self) -> Iterator[ValidatedBlock]:
         """Cold-archived blocks, in commit order (decoded on demand)."""
-        for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
-            yield _decode_block(raw)
+        for key, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
+            yield self._decode_block(key, raw)
 
     def all_blocks(self) -> Iterator[ValidatedBlock]:
         """Archived + live blocks — the full replayable history when
@@ -277,8 +293,7 @@ class Blockchain:
         """``(header, flags)`` of every archived + live block, in commit
         order — :meth:`all_blocks` without decoding a transaction."""
         for _, raw in self._backend.range(NS_BLOCKS_ARCHIVE):
-            header, flags, _ = unpack_block_row(raw, head_only=True)
-            yield header, flags
+            yield unpack_block_row(raw)
         for validated in self._blocks:
             yield validated.block.header, validated.flags
 
@@ -286,10 +301,11 @@ class Blockchain:
         """Block ``number``, live or archived (decoded on demand)."""
         if number >= self._offset:
             return self.block(number)
-        raw = self._backend.get(NS_BLOCKS_ARCHIVE, _block_key(number))
+        key = _block_key(number)
+        raw = self._backend.get(NS_BLOCKS_ARCHIVE, key)
         if raw is None:
             raise LedgerError(f"block {number} is not held (archive base {self._archive_base})")
-        return _decode_block(raw)
+        return self._decode_block(key, raw)
 
     def find_transaction(
         self, tx_id: str
@@ -310,8 +326,7 @@ class Blockchain:
     def transaction_flag(self, tx_id: str) -> Optional[ValidationCode]:
         """The validity flag of a committed transaction, by id.
 
-        Reads only the flags of an archived block's row, never its
-        transactions.
+        Reads only an archived block's head row, never its transactions.
         """
         location = self._tx_index.get(tx_id)
         if location is None:
@@ -320,7 +335,7 @@ class Blockchain:
         if block_num >= self._offset:
             return self._blocks[block_num - self._offset].flags[tx_num]
         raw = self._backend.get(NS_BLOCKS_ARCHIVE, _block_key(block_num))
-        return unpack_block_row(raw, head_only=True)[1][tx_num]
+        return unpack_block_row(raw)[1][tx_num]
 
     def has_transaction(self, tx_id: str) -> bool:
         return tx_id in self._tx_index

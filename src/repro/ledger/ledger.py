@@ -33,10 +33,8 @@ from repro.storage.codec import (
     U64_PAIR_SIZE,
     CodecError,
     Reader,
-    pack_private_writes,
     pack_str,
     pack_u64_pair,
-    unpack_private_writes,
     unpack_u64_pair,
 )
 
@@ -121,32 +119,6 @@ class PrivateRwsetArchive(MutableMapping):
         """Transactions with an archived rwset for ``(namespace, collection)``."""
         return frozenset(self._by_collection.get((namespace, collection), ()))
 
-    @staticmethod
-    def encode(writes) -> bytes:
-        """Frame a :class:`~repro.chaincode.rwset.PrivateCollectionWrites`."""
-        return pack_private_writes(
-            writes.namespace,
-            writes.collection,
-            [(w.key, w.value, w.is_delete) for w in writes.writes],
-        )
-
-    @staticmethod
-    def decode(raw: bytes):
-        """Decode an archive row; any other framing is a :class:`CodecError`."""
-        # Imported here: repro.chaincode pulls in the stub, which imports
-        # this module — a top-level import would be circular.
-        from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
-
-        namespace, collection, writes = unpack_private_writes(raw)
-        return PrivateCollectionWrites(
-            namespace=namespace,
-            collection=collection,
-            writes=tuple(
-                KVWrite(key=key, value=value, is_delete=is_delete)
-                for key, value, is_delete in writes
-            ),
-        )
-
     def stage(
         self,
         tx_id: str,
@@ -160,15 +132,20 @@ class PrivateRwsetArchive(MutableMapping):
             batch,
             NS_PRIVATE_RWSETS,
             compose_key(tx_id, namespace, collection),
-            self.encode(writes),
+            writes.to_bytes(),
             on_commit=lambda: self._index_add(tx_id, namespace, collection),
         )
 
     def __getitem__(self, key: tuple[str, str, str]):
+        # Imported here: repro.chaincode pulls in the stub, which imports
+        # this module — a top-level import would be circular.
+        from repro.chaincode.rwset import PrivateCollectionWrites
+
         raw = self._backend.get(NS_PRIVATE_RWSETS, compose_key(*key))
         if raw is None:
             raise KeyError(key)
-        return self.decode(raw)
+        # Any framing but the archive's is a CodecError.
+        return PrivateCollectionWrites.from_bytes(raw)
 
     def __setitem__(self, key: tuple[str, str, str], writes) -> None:
         self.stage(*key, writes, None)

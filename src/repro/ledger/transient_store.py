@@ -6,19 +6,24 @@ until the corresponding transaction arrives in a block.  Entries are
 purged once consumed or after a block-height horizon, mirroring Fabric's
 ``transientBlockRetention``.
 
-Entries live in the ``transient`` backend namespace.  Two in-memory
+Entries live in the ``transient`` backend namespace, keyed by ``(tx id,
+namespace, collection)``.  A row is ``u64 height | private writes |
+crc32``: the height the entry was received at, then the collection's
+writes in the private-rwset archive's framing
+(:meth:`PrivateCollectionWrites.to_bytes`), sealed.  Two in-memory
 indexes — ``tx_id -> {(namespace, collection)}`` and a height-ordered
 heap — make :meth:`remove_transaction` and :meth:`purge_below` touch
 only the affected entries instead of scanning the whole store (they were
 both full scans on every block commit).  The indexes are derived state:
-rebuilt from the backend on open, updated only via ``on_commit``
-callbacks once a batch is durably applied.
+rebuilt from the backend on open (from each row's height prefix alone),
+updated only via ``on_commit`` callbacks once a batch is durably
+applied.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import struct
 from typing import TYPE_CHECKING, Optional
 
 from repro.storage import (
@@ -30,7 +35,7 @@ from repro.storage import (
     split_key,
     write_op,
 )
-from repro.storage.codec import pack_obj, unpack_obj
+from repro.storage.codec import CodecError, seal, unseal
 
 if TYPE_CHECKING:  # pragma: no cover - break the ledger<->chaincode import cycle
     from repro.chaincode.rwset import PrivateCollectionWrites
@@ -39,12 +44,26 @@ DEFAULT_RETENTION_BLOCKS = 1000
 
 NS_TRANSIENT = "transient"
 
+_HEIGHT = struct.Struct("<Q")
 
-@dataclass(frozen=True)
-class TransientEntry:
-    tx_id: str
-    writes: "PrivateCollectionWrites"
-    received_at_height: int
+
+def pack_transient_row(writes: "PrivateCollectionWrites", height: int) -> bytes:
+    return seal(_HEIGHT.pack(height) + writes.to_bytes())
+
+
+def transient_row_height(raw: bytes) -> int:
+    """The height prefix of a transient row, read without decoding it."""
+    return _HEIGHT.unpack_from(raw)[0]
+
+
+def unpack_transient_row(raw: bytes) -> tuple[int, "PrivateCollectionWrites"]:
+    """``(height, writes)`` of a transient row; a bad row is a ``CodecError``."""
+    from repro.chaincode.rwset import PrivateCollectionWrites  # the cycle above
+
+    body = unseal(raw, "transient row")
+    if len(body) < _HEIGHT.size:
+        raise CodecError("transient row truncated before its height")
+    return _HEIGHT.unpack_from(body)[0], PrivateCollectionWrites.from_bytes(body[_HEIGHT.size :])
 
 
 class TransientStore:
@@ -63,8 +82,7 @@ class TransientStore:
         self._heap: list[tuple[int, str, str, str]] = []
         for composite, raw in self._backend.range(NS_TRANSIENT):
             tx_id, namespace, collection = split_key(composite)
-            entry: TransientEntry = unpack_obj(raw)
-            self._index(tx_id, namespace, collection, entry.received_at_height)
+            self._index(tx_id, namespace, collection, transient_row_height(raw))
 
     # -- index maintenance ---------------------------------------------------
     def _index(self, tx_id: str, namespace: str, collection: str, height: int) -> None:
@@ -92,13 +110,12 @@ class TransientStore:
         batch: Optional[WriteBatch] = None,
     ) -> None:
         namespace, collection = writes.namespace, writes.collection
-        entry = TransientEntry(tx_id=tx_id, writes=writes, received_at_height=height)
         write_op(
             self._backend,
             batch,
             NS_TRANSIENT,
             compose_key(tx_id, namespace, collection),
-            pack_obj(entry),
+            pack_transient_row(writes, height),
             on_commit=lambda: self._index(tx_id, namespace, collection, height),
         )
 
@@ -106,8 +123,7 @@ class TransientStore:
         raw = self._backend.get(NS_TRANSIENT, compose_key(tx_id, namespace, collection))
         if raw is None:
             return None
-        entry: TransientEntry = unpack_obj(raw)
-        return entry.writes
+        return unpack_transient_row(raw)[1]
 
     def has(self, tx_id: str, namespace: str, collection: str) -> bool:
         return (tx_id, namespace, collection) in self._height_of
@@ -140,7 +156,7 @@ class TransientStore:
             raw = read_through(
                 self._backend, batch, NS_TRANSIENT, compose_key(tx_id, namespace, collection)
             )
-            if raw is None or unpack_obj(raw).received_at_height != entry_height:
+            if raw is None or transient_row_height(raw) != entry_height:
                 continue
             write_op(
                 self._backend,

@@ -46,6 +46,10 @@ class ChaincodeResponse:
     def to_wire(self) -> dict:
         return {"status": self.status, "message": self.message, "payload": self.payload}
 
+    @classmethod
+    def from_wire(cls, wire: dict) -> "ChaincodeResponse":
+        return cls(status=wire["status"], message=wire["message"], payload=wire["payload"])
+
     def with_hashed_payload(self) -> "ChaincodeResponse":
         """The New Feature 2 variant: payload replaced by its SHA-256 hash."""
         return replace(self, payload=sha256(self.payload))
@@ -65,6 +69,10 @@ class ChaincodeEvent:
 
     def to_wire(self) -> dict:
         return {"name": self.name, "payload": self.payload}
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "ChaincodeEvent":
+        return cls(name=wire["name"], payload=wire["payload"])
 
     def with_hashed_payload(self) -> "ChaincodeEvent":
         return ChaincodeEvent(name=self.name, payload=sha256(self.payload))
@@ -86,6 +94,19 @@ class ProposalResponsePayload(Memoized):
             "response": self.response.to_wire(),
             "event": self.event.to_wire() if self.event else None,
         }
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "ProposalResponsePayload":
+        """Inverse of :meth:`to_wire`."""
+        from repro.chaincode.rwset import TxReadWriteSet  # the cycle noted above
+
+        event = wire["event"]
+        return cls(
+            proposal_hash=wire["proposal_hash"],
+            results=TxReadWriteSet.from_wire(wire["results"]),
+            response=ChaincodeResponse.from_wire(wire["response"]),
+            event=ChaincodeEvent.from_wire(event) if event is not None else None,
+        )
 
     def bytes(self) -> bytes:
         """The canonical bytes endorsers sign (``wire_bytes``)."""
@@ -123,6 +144,10 @@ class Endorsement(Memoized):
 
     def to_wire(self) -> dict:
         return {"endorser": self.endorser.to_wire(), "signature": self.signature}
+
+    @classmethod
+    def from_wire(cls, wire: dict) -> "Endorsement":
+        return cls(endorser=Certificate.from_wire(wire["endorser"]), signature=wire["signature"])
 
     def wire_bytes(self) -> bytes:
         """``canonical_bytes(self.to_wire())``, the certificate spliced in."""

@@ -11,7 +11,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.common.serialization import Memoized, canonical_bytes
+from repro.common.serialization import (
+    Memoized,
+    canonical_bytes,
+    from_canonical_bytes,
+    memo_epoch,
+)
 from repro.identity.identity import Certificate
 from repro.protocol.response import Endorsement, ProposalResponsePayload
 
@@ -76,6 +81,28 @@ class TransactionEnvelope(Memoized):
                 "args": self.args,
             }
         ))
+
+    @classmethod
+    def from_signed_bytes(cls, signed: bytes, signature: bytes) -> "TransactionEnvelope":
+        """Inverse of :meth:`signed_bytes` under ``signature``.
+
+        The envelope keeps ``signed`` as its encoding memo, so a decoded
+        envelope hashes and verifies over the very bytes it came from.
+        """
+        wire = from_canonical_bytes(signed)
+        envelope = cls(
+            tx_id=wire["tx_id"],
+            channel_id=wire["channel_id"],
+            chaincode_id=wire["chaincode_id"],
+            creator=Certificate.from_wire(wire["creator"]),
+            payload=ProposalResponsePayload.from_wire(wire["payload"]),
+            endorsements=tuple(Endorsement.from_wire(e) for e in wire["endorsements"]),
+            signature=signature,
+            function=wire["function"],
+            args=tuple(wire["args"]),
+        )
+        object.__setattr__(envelope, "_serialized", (memo_epoch(), signed))
+        return envelope
 
     def with_signature(self, signature: bytes) -> "TransactionEnvelope":
         """This envelope under ``signature``, keeping the encoding memo.

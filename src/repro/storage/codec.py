@@ -3,32 +3,33 @@
 The backends store opaque ``bytes``; these helpers own the framing.
 Versioned entries use a fixed 16-byte header (two little-endian u64s for
 ``(block_num, tx_num)``) followed by the raw value — decoding is a slice,
-not a parse.  What still goes through stdlib ``pickle`` (``pack_obj``)
-is peer-local and never signed or compared across peers: transient-store
-entries, the prune metadata, and a block's transaction list — the tail
-of a block row, whose header and flags are a ``struct`` framing
-(``ledger/blockchain.py``), encoded once per block however many peers
-store it.  Snapshot records are not pickled at all: the snapshot store
-writes a manifest's signing bytes, ``pack_tables`` rows and one
-canonical row per signature (``ledger/snapshot.py``).  Pickled protocol
-messages carry their fields only — never a memoized encoding.
+not a parse.  Every other row is a ``struct`` framing, most behind a
+magic prefix: a WAL batch's op list (``pack_ops``), a compacted table
+snapshot (``pack_tables``), key metadata (``pack_bytes_map``) and one
+collection's private writes (``pack_private_writes``) here; a block's
+head row, its transaction tail and the prune metadata
+(``ledger/blockchain.py``, ``ledger/block.py``), a transient entry
+(``ledger/transient_store.py``) and the snapshot records
+(``ledger/snapshot.py``) beside the stores that own them.  A block's
+tail holds each envelope's signed bytes — the canonical encoding the
+orderer hashed into the header's data hash — so a stored transaction has
+exactly one encoding.
 
-The WAL's on-disk framing, by contrast, must never execute code while
-decoding — a corrupt or adversarial snapshot file fed to ``pickle.loads``
-is an arbitrary-code-execution primitive.  ``pack_ops``/``unpack_ops``
-and ``pack_tables``/``unpack_tables`` are pure ``struct`` codecs for the
-two WAL payload shapes (a batch's op list and a compacted table
-snapshot).  Every framing starts with a magic prefix, and its decoder
-rejects a payload without it — pickled bytes included — with a
-:class:`CodecError`.
+No decoder here, or anywhere in the package, can execute code: a
+corrupt or adversarial row raises :class:`CodecError` (a
+``ValueError``) instead of reaching a general-purpose deserializer.
+A table snapshot, a block's head row, a transient row and the prune
+metadata carry a trailing crc32 (:func:`seal` / :func:`unseal`), so a
+flipped byte is an error, not a different value; a block's tail is
+checked against the data hash in its head instead.  A magic's first
+byte is ``0x01``, which is not the start of a ``pickle`` stream either.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.ledger.version import Version
 
@@ -39,8 +40,7 @@ _U32 = struct.Struct("<I")
 #: Byte length of a packed ``(u64, u64)`` pair.
 U64_PAIR_SIZE = _PAIR.size
 
-#: Magic prefixes for the deterministic framings.  First byte 0x01 is
-#: not a valid start of any pickle protocol >= 2 stream (0x80).
+#: Magic prefixes for the deterministic framings (first byte 0x01).
 OPS_MAGIC = b"\x01ROP1"
 TABLES_MAGIC = b"\x01RTB1"
 BYTES_MAP_MAGIC = b"\x01RMM1"
@@ -68,12 +68,20 @@ def unpack_u64_pair(raw: bytes) -> tuple[int, int]:
     return _PAIR.unpack(raw)
 
 
-def pack_obj(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+def seal(body: bytes) -> bytes:
+    """``body`` followed by its crc32."""
+    return body + _U32.pack(zlib.crc32(body))
 
 
-def unpack_obj(raw: bytes) -> Any:
-    return pickle.loads(raw)
+def unseal(raw: bytes, what: str) -> bytes:
+    """The body of a :func:`seal`-ed payload; a bad checksum is a
+    :class:`CodecError` naming ``what``."""
+    if len(raw) < _U32.size:
+        raise CodecError(f"{what} truncated before its checksum")
+    body = raw[: -_U32.size]
+    if zlib.crc32(body) != _U32.unpack(raw[-_U32.size :])[0]:
+        raise CodecError(f"{what} failed its crc32 check")
+    return body
 
 
 # -- deterministic framings ---------------------------------------------------
@@ -110,10 +118,6 @@ class Reader:
             return self.take(self.u32()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CodecError(f"string is not valid UTF-8: {exc}") from exc
-
-    def rest(self) -> bytes:
-        """Everything not yet taken."""
-        return self.take(len(self._raw) - self._offset)
 
     def done(self) -> bool:
         return self._offset == len(self._raw)
@@ -255,18 +259,13 @@ def pack_tables(data: dict[str, dict[str, bytes]]) -> bytes:
             value = rows[key]
             out.append(_U32.pack(len(value)))
             out.append(value)
-    body = b"".join(out)
-    return body + _U32.pack(zlib.crc32(body))
+    return seal(b"".join(out))
 
 
 def unpack_tables(raw: bytes) -> dict[str, dict[str, bytes]]:
     if not raw.startswith(TABLES_MAGIC):
         raise CodecError("table snapshot lacks the deterministic-framing magic")
-    if len(raw) < len(TABLES_MAGIC) + _U32.size:
-        raise CodecError("table snapshot truncated before its checksum")
-    body, checksum = raw[: -_U32.size], _U32.unpack(raw[-_U32.size :])[0]
-    if zlib.crc32(body) != checksum:
-        raise CodecError("table snapshot failed its crc32 check")
+    body = unseal(raw, "table snapshot")
     reader = Reader(body, len(TABLES_MAGIC))
     data: dict[str, dict[str, bytes]] = {}
     for _ in range(reader.u32()):

@@ -8,24 +8,45 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.chaincode.contracts import PrivateAssetContract
+from repro.chaincode.rwset import (
+    HashedCollectionRWSet,
+    KVMetadataWrite,
+    KVRead,
+    KVReadHash,
+    KVWrite,
+    KVWriteHash,
+    NamespaceRWSet,
+    RangeQueryInfo,
+    TxReadWriteSet,
+)
 from repro.common.errors import LedgerError
+from repro.common.serialization import (
+    canonical_bytes,
+    clear_serialization_memos,
+    from_canonical_bytes,
+)
 from repro.identity.organization import Organization
-from repro.ledger.block import GENESIS_PREV_HASH, Block, ValidatedBlock
+from repro.ledger.block import GENESIS_PREV_HASH, TXS_MAGIC, Block, ValidatedBlock
 from repro.ledger.blockchain import (
     BLOCK_MAGIC,
     NS_BLOCKS,
+    NS_BLOCKS_TXS,
     Blockchain,
     pack_block_row,
     unpack_block_row,
 )
-from repro.ledger.snapshot import SnapshotManifest
+from repro.ledger.version import Version
 from repro.network.presets import three_org_network
 from repro.protocol.proposal import new_proposal
-from repro.protocol.response import ChaincodeResponse, Endorsement, ProposalResponsePayload
+from repro.protocol.response import (
+    ChaincodeEvent,
+    ChaincodeResponse,
+    Endorsement,
+    ProposalResponsePayload,
+)
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
-from repro.chaincode.rwset import TxReadWriteSet
 from repro.storage import MemoryBackend
-from repro.storage.codec import CodecError
+from repro.storage.codec import CodecError, seal, unseal
 
 
 def _envelope(tag: str = "tx") -> TransactionEnvelope:
@@ -187,57 +208,96 @@ class TestBlockchain:
 # ---------------------------------------------------------------------------
 # Storage encodings
 # ---------------------------------------------------------------------------
-def _memoized_messages():
-    """One of each message a peer stores, every memo filled."""
-    org = Organization("Org1MSP")
-    client = org.enroll_client()
-    proposal = new_proposal("ch", "cc", "fn", ["a"], client.certificate)
-    envelope = _envelope("memo")
-    block = Block.create(0, GENESIS_PREV_HASH, (envelope,))
-    manifest = SnapshotManifest(
-        channel_id="ch", height=4, last_block_hash=b"h" * 32, state_hash="ab",
-        collection_digests=(("cc", "PDC1", "cd"),),
+def _rich_payload() -> ProposalResponsePayload:
+    """A payload that fills every field of the rwset family."""
+    results = TxReadWriteSet(namespaces=(
+        NamespaceRWSet(
+            namespace="cc",
+            reads=(KVRead("a", Version(3, 1)), KVRead("absent", None)),
+            writes=(KVWrite("b", b"\x00\xff"), KVWrite("c", None, is_delete=True)),
+            collections=(HashedCollectionRWSet(
+                collection="PDC1",
+                hashed_reads=(KVReadHash(b"k" * 32, Version(2, 0)), KVReadHash(b"n" * 32, None)),
+                hashed_writes=(
+                    KVWriteHash(b"h" * 32, b"v" * 32),
+                    KVWriteHash(b"d" * 32, None, is_delete=True),
+                ),
+            ),),
+            range_queries=(RangeQueryInfo("a", "", (KVRead("a", Version(3, 1)),)),),
+            metadata_writes=(KVMetadataWrite("b", "VALIDATION_PARAMETER", b"policy"),),
+        ),
+        NamespaceRWSet(namespace="lscc"),
+    ))
+    return ProposalResponsePayload(
+        proposal_hash=b"p" * 32,
+        results=results,
+        response=ChaincodeResponse(status=500, message="é", payload=b"out"),
+        event=ChaincodeEvent(name="ev", payload=b"\x01"),
     )
-    for fill in (
-        lambda: proposal.tx_id, proposal.header_bytes, proposal.proposal_hash,
-        envelope.signed_bytes, envelope.payload.bytes, client.certificate.wire_bytes,
-        client.certificate.body_bytes, manifest.signing_bytes, block.stored_transactions,
-    ):
-        fill()
-    return {
-        "envelope": envelope, "payload": envelope.payload, "proposal": proposal,
-        "certificate": client.certificate, "manifest": manifest, "block": block,
-    }
+
+
+class TestWireInverses:
+    def test_every_from_wire_inverts_its_to_wire(self):
+        payload = _rich_payload()
+        endorsement = Endorsement(Organization("Org1MSP").enroll_client().certificate, b"s")
+        for message in (payload, replace(payload, event=None), endorsement):
+            wire = from_canonical_bytes(canonical_bytes(message.to_wire()))
+            assert type(message).from_wire(wire) == message
+
+    def test_an_envelope_decodes_from_its_signed_bytes(self):
+        envelope = replace(_envelope("rich"), payload=_rich_payload())
+        endorsement = Endorsement(envelope.creator, b"e" * 48)
+        envelope = replace(envelope, endorsements=(endorsement, endorsement))
+        signed = envelope.signed_bytes()
+        decoded = TransactionEnvelope.from_signed_bytes(signed, envelope.signature)
+        assert decoded == envelope
+        assert decoded.signed_bytes() is signed  # the memo holds the stored bytes
+        clear_serialization_memos()
+        assert decoded.signed_bytes() == signed  # and re-encoding agrees
+
+
+def _six_peer_network():
+    """A three-org network with a second peer per org, chaincode installed."""
+    net = three_org_network()
+    net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+    for org in ("Org1MSP", "Org2MSP", "Org3MSP"):
+        net.network.add_peer(org, "peer1")
+    net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+    return net
 
 
 class TestStorageHygiene:
-    @pytest.mark.parametrize(
-        "kind", ["envelope", "payload", "proposal", "certificate", "manifest", "block"]
-    )
-    def test_no_memo_reaches_the_pickled_state(self, kind):
-        message = _memoized_messages()[kind]
-        assert any(name.startswith("_") for name in vars(message)), "no memo to drop"
-        raw = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        restored = pickle.loads(raw)
-        assert restored == message
-        assert not [name for name in vars(restored) if name.startswith("_")]
-        # Nowhere in the stream, nested messages included.
-        assert b"_serialized" not in raw and b"_wire" not in raw and b"_stored" not in raw
+    def test_stored_rows_are_the_same_bytes_with_memos_warm_or_cleared(self):
+        net = _six_peer_network()
+        net.client_of(1).submit_transaction(
+            net.chaincode_id, "set_private", [net.collection, "k"],
+            transient={"value": b"v"}, endorsing_peers=[net.peer_of(1), net.peer_of(2)],
+        ).raise_for_status()
+        peer = net.peer_of(1)
+        validated = peer.ledger.blockchain.block(0)
+        key = f"{0:016d}"
+        warm = (peer.ledger.backend.get(NS_BLOCKS, key), peer.ledger.backend.get(NS_BLOCKS_TXS, key))
+        clear_serialization_memos()
+        # Fresh, memo-free copies of the block and its envelopes.
+        cold_block = Block(
+            header=validated.block.header,
+            transactions=tuple(replace(tx) for tx in validated.block.transactions),
+        )
+        cold = ValidatedBlock(block=cold_block, flags=list(validated.flags))
+        assert not [name for name in vars(cold_block.transactions[0]) if name.startswith("_")]
+        assert (pack_block_row(cold), cold_block.stored_transactions()) == warm
 
     def test_one_block_committed_at_every_peer_is_encoded_once(self, monkeypatch):
-        net = three_org_network()
-        net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
-        for org in ("Org1MSP", "Org2MSP", "Org3MSP"):
-            net.network.add_peer(org, "peer1")
-        net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
-        encoded = []
-        real_dumps = pickle.dumps
+        net = _six_peer_network()
+        encodes = []
+        real = Block.stored_transactions
 
-        def dumps(obj, *args, **kwargs):
-            encoded.append(obj)
-            return real_dumps(obj, *args, **kwargs)
+        def stored_transactions(block):
+            if "_stored" not in vars(block):
+                encodes.append(block)
+            return real(block)
 
-        monkeypatch.setattr(pickle, "dumps", dumps)
+        monkeypatch.setattr(Block, "stored_transactions", stored_transactions)
         net.client_of(1).submit_transaction(
             net.chaincode_id, "set_private", [net.collection, "k"],
             transient={"value": b"v"}, endorsing_peers=[net.peer_of(1), net.peer_of(2)],
@@ -245,8 +305,9 @@ class TestStorageHygiene:
         peers = net.network.peers()
         assert len(peers) == 6 and {p.ledger.height for p in peers} == {1}
         block = net.network.orderer.delivered_blocks[0]
-        assert sum(1 for obj in encoded if obj is block.transactions) == 1
-        assert not [obj for obj in encoded if isinstance(obj, (Block, ValidatedBlock))]
+        assert encodes == [block]
+        tails = [p.ledger.backend.get(NS_BLOCKS_TXS, f"{0:016d}") for p in peers]
+        assert all(tail is block.stored_transactions() for tail in tails)
 
 
 class TestBlockRow:
@@ -256,38 +317,61 @@ class TestBlockRow:
             block=block, flags=[ValidationCode.VALID, ValidationCode.MVCC_READ_CONFLICT]
         )
 
-    def test_header_first_row_decodes_to_the_appended_block(self):
+    def test_head_and_tail_rows_decode_to_the_appended_block(self):
         validated = self._validated()
         backend = MemoryBackend()
         Blockchain(backend).append(validated)
-        raw = backend.get(NS_BLOCKS, f"{0:016d}")
-        header, flags, block = unpack_block_row(raw)
-        assert ValidatedBlock(block=block, flags=flags) == validated
-        assert unpack_block_row(raw, head_only=True) == (validated.block.header, flags, None)
+        head = backend.get(NS_BLOCKS, f"{0:016d}")
+        tail = backend.get(NS_BLOCKS_TXS, f"{0:016d}")
+        assert head == pack_block_row(validated) and tail is validated.block.stored_transactions()
+        header, flags = unpack_block_row(head)
+        assert (header, flags) == (validated.block.header, validated.flags)
+        assert ValidatedBlock(block=Block.from_storage(header, tail), flags=flags) == validated
         # A reopened chain reads the same block back, and its hashes verify.
         reopened = Blockchain(backend)
         assert reopened.block(0) == validated and reopened.verify_chain()
 
     def test_a_decoded_block_keeps_its_storage_encoding(self):
-        raw = pack_block_row(self._validated())
-        _, _, block = unpack_block_row(raw)
-        assert raw.endswith(block.stored_transactions())
+        validated = self._validated()
+        tail = validated.block.stored_transactions()
+        block = Block.from_storage(validated.block.header, tail)
+        assert block.stored_transactions() is tail
+        for tx in block.transactions:
+            assert tx.signed_bytes() in tail
 
-    def test_a_block_row_is_never_a_pickle_stream(self):
+    def test_the_tail_is_the_bytes_the_data_hash_covers(self):
+        validated = self._validated()
+        header, tail = validated.block.header, validated.block.stored_transactions()
+        other = replace(header, data_hash=Block.create(0, GENESIS_PREV_HASH, ()).header.data_hash)
+        with pytest.raises(CodecError):
+            Block.from_storage(other, tail)
+        flipped = bytearray(tail)
+        flipped[-1] ^= 1  # the last signature's last byte
+        with pytest.raises(CodecError):
+            Block.from_storage(header, bytes(flipped))
+
+    def test_stored_rows_are_never_pickle_streams(self):
         for number in (0, 1, 127, 128, 255, 2 ** 40):
-            raw = pack_block_row(self._validated(number))
-            assert raw.startswith(BLOCK_MAGIC)
-            assert not raw.startswith(b"\x80")  # pickle's PROTO opcode
-            with pytest.raises(Exception):
-                pickle.loads(raw)
+            validated = self._validated(number)
+            for raw, magic in (
+                (pack_block_row(validated), BLOCK_MAGIC),
+                (validated.block.stored_transactions(), TXS_MAGIC),
+            ):
+                assert raw.startswith(magic)
+                assert not raw.startswith(b"\x80")  # pickle's PROTO opcode
+                with pytest.raises(Exception):
+                    pickle.loads(raw)
 
     def test_a_pickled_block_is_not_a_block_row(self):
+        validated = self._validated(128)
         with pytest.raises(CodecError):
-            unpack_block_row(pickle.dumps(self._validated(128)))
+            unpack_block_row(pickle.dumps(validated))
+        with pytest.raises(CodecError):
+            Block.from_storage(validated.block.header, pickle.dumps(validated.block.transactions))
 
     def test_an_unknown_flag_code_is_rejected(self):
-        raw = bytearray(pack_block_row(self._validated()))
+        body = bytearray(unseal(pack_block_row(self._validated()), "block row"))
         first_flag = len(BLOCK_MAGIC) + 8 + (4 + 32) * 2 + 4  # number, two hashes, count
-        raw[first_flag] = 250
+        body[first_flag] = 250
         with pytest.raises(CodecError):
-            unpack_block_row(bytes(raw), head_only=True)
+            unpack_block_row(seal(bytes(body)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import random
 import shutil
 import struct
 import zlib
@@ -19,22 +20,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.chaincode.contracts import AssetContract
+from repro.chaincode.contracts import AssetContract, PrivateAssetContract
 from repro.chaincode.rwset import KVWrite, PrivateCollectionWrites
 from repro.common.errors import SnapshotError
 from repro.common.hashing import hash_key, hash_value
+from repro.common.serialization import clear_serialization_memos
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
-from repro.ledger.blockchain import BLOCK_MAGIC, unpack_block_row
+from repro.ledger.block import Block
+from repro.ledger.blockchain import (
+    BLOCK_MAGIC,
+    NS_BLOCKS,
+    NS_BLOCKS_META,
+    NS_BLOCKS_TXS,
+    unpack_block_row,
+    unpack_prune_meta,
+)
 from repro.ledger.ledger import PeerLedger
 from repro.ledger.snapshot import SnapshotManifest
-from repro.ledger.transient_store import TransientStore
+from repro.ledger.transient_store import NS_TRANSIENT, TransientStore, unpack_transient_row
 from repro.ledger.version import Version
 from repro.network.channel import ChannelConfig
 from repro.network.network import FabricNetwork
+from repro.network.presets import three_org_network
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
-from repro.simulation import RecoveryMonitor, run_seed
+from repro.simulation import RecoveryMonitor, SimulationConfig, harness, run_seed
 from repro.storage import (
     MemoryBackend,
     StorageError,
@@ -53,6 +64,7 @@ from repro.storage.codec import (
     pack_ops,
     pack_private_writes,
     pack_tables,
+    seal,
     unpack_bytes_map,
     unpack_ops,
     unpack_private_writes,
@@ -491,12 +503,14 @@ class TestDecodersFailTyped:
     @given(raw=st.one_of(
         st.binary(max_size=64),
         _FRAME_NOISE.map(lambda body: BLOCK_MAGIC + body),
-        _FRAME_NOISE.map(lambda body: BLOCK_MAGIC + b"\x00" * 8 + body),
+        # Sealed: a valid trailing crc32 lets the decoder parse the body.
+        _FRAME_NOISE.map(lambda body: seal(BLOCK_MAGIC + body)),
+        _FRAME_NOISE.map(lambda body: seal(BLOCK_MAGIC + b"\x00" * 8 + body)),
     ))
-    @example(raw=BLOCK_MAGIC + b"\x00" * 8 + _u32(0) + _u32(0) + _u32(1) + b"\xff")
+    @example(raw=seal(BLOCK_MAGIC + b"\x00" * 8 + _u32(0) + _u32(0) + _u32(1) + b"\xff"))
     def test_block_row_head(self, raw):
         try:
-            unpack_block_row(raw, head_only=True)
+            unpack_block_row(raw)
         except CodecError:
             pass
 
@@ -952,3 +966,126 @@ class TestSimulatedRecovery:
         assert report.ok, "\n".join(str(v) for v in report.violations)
         assert report.stats["recoveries"] >= 1
         assert report.stats["crash_drops"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# stored rows: typed errors and the cold-reopen round trip
+# ---------------------------------------------------------------------------
+def _stored_rows() -> list:
+    """``(name, row, decode, expected)`` for a real block's head and tail
+    rows, a transient row and the prune-meta row of a committed chain."""
+    net = three_org_network()
+    net.network.install_chaincode(net.chaincode_id, PrivateAssetContract())
+    peer1, peer2 = net.peer_of(1), net.peer_of(2)
+    results = [
+        net.client_of(1).submit_transaction(
+            net.chaincode_id, "set_private", [net.collection, key],
+            transient={"value": value}, endorsing_peers=[peer1, peer2],
+        )
+        for key, value in (("k1", b"v" * 40), ("k2", b"\x00\xff"))
+    ]
+    for result in results:
+        result.raise_for_status()
+    ledger = peer1.ledger
+    validated = ledger.blockchain.block(0)
+    block_key = f"{0:016d}"
+    head = ledger.backend.get(NS_BLOCKS, block_key)
+    tail = ledger.backend.get(NS_BLOCKS_TXS, block_key)
+    tx_id = validated.block.transactions[0].tx_id
+    writes = ledger.committed_private_rwsets[(tx_id, net.chaincode_id, net.collection)]
+    transient_backend = MemoryBackend()
+    TransientStore(backend=transient_backend).put(tx_id, writes, height=7)
+    assert ledger.blockchain.prune_to(1) == 1
+    anchor = validated.block.header.block_hash()
+    header = validated.block.header
+    return [
+        ("head", head, unpack_block_row, (header, validated.flags)),
+        ("tail", tail, lambda raw: Block.from_storage(header, raw).transactions,
+         validated.block.transactions),
+        ("transient", next(iter(transient_backend.range(NS_TRANSIENT)))[1],
+         unpack_transient_row, (7, writes)),
+        ("prune meta", ledger.backend.get(NS_BLOCKS_META, "prune"), unpack_prune_meta,
+         (1, anchor, 0)),
+    ]
+
+
+class TestStoredRowsFailTyped:
+    """Every truncation and a seeded set of single-byte flips of each kind
+    of stored row either raises :class:`CodecError` or decodes to the
+    original — no other exception escapes."""
+
+    FLIPS_PER_ROW = 400
+
+    def test_truncations_and_flips(self):
+        rng = random.Random(37)
+        cases = 0
+        for name, row, decode, expected in _stored_rows():
+            assert decode(row) == expected, name
+            mutants = [row[:cut] for cut in range(len(row))]
+            for position in rng.sample(range(len(row)), min(len(row), self.FLIPS_PER_ROW)):
+                flipped = bytearray(row)
+                flipped[position] ^= rng.randrange(1, 256)
+                mutants.append(bytes(flipped))
+            for mutant in mutants:
+                try:
+                    decoded = decode(mutant)
+                except CodecError:
+                    continue
+                assert decoded == expected, (name, mutant)
+            cases += len(mutants)
+        assert cases > 1600
+
+
+def _wal_snapshot_prune_config(seed: int) -> SimulationConfig:
+    """Ten WAL peers, two collections, snapshots every 4 blocks + pruning."""
+    return SimulationConfig(
+        seed=seed, ops=30, org_count=5, peers_per_org=2,
+        pdc1_members=("Org1MSP", "Org2MSP", "Org3MSP"),
+        pdc2_members=("Org2MSP", "Org3MSP", "Org4MSP"),
+        workload="mixed", plan_rate=0.5, mean_gap=1.0, batch_size=3,
+        batch_timeout=2.0, state_backend="wal", snapshot_every=4, prune=True,
+    )
+
+
+class TestColdReopenRoundTrip:
+    def _run(self, monkeypatch):
+        finished = []
+        real_checks = harness.run_quiescence_checks
+
+        def checks(sim, outcomes):
+            finished.append(sim)
+            return real_checks(sim, outcomes)
+
+        monkeypatch.setattr(harness, "run_quiescence_checks", checks)
+        config = _wal_snapshot_prune_config(seed=3)
+        report = harness.execute(config, *harness.generate(config))
+        assert report.ok, [str(v) for v in report.violations[:3]]
+        return finished[0]
+
+    def test_every_block_decodes_to_the_original_envelopes(self, monkeypatch):
+        sim = self._run(monkeypatch)
+        originals = sim.network.orderer.delivered_blocks
+        pairs, archived = [], 0
+        for peer in sim.all_peers():
+            peer.ledger.crash()
+            peer.ledger.reopen()  # a new WAL backend over the files
+            chain = peer.ledger.blockchain
+            archived += chain.genesis_offset - chain.archive_base
+            for validated in chain.all_blocks():
+                original = originals[validated.number]
+                assert validated.block == original
+                pairs += zip(validated.block.transactions, original.transactions)
+        assert archived > 0 and pairs
+        clear_serialization_memos()  # re-encode both sides from their fields
+        assert all(tx.signed_bytes() == orig.signed_bytes() for tx, orig in pairs)
+
+    def test_a_flipped_byte_in_a_stored_tail_fails_the_reopen(self, monkeypatch):
+        sim = self._run(monkeypatch)
+        peer = sim.all_peers()[0]
+        key, tail = next(iter(peer.ledger.backend.range(NS_BLOCKS_TXS)))
+        flipped = bytearray(tail)
+        flipped[len(flipped) // 2] ^= 0x20
+        peer.ledger.backend.put(NS_BLOCKS_TXS, key, bytes(flipped))
+        peer.ledger.crash()
+        with pytest.raises(CodecError):
+            peer.ledger.reopen()
