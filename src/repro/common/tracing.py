@@ -19,16 +19,14 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 #: Every integer counter on :class:`PerfCounters`, in declaration order.
-#: ``reset``/``snapshot``/``delta_since`` all iterate this one tuple so
-#: adding a counter cannot silently miss a bookkeeping path.
+#: ``reset``/``snapshot``/``delta_since``/``as_dict`` all iterate this one
+#: tuple so adding a counter cannot silently miss a bookkeeping path.
 _COUNTER_FIELDS = (
     "verify_individual", "verify_cache_hits",
     "modexp_full", "modexp_windowed", "table_builds",
     "vscc_memo_hits", "vscc_memo_misses",
     "endorse_simulations", "endorse_signatures", "endorse_cache_hits",
     "proposals_sent", "plan_escalations", "plan_timeouts", "plan_failures",
-    "reorder_batches", "reorder_displaced", "reorder_max_distance",
-    "early_aborts",
     "gossip_pushes", "gossip_batched_payloads", "gossip_digest_rounds",
     "gossip_reconcile_pulls", "gossip_bytes",
 )
@@ -64,10 +62,6 @@ class PerfCounters:
     plan_escalations: int = 0      # backup endorsers drafted into a plan
     plan_timeouts: int = 0         # endorsement waves that hit the timeout
     plan_failures: int = 0         # plans that exhausted every endorser
-    reorder_batches: int = 0       # batches through the conflict-aware pipeline
-    reorder_displaced: int = 0     # emitted txs not at their arrival position
-    reorder_max_distance: int = 0  # largest |emitted - arrival| displacement
-    early_aborts: int = 0          # doomed txs dropped before block inclusion
     gossip_pushes: int = 0         # per-record private-rwset pushes
     gossip_batched_payloads: int = 0  # coalesced per-target gossip messages
     gossip_digest_rounds: int = 0  # anti-entropy digest exchanges completed
@@ -109,31 +103,10 @@ class PerfCounters:
         """Flat snapshot, e.g. ``{"perf:modexp_full": 12, ...}``."""
         snapshot: dict = {
             f"{prefix}verifications": self.verifications,
-            f"{prefix}verify_individual": self.verify_individual,
-            f"{prefix}verify_cache_hits": self.verify_cache_hits,
             f"{prefix}modexp_count": self.modexps,
-            f"{prefix}modexp_full": self.modexp_full,
-            f"{prefix}modexp_windowed": self.modexp_windowed,
-            f"{prefix}table_builds": self.table_builds,
-            f"{prefix}vscc_memo_hits": self.vscc_memo_hits,
-            f"{prefix}vscc_memo_misses": self.vscc_memo_misses,
-            f"{prefix}endorse_simulations": self.endorse_simulations,
-            f"{prefix}endorse_signatures": self.endorse_signatures,
-            f"{prefix}endorse_cache_hits": self.endorse_cache_hits,
-            f"{prefix}proposals_sent": self.proposals_sent,
-            f"{prefix}plan_escalations": self.plan_escalations,
-            f"{prefix}plan_timeouts": self.plan_timeouts,
-            f"{prefix}plan_failures": self.plan_failures,
-            f"{prefix}reorder_batches": self.reorder_batches,
-            f"{prefix}reorder_displaced": self.reorder_displaced,
-            f"{prefix}reorder_max_distance": self.reorder_max_distance,
-            f"{prefix}early_aborts": self.early_aborts,
-            f"{prefix}gossip_pushes": self.gossip_pushes,
-            f"{prefix}gossip_batched_payloads": self.gossip_batched_payloads,
-            f"{prefix}gossip_digest_rounds": self.gossip_digest_rounds,
-            f"{prefix}gossip_reconcile_pulls": self.gossip_reconcile_pulls,
-            f"{prefix}gossip_bytes": self.gossip_bytes,
         }
+        for name in _COUNTER_FIELDS:
+            snapshot[f"{prefix}{name}"] = getattr(self, name)
         for phase, seconds in sorted(self.phase_seconds.items()):
             snapshot[f"{prefix}{phase}_ms"] = round(seconds * 1000, 3)
         return snapshot

@@ -41,13 +41,13 @@ emitted block is a permutation of its non-aborted input.
 The shadow asks the peer's own :class:`~repro.peer.validator.Validator`
 for every flag, so the orderer and the peers share one definition of it.
 All predictions are pure functions of the envelope bytes and the shadow,
-so the pipeline is deterministic: the cycle-break tie uses a seeded
-hash of the tx id (never Python's randomized ``hash``).
+so the pipeline is deterministic: every tie in the conflict graph goes to
+the arrival index, which is unique within a batch.
 """
 
 from __future__ import annotations
 
-import hashlib
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -82,7 +82,12 @@ SCOPE_CROSS_BLOCK = "cross-block"
 # ---------------------------------------------------------------------------
 
 class _TxProfile:
-    """One envelope's conflict surface, extracted once per batch."""
+    """One envelope's conflict surface, extracted once per batch.
+
+    The only reader of ``payload.results`` on the conflict side: the
+    graph, the abort attribution and the scope classification all ask
+    :meth:`reads_from` of these sets.
+    """
 
     __slots__ = (
         "tx", "index", "reads", "writes", "hashed_reads", "hashed_writes",
@@ -115,18 +120,18 @@ class _TxProfile:
                         (ns.namespace, col.collection, hashed.key_hash)
                     )
 
-    def reads_key_of(self, other: "_TxProfile") -> bool:
-        """Does this transaction read (or range-cover) a key ``other`` writes?"""
+    def reads_from(self, writes: set, hashed_writes: set) -> bool:
+        """Does this transaction read (or range-cover) a key of these writes?"""
         for key, _version in self.reads:
-            if key in other.writes:
+            if key in writes:
                 return True
         for key, _version in self.hashed_reads:
-            if key in other.hashed_writes:
+            if key in hashed_writes:
                 return True
         return any(
             write_ns == ns and in_range(query, key)
             for ns, query in self.ranges
-            for write_ns, key in other.writes
+            for write_ns, key in writes
         )
 
     def writes_overlap(self, other: "_TxProfile") -> bool:
@@ -149,11 +154,6 @@ class BatchRecord:
     emitted: tuple
     aborted: tuple
     block_number: Optional[int]
-
-
-def _tiebreak(tx_id: str) -> str:
-    """Seeded, process-independent tie-break token for cycle breaking."""
-    return hashlib.sha256(f"reorder-fvs:{tx_id}".encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ class ReorderPipeline:
         self._shadow = _Shadow()
         #: Audit trail consumed by the ``reorder-soundness`` invariant.
         self.records: list[BatchRecord] = []
-        # Lifetime totals (mirrored into the process-wide PERF counters).
+        # Lifetime totals.
         self.batches = 0
         self.displaced = 0
         self.max_distance = 0
@@ -289,19 +289,19 @@ class ReorderPipeline:
         candidate_ids = {p.tx.tx_id for p in candidates}
         tail = [p for p in profiles if p.tx.tx_id not in candidate_ids]
 
-        ordered = self._topological_order(candidates)
-        trial = [p.tx for p in ordered] + [p.tx for p in tail]
+        trial = self._topological_order(candidates) + tail
 
         # Doom in the *emitted* order; doomed-in-both get aborted.  An
         # aborted transaction is invalid, so it contributes no block
         # writes, and its tx id is unique in the batch: removing it cannot
         # change any survivor's flag, and the survivors' trial flags are
         # the ones the peers will assign to the emitted block.
-        trial_flags = self._predict(trial)
+        trial_flags = self._predict([p.tx for p in trial])
         aborted: list = []
         emitted: list = []
         emitted_flags: list = []
-        for tx, flag in zip(trial, trial_flags):
+        for profile, flag in zip(trial, trial_flags):
+            tx = profile.tx
             if (
                 flag in _CONFLICT_FLAGS
                 and tx.tx_id in arrival_doomed
@@ -310,7 +310,7 @@ class ReorderPipeline:
                 aborted.append((
                     tx,
                     flag.value.lower().replace("_", "-"),
-                    self._conflict_block(tx, trial, trial_flags, next_block_number),
+                    self._conflict_block(profile, trial, trial_flags, next_block_number),
                 ))
             else:
                 emitted.append(tx)
@@ -333,31 +333,30 @@ class ReorderPipeline:
     def _topological_order(self, candidates: list) -> list:
         """Order candidates so readers precede writers of their keys.
 
-        Edges: ``i -> j`` when *i* must commit before *j* — a reader
-        before any writer of a key it read (rw), and the arrival-earlier
-        writer before the arrival-later one for a shared written key (ww,
-        which keeps last-writer-wins deterministic).  Cycles (mutual
-        read-modify-writes) are broken by greedily removing the node with
-        the most intra-cycle edges — ties going to the latest arrival,
-        then to a seeded hash of the tx id — which keeps the arrival-first
-        member of a symmetric RMW clique, exactly the transaction the
+        Nodes are arrival indices.  Edges: ``i -> j`` when *i* must commit
+        before *j* — a reader before any writer of a key it read (rw), and
+        the arrival-earlier writer before the arrival-later one for a
+        shared written key (ww, which keeps last-writer-wins
+        deterministic).  Cycles (mutual read-modify-writes) are broken by
+        greedily removing the node with the most intra-cycle edges — ties
+        going to the latest arrival — which keeps the arrival-first member
+        of a symmetric RMW clique, exactly the transaction the
         un-reordered block would have validated.  Removed nodes re-enter
         the emitted sequence *after* every survivor, in arrival order.
         """
-        nodes = list(candidates)
-        edges: dict = {p.tx.tx_id: set() for p in nodes}
-        for reader in nodes:
-            for writer in nodes:
-                if reader is writer:
-                    continue
-                if reader.reads_key_of(writer):
-                    edges[reader.tx.tx_id].add(writer.tx.tx_id)
-        for i, first in enumerate(nodes):
-            for second in nodes[i + 1:]:
+        by_index = {p.index: p for p in candidates}
+        edges: dict = {p.index: set() for p in candidates}
+        for reader in candidates:
+            for writer in candidates:
+                if reader is not writer and reader.reads_from(
+                    writer.writes, writer.hashed_writes
+                ):
+                    edges[reader.index].add(writer.index)
+        for i, first in enumerate(candidates):
+            for second in candidates[i + 1:]:
                 if first.writes_overlap(second):
-                    edges[first.tx.tx_id].add(second.tx.tx_id)
+                    edges[first.index].add(second.index)
 
-        by_id = {p.tx.tx_id: p for p in nodes}
         losers: list = []
         while True:
             cyclic = self._cyclic_nodes(edges)
@@ -365,72 +364,61 @@ class ReorderPipeline:
                 break
             victim = max(
                 cyclic,
-                key=lambda tx_id: (
-                    sum(1 for t in edges[tx_id] if t in cyclic)
-                    + sum(1 for t in cyclic if tx_id in edges[t]),
-                    by_id[tx_id].index,
-                    _tiebreak(tx_id),
+                key=lambda node: (
+                    sum(1 for t in edges[node] if t in cyclic)
+                    + sum(1 for t in cyclic if node in edges[t]),
+                    node,
                 ),
             )
-            losers.append(by_id[victim])
+            losers.append(victim)
             edges.pop(victim)
             for targets in edges.values():
                 targets.discard(victim)
 
-        survivors = {tx_id for tx_id in edges}
-        indegree = {tx_id: 0 for tx_id in survivors}
-        for source, targets in edges.items():
+        indegree = {node: 0 for node in edges}
+        for targets in edges.values():
             for target in targets:
                 indegree[target] += 1
-        ready = sorted(
-            (tx_id for tx_id, degree in indegree.items() if degree == 0),
-            key=lambda tx_id: by_id[tx_id].index,
-        )
+        # Smallest arrival index first: minimal displacement, and a
+        # deterministic emit order for any edge set.
+        ready = [node for node, degree in indegree.items() if degree == 0]
+        heapq.heapify(ready)
         ordered: list = []
         while ready:
-            # Smallest arrival index first: minimal displacement, and a
-            # deterministic emit order for any edge set.
-            tx_id = ready.pop(0)
-            ordered.append(by_id[tx_id])
-            for target in sorted(edges[tx_id], key=lambda t: by_id[t].index):
+            node = heapq.heappop(ready)
+            ordered.append(by_index[node])
+            for target in edges[node]:
                 indegree[target] -= 1
                 if indegree[target] == 0:
-                    position = 0
-                    while (
-                        position < len(ready)
-                        and by_id[ready[position]].index < by_id[target].index
-                    ):
-                        position += 1
-                    ready.insert(position, target)
-        losers.sort(key=lambda p: p.index)
-        return ordered + losers
+                    heapq.heappush(ready, target)
+        return ordered + [by_index[node] for node in sorted(losers)]
 
     @staticmethod
     def _cyclic_nodes(edges: dict) -> set:
         """Every node on some directed cycle (iterative trim of the DAG part)."""
-        indegree: dict = {tx_id: 0 for tx_id in edges}
-        outdegree: dict = {tx_id: len(targets) for tx_id, targets in edges.items()}
-        reverse: dict = {tx_id: set() for tx_id in edges}
+        indegree: dict = {node: 0 for node in edges}
+        outdegree: dict = {node: len(targets) for node, targets in edges.items()}
+        reverse: dict = {node: set() for node in edges}
         for source, targets in edges.items():
             for target in targets:
                 indegree[target] += 1
                 reverse[target].add(source)
         alive = set(edges)
         queue = [
-            tx_id for tx_id in alive
-            if indegree[tx_id] == 0 or outdegree[tx_id] == 0
+            node for node in alive
+            if indegree[node] == 0 or outdegree[node] == 0
         ]
         while queue:
-            tx_id = queue.pop()
-            if tx_id not in alive:
+            node = queue.pop()
+            if node not in alive:
                 continue
-            alive.discard(tx_id)
-            for target in edges[tx_id]:
+            alive.discard(node)
+            for target in edges[node]:
                 if target in alive:
                     indegree[target] -= 1
                     if indegree[target] == 0:
                         queue.append(target)
-            for source in reverse[tx_id]:
+            for source in reverse[node]:
                 if source in alive:
                     outdegree[source] -= 1
                     if outdegree[source] == 0:
@@ -443,12 +431,13 @@ class ReorderPipeline:
         return self._validator.flags_for(transactions, self._shadow)
 
     def _conflict_block(
-        self, tx: TransactionEnvelope, trial: list, trial_flags: list,
+        self, profile: _TxProfile, trial: list, trial_flags: list,
         next_block_number: int,
     ) -> Optional[int]:
-        """Which block's write dooms ``tx`` (for abort-resolution timing).
+        """Which block's write dooms ``profile`` (for abort-resolution timing).
 
-        An in-batch race resolves with the block being cut; a stale read
+        An in-batch race — a read of a key an earlier VALID transaction of
+        the trial writes — resolves with the block being cut; a stale read
         resolves with the *latest* shadow block that rewrote any of the
         transaction's keys.  ``None`` means no attributable block (the
         caller resolves the abort immediately).
@@ -456,48 +445,32 @@ class ReorderPipeline:
         block_writes: set = set()
         block_private: set = set()
         for other, flag in zip(trial, trial_flags):
-            if other.tx_id == tx.tx_id:
+            if other is profile:
                 break
-            if flag is not ValidationCode.VALID:
-                continue
-            for ns in other.payload.results.namespaces:
-                for write in ns.writes:
-                    block_writes.add((ns.namespace, write.key))
-                for col in ns.collections:
-                    for hashed in col.hashed_writes:
-                        block_private.add(
-                            (ns.namespace, col.collection, hashed.key_hash)
-                        )
+            if flag is ValidationCode.VALID:
+                block_writes |= other.writes
+                block_private |= other.hashed_writes
+        if profile.reads_from(block_writes, block_private):
+            return next_block_number
         shadow = self._shadow
-        latest: Optional[int] = None
-        for ns in tx.payload.results.namespaces:
-            for read in ns.reads:
-                full = (ns.namespace, read.key)
-                if full in block_writes:
-                    return next_block_number
-                written = shadow.public.get(full)
-                if written is not None and written.version != read.version:
-                    latest = written.block if latest is None else max(latest, written.block)
-            for col in ns.collections:
-                for hashed in col.hashed_reads:
-                    full = (ns.namespace, col.collection, hashed.key_hash)
-                    if full in block_private:
-                        return next_block_number
-                    written = shadow.private.get(full)
-                    if written is not None and written.version != hashed.version:
-                        latest = written.block if latest is None else max(latest, written.block)
-            for query in ns.range_queries:
-                if range_fresh(ns.namespace, query, shadow.world_state, block_writes):
-                    continue
-                if any(
-                    write_ns == ns.namespace and in_range(query, key)
-                    for write_ns, key in block_writes
-                ):
-                    return next_block_number
-                for (shadow_ns, key), written in shadow.public.items():
-                    if shadow_ns == ns.namespace and in_range(query, key):
-                        latest = written.block if latest is None else max(latest, written.block)
-        return latest
+        stale: list = []
+        for table, reads in (
+            (shadow.public, profile.reads), (shadow.private, profile.hashed_reads)
+        ):
+            for key, version in reads:
+                written = table.get(key)
+                if written is not None and written.version != version:
+                    stale.append(written.block)
+        for namespace, query in profile.ranges:
+            # No block write is in range (``reads_from`` said so), so the
+            # committed state alone decides the phantom.
+            if not range_fresh(namespace, query, shadow.world_state, ()):
+                stale.extend(
+                    written.block
+                    for (ns, key), written in shadow.public.items()
+                    if ns == namespace and in_range(query, key)
+                )
+        return max(stale, default=None)
 
     # -- shadow maintenance --------------------------------------------------
     def _apply_sequence(
@@ -532,26 +505,21 @@ class ReorderPipeline:
     # -- accounting ----------------------------------------------------------
     def _account(self, batch: tuple, emitted: list, aborted: list) -> None:
         self.batches += 1
-        PERF.reorder_batches += 1
         # Displacement is measured among emitted transactions only — an
         # abort is not a reordering of what remains.
+        emitted_ids = {tx.tx_id for tx in emitted}
         arrival_positions = {
             tx.tx_id: position
             for position, tx in enumerate(
-                tx for tx in batch if tx.tx_id in {e.tx_id for e in emitted}
+                tx for tx in batch if tx.tx_id in emitted_ids
             )
         }
         for position, tx in enumerate(emitted):
             distance = abs(position - arrival_positions[tx.tx_id])
             if distance:
                 self.displaced += 1
-                PERF.reorder_displaced += 1
-            if distance > self.max_distance:
-                self.max_distance = distance
-            if distance > PERF.reorder_max_distance:
-                PERF.reorder_max_distance = distance
+            self.max_distance = max(self.max_distance, distance)
         self.early_aborts += len(aborted)
-        PERF.early_aborts += len(aborted)
 
 
 # ---------------------------------------------------------------------------
@@ -572,24 +540,14 @@ def conflict_scopes(transactions, flags) -> dict:
     block_writes: set = set()
     block_private: set = set()
     for tx, flag in zip(transactions, flags):
-        if flag in _CONFLICT_FLAGS:
-            profile = _TxProfile(tx, 0)
-            within = any(key in block_writes for key, _v in profile.reads) or any(
-                key in block_private for key, _v in profile.hashed_reads
-            )
-            within = within or any(
-                write_ns == ns and in_range(query, key)
-                for ns, query in profile.ranges
-                for write_ns, key in block_writes
-            )
-            scopes[tx.tx_id] = SCOPE_WITHIN_BLOCK if within else SCOPE_CROSS_BLOCK
-        elif flag is ValidationCode.VALID:
-            for ns in tx.payload.results.namespaces:
-                for write in ns.writes:
-                    block_writes.add((ns.namespace, write.key))
-                for col in ns.collections:
-                    for hashed in col.hashed_writes:
-                        block_private.add(
-                            (ns.namespace, col.collection, hashed.key_hash)
-                        )
+        if flag not in _CANDIDATE_FLAGS:
+            continue
+        profile = _TxProfile(tx, 0)
+        if flag is ValidationCode.VALID:
+            block_writes |= profile.writes
+            block_private |= profile.hashed_writes
+        elif profile.reads_from(block_writes, block_private):
+            scopes[tx.tx_id] = SCOPE_WITHIN_BLOCK
+        else:
+            scopes[tx.tx_id] = SCOPE_CROSS_BLOCK
     return scopes

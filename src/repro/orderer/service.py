@@ -40,7 +40,6 @@ class OrderingService:
         # every cut batch before consensus: may reorder the batch and
         # divert provably doomed envelopes to the early-abort handlers.
         self._reorderer = reorderer
-        self._early_aborts: dict[str, tuple[str, Optional[int]]] = {}
         self._abort_handlers: list[Callable[[TransactionEnvelope, str, Optional[int]], Any]] = []
         self._delivery_handlers: list[BlockDeliveryHandler] = []
         self._next_block_number = 0
@@ -70,10 +69,6 @@ class OrderingService:
     ) -> None:
         """Subscribe to early aborts: ``handler(envelope, reason, conflict_block)``."""
         self._abort_handlers.append(handler)
-
-    def early_abort_info(self, tx_id: str) -> Optional[tuple[str, Optional[int]]]:
-        """``(reason, conflict_block)`` if ``tx_id`` was early-aborted, else None."""
-        return self._early_aborts.get(tx_id)
 
     @property
     def pending_count(self) -> int:
@@ -182,7 +177,6 @@ class OrderingService:
         if emitted:
             self._order_batch(emitted)
         for envelope, reason, conflict_block in aborted:
-            self._early_aborts[envelope.tx_id] = (reason, conflict_block)
             for handler in self._abort_handlers:
                 handler(envelope, reason, conflict_block)
 

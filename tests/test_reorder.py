@@ -7,27 +7,49 @@ order — are aborted before they occupy chain space.  These tests pin the
 client-visible contract (early-abort status on the sync and retry
 paths, never in place of a structural flag), the pipeline's structural
 properties (permutation, bounded
-displacement, determinism) and the :meth:`BlockCutter.flush` regression.
+displacement, determinism, decisions pinned by position), the
+within-/cross-block scope of a committed conflict and the
+:meth:`BlockCutter.flush` regression.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.chaincode.contracts import AssetContract, PrivateAssetContract
+from repro.chaincode.rwset import (
+    HashedCollectionRWSet,
+    KVRead,
+    KVReadHash,
+    KVWrite,
+    KVWriteHash,
+    NamespaceRWSet,
+    RangeQueryInfo,
+    TxReadWriteSet,
+)
+from repro.common.hashing import hash_key, hash_value
 from repro.core.defense.features import FrameworkFeatures
 from repro.identity.ca import reset_ca_instance_counter
 from repro.identity.organization import Organization
+from repro.ledger.version import Version
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.orderer.block_cutter import BlockCutter
+from repro.orderer.reorder import (
+    SCOPE_CROSS_BLOCK,
+    SCOPE_WITHIN_BLOCK,
+    conflict_scopes,
+)
 from repro.peer.validator import Validator
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
+from repro.simulation import harness
 from repro.simulation.config import SimulationConfig
 from repro.simulation.harness import execute, generate
 from repro.workload import RetryPolicy, submit_with_retry_async
@@ -72,6 +94,15 @@ def _asset_network(
     net.install_chaincode("assetcc", AssetContract())
     net.install_chaincode("pdccc", PrivateAssetContract())
     return net
+
+
+def _early_abort(net: FabricNetwork, tx_id: str):
+    """``(reason, conflict_block)`` of the pipeline's abort of ``tx_id``, or None."""
+    for record in net.orderer.reorderer.records:
+        for envelope, reason, conflict_block in record.aborted:
+            if envelope.tx_id == tx_id:
+                return reason, conflict_block
+    return None
 
 
 def _tx_occurrences(net: FabricNetwork, tx_id: str) -> int:
@@ -138,8 +169,8 @@ class TestEarlyAbortSyncPath:
         assert result.status is ValidationCode.ORDERER_EARLY_ABORT
         # The doomed envelope never reached a block on any peer...
         assert _tx_occurrences(net, stale.tx_id) == 0
-        # ...the orderer remembers why it died...
-        reason, conflict_block = net.orderer.early_abort_info(stale.tx_id)
+        # ...the pipeline's record says why it died...
+        reason, conflict_block = _early_abort(net, stale.tx_id)
         assert reason == "mvcc-read-conflict"
         assert conflict_block is not None
         # ...and the surviving write is untouched.
@@ -214,7 +245,7 @@ class TestEarlyAbortRetryPath:
         # fresh one committed exactly once.
         assert _tx_occurrences(net, aborted) == 0
         assert _tx_occurrences(net, final) == 1
-        assert net.orderer.early_abort_info(aborted) is not None
+        assert _early_abort(net, aborted) is not None
         # Both increments applied exactly once.
         assert net.peers()[0].query_public("assetcc", "asset:hot") == b"107"
 
@@ -321,7 +352,7 @@ class TestStructuralVerdictBeatsEarlyAbort:
         net, stale, flag = STALE_WITH_DEFECT[defect](defect=True)
         result = net.submit_envelope(stale)
         assert result.status is not ValidationCode.ORDERER_EARLY_ABORT
-        assert net.orderer.early_abort_info(stale.tx_id) is None
+        assert _early_abort(net, stale.tx_id) is None
         for peer in net.peers():
             flags = [
                 f for tx, f in peer.ledger.blockchain.all_transactions()
@@ -335,6 +366,136 @@ class TestStructuralVerdictBeatsEarlyAbort:
         result = net.submit_envelope(stale)
         assert result.status is ValidationCode.ORDERER_EARLY_ABORT
         assert _tx_occurrences(net, stale.tx_id) == 0
+
+
+class _ScanThenCreate(AssetContract):
+    """Adds a phantom-protected write: scan every asset, then create one."""
+
+    def scan_then_create(self, stub, args: list) -> bytes:
+        entries = stub.get_state_by_range("asset:", "asset;")
+        stub.put_state(self._asset_key(args[0]), str(len(entries)).encode("utf-8"))
+        return b""
+
+
+class TestPhantomEarlyAbort:
+    """Two scan-then-create transactions, each inserting into the range
+    the other scanned, form a cycle no order resolves: whichever comes
+    second sees a phantom from the first's in-batch insert."""
+
+    def test_in_batch_range_write_dooms_the_later_scan(self):
+        net = _asset_network(batch_size=2)
+        net.install_chaincode("assetcc", _ScanThenCreate())
+        runtime = net.attach_runtime(seed=3, batch_timeout=2.0)
+        endorsers = net.default_endorsers()[:1]
+        load = net.client("Org1MSP").submit_async(
+            "assetcc", "create_asset", ["seed", "0"], endorsing_peers=endorsers
+        )
+        runtime.run()
+        assert load.result().status is ValidationCode.VALID
+        envelopes = [
+            _endorse_now(net, "assetcc", "scan_then_create", [name], endorsers)
+            for name in ("a", "b")
+        ]
+        pending = [net.submit_envelope_async(env) for env in envelopes]
+        runtime.run()
+
+        [record] = [r for r in net.orderer.reorderer.records if r.aborted]
+        [(loser, reason, conflict_block)] = record.aborted
+        [winner] = record.emitted
+        assert reason == "phantom-read-conflict"
+        # The conflicting write is in the block being cut, not in
+        # committed state.
+        assert record.block_number is not None
+        assert conflict_block == record.block_number
+        statuses = {env.tx_id: p.result().status for env, p in zip(envelopes, pending)}
+        assert statuses[loser.tx_id] is ValidationCode.ORDERER_EARLY_ABORT
+        assert statuses[winner.tx_id] is ValidationCode.VALID
+        assert _tx_occurrences(net, loser.tx_id) == 0
+
+
+# ---------------------------------------------------------------------------
+# Conflict scopes of a committed block
+# ---------------------------------------------------------------------------
+
+def _tx(tx_id: str, *namespaces: NamespaceRWSet):
+    """The two fields ``conflict_scopes`` reads of an envelope."""
+    return SimpleNamespace(
+        tx_id=tx_id,
+        payload=SimpleNamespace(results=TxReadWriteSet(namespaces=namespaces)),
+    )
+
+
+_V = Version(1, 0)
+_PRIVATE_KEY = hash_key("k")
+
+#: kind -> (reader rwset, writer rwset of the key it reads, its conflict flag)
+SCOPE_CASES = {
+    "public-read": (
+        NamespaceRWSet("cc", reads=(KVRead("k", _V),)),
+        NamespaceRWSet("cc", writes=(KVWrite("k", b"v"),)),
+        ValidationCode.MVCC_READ_CONFLICT,
+    ),
+    "hashed-read": (
+        NamespaceRWSet("cc", collections=(
+            HashedCollectionRWSet("PDC1", hashed_reads=(KVReadHash(_PRIVATE_KEY, _V),)),
+        )),
+        NamespaceRWSet("cc", collections=(
+            HashedCollectionRWSet("PDC1", hashed_writes=(
+                KVWriteHash(_PRIVATE_KEY, hash_value(b"v")),
+            )),
+        )),
+        ValidationCode.MVCC_READ_CONFLICT,
+    ),
+    "range-read": (
+        NamespaceRWSet("cc", range_queries=(RangeQueryInfo("a", "m"),)),
+        NamespaceRWSet("cc", writes=(KVWrite("k", b"v"),)),
+        ValidationCode.PHANTOM_READ_CONFLICT,
+    ),
+}
+
+#: A valid writer of keys nobody in the table reads.
+_UNRELATED = NamespaceRWSet("cc", writes=(KVWrite("z", b"v"),))
+
+
+class TestConflictScopes:
+    """``conflict_scopes`` classifies each committed MVCC/phantom abort:
+    ``within-block`` when an earlier VALID transaction of the block wrote
+    a key it reads (or range-covers), ``cross-block`` otherwise."""
+
+    @pytest.mark.parametrize("kind", sorted(SCOPE_CASES))
+    def test_earlier_valid_writer_is_within_block(self, kind):
+        reader, writer, flag = SCOPE_CASES[kind]
+        scopes = conflict_scopes(
+            [_tx("w", writer), _tx("r", reader)], [ValidationCode.VALID, flag]
+        )
+        assert scopes == {"r": SCOPE_WITHIN_BLOCK}
+
+    @pytest.mark.parametrize("kind", sorted(SCOPE_CASES))
+    def test_stale_committed_read_is_cross_block(self, kind):
+        reader, _writer, flag = SCOPE_CASES[kind]
+        scopes = conflict_scopes(
+            [_tx("u", _UNRELATED), _tx("r", reader)], [ValidationCode.VALID, flag]
+        )
+        assert scopes == {"r": SCOPE_CROSS_BLOCK}
+
+    @pytest.mark.parametrize("writer_flag", [
+        ValidationCode.MVCC_READ_CONFLICT,
+        ValidationCode.ENDORSEMENT_POLICY_FAILURE,
+    ])
+    @pytest.mark.parametrize("kind", sorted(SCOPE_CASES))
+    def test_earlier_invalid_writer_does_not_count(self, kind, writer_flag):
+        reader, writer, flag = SCOPE_CASES[kind]
+        scopes = conflict_scopes(
+            [_tx("w", writer), _tx("r", reader)], [writer_flag, flag]
+        )
+        assert scopes["r"] == SCOPE_CROSS_BLOCK
+
+    def test_a_later_writer_does_not_count(self):
+        reader, writer, flag = SCOPE_CASES["public-read"]
+        scopes = conflict_scopes(
+            [_tx("r", reader), _tx("w", writer)], [flag, ValidationCode.VALID]
+        )
+        assert scopes == {"r": SCOPE_CROSS_BLOCK}
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +618,70 @@ class TestPipelineProperties:
         [(flags, reference)] = applied
         assert flags == reference
         assert ValidationCode.DUPLICATE_TXID in flags
+
+
+def _decision_trail(monkeypatch, seed: int, ops: int) -> list:
+    """Every ``BatchRecord`` of a seeded reordering TPC-C run, by position:
+    ``(block_number, emitted arrival positions, ((arrival position,
+    reason, conflict_block), ...))`` — independent of tx-id bytes."""
+    config = dataclasses.replace(SimulationConfig.generate_tpcc(seed, ops), reorder=True)
+    ops_list, faults = generate(config)
+    seen = {}
+    real_checks = harness.run_quiescence_checks
+
+    def checks(sim, outcomes):
+        seen["sim"] = sim
+        return real_checks(sim, outcomes)
+
+    monkeypatch.setattr(harness, "run_quiescence_checks", checks)
+    report = execute(config, ops_list, faults)
+    monkeypatch.setattr(harness, "run_quiescence_checks", real_checks)
+    assert report.ok, [str(v) for v in report.violations[:5]]
+    trail = []
+    for record in seen["sim"].network.orderer.reorderer.records:
+        position = {tx.tx_id: i for i, tx in enumerate(record.arrival)}
+        trail.append((
+            record.block_number,
+            tuple(position[tx.tx_id] for tx in record.emitted),
+            tuple(
+                (position[env.tx_id], reason, conflict_block)
+                for env, reason, conflict_block in record.aborted
+            ),
+        ))
+    return trail
+
+
+#: ``sha256(repr(...))`` of the four trails of seeds 1–4 at 60 ops
+#: and the decisions it covers, recorded before the conflict surface was
+#: read through one profile per transaction.
+PINNED_TRAIL_DIGEST = "0b761afb4ffee608f9ce14cadeb39e431232d667c61dfe591c6c7a9b99822f0b"
+PINNED_COUNTS = {"records": 133, "displaced": 16, "in_batch": 36, "cross_block": 187}
+
+
+class TestPinnedDecisions:
+    def test_reorder_decisions_match_the_pinned_trail(self, monkeypatch):
+        trails = [_decision_trail(monkeypatch, seed, 60) for seed in (1, 2, 3, 4)]
+        records = [row for trail in trails for row in trail]
+        counts = {
+            "records": len(records),
+            "displaced": sum(
+                1 for _block, emitted, _aborted in records
+                for at, arrival in enumerate(emitted)
+                if at != sorted(emitted).index(arrival)
+            ),
+            "in_batch": sum(
+                1 for block, _emitted, aborted in records
+                for _at, _reason, conflict_block in aborted
+                if block is not None and conflict_block == block
+            ),
+            "cross_block": sum(
+                1 for block, _emitted, aborted in records
+                for _at, _reason, conflict_block in aborted
+                if block is None or conflict_block != block
+            ),
+        }
+        assert counts == PINNED_COUNTS
+        assert hashlib.sha256(repr(trails).encode()).hexdigest() == PINNED_TRAIL_DIGEST
 
 
 # ---------------------------------------------------------------------------
