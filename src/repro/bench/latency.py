@@ -86,9 +86,8 @@ class _ValidationTimer:
 
     Setup traffic (seeding keys for delete runs) must not pollute the
     validation statistics, so the timer records samples only between
-    :meth:`arm` and :meth:`disarm`.  It wraps the peer's ``deliver_block``
-    before the network carries any traffic: the runtime takes each
-    peer's delivery handler when it is built, on first use.
+    :meth:`arm` and :meth:`disarm`.  It wraps the peer's ``deliver_block``,
+    which the runtime looks up at every commit.
     """
 
     def __init__(self, peer: PeerNode, stats: LatencyStats) -> None:

@@ -27,8 +27,6 @@ _COUNTER_FIELDS = (
     "vscc_memo_hits", "vscc_memo_misses",
     "endorse_simulations", "endorse_signatures", "endorse_cache_hits",
     "proposals_sent", "plan_escalations", "plan_timeouts", "plan_failures",
-    "gossip_pushes", "gossip_batched_payloads", "gossip_digest_rounds",
-    "gossip_reconcile_pulls", "gossip_bytes",
 )
 
 
@@ -62,11 +60,6 @@ class PerfCounters:
     plan_escalations: int = 0      # backup endorsers drafted into a plan
     plan_timeouts: int = 0         # endorsement waves that hit the timeout
     plan_failures: int = 0         # plans that exhausted every endorser
-    gossip_pushes: int = 0         # per-record private-rwset pushes
-    gossip_batched_payloads: int = 0  # coalesced per-target gossip messages
-    gossip_digest_rounds: int = 0  # anti-entropy digest exchanges completed
-    gossip_reconcile_pulls: int = 0  # gaps filled by anti-entropy pulls
-    gossip_bytes: int = 0          # private-rwset + digest wire bytes
     phase_seconds: dict = field(default_factory=dict)  # phase -> seconds
 
     def add_phase_time(self, phase: str, seconds: float) -> None:

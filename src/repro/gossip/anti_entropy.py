@@ -42,7 +42,6 @@ import zlib
 from typing import TYPE_CHECKING
 
 from repro.common.hashing import hash_key
-from repro.common.tracing import PERF
 from repro.gossip.dissemination import payload_bytes
 from repro.ledger.version import Version
 
@@ -323,7 +322,6 @@ class AntiEntropyEngine:
         )
         size = _digest_bytes(digest)
         self.gossip.bytes_sent += size
-        PERF.gossip_bytes += size
         self.runtime.bus.send(
             source.name, requester_name, TOPIC_AE_DIGEST, (source.name, digest)
         )
@@ -331,7 +329,6 @@ class AntiEntropyEngine:
     def _on_digest(self, peer: "PeerNode", payload) -> None:
         source_name, digest = payload
         self.gossip.digest_rounds += 1
-        PERF.gossip_digest_rounds += 1
         gaps = peer.ledger.missing_by_collection()
         wanted = []
         for (namespace, collection), tx_ids in digest:
@@ -352,7 +349,6 @@ class AntiEntropyEngine:
         responses = source.serve_private_batch(requests)
         size = sum(payload_bytes(writes) for _, _, _, writes in responses)
         self.gossip.bytes_sent += size
-        PERF.gossip_bytes += size
         self.runtime.bus.send(
             source.name, requester_name, TOPIC_AE_PULL_RESPONSE,
             (source.name, tuple(responses)),
@@ -369,7 +365,6 @@ class AntiEntropyEngine:
             if apply_pulled_rwset(peer, missing, plaintext, memo):
                 filled += 1
                 self.gossip.reconcile_pulls += 1
-                PERF.gossip_reconcile_pulls += 1
         if filled:
             self._attempts[(peer.name, source_name)] = 0
             self.arm()  # remaining gaps may repair from other sources

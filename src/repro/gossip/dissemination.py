@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.chaincode.rwset import PrivateCollectionWrites
 from repro.common.errors import GossipError
-from repro.common.tracing import PERF
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.identity.identity import Certificate
@@ -79,8 +78,6 @@ class GossipNetwork:
         self.digest_rounds = 0  # anti-entropy digest exchanges completed
         self.reconcile_pulls = 0  # gaps filled by anti-entropy pulls
         self.bytes_sent = 0  # private-rwset + digest wire bytes
-        self.snapshot_sigs = 0  # snapshot-signature broadcast counter
-        self.snapshot_fetches = 0  # snapshot packages served to bootstrappers
         self._member_memo: dict[tuple[str, str], tuple["PeerNode", ...]] = {}
 
     def register_peer(self, peer: "PeerNode") -> None:
@@ -165,15 +162,12 @@ class GossipNetwork:
                 queues.setdefault(target, []).append(writes)
                 pushed += 1
                 self.pushes += 1
-                PERF.gossip_pushes += 1
         for target, records in queues.items():
             batch = tuple(records)
             size = sum(payload_bytes(writes) for writes in batch)
             self._send(endorsing_peer.name, target.name, TOPIC_GOSSIP_BATCH, (tx_id, batch))
             self.batched_payloads += 1
             self.bytes_sent += size
-            PERF.gossip_batched_payloads += 1
-            PERF.gossip_bytes += size
         return pushed
 
     # -- snapshot checkpointing --------------------------------------------
@@ -194,7 +188,6 @@ class GossipNetwork:
                 (manifest, certificate, signature),
             )
             sent += 1
-            self.snapshot_sigs += 1
         return sent
 
     def snapshot_offers(
@@ -250,7 +243,4 @@ class GossipNetwork:
                 offer[0].name,
             ),
         )
-        package = server.serve_snapshot(requester.msp_id)
-        if package is not None:
-            self.snapshot_fetches += 1
-        return package
+        return server.serve_snapshot(requester.msp_id)

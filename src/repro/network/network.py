@@ -20,7 +20,7 @@ from repro.common.tracing import PERF, Tracer
 from repro.core.defense.features import FrameworkFeatures
 from repro.gossip.dissemination import GossipNetwork
 from repro.network.channel import ChannelConfig
-from repro.orderer.reorder import ReorderPipeline, conflict_scopes
+from repro.orderer.reorder import ReorderPipeline
 from repro.orderer.service import OrderingService
 from repro.peer.endorser import EndorsementOutput
 from repro.peer.node import PeerNode
@@ -29,7 +29,6 @@ from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 from repro.storage import open_backend, resolve_backend_kind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ledger.block import Block
     from repro.runtime.faults import FaultInjector, LatencyModel
     from repro.runtime.runtime import PendingTransaction, TransactionRuntime
 
@@ -168,47 +167,17 @@ class FabricNetwork:
         self._admit(peer, runtime.join_peer)
         return peer
 
-    def _admit(
-        self,
-        peer: PeerNode,
-        register: Callable[[PeerNode, Callable[["Block"], object]], None],
-    ) -> None:
+    def _admit(self, peer: PeerNode, register: Callable[[PeerNode], None]) -> None:
         """Hand a built peer to the runtime.  A refused peer (a pruned
         backlog) is unbuilt, or gossip would push to it with no bus
         endpoint."""
         try:
-            register(peer, self.delivery_handler_for(peer))
+            register(peer)
         except Exception:
             del self._peers[peer.name]
             self.gossip.unregister_peer(peer)
             peer.ledger.backend.close()
             raise
-
-    def delivery_handler_for(self, peer: PeerNode) -> Callable[["Block"], object]:
-        """The (optionally traced) block-delivery callable for ``peer``.
-
-        The runtime asks for it when the peer registers, and an untraced
-        handler is the peer's ``deliver_block`` at that moment.
-        """
-        if self._peers.get(peer.name) is not peer:
-            raise ConfigError(f"peer {peer.name!r} is not part of this network")
-        if self.tracer is None:
-            return peer.deliver_block
-
-        def traced_delivery(block, _peer=peer):
-            self.tracer.record(
-                "orderer", "deliver-block", block=block.header.number, to=_peer.name
-            )
-            validated = _peer.deliver_block(block)
-            scopes = conflict_scopes(block.transactions, validated.flags)
-            for tx, flag in zip(block.transactions, validated.flags):
-                detail = {"flag": flag.value}
-                if tx.tx_id in scopes:
-                    detail["scope"] = scopes[tx.tx_id]
-                self.tracer.record(_peer.name, "validate+commit", tx.tx_id, **detail)
-            return validated
-
-        return traced_delivery
 
     # -- the event-driven runtime ---------------------------------------------
     @property

@@ -16,15 +16,8 @@ The package also hosts the :mod:`validation cost model
 """
 
 from repro.runtime.bus import Endpoint, Message, MessageBus
-from repro.runtime.clock import SimulatedClock
 from repro.runtime.executor import ValidationCostModel
-from repro.runtime.faults import (
-    FaultInjector,
-    LatencyModel,
-    lossy_faults,
-    no_latency,
-    wan_latency,
-)
+from repro.runtime.faults import FaultInjector, LatencyModel
 from repro.runtime.runtime import (
     DEFAULT_BATCH_TIMEOUT,
     PendingTransaction,
@@ -42,10 +35,6 @@ __all__ = [
     "MessageBus",
     "PendingTransaction",
     "ScheduledEvent",
-    "SimulatedClock",
     "TransactionRuntime",
     "ValidationCostModel",
-    "lossy_faults",
-    "no_latency",
-    "wan_latency",
 ]

@@ -9,7 +9,7 @@ messages one at a time in arrival order.
 
 Two ordering guarantees matter for fidelity:
 
-* **per-link FIFO** (default on): messages on the same ``(src, dst)``
+* **per-link FIFO**: messages on the same ``(src, dst)``
   link never overtake each other, even under jitter — matching TCP
   streams between Fabric nodes.  Messages on *different* links race
   freely, which is exactly the race the gossip experiments observe.
@@ -52,7 +52,6 @@ class Endpoint:
         self.name = name
         self.handler = handler
         self.inbox: deque = deque()
-        self.delivered = 0
         self._draining = False
 
     def enqueue(self, message: Message) -> None:
@@ -68,7 +67,6 @@ class Endpoint:
         try:
             while self.inbox:
                 message = self.inbox.popleft()
-                self.delivered += 1
                 self.handler(message)
         finally:
             self._draining = False
@@ -82,12 +80,10 @@ class MessageBus:
         scheduler: EventScheduler,
         latency: Optional[LatencyModel] = None,
         faults: Optional[FaultInjector] = None,
-        fifo_links: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.latency = latency or LatencyModel()
         self.faults = faults
-        self.fifo_links = fifo_links
         self.messages_sent = 0
         self.messages_dropped = 0
         self.topic_counts: dict[str, int] = {}
@@ -109,9 +105,6 @@ class MessageBus:
         except KeyError:
             raise ConfigError(f"no bus endpoint named {name!r}") from None
 
-    def endpoints(self) -> list[str]:
-        return list(self._endpoints)
-
     # -- sending -------------------------------------------------------------
     def send(self, src: str, dst: str, topic: str, payload: Any) -> Optional[Message]:
         """Schedule one message; returns None if a fault dropped it.
@@ -127,11 +120,9 @@ class MessageBus:
             self.messages_dropped += 1
             return None
         delay = self.latency.sample(self.scheduler.random, src, dst, topic)
-        deliver_at = now + delay
-        if self.fifo_links:
-            link = (src, dst)
-            deliver_at = max(deliver_at, self._link_clock.get(link, 0.0))
-            self._link_clock[link] = deliver_at
+        link = (src, dst)
+        deliver_at = max(now + delay, self._link_clock.get(link, 0.0))
+        self._link_clock[link] = deliver_at
         message = Message(
             src=src,
             dst=dst,

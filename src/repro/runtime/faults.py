@@ -109,23 +109,3 @@ class FaultInjector:
         self.dropped_by_topic[topic] = self.dropped_by_topic.get(topic, 0) + 1
         return True
 
-
-def no_latency() -> LatencyModel:
-    """Zero-latency model: every message delivers at the current instant
-    (still in deterministic scheduling order)."""
-    return LatencyModel(base=0.0)
-
-
-def wan_latency(seed_jitter: float = 0.5) -> LatencyModel:
-    """A WAN-ish profile: slow inter-node hops with jitter, gossip slower
-    than block delivery so dissemination races become visible."""
-    return LatencyModel(
-        base=5.0,
-        jitter=seed_jitter,
-        topic_base={"gossip-batch": 8.0, "deliver-block": 5.0, "submit": 3.0},
-    )
-
-
-def lossy_faults(drop_rate: float = 0.05) -> FaultInjector:
-    """A lossy network: each message independently dropped with ``drop_rate``."""
-    return FaultInjector(drop_rate=drop_rate)

@@ -18,9 +18,12 @@ them on the message bus:
   scheduler timer armed when the first envelope of a batch arrives;
 * **deliver** — each cut block is replicated through Raft and then sent
   to every peer's inbox on its own ``orderer → peer`` link; a peer
-  validates + commits when the message arrives, and once every peer has
-  committed a block the runtime resolves the futures of its
-  transactions;
+  validates + commits when the message arrives, and once every peer the
+  block was sent to has committed it the runtime resolves the futures of
+  its transactions.  Every block a peer commits — off the bus, from a
+  catch-up or restart refill, at a validation station, or replayed when
+  the peer registers — goes through :meth:`TransactionRuntime._commit`,
+  which also records it when the network has a tracer;
 * **gossip** — private-data dissemination and snapshot signatures ride
   the bus as ``gossip-batch`` / ``snapshot-sig`` messages, so whether
   plaintext beats the block to a member peer is a genuine race governed
@@ -55,6 +58,7 @@ from repro.gossip.anti_entropy import ANTI_ENTROPY_TOPICS, AntiEntropyEngine
 from repro.gossip.dissemination import TOPIC_GOSSIP_BATCH, TOPIC_SNAPSHOT_SIG
 from repro.ledger.block import Block
 from repro.ledger.snapshot import bootstrap_from_package
+from repro.orderer.reorder import conflict_scopes
 from repro.protocol.transaction import TransactionEnvelope, ValidationCode
 from repro.runtime.bus import Message, MessageBus
 from repro.runtime.executor import ValidationCostModel
@@ -153,16 +157,6 @@ class PendingTransaction:
         self._fire_callbacks()
 
 
-class _BlockProgress:
-    """Delivery bookkeeping for one dispatched block."""
-
-    __slots__ = ("expected", "committed")
-
-    def __init__(self, expected: int) -> None:
-        self.expected = expected
-        self.committed = 0
-
-
 class TransactionRuntime:
     """Owns the scheduler + bus and runs a network on them."""
 
@@ -192,14 +186,14 @@ class TransactionRuntime:
         #: moment it arrives.
         self.validate_cost = validate_cost
         self.transactions_submitted = 0
-        self.transactions_resolved = 0
         #: Per-peer validation-station bookkeeping (cost model only).
         self._busy_until: dict[str, float] = {}
         self._scheduled_height: dict[str, int] = {}
         self._pending: dict[str, PendingTransaction] = {}
         self._peers: dict[str, "PeerNode"] = {}
-        self._deliver: dict[str, Callable[[Block], object]] = {}
-        self._blocks: dict[int, _BlockProgress] = {}
+        #: Per dispatched block, the peers it was sent to that have not
+        #: committed it yet; its futures resolve when the set empties.
+        self._blocks: dict[int, set[str]] = {}
         self._inbound: dict[str, dict[int, Block]] = {}
         self._batch_timer = None
         self._crashed: set[str] = set()
@@ -233,7 +227,7 @@ class TransactionRuntime:
         network.orderer.register_delivery(self._dispatch_block, replay=False)
         network.orderer.on_early_abort(self._on_early_abort)
         for peer in network.peers():
-            self.register_peer(peer, network.delivery_handler_for(peer))
+            self.register_peer(peer)
         # The run seed drives deterministic push-set rotation and the
         # anti-entropy source rotation, so a replayed seed picks the same
         # targets.
@@ -254,25 +248,27 @@ class TransactionRuntime:
         return len(self._pending)
 
     # -- topology ------------------------------------------------------------
-    def register_peer(self, peer: "PeerNode", deliver: Callable[[Block], object]) -> None:
+    def register_peer(self, peer: "PeerNode") -> None:
         """Give ``peer`` an inbox; a peer behind the orderer catches up now.
 
         The catch-up pulls only the blocks past the peer's current height
-        through the orderer's cursor — O(missed blocks), not O(chain).  A
-        peer whose height predates a pruned backlog must be bootstrapped
-        from a snapshot first (:meth:`join_peer` does both).
+        through the orderer's cursor — O(missed blocks), not O(chain) —
+        and commits each inline through :meth:`_commit`.  It neither arms
+        anti-entropy nor counts toward a block's futures: those wait only
+        on the peers the block was dispatched to.  A peer whose height
+        predates a pruned backlog must be bootstrapped from a snapshot
+        first (:meth:`join_peer` does both).
         """
         for block in self.network.orderer.blocks_since(peer.ledger.blockchain.height):
-            deliver(block)
+            self._commit(peer, block)
         self._peers[peer.name] = peer
-        self._deliver[peer.name] = deliver
         self.bus.register(peer.name, self._peer_handler(peer))
         peer.on_snapshot_seal(self._on_peer_sealed)
         sealed = peer.sealed_snapshot_height()
         if sealed is not None:
             self._sealed_heights[peer.name] = sealed
 
-    def join_peer(self, peer: "PeerNode", deliver: Callable[[Block], object]) -> None:
+    def join_peer(self, peer: "PeerNode") -> None:
         """Admit a newly created peer, bootstrapping from a snapshot.
 
         When snapshotting is on and some live peer holds a sealed
@@ -282,12 +278,31 @@ class TransactionRuntime:
         :meth:`register_peer`, which requires the backlog to be unpruned.
         """
         if self.network.snapshot_every:
-            package = self.network.gossip.fetch_snapshot(
-                peer, min_height=self.network.orderer.backlog_offset
+            self._bootstrap(peer)
+        self.register_peer(peer)
+
+    def _bootstrap(self, peer: "PeerNode") -> bool:
+        """Load the best sealed snapshot ahead of ``peer``; False if none.
+
+        The one snapshot bootstrap, shared by :meth:`join_peer` and
+        :meth:`restart_peer`: the package must reach the orderer's
+        pruned-backlog offset, and a ledger that holds rows (a restarted
+        peer's stale recovery) is wiped before the package loads.
+        """
+        package = self.network.gossip.fetch_snapshot(
+            peer, min_height=self.network.orderer.backlog_offset
+        )
+        if package is None or package.manifest.height <= peer.ledger.height:
+            return False
+        if peer.ledger.backend.namespaces():
+            peer.ledger.reset_stores()
+        bootstrap_from_package(peer.ledger, package, peer.channel)
+        tracer = self.network.tracer
+        if tracer:
+            tracer.record(
+                peer.name, "peer-snapshot-bootstrap", height=peer.ledger.blockchain.height
             )
-            if package is not None and package.manifest.height > peer.ledger.height:
-                bootstrap_from_package(peer.ledger, package, peer.channel)
-        self.register_peer(peer, deliver)
+        return True
 
     # -- the submit phase ----------------------------------------------------
     def submit(
@@ -398,7 +413,7 @@ class TransactionRuntime:
     # -- the delivery phase --------------------------------------------------
     def _dispatch_block(self, block: Block) -> None:
         """Orderer delivery handler: fan the block out per peer link."""
-        self._blocks[block.header.number] = _BlockProgress(expected=len(self._peers))
+        self._blocks[block.header.number] = set(self._peers)
         for name in self._peers:
             self.bus.send(ORDERER_ENDPOINT, name, TOPIC_DELIVER, block)
         # The cut consumed the pending batch; re-arm for any remainder.
@@ -473,8 +488,8 @@ class TransactionRuntime:
             block = buffer.pop(height)
             taken += 1
             if self.validate_cost is None:
-                self._deliver[name](block)
-                self._note_committed(block)
+                self._commit(peer, block)
+                self._note_committed(peer, block)
                 height = peer.ledger.blockchain.height
                 continue
             service = self.validate_cost.service_seconds(len(block.transactions))
@@ -494,18 +509,42 @@ class TransactionRuntime:
             return
         if block.header.number != peer.ledger.blockchain.height:
             return  # already committed by a catch-up/restart refill
-        self._deliver[peer.name](block)
-        self._note_committed(block)
+        self._commit(peer, block)
+        self._note_committed(peer, block)
 
-    def _note_committed(self, block: Block) -> None:
+    def _commit(self, peer: "PeerNode", block: Block) -> None:
+        """Validate and commit ``block`` at ``peer`` — the one commit site.
+
+        ``peer.deliver_block`` is looked up at each call, so a wrapper
+        installed on it at any time sees every later commit.  With a
+        tracer the delivery is recorded before the call and each
+        transaction's flag (and conflict scope) after it.
+        """
+        tracer = self.network.tracer
+        if tracer is not None:
+            tracer.record(
+                ORDERER_ENDPOINT, "deliver-block", block=block.header.number, to=peer.name
+            )
+        validated = peer.deliver_block(block)
+        if tracer is None:
+            return
+        scopes = conflict_scopes(block.transactions, validated.flags)
+        for tx, flag in zip(block.transactions, validated.flags):
+            detail = {"flag": flag.value}
+            if tx.tx_id in scopes:
+                detail["scope"] = scopes[tx.tx_id]
+            tracer.record(peer.name, "validate+commit", tx.tx_id, **detail)
+
+    def _note_committed(self, peer: "PeerNode", block: Block) -> None:
+        """A live peer's commit: arm anti-entropy, resolve finished futures."""
         # A commit may have recorded fresh gaps; make sure a tick is
         # pending to discover them (no-op while one already is).
         self.anti_entropy.arm()
-        progress = self._blocks.get(block.header.number)
-        if progress is None:  # pragma: no cover - defensive
+        waiting = self._blocks.get(block.header.number)
+        if waiting is None:
             return
-        progress.committed += 1
-        if progress.committed < progress.expected:
+        waiting.discard(peer.name)
+        if waiting:
             return
         del self._blocks[block.header.number]
         for tx in block.transactions:
@@ -513,7 +552,6 @@ class TransactionRuntime:
             if pending is not None:
                 status = self.network.status_of(tx.tx_id)
                 pending._resolve(status, at=self.now)
-                self.transactions_resolved += 1
         for tx_id in self._aborts_by_block.pop(block.header.number, []):
             self._resolve_early_abort(tx_id)
 
@@ -540,7 +578,6 @@ class TransactionRuntime:
         pending = self._pending.pop(tx_id, None)
         if pending is not None:
             pending._resolve(ValidationCode.ORDERER_EARLY_ABORT, at=self.now)
-            self.transactions_resolved += 1
 
     # -- crash / recovery -----------------------------------------------------
     def on_crash(self, listener: Callable[["PeerNode"], None]) -> None:
@@ -600,29 +637,23 @@ class TransactionRuntime:
         try:
             self._refill_from_orderer(peer)
         except PrunedBacklogError:
-            package = self.network.gossip.fetch_snapshot(
-                peer, min_height=self.network.orderer.backlog_offset
-            )
-            if package is None:
+            if not self._bootstrap(peer):
                 raise
-            peer.ledger.reset_stores()
-            bootstrap_from_package(peer.ledger, package, peer.channel)
-            if tracer:
-                tracer.record(
-                    name, "peer-snapshot-bootstrap", height=peer.ledger.blockchain.height
-                )
             self._refill_from_orderer(peer)
 
     def crashed_peers(self) -> set[str]:
         return set(self._crashed)
 
     def catch_up(self) -> int:
-        """Re-deliver blocks that faults dropped; returns blocks committed.
+        """Re-deliver blocks that faults dropped; returns blocks taken.
 
         Models the deliver client reconnecting after a partition heals: each
         peer asks the orderer for everything past its current height, fills
-        the out-of-order buffer, and commits the backlog in order.  Futures
-        for the caught-up blocks resolve through the normal bookkeeping.
+        the out-of-order buffer, and commits the backlog in order.  With a
+        validation cost model a taken block is scheduled at the peer's
+        station and commits when its service ends (see
+        :meth:`_refill_from_orderer`).  Futures for the caught-up blocks
+        resolve through the normal bookkeeping.
         Call after :meth:`run` when a fault schedule may have cut
         ``orderer → peer`` links.
         """
@@ -675,9 +706,6 @@ class TransactionRuntime:
     def run(self, max_events: int = DEFAULT_MAX_EVENTS) -> int:
         """Drain every scheduled event (delivers all resolvable futures)."""
         return self.scheduler.run(max_events=max_events)
-
-    def run_for(self, duration: float, max_events: int = DEFAULT_MAX_EVENTS) -> int:
-        return self.scheduler.run_for(duration, max_events=max_events)
 
     def run_until_committed(
         self, pending: PendingTransaction, max_events: int = DEFAULT_MAX_EVENTS

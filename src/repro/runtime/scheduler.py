@@ -5,7 +5,9 @@ network hop, batch timeout, and fault-injection window is an event on one
 priority queue, ordered by ``(time, priority, sequence)``.  The sequence
 number breaks ties first-scheduled-first-run, so execution order is a
 pure function of the schedule — no dict ordering, no wall clock, no
-global randomness.
+global randomness.  Time is simulated: :attr:`EventScheduler.now` jumps
+to each event's timestamp as it is popped, so two runs with the same
+seed observe the same timestamps.
 
 Randomness (latency jitter, drop decisions) comes exclusively from the
 scheduler's own :class:`random.Random` instance seeded at construction:
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.common.errors import SchedulerError
-from repro.runtime.clock import SimulatedClock
 
 #: Default ceiling on events processed by ``run``/``run_until`` — high
 #: enough for thousands of in-flight transactions, low enough to turn an
@@ -59,8 +60,9 @@ class ScheduledEvent:
 class EventScheduler:
     """A seedable simulated-time event loop."""
 
-    def __init__(self, seed: int = 0, clock: Optional[SimulatedClock] = None) -> None:
-        self.clock = clock or SimulatedClock()
+    def __init__(self, seed: int = 0) -> None:
+        #: Simulated time: the timestamp of the event running now.
+        self.now = 0.0
         self.random = random.Random(seed)
         self.seed = seed
         self.events_processed = 0
@@ -68,10 +70,6 @@ class EventScheduler:
         self._seq = 0
 
     # -- introspection ------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.clock.now
-
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued."""
         return sum(1 for event in self._queue if not event.cancelled)
@@ -81,9 +79,9 @@ class EventScheduler:
         self, time: float, callback: Callable[[], None], priority: int = 0
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``time``."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SchedulerError(
-                f"cannot schedule into the past (now={self.clock.now:.3f}, requested={time:.3f})"
+                f"cannot schedule into the past (now={self.now:.3f}, requested={time:.3f})"
             )
         event = ScheduledEvent(time=time, priority=priority, seq=self._seq, callback=callback)
         self._seq += 1
@@ -96,7 +94,7 @@ class EventScheduler:
         """Schedule ``callback`` ``delay`` time units from now."""
         if delay < 0:
             raise SchedulerError(f"negative delay {delay!r}")
-        return self.call_at(self.clock.now + delay, callback, priority=priority)
+        return self.call_at(self.now + delay, callback, priority=priority)
 
     # -- execution ----------------------------------------------------------
     def step(self) -> bool:
@@ -105,7 +103,7 @@ class EventScheduler:
             event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            self.now = event.time
             self.events_processed += 1
             event.callback()
             return True
@@ -144,7 +142,7 @@ class EventScheduler:
         The clock ends up at ``start + duration`` even if the queue drains
         early, mirroring "sleep for N" in a real system.
         """
-        deadline = self.clock.now + duration
+        deadline = self.now + duration
         processed = 0
         while self._queue:
             head = self._queue[0]
@@ -159,5 +157,5 @@ class EventScheduler:
                 raise SchedulerError(
                     f"event budget exhausted after {processed} events"
                 )
-        self.clock.advance_to(deadline)
+        self.now = max(self.now, deadline)
         return processed

@@ -547,21 +547,6 @@ class TestBatchedDissemination:
         assert org3.query_private("pdccc", "PDC1", "k") is None
         assert not org3.ledger.missing_private
 
-    def test_perf_counters_track_gossip_work(self):
-        from repro.common.tracing import PERF
-
-        before = PERF.snapshot()
-        net = self._two_collection_network()
-        self._move(net)
-        delta = PERF.delta_since(before)
-        assert delta.get("gossip_pushes", 0) == net.gossip.pushes
-        assert delta.get("gossip_batched_payloads", 0) == net.gossip.batched_payloads
-        assert delta.get("gossip_bytes", 0) == net.gossip.bytes_sent
-        for key in ("perf:gossip_pushes", "perf:gossip_batched_payloads",
-                    "perf:gossip_digest_rounds", "perf:gossip_reconcile_pulls",
-                    "perf:gossip_bytes"):
-            assert key in PERF.as_dict()
-
     def test_batch_respects_required_peer_count(self):
         _reset_counters()
         net = _network(required_peer_count=3)

@@ -640,6 +640,59 @@ class TestValidationStation:
 
 
 # ---------------------------------------------------------------------------
+# the one commit site
+# ---------------------------------------------------------------------------
+class TestCommitSite:
+    def test_wrapping_deliver_block_after_attach_sees_later_commits(self):
+        """The runtime looks ``deliver_block`` up at each commit, so a
+        wrapper installed after the runtime registered the peer sees it."""
+        net = _public_network(batch_size=1)
+        runtime = net.attach_runtime(seed=0)
+        peer = net.peers()[1]
+        seen = []
+        original = peer.deliver_block
+
+        def wrapped(block):
+            seen.append(block.header.number)
+            return original(block)
+
+        peer.deliver_block = wrapped
+        net.client("Org1MSP").submit_async(
+            "assetcc", "create_asset", ["w", "1"], endorsing_peers=[net.peers()[0]]
+        )
+        runtime.run()
+        assert seen == [0]
+
+    def test_futures_wait_for_every_dispatched_peer_not_a_late_joiner(self):
+        """A peer added while block 0 is in flight replays it inline; the
+        block's future still resolves only once both peers it was
+        dispatched to have committed it."""
+        net = _public_network(batch_size=1)
+        slow = net.peers()[1]
+        runtime = net.attach_runtime(
+            seed=0,
+            latency=LatencyModel(base=1.0, link_base={("orderer", slow.name): 4.0}),
+        )
+        dispatched = [peer.name for peer in net.peers()]
+        commits: list[tuple[str, float]] = []
+        pending = net.client("Org1MSP").submit_async(
+            "assetcc", "create_asset", ["j", "1"], endorsing_peers=[net.peers()[0]]
+        )
+        runtime.scheduler.run_until(lambda: net.orderer.blocks_delivered == 1)
+        late = net.add_peer("Org1MSP", "peer1")
+        assert late.ledger.height == 1  # replayed block 0 at registration
+        assert not pending.done
+        for peer in net.peers():
+            peer.on_commit(lambda p, v: commits.append((p.name, runtime.now)))
+        runtime.scheduler.run_until(lambda: len(commits) == 1)
+        assert commits[0][0] == dispatched[0] and not pending.done
+        runtime.run()
+        assert [name for name, _ in commits] == dispatched
+        assert pending.result().committed
+        assert pending.committed_at == commits[-1][1]
+
+
+# ---------------------------------------------------------------------------
 # runtime-adjacent unit behaviour (cutter, raft rng, status query)
 # ---------------------------------------------------------------------------
 class TestRuntimeAdjacent:

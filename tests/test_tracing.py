@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.chaincode.contracts import AssetContract, PrivateAssetContract
@@ -10,6 +12,8 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+from repro.simulation import harness
+from repro.simulation.config import SimulationConfig
 
 
 @pytest.fixture
@@ -210,3 +214,59 @@ class TestAbortSummary:
             "mvcc_within_block": 0, "mvcc_cross_block": 0,
             "early_aborted": 0, "mempool_rejected": 0,
         }
+
+
+class TestObservationChangesNoState:
+    """A tracer on the network records; it never changes what commits."""
+
+    CONFIG = SimulationConfig(
+        seed=5, ops=30, org_count=5, peers_per_org=2,
+        pdc1_members=("Org1MSP", "Org2MSP", "Org3MSP"),
+        pdc2_members=("Org2MSP", "Org3MSP", "Org4MSP"),
+        workload="mixed", attack_weight=0.05, plan_rate=0.5,
+        mean_gap=1.0, batch_size=5, batch_timeout=2.0, jitter=0.2,
+        state_backend="wal", snapshot_every=3, prune=True,
+        reorder=True, anti_entropy_every=2.0, fault_windows=3,
+    )
+
+    def _run(self, monkeypatch, tracer):
+        """One seeded harness run; ``tracer`` (or None) rides the network."""
+        built = []
+        real_build = harness.build_network
+        monkeypatch.setattr(
+            harness, "FabricNetwork", functools.partial(FabricNetwork, tracer=tracer)
+        )
+
+        def build(config):
+            built.append(real_build(config))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_network", build)
+        ops, faults = harness.generate(self.CONFIG)
+        report = harness.execute(self.CONFIG, ops, faults)
+        monkeypatch.undo()
+        assert report.ok, [str(v) for v in report.violations[:3]]
+        sim = built[-1]
+        chains = {
+            peer.name: [
+                (v.block.header.block_hash(), tuple(f.value for f in v.flags))
+                for v in peer.ledger.blockchain.all_blocks()
+            ]
+            for peer in sim.network.peers()
+        }
+        return report.stats, sim.network.runtime.scheduler.events_processed, chains
+
+    def test_traced_run_matches_the_untraced_run(self, monkeypatch):
+        stats, events, chains = self._run(monkeypatch, None)
+        tracer = Tracer()
+        traced_stats, traced_events, traced_chains = self._run(monkeypatch, tracer)
+        # The schedule exercised every path the tracer hooks.
+        assert stats["recoveries"] and stats["early_aborts"]
+        assert stats["backlog_offset"] and stats["caught_up"]
+        actions = tracer.summary()
+        for action in ("validate+commit", "peer-crash", "peer-restart",
+                       "early-abort", "peer-snapshot-bootstrap"):
+            assert actions.get(action), action
+        assert traced_stats["state_digest"] == stats["state_digest"]
+        assert traced_events == events
+        assert traced_chains == chains
