@@ -18,11 +18,11 @@ name (``from m import f``), not only where they are defined; method
 targets are swapped on their class.  Everything is swapped back when the
 round ends.  Thin wrappers, not cProfile: a profiler taxes every Python
 call, which over-charges code made of many small calls (the recursive
-encoders) against code made of few big ones (big-integer arithmetic).
+encoders) against code made of few big ones (native OpenSSL calls).
 
 The round is round 0 of ``run.py --seed S``: sub-seed ``S * 100``.  A
 ten-request warm-up round on sub-seed 0 runs first and is not timed, so
-one-off process costs (the generator's window table, imports) stay out
+one-off process costs (imports, OpenSSL's first key) stay out
 of the table, as ``run.py`` keeps them out of ``run_wall_s``.
 """
 
@@ -41,13 +41,13 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 E2E = HERE / "e2e"
 
-#: ``(row label, module, attribute path)``.  Group arithmetic (every
-#: signature and verification is table look-ups), table builds, the
-#: canonical encoder, and its decoder (snapshot manifests, and the
-#: envelopes of every block a restarted peer reads back).
+#: ``(row label, module, attribute path)``.  Signing, the verifications
+#: the verdict memo did not answer, the canonical encoder, and its
+#: decoder (snapshot manifests, and the envelopes of every block a
+#: restarted peer reads back).
 TARGETS = (
-    ("FixedBaseTable.pow", "repro.common.multiexp", "FixedBaseTable.pow"),
-    ("FixedBaseTable.__init__", "repro.common.multiexp", "FixedBaseTable.__init__"),
+    ("PrivateKey.sign", "repro.common.crypto", "PrivateKey.sign"),
+    ("PublicKey._verify_uncached", "repro.common.crypto", "PublicKey._verify_uncached"),
     ("canonical_bytes", "repro.common.serialization", "canonical_bytes"),
     ("from_canonical_bytes", "repro.common.serialization", "from_canonical_bytes"),
 )

@@ -34,13 +34,6 @@ class JsonAssetContract(Chaincode):
         stub.put_state(self._key(asset_id), json.dumps(document).encode("utf-8"))
         return b""
 
-    def read_json_asset(self, stub: ChaincodeStub, args: list) -> bytes:
-        require_args(args, 1, "an asset id")
-        value = stub.get_state(self._key(args[0]))
-        if value is None:
-            raise ChaincodeError(f"asset {args[0]!r} does not exist")
-        return value
-
     def query_by_owner(self, stub: ChaincodeStub, args: list) -> bytes:
         """``query_by_owner(owner)`` — a rich query (NOT phantom-safe)."""
         require_args(args, 1, "an owner name")

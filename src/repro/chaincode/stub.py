@@ -71,9 +71,6 @@ class ChaincodeStub:
         """Private input passed outside the signed proposal bytes."""
         return self._proposal.transient.get(key)
 
-    def get_args(self) -> list[str]:
-        return list(self._proposal.args)
-
     def set_event(self, name: str, payload: bytes = b"") -> None:
         """Emit a chaincode event (at most one per transaction, as in Fabric).
 

@@ -1,112 +1,51 @@
 """Public-key signatures for node identities.
 
-Hyperledger Fabric signs with ECDSA over X.509 identities.  The protocol
-logic reproduced here only needs a *publicly verifiable* signature scheme:
-endorsers sign proposal responses, clients sign envelopes, and validators
-verify both before evaluating endorsement policies.  We implement Schnorr
-signatures in a DSA-style group — the order-``q`` subgroup ``G_q`` of
-``Z_p*`` for a 1536-bit prime ``p = 2**1536 - k = c*q + 1`` and a
-**256-bit prime** ``q`` — using nothing but the standard library, with
-deterministic (RFC 6979-style) nonces so every run of the simulator is
-reproducible.  ``tests/test_crypto_group.py`` re-derives ``p``, ``q``
-and ``g`` from their recipe.
+Hyperledger Fabric's MSP signs with ECDSA on the NIST P-256 curve over
+SHA-256, and so does this module, through the OpenSSL binding of the
+``cryptography`` package.  Endorsers sign proposal responses, clients
+sign envelopes, and validators verify both before evaluating endorsement
+policies.
 
-A signature is Schnorr's original short pair ``(e, s)``, 16 + 32 = 48
-bytes on the wire: with ``r = g**k mod p``, ``e`` is the first 16 bytes
-of ``SHA-256(r || y || message)`` and ``s = (k - x*e) mod q``.  Private
-keys and nonces are 512-bit digests reduced mod ``q``; the reduction of
-``s`` is what hides them (unreduced, ``-s // e`` is the top half of
-``x``).  Verification accepts iff the string is 48 bytes, ``s < q``, the
-public key is a non-identity element of ``G_q`` (``y**q == 1``, checked
-once per distinct key) and the truncated hash of ``r' = g**s * y**e mod
-p`` equals ``e``.  No commitment travels, so there is none to range-check
-or to find outside ``G_q``; a 128-bit ``e`` bounds a forger by ``2**-128``
-per hash query, the generic bound of a 256-bit ``q`` (DESIGN.md).
+The scheme follows Fabric's bccsp in everything a verifier can see: the
+curve, the hash, and the *low-S* rule (``s > n/2`` is normalised to
+``n - s`` when signing and rejected when verifying, so a valid signature
+has no second valid encoding).  The one difference is the nonce: it is
+derived deterministically from the key and the message (RFC 6979)
+instead of drawn at random, so every run of the simulator is
+reproducible (DESIGN.md).
 
-Every exponentiation is a fixed-base table look-up
-(:mod:`repro.common.multiexp`) — 32 + 32 multiplications a verification,
-``g**s`` and ``y**e`` — each reduced by two shift-and-multiply folds that
-the short ``k`` of ``p`` allows instead of a generic ``% p``.  Key tables
-are built for the 128-bit challenge; the one 256-bit exponent a key
-sees, its validation's ``y**q``, is two limbs of that table joined by
-128 squarings.  At that price a randomized batch equation has nothing
-left to save, so :func:`verify_batch` is one :meth:`PublicKey.verify`
-per item, and every verdict goes through the one verdict memo
-(docs/architecture.md §9).
-
-The substitution is documented in DESIGN.md: the attacks and defenses in
-the paper do not depend on the curve, only on unforgeability and public
-verifiability — both of which Schnorr in a prime-order subgroup provides.
+On the wire a signature is a fixed 64 bytes, ``r || s``, each a 32-byte
+big-endian integer; a public key is its 33-byte SEC1 compressed point.
+Verification returns ``False`` — it never raises — for a signature of
+any other length, an ``r`` or ``s`` outside ``[1, n)``, a high ``s``, a
+key OpenSSL cannot decode, or an equation that does not hold.  Every
+verdict goes through one bounded memo (docs/architecture.md §9), and
+:func:`verify_batch` is one :meth:`PublicKey.verify` per item.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import hmac
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.common.multiexp import FixedBaseTable, WindowTableLRU
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec, utils
+
 from repro.common.tracing import PERF
 
-# The group: q a 256-bit prime found by hashing counter-suffixed seed
-# tags, p = 2**1536 - K for the smallest K that makes p a prime with
-# q | p - 1 (tests/test_crypto_group.py holds the recipe and re-derives
-# both literals).  K is 263 bits, short enough for multiexp's fold.
-K = 0x6e731e1a765104c947af3b44dc1cb3b08012ce9622f6a315211d3f695e68e57d67
-P = 2**1536 - K
-Q = 0x8f24b1c876b8b5962a8bd5df467c802bae08a61644d93b33eba24418e0397c81
-# 2 ** ((p - 1) / q): not 1, and q is prime, so it generates all of G_q.
-G = pow(2, (P - 1) // Q, P)
-_WIDTH = (P.bit_length() + 7) // 8  # bytes per group element on the wire
-_E_BYTES = 16  # the challenge: a 128-bit truncation of SHA-256
-_S_BYTES = (Q.bit_length() + 7) // 8
-
-
-def _challenge(r: int, key: bytes, message: bytes) -> bytes:
-    """The first 16 bytes of ``SHA-256(r || y || message)``."""
-    return hashlib.sha256(b"||".join((_int_bytes(r), key, message))).digest()[:_E_BYTES]
-
-
-def _exponent(digest: bytes) -> int:
-    """A 512-bit digest reduced into ``[1, q)`` (bias below 2**-256)."""
-    return int.from_bytes(digest, "big") % Q or 1
-
-
-# ---------------------------------------------------------------------------
-# Precomputation
-# ---------------------------------------------------------------------------
-
-_G_TABLE: Optional[FixedBaseTable] = None
-
-#: The generator serves every signature and every verification of the
-#: process, so its table takes the wide window: 32 rows of 255 entries,
-#: 32 multiplications per ``g**e``, built once (about as long as
-#: eighteen key tables).
-_G_WINDOW = 8
-
-#: Per-public-key window tables behind a real LRU, built on a key's
-#: first use — which is its validation — for challenge-sized exponents.
-_KEY_TABLES = WindowTableLRU(P, 8 * _E_BYTES, maxsize=96)
-
-
-def _g_table() -> FixedBaseTable:
-    """The generator's fixed-base table, built lazily once per process."""
-    global _G_TABLE
-    if _G_TABLE is None:
-        _G_TABLE = FixedBaseTable(G, P, Q.bit_length(), window=_G_WINDOW)
-    return _G_TABLE
-
-
-def _g_pow(exponent: int) -> int:
-    return _g_table().pow(exponent)
-
-
-def _y_pow(y: int, exponent: int) -> int:
-    return _KEY_TABLES.powmod(y, exponent)
+_CURVE = ec.SECP256R1()
+#: The order of the P-256 base point.
+N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+_HALF_N = N // 2
+_SCALAR_BYTES = 32
+_SIGNATURE_BYTES = 2 * _SCALAR_BYTES
+_SIGN = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_VERIFY = ec.ECDSA(hashes.SHA256())
 
 
 #: Cache clearers registered by other layers (proposal-serialization
@@ -132,20 +71,19 @@ def clear_caches() -> None:
     simulation caches reset with the same call.
     """
     _VERIFY_CACHE.clear()
-    _KEY_TABLES.clear()
-    _key_valid.cache_clear()
+    _load_key.cache_clear()
     for clearer in _CACHE_CLEARERS:
         clearer()
 
 
 def clear_verify_cache() -> None:
-    """Drop only the verification-result memo, keeping window tables.
+    """Drop only the verification-result memo, keeping decoded keys.
 
     For tests that need the next verdict computed, not recalled — to
     count verifications, or to check what the equation itself decides:
     signatures are deterministic, so a verdict memoized earlier in the
-    process would answer a later call without it.  The fixed-base tables
-    are substrate, not verdicts, and stay.
+    process would answer a later call without it.  Decoded keys are
+    substrate, not verdicts, and stay.
     """
     _VERIFY_CACHE.clear()
 
@@ -161,14 +99,14 @@ def clear_verify_cache() -> None:
 # LRU — a full cache evicts the least recently used entry instead of
 # clearing wholesale — keyed by the SHA-256 digest of the message, not
 # the message bytes: 50k multi-KB endorsement payloads would otherwise
-# stay pinned by the cache, and the rehash on a hit costs nothing next
-# to even one windowed modexp.
+# stay pinned by the cache, and the rehash on a hit costs little next
+# to one verification.
 _VERIFY_CACHE: OrderedDict = OrderedDict()
 _VERIFY_CACHE_MAX = 50_000
 
 
-def _cache_key(y: int, message: bytes, signature: bytes) -> tuple:
-    return (y, hashlib.sha256(message).digest(), signature)
+def _cache_key(point: bytes, message: bytes, signature: bytes) -> tuple:
+    return (point, hashlib.sha256(message).digest(), signature)
 
 
 def _cache_get(key) -> Optional[bool]:
@@ -200,9 +138,9 @@ def independent_verification():
     written outside the scope can answer inside it — so each distinct
     ``(key, message, signature)`` costs exactly one verification however
     many readers ask.  On exit the memo is emptied again: a run's
-    verdicts die with the run.  Window tables, validated keys and other
-    layers' registered caches are substrate, not verdicts, and are left
-    alone.  Re-entrant — a nested scope shares the enclosing memo.
+    verdicts die with the run.  Decoded keys and other layers'
+    registered caches are substrate, not verdicts, and are left alone.
+    Re-entrant — a nested scope shares the enclosing memo.
     """
     global _INDEPENDENT
     if _INDEPENDENT:
@@ -222,29 +160,32 @@ def independent_verification():
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=4096)
-def _key_valid(y: int) -> bool:
-    """Is ``y`` a non-identity element of ``G_q``?  One modexp per key.
+def _load_key(point: bytes) -> Optional[ec.EllipticCurvePublicKey]:
+    """The OpenSSL key for an encoded point, or ``None`` if it is not one.
 
-    Everything verification concludes rests on it: for ``y`` outside
-    ``G_q`` the recomputed ``r'`` leaves it, and ``y = 1`` accepts
-    ``(H(g**s, 1, m), s)`` for any message.  ``q`` divides ``p - 1``
-    exactly once, so ``y**q == 1`` means ``y`` is a power of ``g``.
+    OpenSSL refuses the point at infinity, unknown prefixes, coordinates
+    outside the field and points off the curve; everything verification
+    concludes rests on that refusal, so a key is decoded once and the
+    answer — key or ``None`` — kept.
     """
-    return 1 < y < P and _y_pow(y, Q) == 1
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, point)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Schnorr public key ``y = g^x mod p``."""
+    """An ECDSA P-256 public key, held as its SEC1 compressed point."""
 
-    y: int
+    point: bytes
 
     def to_bytes(self) -> bytes:
-        return _int_bytes(self.y)
+        return self.point
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
-        return cls(int.from_bytes(data, "big"))
+        return cls(bytes(data))
 
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Check a signature produced by the matching private key.
@@ -252,7 +193,7 @@ class PublicKey:
         Accepts and rejects rather than raising so policy evaluation can
         simply skip invalid endorsements, the way Fabric's VSCC does.
         """
-        key = _cache_key(self.y, message, signature)
+        key = _cache_key(self.point, message, signature)
         cached = _cache_get(key)
         if cached is not None:
             return cached
@@ -262,20 +203,25 @@ class PublicKey:
 
     def _verify_uncached(self, message: bytes, signature: bytes) -> bool:
         PERF.verify_individual += 1
-        e, s = signature[:_E_BYTES], int.from_bytes(signature[_E_BYTES:], "big")
-        if not (len(signature) == _E_BYTES + _S_BYTES and s < Q and _key_valid(self.y)):
+        if len(signature) != _SIGNATURE_BYTES:
             return False
-        r = _g_pow(s) * _y_pow(self.y, int.from_bytes(e, "big")) % P
-        return _challenge(r, self.to_bytes(), message) == e
-
-
-def _int_bytes(value: int) -> bytes:
-    return value.to_bytes(_WIDTH, "big")
+        r = int.from_bytes(signature[:_SCALAR_BYTES], "big")
+        s = int.from_bytes(signature[_SCALAR_BYTES:], "big")
+        if not (0 < r < N and 0 < s <= _HALF_N):
+            return False
+        public = _load_key(self.point)
+        if public is None:
+            return False
+        try:
+            public.verify(utils.encode_dss_signature(r, s), message, _VERIFY)
+        except InvalidSignature:
+            return False
+        return True
 
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Schnorr private key (the exponent ``x``)."""
+    """An ECDSA P-256 private key (the scalar ``x`` in ``[1, n)``)."""
 
     x: int
 
@@ -284,27 +230,35 @@ class PrivateKey:
         """Derive a private key deterministically from a seed.
 
         The CA derives each identity's key from its enrollment id so that a
-        simulator run is fully reproducible.
+        simulator run is fully reproducible.  A 512-bit digest reduced into
+        ``[1, n)`` (bias below 2**-256).
         """
-        return cls(_exponent(hashlib.sha512(b"repro-keygen||" + seed).digest()))
+        digest = hashlib.sha512(b"repro-keygen||" + seed).digest()
+        return cls(int.from_bytes(digest, "big") % N or 1)
 
     def public_key(self) -> PublicKey:
-        return _derive_public_key(self.x)
+        return _openssl_key(self.x)[1]
 
     def sign(self, message: bytes) -> bytes:
-        """Produce a deterministic Schnorr signature over ``message``."""
-        k = _exponent(hmac.new(_int_bytes(self.x), message, hashlib.sha512).digest())
-        e = _challenge(_g_pow(k), self.public_key().to_bytes(), message)
-        # Reduced mod q: unreduced, -s // e is the top half of x.
-        s = (k - self.x * int.from_bytes(e, "big")) % Q
-        return e + s.to_bytes(_S_BYTES, "big")
+        """A deterministic (RFC 6979) low-S signature over ``message``."""
+        der = _openssl_key(self.x)[0].sign(message, _SIGN)
+        r, s = utils.decode_dss_signature(der)
+        if s > _HALF_N:
+            s = N - s
+        return r.to_bytes(_SCALAR_BYTES, "big") + s.to_bytes(_SCALAR_BYTES, "big")
 
 
 @functools.lru_cache(maxsize=4096)
-def _derive_public_key(x: int) -> PublicKey:
-    # Signing re-derives the public key for the challenge hash; identities
-    # sign thousands of messages per run, so memoise the fixed-base modexp.
-    return PublicKey(_g_pow(x))
+def _openssl_key(x: int) -> tuple[ec.EllipticCurvePrivateKey, PublicKey]:
+    """The OpenSSL key for scalar ``x`` and its public key, built once.
+
+    Identities sign thousands of messages per run.  ``ValueError`` if
+    ``x`` is outside ``[1, n)``.
+    """
+    private = ec.derive_private_key(x, _CURVE)
+    numbers = private.public_key().public_numbers()
+    point = bytes((2 | (numbers.y & 1),)) + numbers.x.to_bytes(_SCALAR_BYTES, "big")
+    return private, PublicKey(point)
 
 
 def generate_keypair(seed: bytes) -> tuple[PrivateKey, PublicKey]:
@@ -322,7 +276,6 @@ def verify_batch(items: Sequence[tuple[PublicKey, bytes, bytes]]) -> list[bool]:
 
     One :meth:`PublicKey.verify` per item, in order, so each verdict is
     the one ``verify`` would return and a triple repeated inside the call
-    is verified once, then recalled.  There is no combined equation (see
-    the module docstring).
+    is verified once, then recalled.
     """
     return [public_key.verify(message, signature) for public_key, message, signature in items]

@@ -23,7 +23,6 @@ from typing import Any, Optional
 #: tuple so adding a counter cannot silently miss a bookkeeping path.
 _COUNTER_FIELDS = (
     "verify_individual", "verify_cache_hits",
-    "modexp_full", "modexp_windowed", "table_builds",
     "vscc_memo_hits", "vscc_memo_misses",
     "endorse_simulations", "endorse_signatures", "endorse_cache_hits",
     "proposals_sent", "plan_escalations", "plan_timeouts", "plan_failures",
@@ -34,9 +33,6 @@ _COUNTER_FIELDS = (
 class PerfCounters:
     """Crypto / validation perf counters (process-wide, see :data:`PERF`).
 
-    ``modexp_windowed`` counts table-accelerated fixed-base evaluations;
-    ``modexp_full``, for plain ``pow()`` calls, stays zero, since every
-    exponentiation is a table look-up.
     ``verify_*`` splits signature checks by how they were satisfied, and
     ``vscc_memo_*`` tracks the shared block-validation memo.  The
     ``endorse_*``/``proposals_sent``/``plan_*`` counters instrument the
@@ -48,9 +44,6 @@ class PerfCounters:
 
     verify_individual: int = 0   # signatures decided by the verification equation
     verify_cache_hits: int = 0   # signatures answered from the LRU cache
-    modexp_full: int = 0
-    modexp_windowed: int = 0
-    table_builds: int = 0        # fixed-base window tables built
     vscc_memo_hits: int = 0
     vscc_memo_misses: int = 0
     endorse_simulations: int = 0   # chaincode simulations actually executed
@@ -69,10 +62,6 @@ class PerfCounters:
     def verifications(self) -> int:
         """Total signature checks answered, however they were satisfied."""
         return self.verify_individual + self.verify_cache_hits
-
-    @property
-    def modexps(self) -> int:
-        return self.modexp_full + self.modexp_windowed
 
     def reset(self) -> None:
         for name in _COUNTER_FIELDS:
@@ -93,11 +82,8 @@ class PerfCounters:
         return delta
 
     def as_dict(self, prefix: str = "perf:") -> dict:
-        """Flat snapshot, e.g. ``{"perf:modexp_full": 12, ...}``."""
-        snapshot: dict = {
-            f"{prefix}verifications": self.verifications,
-            f"{prefix}modexp_count": self.modexps,
-        }
+        """Flat snapshot, e.g. ``{"perf:verify_individual": 12, ...}``."""
+        snapshot: dict = {f"{prefix}verifications": self.verifications}
         for name in _COUNTER_FIELDS:
             snapshot[f"{prefix}{name}"] = getattr(self, name)
         for phase, seconds in sorted(self.phase_seconds.items()):
@@ -161,9 +147,9 @@ class Tracer:
 
         With ``perf=True`` the snapshot additionally surfaces the
         process-wide :data:`PERF` counters as ``perf:*`` entries
-        (verifications performed / memo-hit, modexp count,
-        per-phase wall time) so one call shows both the pipeline shape
-        and what the validation fast path did for it.
+        (verifications performed / memo-hit, per-phase wall time) so
+        one call shows both the pipeline shape and what the validation
+        fast path did for it.
         """
         counts: dict = dict(Counter(event.action for event in self.events))
         if perf:

@@ -51,9 +51,10 @@ def identity_from_json(document: dict) -> SigningIdentity:
             issuer_signature=_unb64(document["issuer_signature"]),
         )
         private_key = PrivateKey(x=int(document["private_key_x"]))
+        public_key = private_key.public_key()
     except (KeyError, ValueError) as exc:
         raise IdentityError(f"malformed wallet entry: {exc}") from exc
-    if private_key.public_key().y != certificate.public_key.y:
+    if public_key != certificate.public_key:
         raise IdentityError(
             f"wallet entry {certificate.enrollment_id!r}: private key does not "
             "match the certificate's public key"

@@ -4,7 +4,7 @@ Pins the behaviours that keep the process-wide caches sound: the
 endorser simulation cache must drop on any ledger height change, and
 ``crypto.clear_caches()`` — *the* test/bench isolation hook — must reach
 every cache in the process through the clearer registry: the verify
-memo, the window tables, the proposal-serialization memos (epoch bump),
+memo, the decoded keys, the proposal-serialization memos (epoch bump),
 and the endorsers' simulation caches.
 """
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import base64
+
 import pytest
 
 from repro.client.events import EventHub
+from repro.common.crypto import N
 from repro.common.errors import IdentityError
 from repro.identity.organization import Organization
 from repro.identity.wallet import FileWallet, identity_from_json, identity_to_json
@@ -102,7 +105,7 @@ class TestWallet:
         wallet.put("appuser", identity)
         loaded = wallet.get("appuser")
         assert loaded.enrollment_id == identity.enrollment_id
-        assert loaded.certificate.public_key.y == identity.certificate.public_key.y
+        assert loaded.certificate.public_key == identity.certificate.public_key
         # The reloaded identity still signs verifiably.
         signature = loaded.sign(b"m")
         assert identity.certificate.public_key.verify(b"m", signature)
@@ -139,6 +142,22 @@ class TestWallet:
         b = org.enroll_client("b")
         document = identity_to_json(a)
         document["private_key_x"] = str(b.private_key.x)
+        with pytest.raises(IdentityError, match="does not match"):
+            identity_from_json(document)
+
+    @pytest.mark.parametrize("x", [0, -1, N, 2**256], ids=["zero", "negative", "n", "2^256"])
+    def test_out_of_range_private_key_rejected(self, x):
+        document = identity_to_json(Organization("Org1MSP").enroll_client("a"))
+        document["private_key_x"] = str(x)
+        with pytest.raises(IdentityError, match="malformed"):
+            identity_from_json(document)
+
+    def test_negated_public_key_rejected(self):
+        # -Q shares Q's x coordinate; only the parity prefix differs.
+        document = identity_to_json(Organization("Org1MSP").enroll_client("a"))
+        point = bytearray(base64.b64decode(document["public_key"]))
+        point[0] ^= 1
+        document["public_key"] = base64.b64encode(bytes(point)).decode("ascii")
         with pytest.raises(IdentityError, match="does not match"):
             identity_from_json(document)
 

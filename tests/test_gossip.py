@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.chaincode.api import require_args
@@ -407,8 +409,9 @@ class TestMembershipMemo:
 class TestRotation:
     """Deterministic push-set rotation under a MaxPeerCount cap."""
 
-    def _recipients(self, count=8):
-        """Which member peer receives each of ``count`` capped pushes."""
+    def _pushes(self, count=8):
+        """``(tx_id, recipient)`` for each of ``count`` capped pushes, and
+        the eligible push list (the members other than the endorser)."""
         _reset_counters()
         net = _network(
             max_peer_count=1,
@@ -420,26 +423,35 @@ class TestRotation:
         sequence = []
         for i in range(count):
             before = {p.name: len(p.ledger.transient_store) for p in others}
-            net.request_endorsement(
-                p1,
-                client._proposal(
-                    "pdccc", "set_private", ["PDC1", f"k{i}"], {"value": b"v"}
-                ),
+            proposal = client._proposal(
+                "pdccc", "set_private", ["PDC1", f"k{i}"], {"value": b"v"}
             )
+            net.request_endorsement(p1, proposal)
             net.runtime.run()  # the push rides the bus
             got = [p.name for p in others
                    if len(p.ledger.transient_store) > before[p.name]]
             assert len(got) == 1  # the cap admits exactly one target
-            sequence.append(got[0])
-        return sequence
+            sequence.append((proposal.tx_id, got[0]))
+        return sequence, net.gossip.rotation_seed, [p.name for p in others]
+
+    def test_each_capped_push_goes_where_its_tx_id_rotates_it(self):
+        """The target is the head of the eligible list rotated by the
+        crc32 of (seed, tx_id, collection), whatever the tx_id's bytes."""
+        pushes, seed, eligible = self._pushes(count=16)
+        for tx_id, recipient in pushes:
+            offset = zlib.crc32(f"{seed}:{tx_id}:pdccc:PDC1".encode()) % len(eligible)
+            assert recipient == eligible[offset], tx_id
 
     def test_rotation_spreads_capped_pushes_across_members(self):
         """Regression: ``eligible[:max_peer_count]`` starved the same tail
-        peers on every tx, so they paid every reconciliation round."""
-        assert len(set(self._recipients())) == 2
+        peers on every tx, so they paid every reconciliation round.  Each
+        push's offset is a hash of its tx_id, so 64 pushes all landing on
+        one member has probability 2**-63."""
+        pushes, _seed, eligible = self._pushes(count=64)
+        assert {recipient for _tx_id, recipient in pushes} == set(eligible)
 
     def test_rotation_is_deterministic(self):
-        assert self._recipients() == self._recipients()
+        assert self._pushes() == self._pushes()
 
 
 class TestBatchedDissemination:

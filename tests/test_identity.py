@@ -38,7 +38,7 @@ class TestCertificateAuthority:
         ca = CertificateAuthority("Org1MSP")
         first = ca.enroll("peer0", Role.PEER)
         second = ca.enroll("peer0", Role.PEER)
-        assert first.certificate.public_key.y == second.certificate.public_key.y
+        assert first.certificate.public_key == second.certificate.public_key
 
     def test_reenroll_role_change_rejected(self):
         ca = CertificateAuthority("Org1MSP")
@@ -184,4 +184,4 @@ class TestCATrustModel:
     def test_explicit_seed_still_reproducible(self):
         a = CertificateAuthority("Org1MSP", seed=b"fixed")
         b = CertificateAuthority("Org1MSP", seed=b"fixed")
-        assert a.root_public_key.y == b.root_public_key.y
+        assert a.root_public_key == b.root_public_key

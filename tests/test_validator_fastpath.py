@@ -193,8 +193,7 @@ class TestSharedVsccMemo:
         # nothing the pipeline left in the verdict memo answers it, each
         # distinct signature on the chain is verified exactly once, any
         # memo hit is on an entry the scope itself wrote, and the scope
-        # leaves the per-key window tables as it found them and the memo
-        # empty.
+        # decodes no key afresh and leaves the memo empty.
         class _Sim:
             def __init__(self, net):
                 self.network = net.network
@@ -204,16 +203,16 @@ class TestSharedVsccMemo:
                 return [self._net.peer_of(i) for i in (1, 2, 3)]
 
         net = _network()
-        for i in range(3):  # a few blocks; every key's table is built on its first use
+        for i in range(3):  # a few blocks; every key is decoded on its first use
             _submit(net, f"real-verify-key-{i}")
         triples = set()
         for validated in net.peer_of(1).ledger.blockchain.all_blocks():
             for tx in validated.block.transactions:
-                triples.add((tx.creator.public_key.y, tx.signed_bytes(), tx.signature))
+                triples.add((tx.creator.public_key.point, tx.signed_bytes(), tx.signature))
                 for e in tx.endorsements:
-                    triples.add((e.endorser.public_key.y, tx.payload.bytes(), e.signature))
-        tables = len(crypto._KEY_TABLES)
-        assert tables > 0
+                    triples.add((e.endorser.public_key.point, tx.payload.bytes(), e.signature))
+        decoded = crypto._load_key.cache_info()
+        assert decoded.currsize > 0
         for key in list(crypto._VERIFY_CACHE):
             crypto._VERIFY_CACHE[key] = False  # a poisoned pipeline memo
         PERF.reset()
@@ -223,8 +222,7 @@ class TestSharedVsccMemo:
         # ask for the same triples: every hit is a later reader of a
         # verdict the scope computed.
         assert PERF.verify_cache_hits <= 2 * PERF.verify_individual
-        assert PERF.table_builds == 0
-        assert len(crypto._KEY_TABLES) == tables
+        assert crypto._load_key.cache_info().misses == decoded.misses
         assert not crypto._VERIFY_CACHE
 
 
