@@ -14,7 +14,8 @@ arrives in a block.  The collection config governs fan-out:
 Note the endorser itself need not be a collection member — a non-member
 endorser of a write-only transaction holds the plaintext write set it
 produced and disseminates it to the members, which is what makes the
-paper's fake-write injection commit at victim members.
+paper's fake-write injection commit at victim members.  It keeps none of
+it once the block commits.
 
 One endorsement's private rwsets travel as one payload per target peer,
 covering every collection that target is a member of (§15 of the
@@ -203,42 +204,26 @@ class GossipNetwork:
                 offers.append((peer, height))
         return offers
 
-    def _shared_collections(self, requester_msp: str, server_msp: str) -> int:
-        """Collections both organizations are members of.
-
-        A server that shares the requester's memberships can include the
-        private *plaintext* in its package; a non-member server can only
-        ship the attested hashes, leaving the joiner with gaps that
-        reconciliation cannot repair once the blocks are pruned.
-        """
-        shared = 0
-        for definition in self._channel.chaincodes.values():
-            for collection in definition.collections:
-                if collection.is_member_org(requester_msp) and collection.is_member_org(
-                    server_msp
-                ):
-                    shared += 1
-        return shared
-
     def fetch_snapshot(
         self, requester: "PeerNode", min_height: int = 0
     ) -> Optional["SnapshotPackage"]:
         """Fetch the best available snapshot package for ``requester``.
 
         Among live offers at or past ``min_height``, prefers servers that
-        share the most collection memberships with the requester (their
-        packages carry the plaintext the requester is entitled to), then
-        the highest offered height, then the peer name — a deterministic
+        share the most collection memberships with the requester (only a
+        member holds, and so ships, a collection's plaintext), then the
+        highest offered height, then the peer name — a deterministic
         choice.  ``None`` when no live peer holds a sealed snapshot at
         ``min_height`` or above.
         """
         offers = self.snapshot_offers(requester, min_height)
         if not offers:
             return None
+        wanted = self._channel.member_collections(requester.msp_id)
         server, _ = max(
             offers,
             key=lambda offer: (
-                self._shared_collections(requester.msp_id, offer[0].msp_id),
+                len(wanted & self._channel.member_collections(offer[0].msp_id)),
                 offer[1],
                 offer[0].name,
             ),

@@ -211,13 +211,12 @@ def build_snapshot(ledger: PeerLedger, channel_id: str) -> SnapshotRecord:
 
 
 # -- membership filtering ----------------------------------------------------
-def _member_collections(channel: "ChannelConfig", msp_id: str) -> set:
-    members = set()
-    for name, definition in channel.chaincodes.items():
-        for collection in definition.collections:
-            if collection.is_member_org(msp_id):
-                members.add((name, collection.name))
-    return members
+def row_collection(namespace: str, key: str) -> tuple[str, str]:
+    """The ``(chaincode, collection)`` of a row of a member-only namespace."""
+    parts = split_key(key)
+    if namespace in (NS_MISSING, NS_PRIVATE_RWSETS):  # (tx_id, cc, collection)
+        return parts[1], parts[2]
+    return parts[0], parts[1]
 
 
 def filter_package_for(
@@ -238,7 +237,7 @@ def filter_package_for(
     let the bootstrapped peer reconcile the gap exactly as the serving
     member does.
     """
-    member = _member_collections(channel, msp_id)
+    member = channel.member_collections(msp_id)
     rows = {namespace: list(record.rows.get(namespace, ()))
             for namespace in SHARED_NAMESPACES}
     attested = {}
@@ -254,19 +253,11 @@ def filter_package_for(
         value, version = unpack_versioned(raw)
         return entry == (hash_value(value), version)
 
-    rows[NS_PRIVATE] = [
-        (key, value) for key, value in record.rows.get(NS_PRIVATE, ())
-        if tuple(split_key(key)[:2]) in member and _attestable(key, value)
-    ]
-    rows[NS_PRIVATE_META] = [
-        (key, value) for key, value in record.rows.get(NS_PRIVATE_META, ())
-        if tuple(split_key(key)[:2]) in member
-    ]
-    for namespace in (NS_MISSING, NS_PRIVATE_RWSETS):
-        # Keys are (tx_id, namespace, collection) composites.
+    for namespace in PRIVATE_NAMESPACES:
         rows[namespace] = [
             (key, value) for key, value in record.rows.get(namespace, ())
-            if tuple(split_key(key)[1:3]) in member
+            if row_collection(namespace, key) in member
+            and (namespace != NS_PRIVATE or _attestable(key, value))
         ]
     return SnapshotPackage(
         manifest=record.manifest,

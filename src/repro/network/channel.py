@@ -103,6 +103,15 @@ class ChannelConfig:
     def collection(self, chaincode_id: str, collection_name: str) -> CollectionConfig:
         return self.chaincode(chaincode_id).collection(collection_name)
 
+    def member_collections(self, msp_id: str) -> set[tuple[str, str]]:
+        """``(chaincode, collection)`` pairs whose plaintext ``msp_id`` may hold."""
+        return {
+            (name, collection.name)
+            for name, definition in self.chaincodes.items()
+            for collection in definition.collections
+            if collection.is_member_org(msp_id)
+        }
+
     def block_to_live_map(self) -> dict[tuple[str, str], int]:
         btl: dict[tuple[str, str], int] = {}
         for definition in self.chaincodes.values():

@@ -57,9 +57,9 @@ class CollectionConfig:
         if self.endorsement_policy is not None:
             parse_policy(self.endorsement_policy)
 
-    def member_orgs(self) -> set[str]:
+    def member_orgs(self) -> frozenset[str]:
         """MSP ids of the organizations that hold the original data."""
-        return set(_member_orgs(self.policy))
+        return _member_orgs(self.policy)
 
     def is_member_org(self, msp_id: str) -> bool:
         return msp_id in self.member_orgs()

@@ -5,10 +5,11 @@ transactions to the ledger:
 
 * public writes update the world state at every peer;
 * hashed private writes update the hash store at every peer;
-* the original private writes are applied **only where the plaintext is
-  available and matches the on-chain hashes** — member peers obtain it
-  from their transient store (filled by their own endorsement or by
-  gossip) and verify it before committing (Section III-A2).
+* the original private writes are applied **only at member peers, and
+  only where the plaintext is available and matches the on-chain
+  hashes** — a member obtains it from its transient store (filled by its
+  own endorsement or by gossip) and verifies it first (Section III-A2).
+  A non-member commits the hashes alone, even one that endorsed the tx.
 
 If a member peer cannot obtain the plaintext, the block still commits and
 the gap is recorded for later reconciliation — Fabric behaves the same.
@@ -114,37 +115,24 @@ class Committer:
                     batch=batch,
                 )
 
-        # 2. Original writes land only where the plaintext is available.
+        # 2. Original writes land only at members; a non-member endorser's
+        # transient copy goes with the block, unstored.
         config = self._channel.collection(namespace, hashed_col.collection)
-        is_member = config.is_member_org(self._local_msp_id)
-        plaintext = ledger.transient_store.get(tx.tx_id, namespace, hashed_col.collection)
-
-        if plaintext is None:
-            if is_member:
-                ledger.record_missing(
-                    MissingPrivateData(
-                        tx_id=tx.tx_id,
-                        block_num=version.block_num,
-                        namespace=namespace,
-                        collection=hashed_col.collection,
-                    ),
-                    batch=batch,
-                )
+        if not config.is_member_org(self._local_msp_id):
             return
-
+        plaintext = ledger.transient_store.get(tx.tx_id, namespace, hashed_col.collection)
         # A member never trusts gossip blindly: the plaintext must match
         # the hashes carried by the (already validated) transaction.
-        if not plaintext.matches_hashes(hashed_col):
-            if is_member:
-                ledger.record_missing(
-                    MissingPrivateData(
-                        tx_id=tx.tx_id,
-                        block_num=version.block_num,
-                        namespace=namespace,
-                        collection=hashed_col.collection,
-                    ),
-                    batch=batch,
-                )
+        if plaintext is None or not plaintext.matches_hashes(hashed_col):
+            ledger.record_missing(
+                MissingPrivateData(
+                    tx_id=tx.tx_id,
+                    block_num=version.block_num,
+                    namespace=namespace,
+                    collection=hashed_col.collection,
+                ),
+                batch=batch,
+            )
             return
 
         ledger.committed_private_rwsets.stage(

@@ -206,7 +206,7 @@ class Validator:
             # Supplemental defense: a PDC transaction only counts
             # endorsements from organizations that are members of every
             # collection it touches.
-            member_orgs: set[str] | None = None
+            member_orgs: frozenset[str] | None = None
             for namespace, collection_name in touched:
                 config = self._channel.collection(namespace, collection_name)
                 orgs = config.member_orgs()

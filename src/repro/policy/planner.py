@@ -151,7 +151,7 @@ def expected_policy_ok(
     signers = list(certs)
 
     if touched and features.filter_nonmember_endorsements:
-        member_orgs: Optional[set] = None
+        member_orgs: Optional[frozenset] = None
         for namespace, name in touched:
             orgs = channel.collection(namespace, name).member_orgs()
             member_orgs = orgs if member_orgs is None else member_orgs & orgs

@@ -25,8 +25,9 @@ The catalogue (names are the ``invariant`` field of each violation):
   per the spec-level oracle, and widening the set to the full endorser
   pool never flips the verdict (monotonicity — a plan-shrunk quorum
   commits exactly what full endorsement would).
-* ``pdc-privacy``      — no peer of a non-member org stores plaintext
-  private data it did not itself endorse; hashes only.
+* ``pdc-privacy``      — no peer holds plaintext, BlockToLive rows,
+  missing-data records or archived rwsets for a collection its org is
+  not a member of, endorser or not; non-members hold hashes only.
 * ``gossip-convergence`` — after reconciliation reaches a fixpoint,
   member peers agree on plaintext private data (and plaintext always
   matches the committed hash); a member still lacking a key must have an
@@ -40,9 +41,9 @@ The catalogue (names are the ``invariant`` field of each violation):
 * ``snapshot-equivalence`` — when the run sealed a snapshot, a fresh
   probe peer bootstrapped from it (checkpoint + tail replay) must be
   byte-identical to the replay-from-genesis reference: same anchored
-  chain, flags, world state and private hash store, no plaintext at
-  non-member collections, and no BTL-expired plaintext resurrected by
-  the bootstrap.
+  chain, flags, world state and private hash store, no member-only row
+  for a collection outside its membership, and no BTL-expired
+  plaintext resurrected by the bootstrap.
 * ``reorder-soundness`` — when the conflict-aware orderer ran
   (``reorder=True``), every processed batch's audit record must show:
   the emitted block is exactly a permutation of the non-aborted input
@@ -77,11 +78,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.common import crypto
 from repro.common.hashing import hash_value
 from repro.common.serialization import canonical_bytes, clear_serialization_memos
+from repro.ledger.snapshot import PRIVATE_NAMESPACES, row_collection
 from repro.ledger.version import Version
 from repro.ledger.world_state import WorldState
 from repro.policy.planner import applied_policies_satisfied
 from repro.protocol.transaction import ValidationCode
 from repro.runtime.runtime import TOPIC_SUBMIT
+from repro.storage import split_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ledger.block import Block, ValidatedBlock
@@ -656,40 +659,38 @@ def check_policy_expectations(sim: "SimNetwork", outcomes: list) -> list:
     return violations
 
 
+def ineligible_row_violations(
+    channel: "ChannelConfig", peer: "PeerNode", invariant: str
+) -> list:
+    """Rows of ``PRIVATE_NAMESPACES`` (plaintext, BTL rows, missing-data
+    records, archived rwsets) ``peer`` holds outside its org's
+    ``channel.member_collections``, one violation per store and collection."""
+    eligible = channel.member_collections(peer.msp_id)
+    found: dict = {}
+    for namespace in PRIVATE_NAMESPACES:
+        for key, _ in peer.ledger.backend.range(namespace):
+            scope = row_collection(namespace, key)
+            if scope not in eligible:
+                found.setdefault((namespace, *scope), []).append(
+                    "/".join(split_key(key))
+                )
+    return [
+        Violation(invariant, f"non-member holds {namespace} rows for "
+                  f"{chaincode}/{collection}: {keys[:5]}", peer=peer.name)
+        for (namespace, chaincode, collection), keys in sorted(found.items())
+    ]
+
+
 def check_pdc_privacy(sim: "SimNetwork", outcomes: list) -> list:
-    """Non-member peers must never hold plaintext they did not endorse.
-
-    Every peer stores the *hashes*; plaintext at a peer whose org is not a
-    collection member is only legitimate when that very peer endorsed the
-    writing transaction (the plaintext then came from its own transient
-    store — the simulator models Fabric's endorser-side staging).
-    """
-    violations = []
-    allowed: dict = {}  # (peer_name, collection) -> {keys}
-    for outcome in outcomes:
-        for collection, keys in outcome.spec.private_write_keys().items():
-            for name in outcome.spec.endorsers:
-                allowed.setdefault((name, collection), set()).update(keys)
-
-    for chaincode_id, definition in sorted(sim.network.channel.chaincodes.items()):
-        for collection in definition.collections:
-            members = collection.member_orgs()
-            for peer in sim.all_peers():
-                if peer.msp_id in members:
-                    continue
-                stored = peer.ledger.private_data.keys(chaincode_id, collection.name)
-                extra = [
-                    key for key in stored
-                    if key not in allowed.get((peer.name, collection.name), set())
-                ]
-                if extra:
-                    violations.append(Violation(
-                        "pdc-privacy",
-                        f"non-member peer stores plaintext for {collection.name} "
-                        f"keys {extra[:5]} it never endorsed",
-                        peer=peer.name,
-                    ))
-    return violations
+    """Non-members hold hashes only — endorsers included: the exposure of
+    Section IV-A5 ends at commit.  ``outcomes`` is unused (catalogue API)."""
+    return [
+        violation
+        for peer in sim.all_peers()
+        for violation in ineligible_row_violations(
+            sim.network.channel, peer, "pdc-privacy"
+        )
+    ]
 
 
 def check_gossip_convergence(sim: "SimNetwork", outcomes: list) -> list:
@@ -929,8 +930,9 @@ def check_snapshot_equivalence(
        flags byte-for-byte;
     2. public world state and private hash store byte-identical to the
        reference model replayed over the full history;
-    3. no plaintext for collections its org is not a member of, every
-       plaintext entry hash-matched against the committed hash store, and
+    3. no member-only row for collections its org is not a member of
+       (the same judgement as ``pdc-privacy``), every plaintext entry
+       hash-matched against the committed hash store, and
        — the no-resurrection gate — no plaintext whose BTL expired at or
        below the probe's height (pruning and bootstrap must never revive
        purged private data; the hash store alone cannot catch this because
@@ -989,25 +991,18 @@ def check_snapshot_equivalence(
         channel, probe, replay.state, invariant="snapshot-equivalence"
     ))
 
+    violations.extend(ineligible_row_violations(
+        channel, probe, "snapshot-equivalence"
+    ))
     height = probe.ledger.height
     for chaincode_id, definition in sorted(channel.chaincodes.items()):
         for collection in definition.collections:
-            member = collection.is_member_org(probe.msp_id)
-            stored = list(probe.ledger.private_data.items(
-                chaincode_id, collection.name
-            ))
-            if not member:
-                if stored:
-                    violations.append(Violation(
-                        "snapshot-equivalence",
-                        f"bootstrapped non-member holds plaintext for "
-                        f"{collection.name} keys "
-                        f"{[k for k, _ in stored][:5]}",
-                        peer=probe.name,
-                    ))
+            if not collection.is_member_org(probe.msp_id):
                 continue
             btl = collection.block_to_live
-            for key, entry in stored:
+            for key, entry in probe.ledger.private_data.items(
+                chaincode_id, collection.name
+            ):
                 digest = probe.query_private_hash(
                     chaincode_id, collection.name, key
                 )

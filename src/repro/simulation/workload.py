@@ -62,10 +62,10 @@ class OpSpec:
     def private_write_keys(self) -> dict:
         """``{collection: {key, ...}}`` written in plaintext by this op.
 
-        Derived from the function signature alone; used by the PDC privacy
-        checker to decide which plaintext a non-member endorser may
-        legitimately retain (its own transient store), and by the gossip
-        convergence checker to map unresolved gaps back to keys.
+        Derived from the function signature alone; the gossip convergence
+        checker uses it to map unresolved gaps back to keys.  The PDC
+        privacy checker does not: no non-member may retain plaintext, so
+        it needs no per-op exemption.
         """
         fn, args = self.function, self.args
         if fn in ("set_private", "add_private", "del_private"):

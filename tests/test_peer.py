@@ -7,9 +7,11 @@ from dataclasses import replace
 import pytest
 
 from repro.chaincode.contracts import PrivateAssetContract
-from repro.common.errors import ConfigError, EndorsementError
+from repro.common.errors import ConfigError, EndorsementError, KeyNotFoundError
 from repro.common.hashing import sha256
 from repro.core.defense.features import FrameworkFeatures
+from repro.ledger.snapshot import PRIVATE_NAMESPACES
+from repro.ledger.transient_store import NS_TRANSIENT
 from repro.protocol.proposal import new_proposal
 from repro.protocol.transaction import ValidationCode
 
@@ -286,3 +288,56 @@ class TestCommitter:
             ((result.tx_id, "pdccc", "PDC1"),)
         )
         assert tx_id == result.tx_id and archived.writes[0].value == b"S"
+
+
+class TestNonMemberEndorserCommitsHashesOnly:
+    """A non-member that endorsed a PDC write keeps the hash and nothing else.
+
+    Org3 sees the plaintext while it executes the proposal (the
+    endorsement-time exposure of §IV-A5); once the block commits, its
+    member-only stores hold nothing for PDC1, across a crash and reopen
+    too, and a later read at Org3 fails as Use Case 1 describes.
+    """
+
+    @staticmethod
+    def _member_only_rows(peer) -> dict:
+        return {
+            namespace: list(peer.ledger.backend.range(namespace))
+            for namespace in PRIVATE_NAMESPACES + (NS_TRANSIENT,)
+        }
+
+    def _commit_with_org3(self, network):
+        p1, p3 = network.peers_of("Org1MSP")[0], network.peers_of("Org3MSP")[0]
+        result = _client(network).submit_transaction(
+            "pdccc", "set_private", ["PDC1", "k"],
+            transient={"value": b"S"}, endorsing_peers=[p1, p3],
+        )
+        result.raise_for_status()
+        return result.tx_id, p1, p3
+
+    def _assert_hashes_only(self, tx_id, member, outsider):
+        assert outsider.query_private_hash("pdccc", "PDC1", "k") == sha256(b"S")
+        assert outsider.query_private("pdccc", "PDC1", "k") is None
+        assert outsider.serve_private_batch(((tx_id, "pdccc", "PDC1"),)) == []
+        assert outsider.ledger.missing_private == []
+        assert all(rows == [] for rows in self._member_only_rows(outsider).values())
+        # The member endorser beside it keeps what Org3 may not.
+        assert member.query_private("pdccc", "PDC1", "k") == b"S"
+        assert member.serve_private_batch(((tx_id, "pdccc", "PDC1"),))
+
+    def test_nonmember_endorser_stores_no_plaintext(self, network):
+        tx_id, p1, p3 = self._commit_with_org3(network)
+        self._assert_hashes_only(tx_id, p1, p3)
+
+    def test_nothing_reappears_after_crash_and_reopen(self, network):
+        tx_id, p1, p3 = self._commit_with_org3(network)
+        p3.crash()
+        p3.restart()
+        self._assert_hashes_only(tx_id, p1, p3)
+
+    def test_later_read_at_nonmember_fails_key_not_found(self, network):
+        _, _, p3 = self._commit_with_org3(network)
+        proposal = _proposal(network, "get_private", ["PDC1", "k"], org="Org3MSP")
+        with pytest.raises(EndorsementError) as failure:
+            p3.endorse(proposal)
+        assert isinstance(failure.value.__cause__, KeyNotFoundError)

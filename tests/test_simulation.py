@@ -16,6 +16,8 @@ from repro.identity.organization import Organization
 from repro.network.channel import ChannelConfig
 from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
+from repro.ledger.snapshot import PRIVATE_NAMESPACES
+from repro.protocol.transaction import ValidationCode
 from repro.runtime.executor import ValidationCostModel
 from repro.simulation import (
     SimulationConfig,
@@ -35,6 +37,7 @@ from repro.simulation.shrink import (
     shrink_failing_run,
 )
 from repro.simulation.workload import OpSpec
+from repro.storage import WriteBatch, compose_key
 
 SWEEP_SEEDS = range(1, 9)  # the pinned seed block the suite keeps green
 SWEEP_OPS = 40
@@ -136,6 +139,28 @@ class TestSeedSweep:
         assert sum(r.stats["invalid"] for r in reports) > 0
         assert sum(r.stats["dropped"] for r in reports) > 0
         assert sum(len(r.fault_actions) for r in reports) > 0
+
+    def test_ci_sweep_commits_plaintext_endorsed_by_a_nonmember(self):
+        """``simulate --seeds 10 --ops 200``'s first seed gives ``pdc-privacy``
+        something to judge: VALID private writes whose endorsement set
+        includes a peer of an org outside the collection, so each of those
+        peers saw the plaintext while it executed the proposal."""
+        config = SimulationConfig.generate_workload("mixed", 1, 200)
+        ops, fault_actions = generate(config)
+        report = execute(config, ops, fault_actions)
+        members = {name: set(orgs) for name, orgs, _ in config.collections()}
+        exposed = [
+            outcome for outcome in report.outcomes
+            if outcome.status is ValidationCode.VALID
+            and outcome.spec.transient_value is not None
+            and any(
+                endorser.split(".", 1)[1] not in members[collection]
+                for collection in outcome.spec.private_write_keys()
+                for endorser in outcome.spec.endorsers
+            )
+        ]
+        assert exposed
+        assert report.ok, "\n".join(str(v) for v in report.violations)
 
 
 class TestSeedReplay:
@@ -493,8 +518,8 @@ class TestInvariantCheckers:
         assert any(v.invariant == "pdc-privacy" for v in violations)
         assert any(v.peer == "peer0.Org3MSP" for v in violations)
 
-    def test_endorser_transient_plaintext_is_allowed(self):
-        """A non-member endorser may retain what it endorsed itself."""
+    def test_nonmember_endorser_plaintext_is_flagged(self):
+        """Endorsing a write grants a non-member no plaintext to keep."""
         config, ops = self._tiny_run()
         ops = [OpSpec(**{**ops[0].__dict__,
                          "endorsers": ("peer0.Org3MSP",)})]
@@ -503,7 +528,26 @@ class TestInvariantCheckers:
         from repro.ledger.version import Version
 
         outsider.ledger.private_data.put("pdccc", "PDC1", "k1", b"41", Version(0, 0))
-        assert check_pdc_privacy(sim, _outcomes_for(ops)) == []
+        violations = check_pdc_privacy(sim, _outcomes_for(ops))
+        assert violations
+        assert all(v.invariant == "pdc-privacy" for v in violations)
+        assert {v.peer for v in violations} == {"peer0.Org3MSP"}
+
+    @pytest.mark.parametrize("namespace", PRIVATE_NAMESPACES)
+    def test_every_member_only_store_is_checked(self, namespace):
+        """A row in any member-only store is flagged at a non-member only."""
+        assert set(_PLANTED_ROW_KEYS) == set(PRIVATE_NAMESPACES)
+        config, ops = self._tiny_run()
+        sim = build_network(config)
+        for name in ("peer0.Org1MSP", "peer0.Org3MSP"):
+            batch = WriteBatch()
+            batch.put(namespace, compose_key(*_PLANTED_ROW_KEYS[namespace]), b"x")
+            sim.peers[name].ledger.backend.commit(batch)
+        violations = check_pdc_privacy(sim, _outcomes_for(ops))
+        assert [(v.invariant, v.peer) for v in violations] == [
+            ("pdc-privacy", "peer0.Org3MSP")
+        ]
+        assert f"{namespace} rows for pdccc/PDC1" in violations[0].detail
 
     def test_stale_member_plaintext_is_flagged(self):
         config, ops = self._tiny_run()
@@ -519,6 +563,15 @@ class TestInvariantCheckers:
     def test_violation_string_names_the_invariant(self):
         v = Violation("pdc-privacy", "detail", peer="p", tx_id="t")
         assert "pdc-privacy" in str(v) and "p" in str(v) and "t" in str(v)
+
+
+#: A composite key per member-only namespace, all in ``pdccc``/``PDC1``.
+_PLANTED_ROW_KEYS = {
+    "private": ("pdccc", "PDC1", "k1"),
+    "private.meta": ("pdccc", "PDC1", "k1"),
+    "missing": ("tx1", "pdccc", "PDC1"),
+    "private.rwsets": ("tx1", "pdccc", "PDC1"),
+}
 
 
 def _outcomes_for(ops):
