@@ -13,7 +13,9 @@ import pytest
 
 from repro.common.crypto import generate_keypair
 from repro.network.presets import wide_member_network
+from repro.orderer.raft import TOPIC_RAFT
 from repro.orderer.service import OrderingService
+from repro.runtime import EventScheduler, MessageBus
 
 from _bench_utils import record
 
@@ -77,18 +79,23 @@ class TestRaftClusterSize:
 
         if cluster_size == 1:  # first parametrization: start a fresh file
             (results_dir / "ablation_raft_cluster.txt").unlink(missing_ok=True)
+        scheduler = EventScheduler(seed=0)
+        bus = MessageBus(scheduler)
         service = OrderingService(cluster_size=cluster_size, batch_size=1)
+        service.attach(bus)
         delivered = []
         service.register_delivery(delivered.append)
         start = time.perf_counter()
         for i in range(20):
             service.submit(envelope(str(i)))
+            scheduler.run()
         elapsed_ms = (time.perf_counter() - start) * 1000 / 20
         assert len(delivered) == 20
-        ticks = service.raft.ticks_elapsed
+        messages = bus.topic_counts.get(TOPIC_RAFT, 0)
         with open(results_dir / "ablation_raft_cluster.txt", "a", encoding="utf-8") as handle:
             handle.write(
-                f"cluster={cluster_size}: {elapsed_ms:.3f} ms/block, {ticks} raft ticks total\n"
+                f"cluster={cluster_size}: {elapsed_ms:.3f} ms/block, "
+                f"{messages} raft messages total\n"
             )
 
 

@@ -289,8 +289,12 @@ class AntiEntropyEngine:
             return False  # every source backed off until new gaps or a sweep
         key = (peer.name, source.name)
         self._attempts[key] = self._attempts.get(key, 0) + 1
+        # Name only the scopes the source may hold: it was drawn from the
+        # union of members over every gap scope.
+        held = peer.channel.member_collections(source.msp_id)
         self.runtime.bus.send(
-            peer.name, source.name, TOPIC_AE_DIGEST_REQUEST, (peer.name, scopes)
+            peer.name, source.name, TOPIC_AE_DIGEST_REQUEST,
+            (peer.name, tuple(scope for scope in scopes if scope in held)),
         )
         return True
 

@@ -21,7 +21,7 @@ from repro.core.defense.features import FrameworkFeatures
 from repro.gossip.dissemination import GossipNetwork
 from repro.network.channel import ChannelConfig
 from repro.orderer.reorder import ReorderPipeline
-from repro.orderer.service import OrderingService
+from repro.orderer.service import DEFAULT_CLUSTER_SIZE, OrderingService
 from repro.peer.endorser import EndorsementOutput
 from repro.peer.node import PeerNode
 from repro.protocol.proposal import Proposal
@@ -40,7 +40,7 @@ class FabricNetwork:
         self,
         channel: ChannelConfig,
         features: FrameworkFeatures | None = None,
-        orderer_cluster_size: int = 3,
+        orderer_cluster_size: int = DEFAULT_CLUSTER_SIZE,
         batch_size: int = 1,
         tracer: "Tracer | None" = None,
         state_backend: str | None = None,

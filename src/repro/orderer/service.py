@@ -3,23 +3,40 @@
 Orderers bundle submitted envelopes into blocks **without validating
 transaction content** (Section II-B2) — a property the paper's attacks
 rely on: a fabricated-but-well-formed transaction is ordered like any
-other.  Each cut batch is replicated through the Raft cluster; once the
-cluster commits it, the service seals it into a hash-chained block and
-hands it to every registered delivery handler.
+other.  Each cut batch is sealed into a hash-chained block when it is
+*proposed* — its number and ``prev_hash`` are fixed then — and replicated
+through the Raft cluster on the runtime's bus; once the cluster commits
+it, the service hands the block to every registered delivery handler.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.common.errors import OrderingError, PrunedBacklogError
+from repro.common.errors import ConfigError, OrderingError, PrunedBacklogError
 from repro.ledger.block import GENESIS_PREV_HASH, Block
 from repro.orderer.block_cutter import BlockCutter
 from repro.orderer.raft import RaftCluster
 from repro.protocol.transaction import TransactionEnvelope
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.bus import MessageBus
+
+#: Consenters in a network that does not say otherwise.
+DEFAULT_CLUSTER_SIZE = 3
+
 BlockDeliveryHandler = Callable[[Block], Any]
+AbortHandler = Callable[[TransactionEnvelope, str, Optional[int]], Any]
+
+
+@dataclass(frozen=True, eq=False)
+class Proposal:
+    """One batch in consensus: its sealed block and the early aborts that
+    fire once the block is delivered."""
+
+    block: Block
+    aborted: tuple = ()
 
 
 class OrderingService:
@@ -27,25 +44,27 @@ class OrderingService:
 
     def __init__(
         self,
-        cluster_size: int = 3,
+        cluster_size: int = DEFAULT_CLUSTER_SIZE,
         batch_size: int = 10,
-        raft_rng: Optional[random.Random] = None,
         reorderer: Optional[Any] = None,
     ) -> None:
+        if cluster_size < 1:
+            raise OrderingError("a Raft cluster needs at least one node")
         self._cutter = BlockCutter(batch_size=batch_size)
-        self._cluster = RaftCluster(
-            size=cluster_size, on_commit=self._on_raft_commit, rng=raft_rng
-        )
+        self._cluster_size = cluster_size
+        self._cluster: Optional[RaftCluster] = None
         # Optional conflict-aware pipeline (repro.orderer.reorder) run on
         # every cut batch before consensus: may reorder the batch and
         # divert provably doomed envelopes to the early-abort handlers.
         self._reorderer = reorderer
-        self._abort_handlers: list[Callable[[TransactionEnvelope, str, Optional[int]], Any]] = []
+        self._abort_handlers: list[AbortHandler] = []
         self._delivery_handlers: list[BlockDeliveryHandler] = []
+        #: Number and ``prev_hash`` of the next *proposed* batch.
         self._next_block_number = 0
         self._prev_hash = GENESIS_PREV_HASH
-        self._delivered_batch_ids: set[int] = set()
-        self._batch_counter = 0
+        #: Proposed and not yet delivered, in proposal order: what a new
+        #: leader is asked to replicate.
+        self._in_flight: list[Proposal] = []
         self._delivered_blocks: list[Block] = []
         # Cold-archived prefix of the backlog: blocks every peer has sealed
         # a snapshot past.  ``_backlog_offset`` is the number of the first
@@ -54,19 +73,36 @@ class OrderingService:
         self._backlog_offset = 0
         self.blocks_delivered = 0
 
+    def attach(self, bus: "MessageBus") -> None:
+        """Put the consenters on ``bus`` and elect the first leader now."""
+        if self._cluster is not None:
+            raise ConfigError("the ordering service is already on a bus")
+        self._cluster = RaftCluster(
+            self._cluster_size,
+            bus,
+            on_commit=self._on_raft_commit,
+            on_leader=self._on_leader,
+        )
+        self._cluster.bootstrap()
+
     @property
     def raft(self) -> RaftCluster:
-        """The underlying cluster (exposed for fault-injection tests)."""
+        """The consenters (fault injection and the ``ordering`` invariant)."""
+        if self._cluster is None:
+            raise OrderingError("the ordering service has no runtime yet")
         return self._cluster
+
+    @property
+    def proposed_count(self) -> int:
+        """Batches proposed so far; each is delivered as that block number."""
+        return self._next_block_number
 
     @property
     def reorderer(self) -> Optional[Any]:
         """The conflict-aware pipeline, or ``None`` when reorder is off."""
         return self._reorderer
 
-    def on_early_abort(
-        self, handler: Callable[[TransactionEnvelope, str, Optional[int]], Any]
-    ) -> None:
+    def on_early_abort(self, handler: AbortHandler) -> None:
         """Subscribe to early aborts: ``handler(envelope, reason, conflict_block)``."""
         self._abort_handlers.append(handler)
 
@@ -164,39 +200,49 @@ class OrderingService:
 
     # -- consensus + delivery --------------------------------------------------
     def _process_batch(self, batch: tuple[TransactionEnvelope, ...]) -> None:
-        """Run the (optional) conflict-aware pipeline, then order the batch.
+        """Run the (optional) conflict-aware pipeline, then propose the batch.
 
-        The surviving batch is ordered and delivered *before* the abort
-        handlers fire, so a handler looking up the conflicting block (to
-        align abort timing with that block's commit) finds it in flight.
+        The surviving batch's aborts fire from its commit callback, *after*
+        the delivery handlers, so a handler looking up the conflicting
+        block (to align abort timing with that block's commit) finds it in
+        flight.  A batch that emitted nothing aborts at once.
         """
-        if self._reorderer is None:
-            self._order_batch(batch)
-            return
-        emitted, aborted = self._reorderer.process_batch(batch, self._next_block_number)
-        if emitted:
-            self._order_batch(emitted)
-        for envelope, reason, conflict_block in aborted:
-            for handler in self._abort_handlers:
-                handler(envelope, reason, conflict_block)
-
-    def _order_batch(self, batch: tuple[TransactionEnvelope, ...]) -> None:
-        self._batch_counter += 1
-        self._cluster.replicate_and_commit((self._batch_counter, batch))
-
-    def _on_raft_commit(self, payload: Any) -> None:
-        batch_id, batch = payload
-        if batch_id in self._delivered_batch_ids:
-            # Leadership changes can re-apply entries at a new leader;
-            # delivery is exactly-once per batch.
-            return
-        self._delivered_batch_ids.add(batch_id)
+        aborted: tuple = ()
+        if self._reorderer is not None:
+            batch, aborted = self._reorderer.process_batch(batch, self._next_block_number)
+            if not batch:
+                self._fire_aborts(aborted)
+                return
         block = Block.create(
             number=self._next_block_number, prev_hash=self._prev_hash, transactions=batch
         )
         self._next_block_number += 1
         self._prev_hash = block.header.block_hash()
+        proposal = Proposal(block, tuple(aborted))
+        self._in_flight.append(proposal)
+        if self._cluster is not None:
+            self._cluster.propose(proposal)
+
+    def _on_leader(self) -> None:
+        """A new leader replicates every undelivered batch, in order and
+        under its number; re-applied copies are skipped at delivery."""
+        for proposal in list(self._in_flight):
+            self._cluster.propose(proposal)
+
+    def _on_raft_commit(self, proposal: Proposal) -> None:
+        block = proposal.block
+        number = block.header.number
+        if number < self.delivered_count:
+            return  # a copy re-proposed after a leader change
+        while self._in_flight and self._in_flight[0].block.header.number <= number:
+            self._in_flight.pop(0)
         self._delivered_blocks.append(block)
         self.blocks_delivered += 1
         for handler in self._delivery_handlers:
             handler(block)
+        self._fire_aborts(proposal.aborted)
+
+    def _fire_aborts(self, aborted: tuple) -> None:
+        for envelope, reason, conflict_block in aborted:
+            for handler in self._abort_handlers:
+                handler(envelope, reason, conflict_block)

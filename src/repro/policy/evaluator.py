@@ -9,8 +9,10 @@ so forged certificates never satisfy a principal.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Sequence, Union
 
+from repro.common import crypto
 from repro.common.errors import PolicyError, PolicyNotSatisfiedError
 from repro.identity.identity import Certificate
 from repro.identity.msp import MSPRegistry
@@ -27,6 +29,17 @@ from repro.policy.parser import parse_policy
 AnyPolicy = Union[PolicyNode, ImplicitMetaPolicy, ResolvedImplicitMeta]
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_text(text: str) -> Union[PolicyNode, ImplicitMetaPolicy]:
+    """Parse a policy text once per process: the AST is frozen dataclasses,
+    so every evaluator of every channel can share it.  Resolution against
+    an org's sub-policies stays per evaluator."""
+    return parse_implicit_meta(text) if is_implicit_meta(text) else parse_policy(text)
+
+
+crypto.register_cache_clearer(_parse_text.cache_clear)
+
+
 class PolicyEvaluator:
     """Evaluates signature and implicitMeta policies for one channel."""
 
@@ -34,8 +47,8 @@ class PolicyEvaluator:
         """``org_sub_policies`` maps msp_id -> that org's "Endorsement" policy."""
         self._msp = msp_registry
         self._org_sub_policies = dict(org_sub_policies)
-        # Policy texts repeat for every transaction; parsing/resolution is
-        # pure, so memoise it (channel config is immutable per evaluator).
+        # Policy texts repeat for every transaction; resolution is pure,
+        # so memoise it (channel config is immutable per evaluator).
         self._resolve_cache: dict[str, Union[PolicyNode, ResolvedImplicitMeta]] = {}
 
     def _matcher(self, certificate: Certificate, msp_id: str, role: Role) -> bool:
@@ -51,12 +64,8 @@ class PolicyEvaluator:
             cached = self._resolve_cache.get(policy)
             if cached is not None:
                 return cached
-            text = policy
-            parsed = (
-                parse_implicit_meta(text) if is_implicit_meta(text) else parse_policy(text)
-            )
-            resolved = self.resolve(parsed)
-            self._resolve_cache[text] = resolved
+            resolved = self.resolve(_parse_text(policy))
+            self._resolve_cache[policy] = resolved
             return resolved
         if isinstance(policy, ImplicitMetaPolicy):
             return policy.resolve(self._org_sub_policies)

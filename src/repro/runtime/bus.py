@@ -44,6 +44,10 @@ class Message:
 
 MessageHandler = Callable[[Message], None]
 
+#: Scheduler priority of a :meth:`MessageBus.send_local` delivery: ahead of
+#: every other event at its instant, fault-plan actions (-1) included.
+PRIORITY_LOCAL = -2
+
 
 class Endpoint:
     """A named inbox with a handler, owned by one component."""
@@ -123,17 +127,40 @@ class MessageBus:
         link = (src, dst)
         deliver_at = max(now + delay, self._link_clock.get(link, 0.0))
         self._link_clock[link] = deliver_at
+        return self._post(endpoint, src, topic, payload, deliver_at, priority=0)
+
+    def send_local(self, src: str, dst: str, topic: str, payload: Any) -> Optional[Message]:
+        """A hop between processes on one host: zero latency, no RNG draw.
+
+        Neither the latency model nor the iid drop rates apply; only a cut
+        link or a dropped topic loses the message.  Its delivery runs
+        ahead of every other event at this instant
+        (:data:`PRIORITY_LOCAL`).  Such links carry only local hops, so
+        per-link FIFO is the send order.
+        """
+        endpoint = self.endpoint(dst)
+        if self.faults is not None and self.faults.blocks(src, dst, topic):
+            self.messages_dropped += 1
+            return None
+        return self._post(endpoint, src, topic, payload, self.scheduler.now, PRIORITY_LOCAL)
+
+    def _post(
+        self, endpoint: Endpoint, src: str, topic: str, payload: Any,
+        deliver_at: float, priority: int,
+    ) -> Message:
         message = Message(
             src=src,
-            dst=dst,
+            dst=endpoint.name,
             topic=topic,
             payload=payload,
             seq=self._seq,
-            sent_at=now,
+            sent_at=self.scheduler.now,
             deliver_at=deliver_at,
         )
         self._seq += 1
         self.messages_sent += 1
         self.topic_counts[topic] = self.topic_counts.get(topic, 0) + 1
-        self.scheduler.call_at(deliver_at, lambda: endpoint.enqueue(message))
+        self.scheduler.call_at(
+            deliver_at, lambda: endpoint.enqueue(message), priority=priority
+        )
         return message

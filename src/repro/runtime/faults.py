@@ -96,9 +96,15 @@ class FaultInjector:
         self._dead_topics.clear()
 
     # -- the per-message decision -------------------------------------------
-    def should_drop(self, rng: random.Random, src: str, dst: str, topic: str) -> bool:
+    def blocks(self, src: str, dst: str, topic: str) -> bool:
+        """Whether a cut link or a dropped topic loses this message (no draw)."""
         if (src, dst) in self._dead_links or topic in self._dead_topics:
             return self._record_drop(topic)
+        return False
+
+    def should_drop(self, rng: random.Random, src: str, dst: str, topic: str) -> bool:
+        if self.blocks(src, dst, topic):
+            return True
         rate = max(self.drop_rate, self.topic_drop_rates.get(topic, 0.0))
         if rate > 0.0 and rng.random() < rate:
             return self._record_drop(topic)

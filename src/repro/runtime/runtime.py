@@ -16,8 +16,10 @@ them on the message bus:
 * **order** — the orderer consumes envelopes from its inbox, cutting
   blocks by batch *size* immediately and by batch *timeout* via a
   scheduler timer armed when the first envelope of a batch arrives;
-* **deliver** — each cut block is replicated through Raft and then sent
-  to every peer's inbox on its own ``orderer → peer`` link; a peer
+* **deliver** — each cut block is replicated through Raft, whose
+  consenters exchange their messages on this bus (zero-latency local
+  hops, see :mod:`repro.orderer.raft`), and then sent to every peer's
+  inbox on its own ``orderer → peer`` link; a peer
   validates + commits when the message arrives, and once every peer the
   block was sent to has committed it the runtime resolves the futures of
   its transactions.  Every block a peer commits — off the bus, from a
@@ -226,6 +228,8 @@ class TransactionRuntime:
         # backlog it is missing through the orderer's cursor.
         network.orderer.register_delivery(self._dispatch_block, replay=False)
         network.orderer.on_early_abort(self._on_early_abort)
+        # The consenters join the bus and elect their first leader at t=0.
+        network.orderer.attach(self.bus)
         for peer in network.peers():
             self.register_peer(peer)
         # The run seed drives deterministic push-set rotation and the

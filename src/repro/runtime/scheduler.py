@@ -46,12 +46,6 @@ class ScheduledEvent:
         """Mark the event dead; the scheduler skips it when popped."""
         self.cancelled = True
 
-    def sort_key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"ScheduledEvent(t={self.time:.3f}, seq={self.seq}{state})"
@@ -66,13 +60,15 @@ class EventScheduler:
         self.random = random.Random(seed)
         self.seed = seed
         self.events_processed = 0
-        self._queue: list[ScheduledEvent] = []
+        #: Heap of ``(time, priority, seq, event)``: ``seq`` is unique, so
+        #: tuple comparison never reaches the event and runs in C.
+        self._queue: list[tuple[float, int, int, ScheduledEvent]] = []
         self._seq = 0
 
     # -- introspection ------------------------------------------------------
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for *_key, event in self._queue if not event.cancelled)
 
     # -- scheduling ---------------------------------------------------------
     def call_at(
@@ -83,9 +79,10 @@ class EventScheduler:
             raise SchedulerError(
                 f"cannot schedule into the past (now={self.now:.3f}, requested={time:.3f})"
             )
-        event = ScheduledEvent(time=time, priority=priority, seq=self._seq, callback=callback)
+        seq = self._seq
+        event = ScheduledEvent(time=time, priority=priority, seq=seq, callback=callback)
         self._seq += 1
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 
     def call_later(
@@ -100,7 +97,7 @@ class EventScheduler:
     def step(self) -> bool:
         """Pop and run the next live event; False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             self.now = event.time
@@ -145,7 +142,7 @@ class EventScheduler:
         deadline = self.now + duration
         processed = 0
         while self._queue:
-            head = self._queue[0]
+            head = self._queue[0][3]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue

@@ -47,7 +47,10 @@ class FaultAction:
     """One scheduled mutation of the fault/latency models."""
 
     at: float
-    kind: str  # cut_link | restore_link | drop_topic | allow_topic | topic_rate | drop_rate | jitter | crash_peer | restart_peer
+    # cut_link | restore_link | drop_topic | allow_topic | topic_rate | drop_rate
+    # | jitter | crash_peer | restart_peer | crash_orderer | restart_orderer
+    # | partition_orderer | heal_orderer
+    kind: str
     src: str = ""
     dst: str = ""
     topic: str = ""
@@ -76,6 +79,17 @@ class FaultAction:
             runtime.crash_peer(self.dst)
         elif self.kind == "restart_peer":
             runtime.restart_peer(self.dst)
+        elif self.kind in _ORDERER_KINDS:
+            raft = runtime.network.orderer.raft
+            node_id = raft.node_id_of(self.dst)
+            if self.kind == "crash_orderer":
+                raft.stop(node_id)
+            elif self.kind == "restart_orderer":
+                raft.restart(node_id)
+            elif self.kind == "partition_orderer":
+                raft.partition({node_id})
+            else:
+                raft.heal_partition()
         else:  # pragma: no cover - guarded by generation
             raise ValueError(f"unknown fault action kind {self.kind!r}")
 
@@ -94,10 +108,25 @@ class FaultAction:
         )
 
 
+#: Each orderer fault kind and the kind that ends its window.
+_ORDERER_WINDOWS = {"crash_orderer": "restart_orderer", "partition_orderer": "heal_orderer"}
+_ORDERER_KINDS = (*_ORDERER_WINDOWS, *_ORDERER_WINDOWS.values())
+
+
+def orderer_windows_paired(actions: list) -> bool:
+    """Whether every orderer fault in ``actions`` has its end, and back."""
+    starts = sorted(
+        (a.dst, _ORDERER_WINDOWS[a.kind]) for a in actions if a.kind in _ORDERER_WINDOWS
+    )
+    ends = sorted((a.dst, a.kind) for a in actions if a.kind in _ORDERER_WINDOWS.values())
+    return starts == ends
+
+
 def generate_fault_schedule(
-    config: "SimulationConfig", peer_names: list, horizon: float
+    config: "SimulationConfig", peer_names: list, consenters: list, horizon: float
 ) -> list:
-    """Expand the config's fault budget into matched fault windows."""
+    """Expand the config's fault budget into matched fault windows;
+    ``consenters`` are the orderer's consenter endpoints."""
     rng = random.Random(f"faults-{config.seed}")
     actions: list[FaultAction] = []
     shapes = [
@@ -155,5 +184,23 @@ def generate_fault_schedule(
                 actions.append(FaultAction(at=start, kind="crash_peer", dst=name))
                 actions.append(FaultAction(at=end, kind="restart_peer", dst=name))
 
+    if config.fault_windows:
+        orderer_rng = random.Random(f"orderer-faults-{config.seed}")
+        actions.extend(_orderer_window(orderer_rng, consenters, horizon))
     actions.sort(key=lambda a: (a.at, a.kind, a.src, a.dst, a.topic))
     return actions
+
+
+def _orderer_window(rng: random.Random, consenters: list, horizon: float) -> list:
+    """One orderer fault window: a consenter crash or its isolation."""
+    start = round(rng.uniform(0.0, horizon * 0.8), 6)
+    end = round(start + rng.uniform(horizon * 0.05, horizon * 0.35), 6)
+    victim = consenters[rng.randrange(len(consenters))]
+    if rng.random() < 0.5:
+        kinds = ("crash_orderer", "restart_orderer")
+    else:
+        kinds = ("partition_orderer", "heal_orderer")
+    return [
+        FaultAction(at=start, kind=kinds[0], dst=victim),
+        FaultAction(at=end, kind=kinds[1], dst=victim),
+    ]

@@ -53,7 +53,20 @@ COLLUDER_FAKE_VALUE = b"1"  # the colluders' agreed forged answer
 # invariants actually bite.
 WEAKENERS: dict = {
     "skip-endorsement-policy": lambda sim: _skip_endorsement_policy(sim),
+    "forget-in-flight": lambda sim: _forget_in_flight(sim),
 }
+
+
+def _forget_in_flight(sim: "SimNetwork") -> None:
+    """An ordering front-end that drops its oldest undelivered batch
+    whenever a new leader takes over, instead of proposing it again."""
+    orderer = sim.network.orderer
+
+    def forgetful() -> None:
+        del orderer._in_flight[:1]  # noqa: SLF001
+        orderer._on_leader()  # noqa: SLF001
+
+    orderer.raft._on_leader = forgetful  # noqa: SLF001
 
 
 def _skip_endorsement_policy(sim: "SimNetwork") -> None:
@@ -256,8 +269,9 @@ def generate(config: SimulationConfig) -> tuple:
         ops = TpccWorkloadGenerator(config, sim).generate()
     else:
         ops = WorkloadGenerator(config, sim).generate()
+    consenters = [node.endpoint for node in sim.network.orderer.raft.nodes]
     fault_actions = generate_fault_schedule(
-        config, sorted(sim.peers), config.horizon()
+        config, sorted(sim.peers), consenters, config.horizon()
     )
     return ops, fault_actions
 

@@ -53,6 +53,11 @@ The catalogue (names are the ``invariant`` field of each violation):
   *arrival order* against the pre-block model state — fails with an
   MVCC/phantom conflict (no false aborts: the orderer only ever
   short-circuits a verdict the peers would have reached anyway).
+* ``ordering``          — consensus kept its promises: every proposed
+  batch was delivered exactly once and in proposal order (block *n* is
+  the *n*-th proposal), the consenters' committed log prefixes agree, and
+  once the last orderer fault healed a leader existed within
+  :func:`~repro.orderer.raft.leader_recovery_bound` and kept leading.
 * ``durability``        — checked by :class:`RecoveryMonitor` at every
   peer restart, at the exact recovery height (before the peer catches
   up): the recovered chain height equals the crash height (no committed
@@ -81,6 +86,7 @@ from repro.common.serialization import canonical_bytes, clear_serialization_memo
 from repro.ledger.snapshot import PRIVATE_NAMESPACES, row_collection
 from repro.ledger.version import Version
 from repro.ledger.world_state import WorldState
+from repro.orderer.raft import leader_recovery_bound
 from repro.policy.planner import applied_policies_satisfied
 from repro.protocol.transaction import ValidationCode
 from repro.runtime.runtime import TOPIC_SUBMIT
@@ -512,6 +518,53 @@ def check_hash_chains(sim: "SimNetwork") -> list:
             detail = "hash chain verification failed"
         if not ok:
             violations.append(Violation("hash-chain", detail, peer=peer.name))
+    return violations
+
+
+def check_ordering(sim: "SimNetwork") -> list:
+    """The ``ordering`` invariant over the orderer's record at quiescence."""
+    orderer = sim.network.orderer
+    raft = orderer.raft
+    violations = []
+    numbers = [block.header.number for block in orderer.delivered_blocks]
+    expected = list(range(orderer.proposed_count))
+    if numbers != expected:
+        first = next(
+            (i for i, (got, want) in enumerate(zip(numbers, expected)) if got != want),
+            min(len(numbers), len(expected)),
+        )
+        detail = (
+            f"delivery {first} carries block {numbers[first]}"
+            if first < len(numbers)
+            else f"block {first} was never delivered"
+        )
+        violations.append(Violation(
+            "ordering",
+            f"{orderer.proposed_count} batches proposed, {len(numbers)} "
+            f"delivered: {detail}",
+        ))
+    committed = [
+        (node, [entry.payload for entry in node.log[: node.commit_index]])
+        for node in raft.nodes
+    ]
+    for i, (node, prefix) in enumerate(committed):
+        for other, other_prefix in committed[i + 1:]:
+            shorter = min(len(prefix), len(other_prefix))
+            if any(a is not b for a, b in zip(prefix[:shorter], other_prefix[:shorter])):
+                violations.append(Violation(
+                    "ordering",
+                    f"committed prefixes of consenters {node.node_id} and "
+                    f"{other.node_id} disagree",
+                ))
+    bound = leader_recovery_bound(len(raft.nodes))
+    changed_at, leader_id = raft.leader_changes[-1]
+    if leader_id is None or changed_at > raft.healed_at + bound:
+        violations.append(Violation(
+            "ordering",
+            f"leadership still changing at {changed_at:.3f} sim-s (leader "
+            f"{leader_id}); the last orderer fault healed at "
+            f"{raft.healed_at:.3f}, bound {bound:.1f} sim-s",
+        ))
     return violations
 
 
@@ -1102,6 +1155,7 @@ def run_quiescence_checks(sim: "SimNetwork", outcomes: list) -> list:
     with crypto.independent_verification():
         replay = ChainReplay(sim)
         violations = check_hash_chains(sim)
+        violations.extend(check_ordering(sim))
         violations.extend(check_block_agreement(sim))
         violations.extend(check_reference_validation(sim, replay))
         violations.extend(check_vscc_memo_agreement(sim, replay))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.faultplan import FaultAction
+from repro.simulation.faultplan import FaultAction, orderer_windows_paired
 from repro.simulation.harness import SimulationReport, execute
 from repro.simulation.workload import OpSpec
 
@@ -121,7 +121,9 @@ def shrink_failing_run(
     small_ops = ddmin(ops, ops_fail, budget=budget)
 
     def faults_fail(candidate: list) -> bool:
-        return not run(small_ops, candidate).ok
+        # A consenter left down or cut off for good keeps the cluster's
+        # timers running forever, so orderer windows shrink whole.
+        return orderer_windows_paired(candidate) and not run(small_ops, candidate).ok
 
     small_faults = (
         ddmin(fault_actions, faults_fail, budget=budget)

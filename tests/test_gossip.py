@@ -698,6 +698,55 @@ class TestAntiEntropy:
             assert org3.query_private("pdccc", "PDC1", f"k{i}") == f"v{i}".encode()
 
 
+    def test_digest_requests_name_only_scopes_the_source_holds(self):
+        """Org3 misses a write to PDCa (Org1 + Org3) and one to PDCb
+        (Org2 + Org3) in one tx.  Either source is a member of one scope
+        only, and its digest request must name just that one."""
+        from repro.gossip.anti_entropy import TOPIC_AE_DIGEST_REQUEST
+        from repro.runtime import FaultInjector, LatencyModel
+
+        _reset_counters()
+        orgs = [Organization(f"Org{i}MSP") for i in range(1, 4)]
+        channel = ChannelConfig(channel_id="gossipchannel", organizations=orgs)
+        channel.deploy_chaincode(
+            "pdccc",
+            endorsement_policy="MAJORITY Endorsement",
+            collections=[
+                CollectionConfig(name="PDCa", policy="OR('Org1MSP.member', 'Org3MSP.member')"),
+                CollectionConfig(name="PDCb", policy="OR('Org2MSP.member', 'Org3MSP.member')"),
+            ],
+        )
+        net = FabricNetwork(channel=channel, anti_entropy_every=2.0)
+        for org in orgs:
+            net.add_peer(org.msp_id)
+        net.install_chaincode("pdccc", _WriteEveryCollection())
+        runtime = net.attach_runtime(
+            seed=5, latency=LatencyModel(base=1.0), faults=FaultInjector()
+        )
+        requests = []
+        send = runtime.bus.send
+
+        def recording_send(src, dst, topic, payload):
+            if topic == TOPIC_AE_DIGEST_REQUEST:
+                requests.append((net.peer(dst).msp_id, payload[1]))
+            return send(src, dst, topic, payload)
+
+        runtime.bus.send = recording_send
+        runtime.bus.faults.drop_topic("gossip-batch")
+        net.client("Org1MSP").submit_async(
+            "pdccc", "set_all", ["k", "PDCa,PDCb"], transient={"value": b"v"},
+            endorsing_peers=[net.peers_of("Org1MSP")[0], net.peers_of("Org2MSP")[0]],
+        )
+        runtime.run()
+
+        org3 = net.peers_of("Org3MSP")[0]
+        assert requests
+        for source_msp, scopes in requests:
+            assert scopes, source_msp
+            assert set(scopes) <= channel.member_collections(source_msp)
+        assert org3.query_private("pdccc", "PDCa", "k") == b"v"
+        assert org3.query_private("pdccc", "PDCb", "k") == b"v"
+
 class TestReconcilePruningEdges:
     """Reconciliation where history management complicates the repair."""
 

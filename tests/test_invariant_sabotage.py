@@ -420,3 +420,35 @@ class TestGovernedWritesAreJudged:
         hits = invariants.check_endorsement_plan(sim, [])
         assert [v.invariant for v in hits] == ["endorsement-plan"]
         assert "does not satisfy" in hits[0].detail
+
+
+class TestOrderingInvariant:
+    """``ordering`` under a generated orderer window: a leader crash while
+    batches are cut.  Clean as built; a front-end that forgets an
+    in-flight batch on a leader change fires it."""
+
+    def _run(self, monkeypatch, weaken=None):
+        config = SimulationConfig.generate(5, 200)
+        ops, faults = generate(config)
+        crash = [f for f in faults if f.kind in ("crash_orderer", "restart_orderer")]
+        assert [f.dst for f in crash] == ["orderer.raft0"] * 2  # the bootstrap leader
+        real_checks = harness.run_quiescence_checks
+        seen = {}
+
+        def checks(sim, outcomes):
+            seen["raft"] = sim.network.orderer.raft
+            return real_checks(sim, outcomes)
+
+        monkeypatch.setattr(harness, "run_quiescence_checks", checks)
+        return execute(config, ops, crash, weaken=weaken), seen["raft"]
+
+    def test_leader_crash_delivers_every_batch(self, monkeypatch):
+        report, raft = self._run(monkeypatch)
+        assert report.ok, [str(v) for v in report.violations]
+        assert [leader for _at, leader in raft.leader_changes] == [None, 0, None, 1]
+
+    def test_forgotten_in_flight_batch_fires_ordering(self, monkeypatch):
+        report, _raft = self._run(monkeypatch, weaken="forget-in-flight")
+        hits = [v for v in report.violations if v.invariant == "ordering"]
+        assert hits, [str(v) for v in report.violations]
+        assert hits[0].detail == "46 batches proposed, 45 delivered: delivery 31 carries block 32"

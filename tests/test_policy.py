@@ -138,6 +138,36 @@ def _make_evaluator(org_count=3):
 
 
 class TestEvaluation:
+    def test_fresh_evaluators_share_one_parse(self, monkeypatch):
+        """A policy text is parsed once per process, not once per evaluator."""
+        from repro.common import crypto
+        from repro.policy import evaluator as evaluator_module
+
+        crypto.clear_caches()
+        calls = []
+        real = evaluator_module.parse_policy
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(evaluator_module, "parse_policy", counted)
+        policy = "OR('Org1MSP.peer', 'Org3MSP.peer')"
+        peer = Organization("Org1MSP").enroll_peer().certificate
+        for _ in range(2):
+            evaluator, _orgs = _make_evaluator()
+            evaluator.evaluate(policy, [peer])
+        assert calls == [policy]
+
+    def test_shared_parse_keeps_per_channel_implicit_meta(self):
+        """ImplicitMeta still resolves against each evaluator's own orgs."""
+        two, orgs2 = _make_evaluator(org_count=2)
+        four, orgs4 = _make_evaluator(org_count=4)
+        signers2 = [o.enroll_peer().certificate for o in orgs2[:2]]
+        signers4 = [o.enroll_peer().certificate for o in orgs4[:2]]
+        assert two.evaluate("MAJORITY Endorsement", signers2)
+        assert not four.evaluate("MAJORITY Endorsement", signers4)
+
     def test_and_requires_both_orgs(self):
         evaluator, orgs = _make_evaluator()
         policy = "AND('Org1MSP.peer', 'Org2MSP.peer')"

@@ -19,7 +19,6 @@ from repro.network.collection import CollectionConfig
 from repro.network.network import FabricNetwork
 from repro.network.presets import three_org_network
 from repro.orderer.block_cutter import BlockCutter
-from repro.orderer.raft import RaftCluster, RaftState
 from repro.protocol.proposal import reset_nonce_counter
 from repro.protocol.transaction import ValidationCode
 from repro.runtime import (
@@ -693,7 +692,7 @@ class TestCommitSite:
 
 
 # ---------------------------------------------------------------------------
-# runtime-adjacent unit behaviour (cutter, raft rng, status query)
+# runtime-adjacent unit behaviour (cutter, idle consensus, status query)
 # ---------------------------------------------------------------------------
 class TestRuntimeAdjacent:
     def test_cutter_drains_backlog_when_batch_size_lowered(self):
@@ -707,13 +706,23 @@ class TestRuntimeAdjacent:
         assert [len(b) for b in batches] == [2, 2, 2]
         assert cutter.pending_count == 0
 
-    def test_raft_randomized_timeouts_elect_a_leader(self):
-        import random
-
-        cluster = RaftCluster(size=3, rng=random.Random(1234))
-        cluster.run_until(lambda: cluster.leader() is not None, max_ticks=500)
-        leader = cluster.leader()
-        assert leader is not None and leader.state is RaftState.LEADER
+    def test_idle_network_leaves_the_scheduler_empty(self, network):
+        """Consensus after the bootstrap election schedules nothing once a
+        healthy cluster is idle: the run drains, and no Raft timer waits."""
+        runtime = network.runtime
+        client = network.client("Org1MSP")
+        endorsers = [network.peers_of("Org1MSP")[0], network.peers_of("Org2MSP")[0]]
+        for i in range(3):
+            client.submit_async(
+                "pdccc", "set_private", ["PDC1", f"idle{i}"],
+                transient={"value": b"1"}, endorsing_peers=endorsers,
+            )
+        runtime.run()
+        assert runtime.scheduler.pending_events() == 0
+        assert all(node.timer is None for node in network.orderer.raft.nodes)
+        assert runtime.bus.topic_counts["raft"] == 8 + 8 * network.orderer.blocks_delivered
+        leader = network.orderer.raft.leader()
+        assert {node.commit_index for node in network.orderer.raft.nodes} == {leader.commit_index}
 
     def test_status_of_queries_each_peer_once(self, network):
         client = network.client("Org1MSP")

@@ -25,6 +25,7 @@ from repro.simulation import (
     generate_fault_schedule,
     run_seed,
 )
+from repro.simulation.faultplan import orderer_windows_paired
 from repro.simulation.harness import WEAKENERS, build_network, execute, generate
 from repro.simulation.invariants import (
     check_gossip_convergence,
@@ -101,8 +102,9 @@ class TestWorkloadGeneration:
         for seed in range(1, 15):
             config = SimulationConfig.generate(seed, 30)
             sim = build_network(config)
+            consenters = [node.endpoint for node in sim.network.orderer.raft.nodes]
             actions = generate_fault_schedule(
-                config, sorted(sim.peers), config.horizon()
+                config, sorted(sim.peers), consenters, config.horizon()
             )
             open_links: set = set()
             dead_topics: set = set()
@@ -121,6 +123,19 @@ class TestWorkloadGeneration:
             assert not open_links
             assert not dead_topics
             assert all(rate == 0.0 for rate in rates.values())
+            assert orderer_windows_paired(actions)
+
+    def test_orderer_windows_pick_a_given_consenter(self):
+        """The victim consenter comes from the endpoints passed in, so a
+        one-consenter orderer is never asked for a node it lacks."""
+        victims = set()
+        for seed in range(1, 15):
+            config = SimulationConfig.generate(seed, 30)
+            actions = generate_fault_schedule(
+                config, ["peer0.Org1MSP"], ["orderer.raft0"], config.horizon()
+            )
+            victims |= {a.dst for a in actions if a.kind.endswith("_orderer")}
+        assert victims == {"orderer.raft0"}
 
 
 # ---------------------------------------------------------------------------
