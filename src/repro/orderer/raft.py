@@ -14,9 +14,10 @@ ahead of every other event at its instant.  Only explicit faults reach
 consensus: :meth:`RaftCluster.stop` / :meth:`~RaftCluster.restart` and
 :meth:`~RaftCluster.partition`, which cuts links between consenters.
 
-Timers run only while the cluster has work — an unreplicated entry, a
-lagging live follower, a candidate, or not exactly one leader — so a
-healthy idle cluster schedules nothing.  Election timeouts are constant
+Timers run only while the :meth:`~RaftCluster.quorum` has work — an
+unreplicated entry, a lagging follower, a candidate, or not exactly one
+leader — so a healthy idle cluster schedules nothing, and a cut-off or
+outvoted node cannot keep timers running.  Election timeouts are constant
 per node and staggered by node index, so runs draw nothing and repeat.
 """
 
@@ -46,9 +47,9 @@ def consenter_endpoint(node_id: int) -> str:
 
 
 def leader_recovery_bound(cluster_size: int) -> float:
-    """Sim-seconds within which a leader exists once every fault healed:
-    three of the longest election timeouts (a disrupting candidate's, the
-    re-election, one spare round)."""
+    """Sim-seconds within which a live majority has a leader after the last
+    orderer fault: three of the longest election timeouts (a disrupting
+    candidate's, the re-election, one spare round)."""
     return 3 * (ELECTION_TIMEOUT_BASE + ELECTION_TIMEOUT_STAGGER * (cluster_size - 1))
 
 
@@ -166,7 +167,7 @@ class RaftCluster:
         self._on_commit = on_commit
         self._on_leader = on_leader
         self._in_flight = 0  # consensus messages sent and not yet delivered
-        self._cut: list[tuple[str, str]] = []
+        self._isolated: set[int] = set()  # one side of the partition
         self._handlers = {
             RequestVote: self._handle_request_vote,
             RequestVoteReply: self._handle_vote_reply,
@@ -174,9 +175,9 @@ class RaftCluster:
             AppendEntriesReply: self._handle_append_reply,
         }
         #: ``(sim time, leader id or None)`` at every change of
-        #: :meth:`leader`, and the sim time the last fault healed.
+        #: :meth:`leader`, and the sim time of the last orderer fault.
         self.leader_changes: list[tuple[float, Optional[int]]] = [(0.0, None)]
-        self.healed_at = 0.0
+        self.last_fault_at = 0.0
         for node in self.nodes:
             bus.register(node.endpoint, self._receiver(node))
 
@@ -189,6 +190,15 @@ class RaftCluster:
         """The live leader of the highest term (a partition may leave two)."""
         leaders = [n for n in self.nodes if n.alive and n.state is RaftState.LEADER]
         return max(leaders, key=lambda n: n.current_term) if leaders else None
+
+    def quorum(self) -> list[RaftNode]:
+        """The live nodes on the side of the partition that holds a live
+        majority, or none: only they can elect a leader and commit."""
+        for isolated in (False, True):
+            side = [n for n in self.nodes if n.alive and (n.node_id in self._isolated) == isolated]
+            if len(side) > len(self.nodes) // 2:
+                return side
+        return []
 
     def propose(self, payload: Any) -> None:
         """Append ``payload`` at the leader and replicate it.  With no
@@ -211,6 +221,7 @@ class RaftCluster:
     def stop(self, node_id: int) -> None:
         node = self.nodes[node_id]
         node.alive = False
+        self.last_fault_at = self.scheduler.now
         if node.timer is not None:
             node.timer.cancel()
             node.timer = None
@@ -221,7 +232,7 @@ class RaftCluster:
         node = self.nodes[node_id]
         if not node.alive:
             node.alive, node.state = True, RaftState.FOLLOWER
-            node.deadline = self.healed_at = self.scheduler.now
+            node.deadline = self.last_fault_at = self.scheduler.now
         self._settle()
 
     def partition(self, node_ids: set[int]) -> None:
@@ -231,23 +242,25 @@ class RaftCluster:
         if self.bus.faults is None:
             raise ConfigError("a partition needs the runtime's FaultInjector")
         self.heal_partition()
-        self._cut = [
-            (a.endpoint, b.endpoint)
-            for a in self.nodes
-            for b in self.nodes
-            if (a.node_id in node_ids) != (b.node_id in node_ids)
-        ]
-        for src, dst in self._cut:
+        self._isolated = set(node_ids)
+        for src, dst in self._links_across():
             self.bus.faults.cut_link(src, dst)
+        self.last_fault_at = self.scheduler.now
         self._settle()
 
     def heal_partition(self) -> None:
-        if self._cut:
-            for src, dst in self._cut:
+        if self._isolated:
+            for src, dst in self._links_across():
                 self.bus.faults.restore_link(src, dst)
-            self._cut = []
-            self.healed_at = self.scheduler.now
+            self._isolated = set()
+            self.last_fault_at = self.scheduler.now
             self._settle()
+
+    def _links_across(self) -> list[tuple[str, str]]:
+        """Both directions of every link across the partition."""
+        side = self._isolated
+        return [(a.endpoint, b.endpoint) for a in self.nodes for b in self.nodes
+                if (a.node_id in side) != (b.node_id in side)]
 
     # -- messages and timers ---------------------------------------------------------
     def _send(self, sender: RaftNode, target: int, message: Any) -> None:
@@ -265,15 +278,16 @@ class RaftCluster:
         return receive
 
     def _active(self) -> bool:
-        """Whether the cluster has work that needs its timers."""
-        alive = [n for n in self.nodes if n.alive]
-        leaders = [n for n in alive if n.state is RaftState.LEADER]
-        if len(leaders) != 1 or any(n.state is RaftState.CANDIDATE for n in alive):
-            return bool(alive)
+        """Whether the quorum has work that needs the timers; a cluster
+        with no quorum is idle, since nothing it does can commit."""
+        quorum = self.quorum()
+        leaders = [n for n in quorum if n.state is RaftState.LEADER]
+        if len(leaders) != 1 or any(n.state is RaftState.CANDIDATE for n in quorum):
+            return bool(quorum)
         leader = leaders[0]
         last = leader.last_log_index()
         return leader.commit_index < last or any(
-            leader.match_index[n.node_id] < last for n in alive if n is not leader
+            leader.match_index[n.node_id] < last for n in quorum if n is not leader
         )
 
     def _settle(self) -> None:

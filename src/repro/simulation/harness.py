@@ -312,9 +312,11 @@ def execute(
 
     runtime.run()
 
-    # Drive to quiescence: heal everything, repair missed deliveries,
-    # then reconcile private data to a fixpoint.
+    # Drive to quiescence: heal everything (the cluster's own partition
+    # first, so its record of who reaches whom stays true), repair missed
+    # deliveries, then reconcile private data to a fixpoint.
     faults = runtime.bus.faults
+    sim.network.orderer.raft.heal_partition()
     faults.heal()
     faults.drop_rate = 0.0
     faults.topic_drop_rates.clear()

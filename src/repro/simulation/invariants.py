@@ -56,8 +56,8 @@ The catalogue (names are the ``invariant`` field of each violation):
 * ``ordering``          — consensus kept its promises: every proposed
   batch was delivered exactly once and in proposal order (block *n* is
   the *n*-th proposal), the consenters' committed log prefixes agree, and
-  once the last orderer fault healed a leader existed within
-  :func:`~repro.orderer.raft.leader_recovery_bound` and kept leading.
+  a live majority had a leader within :func:`~repro.orderer.raft.leader_recovery_bound`
+  of the last orderer fault, and it kept leading.
 * ``durability``        — checked by :class:`RecoveryMonitor` at every
   peer restart, at the exact recovery height (before the peer catches
   up): the recovered chain height equals the crash height (no committed
@@ -558,12 +558,12 @@ def check_ordering(sim: "SimNetwork") -> list:
                 ))
     bound = leader_recovery_bound(len(raft.nodes))
     changed_at, leader_id = raft.leader_changes[-1]
-    if leader_id is None or changed_at > raft.healed_at + bound:
+    if raft.quorum() and (leader_id is None or changed_at > raft.last_fault_at + bound):
         violations.append(Violation(
             "ordering",
-            f"leadership still changing at {changed_at:.3f} sim-s (leader "
-            f"{leader_id}); the last orderer fault healed at "
-            f"{raft.healed_at:.3f}, bound {bound:.1f} sim-s",
+            f"a live majority's leadership still changing at {changed_at:.3f} "
+            f"sim-s (leader {leader_id}); the last orderer fault was at "
+            f"{raft.last_fault_at:.3f}, bound {bound:.1f} sim-s",
         ))
     return violations
 

@@ -1,11 +1,11 @@
 """Greedy trace minimization (ddmin) and repro-script rendering.
 
-Given a failing ``(config, ops, faults)`` triple, the shrinker deletes
-chunks of operations (then fault actions) while the run keeps failing,
-converging on a 1-minimal trace: removing any single remaining element
-makes the failure disappear.  Because ops are pure data and execution
-replays deterministically, each candidate subset is just another
-``execute`` call.
+Given a failing run's report, the shrinker deletes chunks of its
+operations (then fault actions, a heal or restart like any other) while
+the run keeps failing, converging on a 1-minimal trace: removing any
+single remaining element makes the failure disappear.  Because ops are
+pure data and execution replays deterministically, each candidate subset
+is just another ``execute`` call.
 
 The minimized trace is rendered two ways: a JSON trace (re-runnable via
 ``python -m repro.tools.simulate --replay FILE``) and a standalone Python
@@ -15,11 +15,11 @@ repro script for a bug report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.simulation.config import SimulationConfig
-from repro.simulation.faultplan import FaultAction, orderer_windows_paired
+from repro.simulation.faultplan import FaultAction
 from repro.simulation.harness import SimulationReport, execute
 from repro.simulation.workload import OpSpec
 
@@ -33,6 +33,7 @@ class ShrinkResult:
     fault_actions: list
     report: SimulationReport  # the failing report for the minimized trace
     executions: int  # how many candidate runs the search spent
+    errors: list = field(default_factory=list)  # "Type: message" per raising candidate
 
     def to_trace(self) -> dict:
         return {
@@ -101,45 +102,36 @@ def ddmin(
 
 
 def shrink_failing_run(
-    config: SimulationConfig,
-    ops: list,
-    fault_actions: list,
+    failing: SimulationReport,
     weaken: Optional[str] = None,
     max_executions: int = 150,
 ) -> ShrinkResult:
-    """Minimize a failing run to a smallest still-failing trace."""
-    budget = [max_executions]
-    executions = [0]
+    """Minimize a failing run's trace to a smallest still-failing one.  A
+    candidate whose run raises does not reproduce the failure; its error
+    is kept on the result."""
+    budget = [max_executions]  # ddmin spends one per candidate run
+    errors: list = []
+    smallest = [failing]  # ddmin adopts every candidate that still fails
 
-    def run(candidate_ops: list, candidate_faults: list) -> SimulationReport:
-        executions[0] += 1
-        return execute(config, candidate_ops, candidate_faults, weaken=weaken)
+    def fails(candidate_ops: list, candidate_faults: list) -> bool:
+        try:
+            report = execute(failing.config, candidate_ops, candidate_faults, weaken=weaken)
+        except Exception as exc:  # noqa: BLE001 - a candidate, not the sweep, failed
+            errors.append(f"{type(exc).__name__}: {exc}")
+            return False
+        if not report.ok:
+            smallest[0] = report
+        return not report.ok
 
-    def ops_fail(candidate: list) -> bool:
-        return not run(candidate, fault_actions).ok
-
-    small_ops = ddmin(ops, ops_fail, budget=budget)
-
-    def faults_fail(candidate: list) -> bool:
-        # A consenter left down or cut off for good keeps the cluster's
-        # timers running forever, so orderer windows shrink whole.
-        return orderer_windows_paired(candidate) and not run(small_ops, candidate).ok
-
-    small_faults = (
-        ddmin(fault_actions, faults_fail, budget=budget)
-        if fault_actions else []
-    )
-
-    report = run(small_ops, small_faults)
-    if report.ok:  # pragma: no cover - ddmin guarantees a failing subset
-        report = run(ops, fault_actions)
-        small_ops, small_faults = list(ops), list(fault_actions)
+    small_ops = ddmin(failing.ops, lambda c: fails(c, failing.fault_actions), budget=budget)
+    small_faults = ddmin(failing.fault_actions, lambda c: fails(small_ops, c), budget=budget)
     return ShrinkResult(
-        config=config,
+        config=failing.config,
         ops=small_ops,
         fault_actions=small_faults,
-        report=report,
-        executions=executions[0],
+        report=smallest[0],  # the run of small_ops and small_faults
+        executions=max_executions - budget[0],
+        errors=errors,
     )
 
 

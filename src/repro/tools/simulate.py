@@ -24,8 +24,10 @@ from pathlib import Path
 
 from repro.simulation.config import SimulationConfig
 from repro.storage import BACKEND_KINDS
-from repro.simulation.harness import WEAKENERS, execute, generate
+from repro.simulation.harness import WEAKENERS, SimulationReport, execute, generate
+from repro.simulation.invariants import Violation
 from repro.simulation.shrink import (
+    ShrinkResult,
     load_trace,
     render_repro_script,
     shrink_failing_run,
@@ -105,7 +107,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.backend is not None:
             config = dataclasses.replace(config, state_backend=args.backend)
         ops, fault_actions = generate(config)
-        report = execute(config, ops, fault_actions, weaken=args.weaken)
+        try:
+            report, raised = execute(config, ops, fault_actions, weaken=args.weaken), False
+        except Exception as exc:  # noqa: BLE001 - a raising run fails its seed only
+            error = Violation("raised", f"{type(exc).__name__}: {exc}")
+            report, raised = SimulationReport(config, ops, fault_actions, [], [error]), True
         print(f"{report.summary()} ({time.time() - seed_started:.1f}s)")
         if report.ok:
             continue
@@ -114,31 +120,37 @@ def main(argv: list[str] | None = None) -> int:
             print(f"    {violation}")
         if len(report.violations) > 8:
             print(f"    ... and {len(report.violations) - 8} more")
-        if not args.no_shrink:
-            _shrink_and_dump(config, ops, fault_actions, args)
+        if raised:  # the shrinker minimizes violations, not raises: dump it whole
+            _dump(ShrinkResult(config, ops, fault_actions, report, executions=0), args)
+        elif not args.no_shrink:
+            _dump(_shrink(report, args), args)
 
     elapsed = time.time() - started
     print(f"{args.seeds} seeds, {failures} failing ({elapsed:.1f}s total)")
     return 1 if failures else 0
 
 
-def _shrink_and_dump(config, ops, fault_actions, args) -> None:
-    print(f"    shrinking seed {config.seed} "
-          f"({len(ops)} ops, {len(fault_actions)} fault actions)...")
+def _shrink(failing, args) -> ShrinkResult:
+    print(f"    shrinking seed {failing.config.seed} ({len(failing.ops)} ops, "
+          f"{len(failing.fault_actions)} fault actions)...")
     result = shrink_failing_run(
-        config, ops, fault_actions,
-        weaken=args.weaken, max_executions=args.shrink_budget,
+        failing, weaken=args.weaken, max_executions=args.shrink_budget
     )
+    raised = f", {len(result.errors)} raised (first: {result.errors[0]})" if result.errors else ""
     print(f"    minimized to {len(result.ops)} ops + "
           f"{len(result.fault_actions)} fault actions "
-          f"in {result.executions} replays:")
+          f"in {result.executions} replays{raised}:")
     for op in result.ops:
         print(f"      op {op.index} @{op.at}: {op.kind} "
               f"{op.function}{op.args} via {op.endorsers}")
     for action in result.fault_actions:
         target = action.topic or f"{action.src}->{action.dst}"
         print(f"      fault @{action.at}: {action.kind} {target}")
+    return result
 
+
+def _dump(result: ShrinkResult, args) -> None:
+    config = result.config
     out_dir = args.trace_dir or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / f"trace-seed{config.seed}.json"

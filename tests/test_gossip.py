@@ -656,12 +656,12 @@ class TestAntiEntropy:
         runtime.bus.faults.heal()
         engine = runtime.anti_entropy
         engine.reset_backoff()
-        healed_at, pulls_before = runtime.now, engine.pull_requests
+        restored_at, pulls_before = runtime.now, engine.pull_requests
         engine.arm()
         runtime.run()
         assert not org3.ledger.missing_private
         assert net.gossip.reconcile_pulls == gaps
-        return runtime.now - healed_at, engine.pull_requests - pulls_before
+        return runtime.now - restored_at, engine.pull_requests - pulls_before
 
     def test_convergence_is_flat_in_gap_count(self):
         """One digest names every gap and one batched pull ships them all:

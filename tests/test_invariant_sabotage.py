@@ -424,14 +424,15 @@ class TestGovernedWritesAreJudged:
 
 class TestOrderingInvariant:
     """``ordering`` under a generated orderer window: a leader crash while
-    batches are cut.  Clean as built; a front-end that forgets an
-    in-flight batch on a leader change fires it."""
+    batches are cut.  Clean as built, also with no restart; a front-end
+    that forgets an in-flight batch on a leader change fires it."""
 
-    def _run(self, monkeypatch, weaken=None):
+    def _run(self, monkeypatch, weaken=None, restart=True):
         config = SimulationConfig.generate(5, 200)
         ops, faults = generate(config)
         crash = [f for f in faults if f.kind in ("crash_orderer", "restart_orderer")]
         assert [f.dst for f in crash] == ["orderer.raft0"] * 2  # the bootstrap leader
+        crash = crash if restart else crash[:1]
         real_checks = harness.run_quiescence_checks
         seen = {}
 
@@ -446,6 +447,14 @@ class TestOrderingInvariant:
         report, raft = self._run(monkeypatch)
         assert report.ok, [str(v) for v in report.violations]
         assert [leader for _at, leader in raft.leader_changes] == [None, 0, None, 1]
+
+    def test_unrestarted_leader_crash_is_ok(self, monkeypatch):
+        """Leadership is measured from the crash itself, not from a heal
+        that never comes."""
+        report, raft = self._run(monkeypatch, restart=False)
+        assert report.ok, [str(v) for v in report.violations]
+        assert [leader for _at, leader in raft.leader_changes] == [None, 0, None, 1]
+        assert raft.last_fault_at > 0.0
 
     def test_forgotten_in_flight_batch_fires_ordering(self, monkeypatch):
         report, _raft = self._run(monkeypatch, weaken="forget-in-flight")

@@ -131,7 +131,8 @@ class TestReplication:
             if node is not leader:
                 cluster.stop(node.node_id)
         cluster.propose("stuck")
-        scheduler.run_for(50.0)
+        scheduler.run()  # no quorum: nothing can commit, so nothing runs
+        assert scheduler.pending_events() == 0
         assert leader.commit_index == 0
 
     def test_recovered_follower_catches_up(self):
@@ -162,6 +163,29 @@ class TestIdle:
         scheduler.run()  # the new leader settles the cluster; the queue drains
         assert scheduler.pending_events() == 0
 
+    @pytest.mark.parametrize("shape", ["follower-isolated", "leader-isolated", "two-stopped"])
+    def test_cut_off_or_outvoted_nodes_keep_no_timers(self, shape):
+        """A fault left in place for good: once the live majority, if any,
+        has nothing to do, the queue drains."""
+        applied = []
+        cluster, scheduler = _cluster(on_commit=applied.append)
+        leader = cluster.leader().node_id
+        followers = [i for i in range(3) if i != leader]
+        if shape == "follower-isolated":
+            cluster.partition({followers[0]})
+        elif shape == "leader-isolated":
+            cluster.partition({leader})
+        else:
+            for i in followers:
+                cluster.stop(i)
+        cluster.propose("batch")
+        scheduler.run()
+        assert scheduler.pending_events() == 0
+        if shape == "follower-isolated":
+            assert applied == ["batch"]
+        if shape == "leader-isolated":
+            assert cluster.leader().node_id != leader  # the majority elected one
+
 
 class TestPartitions:
     def test_minority_partition_cannot_commit(self):
@@ -169,7 +193,8 @@ class TestPartitions:
         leader = cluster.leader().node_id
         cluster.partition({leader})  # isolate the leader alone
         cluster.propose("doomed")
-        scheduler.run_for(50.0)
+        scheduler.run()  # the majority elects a leader, then goes idle
+        assert scheduler.pending_events() == 0
         assert cluster.nodes[leader].commit_index == 0
 
     def test_majority_side_elects_new_leader(self):

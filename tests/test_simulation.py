@@ -25,7 +25,6 @@ from repro.simulation import (
     generate_fault_schedule,
     run_seed,
 )
-from repro.simulation.faultplan import orderer_windows_paired
 from repro.simulation.harness import WEAKENERS, build_network, execute, generate
 from repro.simulation.invariants import (
     check_gossip_convergence,
@@ -109,8 +108,15 @@ class TestWorkloadGeneration:
             open_links: set = set()
             dead_topics: set = set()
             rates: dict = {}
+            down_consenters: set = set()
             for action in actions:
-                if action.kind == "cut_link":
+                if action.kind in ("crash_orderer", "partition_orderer"):
+                    down_consenters.add((action.dst, action.kind))
+                elif action.kind == "restart_orderer":
+                    down_consenters.remove((action.dst, "crash_orderer"))
+                elif action.kind == "heal_orderer":
+                    down_consenters.remove((action.dst, "partition_orderer"))
+                elif action.kind == "cut_link":
                     open_links.add((action.src, action.dst))
                 elif action.kind == "restore_link":
                     open_links.discard((action.src, action.dst))
@@ -123,7 +129,7 @@ class TestWorkloadGeneration:
             assert not open_links
             assert not dead_topics
             assert all(rate == 0.0 for rate in rates.values())
-            assert orderer_windows_paired(actions)
+            assert not down_consenters
 
     def test_orderer_windows_pick_a_given_consenter(self):
         """The victim consenter comes from the endpoints passed in, so a
@@ -465,8 +471,7 @@ class TestWeakenedValidator:
         report = execute(config, ops, faults, weaken="skip-endorsement-policy")
         assert not report.ok
         result = shrink_failing_run(
-            config, ops, faults, weaken="skip-endorsement-policy",
-            max_executions=80,
+            report, weaken="skip-endorsement-policy", max_executions=80
         )
         assert len(result.ops) <= 10
         assert not result.report.ok
@@ -474,6 +479,54 @@ class TestWeakenedValidator:
         script = render_repro_script(result, weaken="skip-endorsement-policy")
         assert f"seed {config.seed}" in script
         assert "execute(config, ops, faults" in script
+
+
+class TestRaisingRuns:
+    """A run that raises fails that run, never the sweep."""
+
+    @staticmethod
+    def _boom(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    def test_raising_shrink_candidates_do_not_reproduce(self, monkeypatch, tmp_path, capsys):
+        from repro.simulation import shrink
+        from repro.tools.simulate import main
+
+        monkeypatch.setattr(shrink, "execute", self._boom)
+        code = main([
+            "--weaken", "forget-in-flight", "--seed-base", "3", "--seeds", "2",
+            "--ops", "200", "--shrink-budget", "6", "--trace-dir", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "seed=3 " in out and "seed=4 " in out
+        assert "6 replays, 6 raised" in out and "RuntimeError: boom" in out
+        assert "2 seeds, 1 failing" in out
+        # Nothing shrank: the trace is the failing run's whole trace.
+        trace = json.loads((tmp_path / "trace-seed3.json").read_text())
+        assert len(trace["ops"]) == 200 and trace["violations"]
+        assert not (tmp_path / "trace-seed4.json").exists()
+
+    def test_a_raising_seed_fails_and_is_dumped_whole(self, monkeypatch, tmp_path, capsys):
+        from repro.tools import simulate
+
+        real = simulate.execute
+
+        def execute_raising_on_seed_1(config, *args, **kwargs):
+            if config.seed == 1:
+                raise ValueError("seed 1 broke")
+            return real(config, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "execute", execute_raising_on_seed_1)
+        code = simulate.main(["--seeds", "2", "--ops", "20", "--trace-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "[raised]: ValueError: seed 1 broke" in out
+        assert "seed=2 " in out and "2 seeds, 1 failing" in out
+        trace = json.loads((tmp_path / "trace-seed1.json").read_text())
+        assert len(trace["ops"]) == 20
+        assert trace["violations"] == ["[raised]: ValueError: seed 1 broke"]
+        assert (tmp_path / "repro-seed1.py").exists()
 
 
 class TestDdmin:
