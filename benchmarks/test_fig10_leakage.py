@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.analyzer.languages import find_read_leaks, find_write_leaks
+from repro.core.analyzer.languages import scan_file
 from repro.core.analyzer.source import ProjectFile
 from repro.core.corpus.templates import go_chaincode
 
@@ -32,8 +32,5 @@ class TestFig10:
     def test_bench_leak_detection(self, benchmark):
         file = ProjectFile(path="cc.go", content=go_chaincode("col", True, True))
 
-        def scan():
-            return find_read_leaks(file), find_write_leaks(file)
-
-        reads, writes = benchmark(scan)
-        assert reads and writes
+        found = benchmark(scan_file, file)
+        assert found["read_leak"] and found["write_leak"]

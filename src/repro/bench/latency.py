@@ -54,10 +54,6 @@ class LatencyStats:
         return statistics.median(self.samples_ms) if self.samples_ms else 0.0
 
     @property
-    def stdev(self) -> float:
-        return statistics.stdev(self.samples_ms) if len(self.samples_ms) > 1 else 0.0
-
-    @property
     def p95(self) -> float:
         if not self.samples_ms:
             return 0.0

@@ -46,15 +46,6 @@ class PrivateAssetContract(Chaincode):
         collection, key = args
         return stub.get_private_data(collection, key)
 
-    def get_private_hash(self, stub: ChaincodeStub, args: list) -> bytes:
-        """``get_private_hash(collection, key)`` — works at any peer."""
-        require_args(args, 2, "a collection and a key")
-        collection, key = args
-        digest = stub.get_private_data_hash(collection, key)
-        if digest is None:
-            raise ChaincodeError(f"no private data hash for key {key!r}")
-        return digest.hex().encode("ascii")
-
     def add_private(self, stub: ChaincodeStub, args: list) -> bytes:
         """``add_private(collection, key, delta)`` — read-modify-write."""
         require_args(args, 3, "a collection, a key and an integer delta")

@@ -15,7 +15,7 @@ PDC non-member organizations — receives chaincode events in plaintext.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.ledger.block import ValidatedBlock
 from repro.protocol.transaction import ValidationCode
@@ -57,7 +57,6 @@ class EventHub:
         self._peer = peer
         self.commit_events: list[CommitEvent] = []
         self.chaincode_events: list[ChaincodeEventRecord] = []
-        self._listeners: list[Callable[[CommitEvent], None]] = []
         if replay_from_genesis:
             for validated in peer.ledger.blockchain.blocks():
                 self._ingest(validated)
@@ -72,8 +71,6 @@ class EventHub:
                 chaincode_id=tx.chaincode_id,
             )
             self.commit_events.append(commit)
-            for listener in self._listeners:
-                listener(commit)
             if flag is ValidationCode.VALID and tx.payload.event is not None:
                 self.chaincode_events.append(
                     ChaincodeEventRecord(
@@ -84,9 +81,6 @@ class EventHub:
                         payload=tx.payload.event.payload,
                     )
                 )
-
-    def on_commit_event(self, listener: Callable[[CommitEvent], None]) -> None:
-        self._listeners.append(listener)
 
     def status_of(self, tx_id: str) -> Optional[ValidationCode]:
         for event in self.commit_events:

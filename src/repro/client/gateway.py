@@ -275,38 +275,6 @@ class Gateway:
             PERF.add_phase_time("endorse", time.perf_counter() - started)
         return envelope, responses[0].client_response.payload
 
-    def submit_with_retry(
-        self,
-        chaincode_id: str,
-        function: str,
-        args: Sequence[str] = (),
-        transient: Optional[Mapping[str, bytes]] = None,
-        endorsing_peers: Optional[Sequence["PeerNode"]] = None,
-        max_attempts: int = 3,
-    ) -> SubmitResult:
-        """Submit, re-endorsing on MVCC/phantom conflicts.
-
-        Version conflicts are the *expected* outcome of concurrent
-        read-modify-writes (Section II-B3); the standard client remedy is
-        to re-simulate against fresh state and resubmit.  An orderer
-        early abort (``reorder=True``) is the same verdict delivered
-        sooner, so it is retried the same way.  Other failure codes are
-        not retried — they indicate policy or integrity problems, not
-        contention.
-        """
-        from repro.workload.retry import RETRIABLE_STATUSES
-
-        last: SubmitResult | None = None
-        for _attempt in range(max_attempts):
-            last = self.submit_transaction(
-                chaincode_id, function, args, transient=transient,
-                endorsing_peers=endorsing_peers,
-            )
-            if last.status not in RETRIABLE_STATUSES:
-                return last
-        assert last is not None
-        return last
-
     # -- the execution-phase client checks ----------------------------------------
     def _check_consistency(self, proposal: Proposal, responses: list[ProposalResponse]) -> None:
         """The client-side agreement + signature checks.

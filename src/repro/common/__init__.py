@@ -6,7 +6,6 @@ from repro.common.errors import (
     ChaincodeError,
     ConfigError,
     CorpusError,
-    CryptoError,
     EndorsementError,
     GossipError,
     IdentityError,
@@ -14,11 +13,9 @@ from repro.common.errors import (
     LedgerError,
     OrderingError,
     PolicyError,
-    PolicyNotSatisfiedError,
     ProposalResponseMismatchError,
     ReproError,
     TransactionInvalidError,
-    ValidationError,
 )
 from repro.common.hashing import chain_hash, hash_key, hash_value, sha256, sha256_hex
 from repro.common.serialization import canonical_bytes, from_canonical_bytes
@@ -28,7 +25,6 @@ __all__ = [
     "ChaincodeError",
     "ConfigError",
     "CorpusError",
-    "CryptoError",
     "EndorsementError",
     "GossipError",
     "IdentityError",
@@ -36,11 +32,9 @@ __all__ = [
     "LedgerError",
     "OrderingError",
     "PolicyError",
-    "PolicyNotSatisfiedError",
     "ProposalResponseMismatchError",
     "ReproError",
     "TransactionInvalidError",
-    "ValidationError",
     "chain_hash",
     "hash_key",
     "hash_value",

@@ -18,24 +18,12 @@ class ConfigError(ReproError):
     """A network, channel, chaincode or collection configuration is invalid."""
 
 
-class CryptoError(ReproError):
-    """A cryptographic operation failed (bad key, bad signature encoding)."""
-
-
 class IdentityError(ReproError):
     """An identity could not be issued, deserialized, or validated."""
 
 
 class PolicyError(ReproError):
     """A policy expression could not be parsed or evaluated."""
-
-
-class PolicyNotSatisfiedError(PolicyError):
-    """A set of signers does not satisfy a policy.
-
-    Raised by evaluation helpers that are asked to *assert* satisfaction;
-    plain evaluation returns a boolean instead.
-    """
 
 
 class LedgerError(ReproError):
@@ -172,10 +160,6 @@ class SchedulerError(ReproError):
     remaining scheduled events can never satisfy — typically because a
     fault model dropped the messages that would have produced it.
     """
-
-
-class ValidationError(ReproError):
-    """A block or transaction failed structural validation."""
 
 
 class TransactionInvalidError(ReproError):

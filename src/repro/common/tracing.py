@@ -156,61 +156,6 @@ class Tracer:
             counts.update(PERF.as_dict())
         return counts
 
-    def abort_summary(self) -> dict:
-        """Per-transaction commit/abort breakdown, deduplicated.
-
-        :meth:`summary` counts raw events, which over-counts aborts under
-        contention: every peer records its own ``validate+commit`` event
-        (N peers → N events per transaction) and a retried submission
-        shows up once per attempt.  This view keys everything by tx id —
-        each transaction contributes exactly one flag (every honest peer
-        assigns the same one) and each mempool refusal is counted once
-        per distinct refused transaction — so the totals line up with the
-        ledger: ``committed + aborted`` equals the chain's transaction
-        count, matching ``valid_tx_count`` / ``invalid_tx_count`` at any
-        peer.
-
-        MVCC/phantom aborts are additionally split by conflict *scope*
-        (recorded by the traced delivery handler): ``mvcc_within_block``
-        conflicts lose to an earlier write in the same block — the
-        population intra-block reordering can rescue — while
-        ``mvcc_cross_block`` conflicts were stale before the block was
-        cut, which only orderer-side early abort addresses.
-        ``early_aborted`` counts transactions the conflict-aware orderer
-        dropped before block inclusion (never committed, so disjoint from
-        the flag buckets).
-        """
-        mvcc_flags = ("MVCC_READ_CONFLICT", "PHANTOM_READ_CONFLICT")
-        flags: dict = {}
-        scopes: dict = {}
-        rejected: set = set()
-        early: set = set()
-        for event in self.events:
-            if event.action == "validate+commit" and event.tx_id:
-                flags[event.tx_id] = event.detail.get("flag", "")
-                if "scope" in event.detail:
-                    scopes[event.tx_id] = event.detail["scope"]
-            elif event.action == "mempool-reject" and event.tx_id:
-                rejected.add(event.tx_id)
-            elif event.action == "early-abort" and event.tx_id:
-                early.add(event.tx_id)
-        counts = Counter(flags.values())
-        return {
-            "committed": counts.get("VALID", 0),
-            "aborted": sum(n for flag, n in counts.items() if flag != "VALID"),
-            "by_flag": dict(counts),
-            "mvcc_within_block": sum(
-                1 for tx_id, flag in flags.items()
-                if flag in mvcc_flags and scopes.get(tx_id) == "within-block"
-            ),
-            "mvcc_cross_block": sum(
-                1 for tx_id, flag in flags.items()
-                if flag in mvcc_flags and scopes.get(tx_id) == "cross-block"
-            ),
-            "early_aborted": len(early),
-            "mempool_rejected": len(rejected),
-        }
-
     def render(self) -> str:
         return "\n".join(str(event) for event in self.events)
 

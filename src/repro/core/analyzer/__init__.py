@@ -9,8 +9,7 @@ from repro.core.analyzer.detectors import (
 )
 from repro.core.analyzer.languages import (
     extract_functions,
-    find_read_leaks,
-    find_write_leaks,
+    scan_file,
 )
 from repro.core.analyzer.report import ProjectAnalysis
 from repro.core.analyzer.scanner import analyze_corpus, analyze_project
@@ -29,8 +28,7 @@ __all__ = [
     "detect_explicit_pdc",
     "detect_implicit_pdc",
     "extract_functions",
-    "find_read_leaks",
-    "find_write_leaks",
+    "scan_file",
     "ProjectAnalysis",
     "analyze_corpus",
     "analyze_project",

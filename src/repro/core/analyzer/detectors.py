@@ -58,10 +58,6 @@ class ExplicitPdcResult:
     def detected(self) -> bool:
         return bool(self.collections)
 
-    @property
-    def any_collection_policy(self) -> bool:
-        return any(c.has_endorsement_policy for c in self.collections)
-
 
 def _normalise_keys(obj: dict) -> dict[str, Any]:
     return {str(k).lower(): v for k, v in obj.items()}

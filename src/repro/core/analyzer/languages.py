@@ -9,18 +9,27 @@ of PDC leakage issues": a chaincode function leaks private data when it
 * **write-leak** — calls ``PutPrivateData`` and returns the written value
   (e.g. ``return args[1], nil`` in Listing 2).
 
-The analysis extracts function bodies by brace matching, seeds a small
-taint set (variables assigned from ``GetPrivateData`` / the value argument
-of ``PutPrivateData``), propagates taint through straight-line
-assignments, and flags functions whose ``return`` statements (or Go
-``shim.Success(...)`` payloads) mention a tainted expression.  Calls to
-``GetPrivateDataHash`` never taint — returning a hash is the safe pattern.
+Two further detectors go beyond the paper's payload analysis:
+
+* **transient-bypass** — the value passed to ``PutPrivateData`` comes from
+  the plaintext ``args[...]`` (Listing 2's secondary flaw): it is recorded
+  in every committed transaction's argument list, which even New
+  Feature 2 cannot repair.  The transient map is the private channel;
+* **event-leak** — a ``GetPrivateData`` result reaches ``SetEvent``: events
+  are committed in plaintext and broadcast to every subscriber.
+
+All four are one taint pass that differs only in its seeds and sinks.
+Function bodies are extracted once per file by brace matching; taint
+propagates from the seeds through straight-line assignments, and a
+function is flagged when a sink expression mentions a tainted access.
+Calls to ``GetPrivateDataHash`` never taint — returning a hash is the
+safe pattern.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.analyzer.source import ProjectFile
 
@@ -41,6 +50,8 @@ _ACCESS_RE = re.compile(r"[A-Za-z_$][\w$]*(?:\s*\[\s*[^\]]+\s*\]|\.[A-Za-z_$][\w
 _GET_PRIVATE_RE = re.compile(r"\bGetPrivateData\s*\(", re.IGNORECASE)
 _GET_PRIVATE_HASH_RE = re.compile(r"\bGetPrivateDataHash\s*\(", re.IGNORECASE)
 _PUT_PRIVATE_RE = re.compile(r"\bPutPrivateData\s*\(", re.IGNORECASE)
+_SET_EVENT_RE = re.compile(r"\bSetEvent\s*\(", re.IGNORECASE)
+_SHIM_SUCCESS_RE = re.compile(r"shim\.Success\s*\(")
 
 
 @dataclass(frozen=True)
@@ -177,160 +188,121 @@ def _is_tainted(access: str, tainted: set[str]) -> bool:
     return access in tainted or _root_of(access) in tainted
 
 
-def _tainted_returns(body: str, seeds: set[str], language: str) -> bool:
-    """Propagate taint through assignments; check return statements."""
+def _mentions_tainted(expr: str, tainted: set[str]) -> bool:
+    return any(_is_tainted(access, tainted) for access in _accesses_in(expr))
+
+
+def _propagate(body: str, seeds: set[str]) -> set[str]:
+    """The seeds plus every assignment target derived from them.
+
+    Two passes handle simple forward chains (a = get(); b = parse(a);
+    return b) without needing a full dataflow fixpoint.
+    """
     tainted = set(seeds)
-    # Two propagation passes handle simple forward chains (a = get(); b =
-    # parse(a); return b) without needing a full dataflow fixpoint.
     for _ in range(2):
         for line in body.splitlines():
             parsed = _assignment_targets(line)
-            if parsed is None:
-                continue
-            targets, rhs = parsed
-            if any(_is_tainted(a, tainted) for a in _accesses_in(rhs)):
-                tainted.update(targets)
+            if parsed is not None and _mentions_tainted(parsed[1], tainted):
+                tainted.update(parsed[0])
+    return tainted
 
-    for line in body.splitlines():
-        stripped = line.strip()
-        return_match = re.match(r"^return\b(.*)$", stripped)
+
+# -- seeds ---------------------------------------------------------------------
+def _private_reads(function: FunctionInfo) -> set[str]:
+    """Variables assigned from ``GetPrivateData``."""
+    seeds: set[str] = set()
+    for line in function.body.splitlines():
+        if _GET_PRIVATE_RE.search(line):
+            parsed = _assignment_targets(line)
+            if parsed is not None:
+                seeds.update(parsed[0])
+    return seeds
+
+
+def _written_values(function: FunctionInfo) -> set[str]:
+    """The accesses in every value passed to ``PutPrivateData``."""
+    seeds = {access for value in _put_values(function) for access in _accesses_in(value)}
+    # Conversion wrappers are not data sources.
+    seeds -= {"byte", "Buffer", "Buffer.from", "bytes", "String", "JSON.stringify"}
+    # A method access like ``value.getBytes`` taints the receiver
+    # ``value`` as well; a *subscript* like ``args[1]`` stays exact so
+    # ``args[0]`` (the key) is never considered leaked.
+    for seed in list(seeds):
+        if "." in seed and "[" not in seed:
+            seeds.add(_root_of(seed))
+    return seeds
+
+
+def _plaintext_args(function: FunctionInfo) -> set[str]:
+    """Every ``args[...]`` access: the proposal's plaintext arguments."""
+    return {
+        access
+        for line in function.body.splitlines()
+        for access in _accesses_in(line)
+        if access.startswith("args[")
+    }
+
+
+# -- sinks ---------------------------------------------------------------------
+def _put_values(function: FunctionInfo) -> list[str]:
+    """The value argument of every ``PutPrivateData`` call."""
+    values = []
+    for match in _PUT_PRIVATE_RE.finditer(function.body):
+        arguments = _call_arguments(function.body, match)
+        if len(arguments) >= 3:
+            values.append(arguments[2])
+        elif len(arguments) == 2:  # JS contract API: putPrivateData(key, value)
+            values.append(arguments[1])
+    return values
+
+
+def _responses(function: FunctionInfo) -> list[str]:
+    """``return`` expressions and Go ``shim.Success(...)`` payloads."""
+    responses = []
+    for line in function.body.splitlines():
+        return_match = re.match(r"^return\b(.*)$", line.strip())
         if return_match is None:
             continue
         expr = return_match.group(1).strip().rstrip(";")
-        if not expr:
-            continue
-        if language == "go":
+        if function.language == "go":
             # ``return "", err`` / ``return nil, err`` are error paths.
             expr = ",".join(
                 part for part in expr.split(",") if part.strip() not in ("nil", "err", "''", '""')
             )
-        if any(_is_tainted(a, tainted) for a in _accesses_in(expr)):
-            return True
+        responses.append(expr)
     # Go chaincode often responds via shim.Success(payload) instead of a
     # plain return value.
-    for match in re.finditer(r"shim\.Success\s*\(", body):
-        for arg in _call_arguments(body, match):
-            if any(_is_tainted(a, tainted) for a in _accesses_in(arg)):
-                return True
-    return False
+    for match in _SHIM_SUCCESS_RE.finditer(function.body):
+        responses.extend(_call_arguments(function.body, match))
+    return responses
 
 
-def find_read_leaks(file: ProjectFile) -> list[str]:
-    """Functions that return data obtained from ``GetPrivateData``."""
-    leaks = []
+def _events(function: FunctionInfo) -> list[str]:
+    """Every argument of every ``SetEvent`` call."""
+    body = function.body
+    return [arg for match in _SET_EVENT_RE.finditer(body) for arg in _call_arguments(body, match)]
+
+
+#: Detector -> (seeds, sinks).  ``ProjectAnalysis`` keeps each detector's
+#: findings in its ``<detector>_functions`` field.
+DETECTORS = {
+    "read_leak": (_private_reads, _responses),
+    "write_leak": (_written_values, _responses),
+    "transient_bypass": (_plaintext_args, _put_values),
+    "event_leak": (_private_reads, _events),
+}
+
+
+def scan_file(file: ProjectFile) -> dict[str, list[str]]:
+    """Detector -> the functions of ``file`` it flags, in source order."""
+    found: dict[str, list[str]] = {detector: [] for detector in DETECTORS}
     for function in extract_functions(file):
-        body = function.body
-        if not _GET_PRIVATE_RE.search(_GET_PRIVATE_HASH_RE.sub("ignored(", body)):
-            continue
-        seeds: set[str] = set()
-        sanitized = _GET_PRIVATE_HASH_RE.sub("ignored(", body)
-        for line in sanitized.splitlines():
-            if not _GET_PRIVATE_RE.search(line):
+        function = replace(function, body=_GET_PRIVATE_HASH_RE.sub("ignored(", function.body))
+        for detector, (seeds_of, sinks_of) in DETECTORS.items():
+            seeds = seeds_of(function)
+            if not seeds:
                 continue
-            parsed = _assignment_targets(line)
-            if parsed is None:
-                continue
-            targets, _rhs = parsed
-            seeds.update(targets)
-        if seeds and _tainted_returns(sanitized, seeds, function.language):
-            leaks.append(function.name)
-    return leaks
-
-
-_SET_EVENT_RE = re.compile(r"\bSetEvent\s*\(", re.IGNORECASE)
-_GET_TRANSIENT_RE = re.compile(r"\bGetTransient\s*\(", re.IGNORECASE)
-
-
-def find_transient_bypass(file: ProjectFile) -> list[str]:
-    """Write functions that take the private value from plaintext args.
-
-    The proper channel for private input is the *transient* map, which
-    never enters the signed proposal or the transaction.  A function that
-    passes ``args[...]``-derived data to ``PutPrivateData`` records the
-    value in every committed transaction's argument list — Listing 2's
-    secondary flaw, which even New Feature 2 cannot repair.
-    """
-    flagged = []
-    for function in extract_functions(file):
-        body = function.body
-        if _GET_TRANSIENT_RE.search(body):
-            continue  # value comes from the transient map: correct pattern
-        for match in _PUT_PRIVATE_RE.finditer(body):
-            arguments = _call_arguments(body, match)
-            value_expr = arguments[2] if len(arguments) >= 3 else (
-                arguments[1] if len(arguments) == 2 else ""
-            )
-            if any(access.startswith("args[") for access in _accesses_in(value_expr)):
-                flagged.append(function.name)
-                break
-    return flagged
-
-
-def find_event_leaks(file: ProjectFile) -> list[str]:
-    """Functions that put ``GetPrivateData`` results into a chaincode event.
-
-    Beyond the paper's payload analysis: events are committed in plaintext
-    with the transaction and broadcast to every subscriber, so they leak
-    exactly like the ``payload`` field.
-    """
-    leaks = []
-    for function in extract_functions(file):
-        sanitized = _GET_PRIVATE_HASH_RE.sub("ignored(", function.body)
-        if not _GET_PRIVATE_RE.search(sanitized):
-            continue
-        seeds: set[str] = set()
-        for line in sanitized.splitlines():
-            if not _GET_PRIVATE_RE.search(line):
-                continue
-            parsed = _assignment_targets(line)
-            if parsed is not None:
-                seeds.update(parsed[0])
-        if not seeds:
-            continue
-        # Propagate, then check SetEvent argument expressions as sinks.
-        tainted = set(seeds)
-        for _ in range(2):
-            for line in sanitized.splitlines():
-                parsed = _assignment_targets(line)
-                if parsed is None:
-                    continue
-                targets, rhs = parsed
-                if any(_is_tainted(a, tainted) for a in _accesses_in(rhs)):
-                    tainted.update(targets)
-        for match in _SET_EVENT_RE.finditer(sanitized):
-            for arg in _call_arguments(sanitized, match):
-                if any(_is_tainted(a, tainted) for a in _accesses_in(arg)):
-                    leaks.append(function.name)
-                    break
-            else:
-                continue
-            break
-    return leaks
-
-
-def find_write_leaks(file: ProjectFile) -> list[str]:
-    """Functions that echo back the value they passed to ``PutPrivateData``."""
-    leaks = []
-    for function in extract_functions(file):
-        body = function.body
-        seeds: set[str] = set()
-        for match in _PUT_PRIVATE_RE.finditer(body):
-            args = _call_arguments(body, match)
-            if len(args) >= 3:
-                value_expr = args[2]
-            elif len(args) == 2:  # JS contract API: putPrivateData(key, value)
-                value_expr = args[1]
-            else:
-                continue
-            seeds.update(_accesses_in(value_expr))
-        # Conversion wrappers are not data sources.
-        seeds -= {"byte", "Buffer", "Buffer.from", "bytes", "String", "JSON.stringify"}
-        # A method access like ``value.getBytes`` taints the receiver
-        # ``value`` as well; a *subscript* like ``args[1]`` stays exact so
-        # ``args[0]`` (the key) is never considered leaked.
-        for seed in list(seeds):
-            if "." in seed and "[" not in seed:
-                seeds.add(_root_of(seed))
-        if seeds and _tainted_returns(body, seeds, function.language):
-            leaks.append(function.name)
-    return leaks
+            tainted = _propagate(function.body, seeds)
+            if any(_mentions_tainted(sink, tainted) for sink in sinks_of(function)):
+                found[detector].append(function.name)
+    return found

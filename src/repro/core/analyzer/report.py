@@ -19,6 +19,10 @@ class ProjectAnalysis:
     configtx: list[ConfigtxFinding] = field(default_factory=list)
     read_leak_functions: dict[str, list[str]] = field(default_factory=dict)  # file -> fns
     write_leak_functions: dict[str, list[str]] = field(default_factory=dict)
+    # Beyond the paper: private values taken from plaintext args, and
+    # private reads published through chaincode events.
+    transient_bypass_functions: dict[str, list[str]] = field(default_factory=dict)
+    event_leak_functions: dict[str, list[str]] = field(default_factory=dict)
 
     # -- PDC classification (Fig. 8) ---------------------------------------
     @property

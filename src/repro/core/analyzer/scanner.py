@@ -9,7 +9,7 @@ from repro.core.analyzer.detectors import (
     detect_explicit_pdc,
     detect_implicit_pdc,
 )
-from repro.core.analyzer.languages import find_read_leaks, find_write_leaks
+from repro.core.analyzer.languages import scan_file
 from repro.core.analyzer.report import ProjectAnalysis
 from repro.core.analyzer.source import project_files
 
@@ -28,12 +28,9 @@ def analyze_project(project) -> ProjectAnalysis:
     for file in files:
         if not file.is_chaincode:
             continue
-        read_leaks = find_read_leaks(file)
-        if read_leaks:
-            analysis.read_leak_functions[file.path] = read_leaks
-        write_leaks = find_write_leaks(file)
-        if write_leaks:
-            analysis.write_leak_functions[file.path] = write_leaks
+        for detector, functions in scan_file(file).items():
+            if functions:
+                getattr(analysis, f"{detector}_functions")[file.path] = functions
     return analysis
 
 

@@ -44,14 +44,6 @@ class CollusionReport:
     minimum_nonmember_orgs: Optional[int]
     minimum_nonmember_set: tuple[str, ...]
 
-    @property
-    def requires_majority(self) -> bool:
-        """Whether the attack needs peers from >50% of channel orgs."""
-        total = len(self.member_orgs) + len(self.nonmember_orgs)
-        if self.minimum_orgs is None:
-            return True
-        return self.minimum_orgs > total / 2
-
     def summary(self) -> str:
         if self.minimum_orgs is None:
             return (

@@ -20,7 +20,7 @@ constructed with:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class FrameworkFeatures:
     @classmethod
     def feature2_only(cls) -> "FrameworkFeatures":
         return cls(hashed_payload_endorsement=True)
-
-    def with_(self, **changes: bool) -> "FrameworkFeatures":
-        return replace(self, **changes)
 
     def describe(self) -> str:
         active = [

@@ -34,12 +34,6 @@ class Organization:
     def enroll_client(self, name: str = "client0") -> SigningIdentity:
         return self.enroll(name, Role.CLIENT)
 
-    def enroll_orderer(self, name: str = "orderer0") -> SigningIdentity:
-        return self.enroll(name, Role.ORDERER)
-
-    def enroll_admin(self, name: str = "admin") -> SigningIdentity:
-        return self.enroll(name, Role.ADMIN)
-
     def identities(self) -> list[SigningIdentity]:
         return list(self._identities.values())
 

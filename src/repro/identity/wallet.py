@@ -100,8 +100,3 @@ class FileWallet:
             raise IdentityError(f"no wallet entry {label!r}")
         path.unlink()
 
-    def labels(self) -> list[str]:
-        return sorted(
-            path.name[: -len(self.SUFFIX)]
-            for path in self.directory.glob(f"*{self.SUFFIX}")
-        )

@@ -143,9 +143,3 @@ class ValidatedBlock:
             for tx, flag in zip(self.block.transactions, self.flags)
             if flag is ValidationCode.VALID
         ]
-
-    def flag_of(self, tx_id: str) -> ValidationCode:
-        for tx, flag in zip(self.block.transactions, self.flags):
-            if tx.tx_id == tx_id:
-                return flag
-        raise KeyError(tx_id)

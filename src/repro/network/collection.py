@@ -94,8 +94,5 @@ class ChaincodeDefinition:
                 return collection
         raise ConfigError(f"chaincode {self.name!r} has no collection {name!r}")
 
-    def has_collection(self, name: str) -> bool:
-        return any(c.name == name for c in self.collections)
-
     def block_to_live_map(self) -> dict[tuple[str, str], int]:
         return {(self.name, c.name): c.block_to_live for c in self.collections}

@@ -13,7 +13,7 @@ import functools
 from typing import Mapping, Sequence, Union
 
 from repro.common import crypto
-from repro.common.errors import PolicyError, PolicyNotSatisfiedError
+from repro.common.errors import PolicyError
 from repro.identity.identity import Certificate
 from repro.identity.msp import MSPRegistry
 from repro.identity.roles import Role
@@ -77,11 +77,3 @@ class PolicyEvaluator:
         """Whether ``signers`` satisfy ``policy``."""
         resolved = self.resolve(policy)
         return resolved.evaluate(signers, self._matcher)
-
-    def assert_satisfied(self, policy: AnyPolicy | str, signers: Sequence[Certificate]) -> None:
-        """Raise :class:`PolicyNotSatisfiedError` unless ``signers`` satisfy the policy."""
-        if not self.evaluate(policy, signers):
-            names = sorted(f"{c.msp_id}/{c.enrollment_id}" for c in signers)
-            raise PolicyNotSatisfiedError(
-                f"policy not satisfied by signers {names}"
-            )

@@ -174,6 +174,3 @@ class ProposalResponse:
     @property
     def ok(self) -> bool:
         return self.payload.response.ok
-
-    def verify_endorsement(self) -> bool:
-        return self.endorsement.verify(self.payload.bytes())

@@ -38,11 +38,6 @@ class ValidationCode(str, enum.Enum):
     # appears in block metadata — only in client-facing submit results.
     ORDERER_EARLY_ABORT = "ORDERER_EARLY_ABORT"
 
-    @property
-    def is_valid(self) -> bool:
-        return self is ValidationCode.VALID
-
-
 @dataclass(frozen=True)
 class TransactionEnvelope(Memoized):
     """A signed, endorsed transaction ready for ordering."""
@@ -116,6 +111,3 @@ class TransactionEnvelope(Memoized):
 
     def verify_creator_signature(self) -> bool:
         return self.creator.public_key.verify(self.signed_bytes(), self.signature)
-
-    def endorser_certificates(self) -> tuple[Certificate, ...]:
-        return tuple(e.endorser for e in self.endorsements)

@@ -85,11 +85,6 @@ class FaultInjector:
     def allow_topic(self, topic: str) -> None:
         self._dead_topics.discard(topic)
 
-    def drop_topics(self, topics) -> None:
-        """Suppress a whole family of message classes at once — e.g.
-        every gossip topic (``GOSSIP_TOPICS``)."""
-        self._dead_topics.update(topics)
-
     def heal(self) -> None:
         """Restore every link and topic (random drops keep applying)."""
         self._dead_links.clear()

@@ -313,14 +313,17 @@ def execute(
     runtime.run()
 
     # Drive to quiescence: heal everything (the cluster's own partition
-    # first, so its record of who reaches whom stays true), repair missed
-    # deliveries, then reconcile private data to a fixpoint.
+    # first, so its record of who reaches whom stays true), restart every
+    # peer still down (a minimized trace may have lost its restart), repair
+    # missed deliveries, then reconcile private data to a fixpoint.
     faults = runtime.bus.faults
     sim.network.orderer.raft.heal_partition()
     faults.heal()
     faults.drop_rate = 0.0
     faults.topic_drop_rates.clear()
     runtime.bus.latency.jitter = config.jitter
+    for name in sorted(runtime.crashed_peers()):
+        runtime.restart_peer(name)
     caught_up = runtime.catch_up()
     runtime.run()
     reconciled = sim.network.reconcile_private_data()

@@ -41,6 +41,9 @@ def analysis_to_json(analysis: ProjectAnalysis) -> dict:
         "injection_vulnerable": analysis.potentially_vulnerable_to_injection,
         "read_leaks": analysis.read_leak_functions,
         "write_leaks": analysis.write_leak_functions,
+        # Beyond the paper's §V-C payload analysis.
+        "transient_bypass": analysis.transient_bypass_functions,
+        "event_leaks": analysis.event_leak_functions,
     }
 
 
@@ -65,6 +68,11 @@ def _describe(analysis: ProjectAnalysis, verbose: bool) -> str:
             line += f"\n    read-leak  {path}: {', '.join(functions)}"
         for path, functions in sorted(analysis.write_leak_functions.items()):
             line += f"\n    write-leak {path}: {', '.join(functions)}"
+        # Beyond the paper: neither finding counts towards Fig. 10.
+        for path, functions in sorted(analysis.transient_bypass_functions.items()):
+            line += f"\n    transient-bypass {path}: {', '.join(functions)}  (beyond paper)"
+        for path, functions in sorted(analysis.event_leak_functions.items()):
+            line += f"\n    event-leak {path}: {', '.join(functions)}  (beyond paper)"
     return line
 
 

@@ -37,14 +37,14 @@ class TestExplicitDetector:
         result = detect_explicit_pdc(files)
         assert result.detected
         assert result.collections[0].name == "assetCollection"
-        assert not result.any_collection_policy
+        assert not any(c.has_endorsement_policy for c in result.collections)
 
     def test_endorsement_policy_detected(self):
         files = _files(
             **{"c.json": collection_config_json(with_endorsement_policy=True)}
         )
         result = detect_explicit_pdc(files)
-        assert result.any_collection_policy
+        assert any(c.has_endorsement_policy for c in result.collections)
 
     def test_package_json_not_flagged(self):
         files = _files(**{"package.json": decoy_package_json("p")})
@@ -162,6 +162,32 @@ class TestScanner:
             }
         )
         assert analyze_project(project).pdc_kind == "both"
+
+    def test_beyond_paper_detectors_fill_their_fields(self):
+        event_leaky = """package main
+func announce(stub shim.ChaincodeStubInterface, args []string) (string, error) {
+\tasset, err := stub.GetPrivateData("demo", args[0])
+\tif err != nil {
+\t\treturn "", err
+\t}
+\tstub.SetEvent("AssetRead", asset)
+\treturn "ok", nil
+}
+"""
+        project = self._project(
+            **{
+                "collections_config.json": collection_config_json(),
+                "chaincode/implicit.go": implicit_pdc_chaincode(),
+                "chaincode/events.go": event_leaky,
+            }
+        )
+        analysis = analyze_project(project)
+        assert analysis.transient_bypass_functions == {
+            "chaincode/implicit.go": ["storeOrgSecret"]
+        }
+        assert analysis.event_leak_functions == {"chaincode/events.go": ["announce"]}
+        # Neither finding is a Fig. 10 payload leak.
+        assert not analysis.has_leak
 
     def test_collection_policy_not_vulnerable(self):
         project = self._project(

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.analyzer.languages import extract_functions, find_read_leaks, find_write_leaks
+from repro.core.analyzer.languages import extract_functions, scan_file
 from repro.core.analyzer.source import ProjectFile
 from repro.core.corpus.templates import go_chaincode, java_chaincode, js_chaincode
 
 
 def _file(path: str, content: str) -> ProjectFile:
     return ProjectFile(path=path, content=content)
+
+
+def read_leaks(file: ProjectFile) -> list[str]:
+    return scan_file(file)["read_leak"]
+
+
+def write_leaks(file: ProjectFile) -> list[str]:
+    return scan_file(file)["write_leak"]
+
+
+def transient_bypass(file: ProjectFile) -> list[str]:
+    return scan_file(file)["transient_bypass"]
 
 
 class TestFunctionExtraction:
@@ -42,19 +54,19 @@ class TestFunctionExtraction:
 class TestGoLeaks:
     def test_leaky_read_detected(self):
         file = _file("cc.go", go_chaincode("col", read_leak=True, write_leak=False))
-        assert find_read_leaks(file) == ["readPrivateAsset"]
+        assert read_leaks(file) == ["readPrivateAsset"]
 
     def test_safe_read_not_flagged(self):
         file = _file("cc.go", go_chaincode("col", read_leak=False, write_leak=False))
-        assert find_read_leaks(file) == []
+        assert read_leaks(file) == []
 
     def test_leaky_write_detected(self):
         file = _file("cc.go", go_chaincode("col", read_leak=False, write_leak=True))
-        assert find_write_leaks(file) == ["setPrivate"]
+        assert write_leaks(file) == ["setPrivate"]
 
     def test_safe_write_not_flagged(self):
         file = _file("cc.go", go_chaincode("col", read_leak=False, write_leak=False))
-        assert find_write_leaks(file) == []
+        assert write_leaks(file) == []
 
     def test_listing2_verbatim(self):
         """The exact Listing 2 of the paper must be flagged."""
@@ -70,7 +82,7 @@ func setPrivate(stub shim.ChaincodeStubInterface, args []string) (string, error)
 \treturn args[1], nil
 }
 """
-        assert find_write_leaks(_file("sacc.go", code)) == ["setPrivate"]
+        assert write_leaks(_file("sacc.go", code)) == ["setPrivate"]
 
     def test_returning_key_not_value_not_flagged(self):
         """Echoing the KEY (args[0]) is not a value leak."""
@@ -83,7 +95,7 @@ func setPrivate(stub shim.ChaincodeStubInterface, args []string) (string, error)
 \treturn args[0], nil
 }
 """
-        assert find_write_leaks(_file("cc.go", code)) == []
+        assert write_leaks(_file("cc.go", code)) == []
 
     def test_shim_success_leak_detected(self):
         code = """package main
@@ -95,7 +107,7 @@ func read(stub shim.ChaincodeStubInterface, args []string) peer.Response {
 \treturn shim.Success(asset)
 }
 """
-        assert find_read_leaks(_file("cc.go", code)) == ["read"]
+        assert read_leaks(_file("cc.go", code)) == ["read"]
 
     def test_hash_api_never_flagged(self):
         code = """package main
@@ -107,25 +119,25 @@ func readHash(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn hex.EncodeToString(digest), nil
 }
 """
-        assert find_read_leaks(_file("cc.go", code)) == []
+        assert read_leaks(_file("cc.go", code)) == []
 
 
 class TestJsLeaks:
     def test_leaky_read_detected(self):
         file = _file("cc.js", js_chaincode("col", read_leak=True, write_leak=False))
-        assert find_read_leaks(file) == ["readPrivateAsset"]
+        assert read_leaks(file) == ["readPrivateAsset"]
 
     def test_safe_read_not_flagged(self):
         file = _file("cc.js", js_chaincode("col", read_leak=False, write_leak=False))
-        assert find_read_leaks(file) == []
+        assert read_leaks(file) == []
 
     def test_leaky_write_detected(self):
         file = _file("cc.js", js_chaincode("col", read_leak=False, write_leak=True))
-        assert find_write_leaks(file) == ["setPrivateAsset"]
+        assert write_leaks(file) == ["setPrivateAsset"]
 
     def test_safe_write_not_flagged(self):
         file = _file("cc.js", js_chaincode("col", read_leak=False, write_leak=False))
-        assert find_write_leaks(file) == []
+        assert write_leaks(file) == []
 
     def test_listing1_verbatim(self):
         """The exact Listing 1 (fabricPerfTest) must be flagged."""
@@ -142,29 +154,29 @@ class C {
     }
 }
 """
-        assert find_read_leaks(_file("cc.js", code)) == ["readPrivatePerfTest"]
+        assert read_leaks(_file("cc.js", code)) == ["readPrivatePerfTest"]
 
     def test_typescript_extension(self):
         file = _file("cc.ts", js_chaincode("col", read_leak=True, write_leak=False))
-        assert find_read_leaks(file) == ["readPrivateAsset"]
+        assert read_leaks(file) == ["readPrivateAsset"]
 
 
 class TestJavaLeaks:
     def test_leaky_read_detected(self):
         file = _file("CC.java", java_chaincode("col", read_leak=True, write_leak=False))
-        assert find_read_leaks(file) == ["readPrivateAsset"]
+        assert read_leaks(file) == ["readPrivateAsset"]
 
     def test_safe_read_not_flagged(self):
         file = _file("CC.java", java_chaincode("col", read_leak=False, write_leak=False))
-        assert find_read_leaks(file) == []
+        assert read_leaks(file) == []
 
     def test_leaky_write_detected(self):
         file = _file("CC.java", java_chaincode("col", read_leak=False, write_leak=True))
-        assert find_write_leaks(file) == ["setPrivateAsset"]
+        assert write_leaks(file) == ["setPrivateAsset"]
 
     def test_safe_write_not_flagged(self):
         file = _file("CC.java", java_chaincode("col", read_leak=False, write_leak=False))
-        assert find_write_leaks(file) == []
+        assert write_leaks(file) == []
 
 
 class TestTaintEdgeCases:
@@ -178,7 +190,7 @@ func check(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn "found", nil
 }
 """
-        assert find_read_leaks(_file("cc.go", code)) == []
+        assert read_leaks(_file("cc.go", code)) == []
 
     def test_discarded_result_not_a_leak(self):
         code = """package main
@@ -190,7 +202,7 @@ func touch(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn "ok", nil
 }
 """
-        assert find_read_leaks(_file("cc.go", code)) == []
+        assert read_leaks(_file("cc.go", code)) == []
 
     def test_transitive_taint_detected(self):
         code = """
@@ -203,34 +215,61 @@ class C {
     }
 }
 """
-        assert find_read_leaks(_file("cc.js", code)) == ["chained"]
+        assert read_leaks(_file("cc.js", code)) == ["chained"]
 
 
 class TestTransientBypass:
     """The `value via plaintext args` bad-practice detector."""
 
     def test_go_args_value_flagged(self):
-        from repro.core.analyzer.languages import find_transient_bypass
-
         file = _file("cc.go", go_chaincode("col", read_leak=False, write_leak=True))
-        assert find_transient_bypass(file) == ["setPrivate"]
+        assert transient_bypass(file) == ["setPrivate"]
 
     def test_non_echoing_args_write_still_flagged(self):
         """Even without echoing the value back, passing it via args puts
         it into every committed transaction."""
-        from repro.core.analyzer.languages import find_transient_bypass
-
         file = _file("cc.go", go_chaincode("col", read_leak=False, write_leak=False))
-        assert find_transient_bypass(file) == ["setPrivateAsset"]
+        assert transient_bypass(file) == ["setPrivateAsset"]
 
     def test_transient_pattern_not_flagged(self):
-        from repro.core.analyzer.languages import find_transient_bypass
-
         file = _file("cc.js", js_chaincode("col", read_leak=False, write_leak=False))
-        assert find_transient_bypass(file) == []
+        assert transient_bypass(file) == []
 
     def test_java_transient_pattern_not_flagged(self):
-        from repro.core.analyzer.languages import find_transient_bypass
-
         file = _file("CC.java", java_chaincode("col", read_leak=False, write_leak=False))
-        assert find_transient_bypass(file) == []
+        assert transient_bypass(file) == []
+
+    @pytest.mark.parametrize(
+        "body, flagged",
+        [
+            # Reading the transient map is no proof the written value
+            # came from it: this value still travels in the plaintext args.
+            (
+                "\ttransMap, err := stub.GetTransient()\n"
+                "\tif err != nil || transMap == nil {\n\t\treturn \"\", err\n\t}\n"
+                "\terr = stub.PutPrivateData(\"col\", args[0], []byte(args[1]))\n",
+                ["setPrivate"],
+            ),
+            # An args value reaches the write through an assignment.
+            (
+                "\tvalue := args[1]\n"
+                "\terr := stub.PutPrivateData(\"col\", args[0], []byte(value))\n",
+                ["setPrivate"],
+            ),
+            # Only the written value counts: a key from args is public anyway.
+            (
+                "\tkey := args[0]\n"
+                "\ttransMap, _ := stub.GetTransient()\n"
+                "\terr := stub.PutPrivateData(\"col\", key, transMap[\"asset\"])\n",
+                [],
+            ),
+        ],
+    )
+    def test_go_private_write_value_taint(self, body, flagged):
+        code = (
+            "package main\n"
+            "func setPrivate(stub shim.ChaincodeStubInterface, args []string) (string, error) {\n"
+            + body
+            + "\treturn \"ok\", err\n}\n"
+        )
+        assert transient_bypass(_file("cc.go", code)) == flagged

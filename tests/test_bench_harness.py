@@ -17,7 +17,7 @@ class TestLatencyStats:
     def test_empty_stats(self):
         stats = LatencyStats()
         assert stats.mean == 0.0 and stats.median == 0.0
-        assert stats.stdev == 0.0 and stats.p95 == 0.0
+        assert stats.p95 == 0.0
 
     def test_basic_statistics(self):
         stats = LatencyStats()
@@ -26,12 +26,6 @@ class TestLatencyStats:
         assert stats.mean == pytest.approx(20.0)
         assert stats.median == pytest.approx(20.0)
         assert stats.p95 == pytest.approx(30.0)
-        assert stats.stdev > 0
-
-    def test_single_sample_stdev_zero(self):
-        stats = LatencyStats()
-        stats.add(0.005)
-        assert stats.stdev == 0.0
 
 
 class TestMeasurementHarness:

@@ -129,14 +129,6 @@ class TestValidatedBlock:
         )
         assert validated.valid_transactions() == [txs[0]]
 
-    def test_flag_of(self):
-        tx = _envelope("a")
-        validated = ValidatedBlock(
-            block=Block.create(0, GENESIS_PREV_HASH, (tx,)), flags=[ValidationCode.VALID]
-        )
-        assert validated.flag_of(tx.tx_id) is ValidationCode.VALID
-        with pytest.raises(KeyError):
-            validated.flag_of("nope")
 
 
 class TestBlockchain:

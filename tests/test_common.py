@@ -44,17 +44,14 @@ class TestErrorHierarchy:
         "exc_class",
         [
             errors.ConfigError,
-            errors.CryptoError,
             errors.IdentityError,
             errors.PolicyError,
-            errors.PolicyNotSatisfiedError,
             errors.LedgerError,
             errors.KeyNotFoundError,
             errors.ChaincodeError,
             errors.EndorsementError,
             errors.ProposalResponseMismatchError,
             errors.OrderingError,
-            errors.ValidationError,
             errors.TransactionInvalidError,
             errors.GossipError,
             errors.AnalyzerError,
@@ -76,9 +73,6 @@ class TestErrorHierarchy:
     def test_transaction_invalid_carries_code(self):
         exc = errors.TransactionInvalidError("tid", "MVCC_READ_CONFLICT")
         assert exc.tx_id == "tid" and exc.code == "MVCC_READ_CONFLICT"
-
-    def test_policy_not_satisfied_is_policy_error(self):
-        assert issubclass(errors.PolicyNotSatisfiedError, errors.PolicyError)
 
     def test_mismatch_is_endorsement_error(self):
         assert issubclass(errors.ProposalResponseMismatchError, errors.EndorsementError)

@@ -27,10 +27,6 @@ class TestFrameworkFeatures:
         assert not FrameworkFeatures.feature1_only().hashed_payload_endorsement
         assert FrameworkFeatures.feature2_only().hashed_payload_endorsement
 
-    def test_with_override(self):
-        features = FrameworkFeatures.original().with_(collection_policy_on_reads=True)
-        assert features.collection_policy_on_reads
-
     def test_describe(self):
         assert FrameworkFeatures.original().describe() == "original framework"
         assert "Feature1" in FrameworkFeatures.feature1_only().describe()

@@ -106,7 +106,7 @@ class TestEvents:
 
 class TestEventLeakDetector:
     def test_go_event_leak_detected(self):
-        from repro.core.analyzer.languages import find_event_leaks
+        from repro.core.analyzer.languages import scan_file
         from repro.core.analyzer.source import ProjectFile
 
         code = """package main
@@ -119,10 +119,10 @@ func announce(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn "ok", nil
 }
 """
-        assert find_event_leaks(ProjectFile(path="cc.go", content=code)) == ["announce"]
+        assert scan_file(ProjectFile(path="cc.go", content=code))["event_leak"] == ["announce"]
 
     def test_safe_event_not_flagged(self):
-        from repro.core.analyzer.languages import find_event_leaks
+        from repro.core.analyzer.languages import scan_file
         from repro.core.analyzer.source import ProjectFile
 
         code = """package main
@@ -135,10 +135,10 @@ func announce(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn "ok", nil
 }
 """
-        assert find_event_leaks(ProjectFile(path="cc.go", content=code)) == []
+        assert scan_file(ProjectFile(path="cc.go", content=code))["event_leak"] == []
 
     def test_no_private_read_no_event_leak(self):
-        from repro.core.analyzer.languages import find_event_leaks
+        from repro.core.analyzer.languages import scan_file
         from repro.core.analyzer.source import ProjectFile
 
         code = """package main
@@ -147,4 +147,4 @@ func announce(stub shim.ChaincodeStubInterface, args []string) (string, error) {
 \treturn "ok", nil
 }
 """
-        assert find_event_leaks(ProjectFile(path="cc.go", content=code)) == []
+        assert scan_file(ProjectFile(path="cc.go", content=code))["event_leak"] == []

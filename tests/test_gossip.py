@@ -647,7 +647,8 @@ class TestAntiEntropy:
         from repro.runtime.runtime import GOSSIP_TOPICS
 
         net, runtime = self._runtime_network()
-        runtime.bus.faults.drop_topics(GOSSIP_TOPICS)
+        for topic in GOSSIP_TOPICS:
+            runtime.bus.faults.drop_topic(topic)
         self._submit_missed(net, runtime, gaps)
         runtime.run()
         org3 = net.peers_of("Org3MSP")[0]

@@ -134,8 +134,8 @@ class TestOrganization:
         org = Organization("Org1MSP")
         assert org.enroll_peer().role is Role.PEER
         assert org.enroll_client().role is Role.CLIENT
-        assert org.enroll_orderer().role is Role.ORDERER
-        assert org.enroll_admin().role is Role.ADMIN
+        assert org.enroll("orderer0", Role.ORDERER).role is Role.ORDERER
+        assert org.enroll("admin", Role.ADMIN).role is Role.ADMIN
 
     def test_enrollment_ids_qualified(self):
         org = Organization("Org1MSP")

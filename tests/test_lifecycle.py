@@ -96,7 +96,7 @@ class TestUpgrade:
         for msp in ("Org1MSP", "Org3MSP"):
             cycle.approve_for_org(msp, "cc", "2.0", 2, collections=[COLLECTION])
         cycle.commit("cc")
-        assert channel.chaincode("cc").has_collection("PDC1")
+        assert channel.chaincode("cc").collection("PDC1").name == "PDC1"
         assert cycle.committed_sequence("cc") == 2
 
     def test_upgrade_requires_next_sequence(self, lifecycle):

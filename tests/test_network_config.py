@@ -73,7 +73,6 @@ class TestChaincodeDefinition:
         definition = ChaincodeDefinition(name="cc", endorsement_policy="ANY Endorsement",
                                          collections=(col,))
         assert definition.collection("c") is col
-        assert definition.has_collection("c")
         with pytest.raises(ConfigError):
             definition.collection("nope")
 

@@ -33,7 +33,7 @@ class TestEndorser:
         proposal = _proposal(network, "set_private", ["PDC1", "k"], {"value": b"1"})
         output = peer.endorse(proposal)
         assert output.response.ok
-        assert output.response.verify_endorsement()
+        assert output.response.endorsement.verify(output.response.payload.bytes())
         assert output.private_writes[0].writes[0].value == b"1"
 
     def test_endorsement_signed_by_peer(self, network):
@@ -83,7 +83,7 @@ class TestEndorser:
         output = peer.endorse(read)
         assert output.response.client_response.payload == b"99"
         assert output.response.payload.response.payload == sha256(b"99")
-        assert output.response.verify_endorsement()
+        assert output.response.endorsement.verify(output.response.payload.bytes())
 
     def test_feature2_leaves_public_tx_untouched(self, channel):
         from repro.chaincode.contracts import AssetContract

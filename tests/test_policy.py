@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import PolicyError, PolicyNotSatisfiedError
+from repro.common.errors import PolicyError
 from repro.identity.msp import MSPRegistry
 from repro.identity.organization import Organization
 from repro.identity.roles import Role
@@ -217,14 +217,6 @@ class TestEvaluation:
         evaluator, _orgs = _make_evaluator()
         outsider = Organization("MalloryMSP").enroll_peer().certificate
         assert not evaluator.evaluate("OR('MalloryMSP.peer')", [outsider])
-
-    def test_assert_satisfied_raises(self):
-        evaluator, orgs = _make_evaluator()
-        with pytest.raises(PolicyNotSatisfiedError):
-            evaluator.assert_satisfied(
-                "AND('Org1MSP.peer', 'Org2MSP.peer')",
-                [orgs[0].enroll_peer().certificate],
-            )
 
     def test_evaluate_ast_nodes_directly(self):
         evaluator, orgs = _make_evaluator()

@@ -14,7 +14,7 @@ from repro.protocol.response import (
     Endorsement,
     ProposalResponsePayload,
 )
-from repro.protocol.transaction import TransactionEnvelope, ValidationCode
+from repro.protocol.transaction import TransactionEnvelope
 
 
 def _client():
@@ -118,15 +118,3 @@ class TestTransactionEnvelope:
     def test_tampered_function_breaks_signature(self):
         envelope, _ = self._envelope()
         assert not replace(envelope, function="other").verify_creator_signature()
-
-    def test_endorser_certificates(self):
-        envelope, _ = self._envelope()
-        assert envelope.endorser_certificates() == ()
-
-
-class TestValidationCode:
-    def test_only_valid_is_valid(self):
-        assert ValidationCode.VALID.is_valid
-        for code in ValidationCode:
-            if code is not ValidationCode.VALID:
-                assert not code.is_valid

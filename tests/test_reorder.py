@@ -176,34 +176,6 @@ class TestEarlyAbortSyncPath:
         # ...and the surviving write is untouched.
         assert net.peers()[0].query_public("assetcc", "asset:k") == b"15"
 
-    def test_sync_retry_recovers_from_early_abort(self):
-        net = _asset_network(batch_size=1)
-        client = net.client("Org1MSP")
-        endorsers = [net.peers_of("Org1MSP")[0]]
-        client.submit_transaction(
-            "assetcc", "create_asset", ["k", "10"], endorsing_peers=endorsers
-        ).raise_for_status()
-        original_request = net.request_endorsement
-        state = {"sabotaged": False}
-
-        def sabotaging(peer, proposal):
-            output = original_request(peer, proposal)
-            if not state["sabotaged"] and proposal.function == "add_to_asset":
-                state["sabotaged"] = True
-                net.request_endorsement = original_request
-                net.client("Org2MSP").submit_transaction(
-                    "assetcc", "add_to_asset", ["k", "100"],
-                    endorsing_peers=endorsers,
-                ).raise_for_status()
-            return output
-
-        net.request_endorsement = sabotaging
-        result = client.submit_with_retry(
-            "assetcc", "add_to_asset", ["k", "5"], endorsing_peers=endorsers
-        )
-        assert result.committed
-        assert net.peers()[0].query_public("assetcc", "asset:k") == b"115"
-
 
 class TestEarlyAbortRetryPath:
     """The admission/retry policy treats an early abort exactly like a

@@ -529,6 +529,21 @@ class TestRaisingRuns:
         assert (tmp_path / "repro-seed1.py").exists()
 
 
+class TestQuiescenceRestartsCrashedPeers:
+    """ddmin may drop a ``restart_peer`` like any other action, so a peer
+    left down by the fault plan is restarted before the final checks."""
+
+    def test_a_crash_without_its_restart_still_passes(self):
+        config = SimulationConfig.generate_workload("mixed", 5, 60)
+        ops, fault_actions = generate(config)
+        crash = [a for a in fault_actions if a.kind == "crash_peer"]
+        assert [(a.dst, round(a.at, 2)) for a in crash] == [("peer0.Org2MSP", 33.83)]
+        report = execute(config, ops, crash)
+        # Without the restart: block-agreement, reference-validation and
+        # liveness-accounting violations at the peer left down.
+        assert report.ok, "\n".join(str(v) for v in report.violations)
+
+
 class TestDdmin:
     def test_minimizes_to_the_failure_core(self):
         items = list(range(20))

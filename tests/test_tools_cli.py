@@ -76,4 +76,4 @@ class TestScanJson:
         assert explicit, "the sample contains PDC projects"
         sample = explicit[0]
         assert {"name", "pdc_kind", "collections", "injection_vulnerable",
-                "read_leaks", "write_leaks"} <= set(sample)
+                "read_leaks", "write_leaks", "transient_bypass", "event_leaks"} <= set(sample)

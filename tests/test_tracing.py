@@ -129,93 +129,6 @@ class TestFig2Sequence:
         assert tracer.summary() == {}
 
 
-class TestAbortSummary:
-    """``abort_summary()`` must count each transaction once.
-
-    The raw :meth:`Tracer.summary` counts events — N peers record N
-    ``validate+commit`` entries per transaction and every mempool refusal
-    of a retried envelope lands its own ``mempool-reject`` — so reading
-    abort rates off it over-counts.  The deduplicated view has to agree
-    with the ledger's own commit bookkeeping exactly.
-    """
-
-    def _contended_runtime(self):
-        import random as random_mod
-
-        from repro.identity.ca import reset_ca_instance_counter
-        from repro.protocol.proposal import reset_nonce_counter
-
-        reset_nonce_counter()
-        reset_ca_instance_counter()
-        orgs = [Organization(f"Org{i}MSP") for i in (1, 2, 3)]
-        channel = ChannelConfig(channel_id="abortchan", organizations=orgs)
-        channel.deploy_chaincode(
-            "assetcc",
-            endorsement_policy="OR('Org1MSP.member', 'Org2MSP.member', "
-                               "'Org3MSP.member')",
-        )
-        tracer = Tracer()
-        net = FabricNetwork(channel=channel, tracer=tracer, batch_size=2)
-        for org in orgs:
-            net.add_peer(org.msp_id)
-        net.install_chaincode("assetcc", AssetContract())
-        runtime = net.attach_runtime(seed=2, mempool_limit=2, batch_timeout=1.0)
-        return net, runtime, tracer, random_mod
-
-    def test_breakdown_matches_ledger_counts(self):
-        from repro.workload import RetryPolicy, submit_with_retry_async
-
-        net, runtime, tracer, random_mod = self._contended_runtime()
-        client = net.client("Org1MSP")
-        endorsers = net.default_endorsers()[:1]
-        client.submit_async("assetcc", "create_asset", ["a", "10"],
-                            endorsing_peers=endorsers)
-        runtime.run()
-        # Two read-modify-writes of the same key in one block: one MVCC abort.
-        for amount in ("1", "2"):
-            client.submit_async("assetcc", "add_to_asset", ["a", amount],
-                                endorsing_peers=endorsers)
-        runtime.run()
-        # Fill both mempool slots, then retry one envelope into the full
-        # mempool twice — two reject events for ONE refused transaction.
-        for i in range(2):
-            client.submit_async("assetcc", "create_asset", [f"f{i}", "1"],
-                                endorsing_peers=endorsers)
-        refused = submit_with_retry_async(
-            net, client, "assetcc", "create_asset", ["r0", "1"],
-            endorsing_peers=endorsers,
-            policy=RetryPolicy(budget=1, base_backoff=0.1),
-            rng=random_mod.Random("abort-summary"),
-        )
-        runtime.run()
-        assert refused.mempool_drops == 2
-
-        peer = net.peers()[0]
-        breakdown = tracer.abort_summary()
-        assert breakdown["committed"] == peer.valid_tx_count == 4
-        assert breakdown["aborted"] == peer.invalid_tx_count == 1
-        assert breakdown["by_flag"] == {"VALID": 4, "MVCC_READ_CONFLICT": 1}
-        # Committed + aborted is exactly the chain's transaction count.
-        chain_txs = sum(
-            len(v.block.transactions) for v in peer.ledger.blockchain.blocks()
-        )
-        assert breakdown["committed"] + breakdown["aborted"] == chain_txs
-        # One refused transaction, not one per refusal event...
-        assert breakdown["mempool_rejected"] == 1
-        raw = tracer.summary()
-        assert raw["mempool-reject"] == 2
-        # ...and the raw event view over-counts commits per peer (x3).
-        assert raw["validate+commit"] == 3 * chain_txs
-
-    def test_empty_tracer_yields_zeroes(self):
-        tracer = Tracer()
-        assert tracer.abort_summary() == {
-            "committed": 0, "aborted": 0, "by_flag": {},
-            "mvcc_within_block": 0, "mvcc_cross_block": 0,
-            "early_aborted": 0, "mempool_rejected": 0,
-        }
-
-
 class TestObservationChangesNoState:
     """A tracer on the network records; it never changes what commits."""
 

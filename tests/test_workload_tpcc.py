@@ -426,6 +426,22 @@ class TestAdmissionRetry:
         assert statuses == ["MVCC_READ_CONFLICT", "VALID"]
         assert all(h.error is None and h.attempts == 1 for h in handles)
 
+    def test_policy_failures_are_terminal(self):
+        """A committed policy failure is deterministic: one endorsement
+        round, no retry, and the final status is kept."""
+        net, runtime = _bounded_tpcc(limit=None)
+        handle = submit_with_retry_async(
+            net, net.client("Org1MSP"), TPCC_CHAINCODE, "payment",
+            ["1", "1", "1", "5"],
+            endorsing_peers=net.default_endorsers()[:1],  # MAJORITY needs two
+            policy=RetryPolicy(budget=3),
+            rng=random.Random("policy"),
+        )
+        runtime.run()
+        assert handle.status is ValidationCode.ENDORSEMENT_POLICY_FAILURE
+        assert handle.error is None
+        assert handle.attempts == 1 and handle.retries == 0
+
     def test_chaincode_errors_are_terminal(self):
         net, runtime = _bounded_tpcc(limit=None)
         handle = submit_with_retry_async(
